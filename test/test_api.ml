@@ -86,6 +86,375 @@ let test_response_golden () =
     {|{"v":1,"ok":false,"error":{"class":"unavailable","message":"no healthy backend","exit_code":8,"retryable":true}}|}
     (Resp.to_string (Resp.fail (Resp.Unavailable "no healthy backend")))
 
+(* One golden request per verb the strings above leave out, with both
+   spellings of every optional field. *)
+let test_request_golden_verbs () =
+  let req ?id r = J.to_string (Req.to_json ?id r) in
+  let config =
+    { Req.lib_name = "cla4"; policy = `Coalesced; balance = false;
+      transform = "cleanup"; verify = "sampled"; iterate = 2 }
+  in
+  check "optimize request"
+    {|{"v":1,"id":"o","method":"optimize","params":{"spec":{"source":"y = a + b"},"latency":2,"config":{"lib":"cla4","policy":"coalesced","balance":false,"transform":"cleanup","verify":"sampled","iterate":2},"vhdl":true}}|}
+    (req ~id:"o"
+       (Req.Optimize
+          { spec = Req.Source "y = a + b"; latency = 2; config; vhdl = true }));
+  check "schedule request"
+    {|{"v":1,"method":"schedule","params":{"spec":{"file":"specs/a.spec"},"latency":3,"flow":"blc","config":{"lib":"ripple","policy":"full","balance":true,"transform":"none","verify":"off","iterate":0}}}|}
+    (req
+       (Req.Schedule
+          {
+            spec = Req.File "specs/a.spec";
+            latency = 3;
+            flow = Req.Blc;
+            config = Req.default_config;
+          }));
+  check "explore request, defaults"
+    {|{"v":1,"method":"explore","params":{"spec":{"builtin":"elliptic"},"latencies":[2,3,4,5,6],"policies":["full"],"libs":["ripple"],"balance":[true],"recipes":["none"],"iterates":[0],"verify":"off","feedback":0,"retries":1,"backoff_s":0.050000000000000003,"degrade":false}}|}
+    (req
+       (Req.Explore
+          { spec = Req.Builtin "elliptic"; params = Req.default_explore_params }));
+  check "explore request, jobs and timeout"
+    {|{"v":1,"id":"e","method":"explore","params":{"spec":{"builtin":"fir8"},"latencies":[2,7],"policies":["full","coalesced"],"libs":["ripple","cla4"],"balance":[true,false],"recipes":["none","standard"],"iterates":[0,2],"verify":"sampled","jobs":2,"timeout_s":0.5,"feedback":1,"retries":3,"backoff_s":0.25,"degrade":true}}|}
+    (req ~id:"e"
+       (Req.Explore
+          {
+            spec = Req.Builtin "fir8";
+            params =
+              {
+                Req.latencies = [ 2; 7 ];
+                policies = [ `Full; `Coalesced ];
+                lib_names = [ "ripple"; "cla4" ];
+                balance_axis = [ true; false ];
+                recipes = [ "none"; "standard" ];
+                iterates = [ 0; 2 ];
+                verify = "sampled";
+                jobs = Some 2;
+                timeout_s = Some 0.5;
+                feedback = 1;
+                retries = 3;
+                backoff_s = 0.25;
+                degrade = true;
+              };
+          }));
+  check "simulate request"
+    {|{"v":1,"method":"simulate","params":{"spec":{"builtin":"chain3"},"latency":3,"seed":42,"config":{"lib":"ripple","policy":"full","balance":true,"transform":"none","verify":"off","iterate":0},"vcd":true}}|}
+    (req
+       (Req.Simulate
+          {
+            spec = Req.Builtin "chain3";
+            latency = 3;
+            seed = 42;
+            config = Req.default_config;
+            vcd = true;
+          }));
+  check "iterate request"
+    {|{"v":1,"method":"iterate","params":{"spec":{"builtin":"fir8"},"latency":14,"rounds":8,"config":{"lib":"ripple","policy":"full","balance":true,"transform":"none","verify":"off","iterate":0}}}|}
+    (req
+       (Req.Iterate
+          {
+            spec = Req.Builtin "fir8";
+            latency = 14;
+            rounds = 8;
+            config = Req.default_config;
+          }));
+  check "stats request" {|{"v":1,"id":"s","method":"stats","params":{}}|}
+    (req ~id:"s" Req.Stats);
+  check "workloads request" {|{"v":1,"method":"workloads","params":{}}|}
+    (req (Req.Workloads { tag = None }));
+  check "workloads request, tag"
+    {|{"v":1,"method":"workloads","params":{"tag":"dsp"}}|}
+    (req (Req.Workloads { tag = Some "dsp" }));
+  check "fuzz request"
+    {|{"v":1,"method":"fuzz","params":{"seed":7,"budget":210,"lanes":["spec","codec"],"dir":"_fuzz","max_seconds":120.0}}|}
+    (req
+       (Req.Fuzz
+          {
+            seed = 7;
+            budget = 210;
+            lanes = [ "spec"; "codec" ];
+            dir = "_fuzz";
+            max_seconds = 120.;
+          }))
+
+(* A small hand-built sweep: one point (also the frontier), one failure,
+   one transform summary and one entry of every telemetry list. *)
+let golden_metrics flow =
+  {
+    Hls_dse.Cache.m_flow = flow;
+    m_latency = 3;
+    m_cycle_delta = 4;
+    m_cycle_ns = 2.5;
+    m_execution_ns = 7.5;
+    m_op_count = 6;
+    m_fragment_count = 9;
+    m_fu_gates = 120;
+    m_register_gates = 48;
+    m_mux_gates = 16;
+    m_controller_gates = 10;
+    m_total_gates = 194;
+  }
+
+let golden_sweep =
+  let job latency =
+    {
+      Hls_dse.Space.latency;
+      policy = `Full;
+      lib_name = "ripple";
+      lib = Option.get (Hls_dse.Space.lib_of_name "ripple");
+      balance = true;
+      recipe = "none";
+      iterate = 0;
+    }
+  in
+  let point =
+    {
+      Hls_dse.Explore.job = job 3;
+      metrics = golden_metrics "optimized";
+      from_cache = false;
+      degraded = false;
+      attempts = 2;
+      wall_s = 0.125;
+    }
+  in
+  {
+    Hls_dse.Explore.graph_name = "chain3";
+    digest = "d1";
+    points = [ point ];
+    failures =
+      [
+        {
+          Hls_dse.Explore.f_job = job 2;
+          f_class = F.Infeasible "no placement";
+          f_reason = "no placement";
+          f_attempts = 1;
+        };
+      ];
+    frontier = [ point ];
+    transforms = [];
+    rounds = 1;
+    wall_s = 0.5;
+    cache_hits = 0;
+    cache_misses = 2;
+    recovered = 0;
+    phases = [ ("sched.frag", 1, 0.25) ];
+    counters = [ ("cache.miss", 2) ];
+    gauges = [ ("timing.levels", (3., 4.)) ];
+  }
+
+(* One golden response per payload kind besides pong, with both the
+   [null] and the present spelling of every optional field. *)
+let test_response_golden_payloads () =
+  let resp p = Resp.to_string (Resp.ok p) in
+  let stats =
+    {
+      Resp.gs_name = "chain3";
+      gs_inputs = 4;
+      gs_outputs = 1;
+      gs_nodes = 7;
+      gs_ops = 3;
+      gs_critical = 48;
+    }
+  in
+  check "parse response"
+    {|{"v":1,"ok":true,"result":{"kind":"parse","stats":{"name":"chain3","inputs":4,"outputs":1,"nodes":7,"ops":3,"critical":48},"pretty":"g"}}|}
+    (resp (Resp.Parsed { stats; pretty = "g" }));
+  check "optimize response"
+    {|{"v":1,"ok":true,"result":{"kind":"optimize","critical":48,"cycle":16,"fragments":9,"text":"t"}}|}
+    (resp (Resp.Optimized { critical = 48; cycle = 16; fragments = 9; text = "t" }));
+  let report ~target ~equivalence =
+    resp
+      (Resp.Reported
+         {
+           Resp.r_stats = stats;
+           r_latency = 3;
+           r_target = target;
+           r_conventional = golden_metrics "conventional";
+           r_optimized = golden_metrics "optimized";
+           r_equivalence = equivalence;
+           r_saved_pct = 62.5;
+         })
+  in
+  let metrics flow =
+    Printf.sprintf
+      {|{"flow":"%s","latency":3,"cycle_delta":4,"cycle_ns":2.5,"execution_ns":7.5,"op_count":6,"fragment_count":9,"fu_gates":120,"register_gates":48,"mux_gates":16,"controller_gates":10,"total_gates":194}|}
+      flow
+  in
+  check "report response, no target"
+    ({|{"v":1,"ok":true,"result":{"kind":"report","stats":{"name":"chain3","inputs":4,"outputs":1,"nodes":7,"ops":3,"critical":48},"latency":3,"target":null,"conventional":|}
+    ^ metrics "conventional" ^ {|,"optimized":|} ^ metrics "optimized"
+    ^ {|,"equivalence":null,"saved_pct":62.5}}|})
+    (report ~target:None ~equivalence:None);
+  check "report response, target and equivalence"
+    ({|{"v":1,"ok":true,"result":{"kind":"report","stats":{"name":"chain3","inputs":4,"outputs":1,"nodes":7,"ops":3,"critical":48},"latency":3,"target":{"ns":4.0,"latency":2},"conventional":|}
+    ^ metrics "conventional" ^ {|,"optimized":|} ^ metrics "optimized"
+    ^ {|,"equivalence":"mismatch on y","saved_pct":62.5}}|})
+    (report ~target:(Some (4.0, 2)) ~equivalence:(Some "mismatch on y"));
+  check "schedule response, optimized"
+    {|{"v":1,"ok":true,"result":{"kind":"schedule","flow":"optimized","latency":2,"rows":[{"cycle":1,"ops":["a","b"]},{"cycle":2,"ops":[]}],"profile":[{"cycle":1,"chain":16,"fragments":2,"adder_bits":8}],"used_delta":16,"cycle_delta":null,"gantt":[{"op":"a","cycles":[1,2]}]}}|}
+    (resp
+       (Resp.Scheduled
+          {
+            Resp.s_flow = Req.Optimized;
+            s_latency = 2;
+            s_rows =
+              [
+                { Resp.cr_cycle = 1; cr_ops = [ "a"; "b" ] };
+                { Resp.cr_cycle = 2; cr_ops = [] };
+              ];
+            s_profile =
+              [
+                {
+                  Resp.pr_cycle = 1;
+                  pr_chain = 16;
+                  pr_fragments = 2;
+                  pr_adder_bits = 8;
+                };
+              ];
+            s_used_delta = Some 16;
+            s_cycle_delta = None;
+            s_gantt = [ ("a", [ 1; 2 ]) ];
+          }));
+  check "schedule response, conventional"
+    {|{"v":1,"ok":true,"result":{"kind":"schedule","flow":"conventional","latency":2,"rows":[],"profile":[],"used_delta":null,"cycle_delta":24,"gantt":[]}}|}
+    (resp
+       (Resp.Scheduled
+          {
+            Resp.s_flow = Req.Conventional;
+            s_latency = 2;
+            s_rows = [];
+            s_profile = [];
+            s_used_delta = None;
+            s_cycle_delta = Some 24;
+            s_gantt = [];
+          }));
+  check "explore response"
+    ({|{"v":1,"ok":true,"result":{"kind":"explore","sweep":{"graph":"chain3","digest":"d1","rounds":1,"wall_s":0.5,"cache":{"hits":0,"misses":2,"recovered":0},"points":[{"job":{"latency":3,"policy":"full","lib":"ripple","balance":true,"recipe":"none","iterate":0},"metrics":|}
+    ^ metrics "optimized"
+    ^ {|,"from_cache":false,"degraded":false,"attempts":2,"wall_s":0.125}],"failures":[{"job":{"latency":2,"policy":"full","lib":"ripple","balance":true,"recipe":"none","iterate":0},"failure":{"class":"infeasible","message":"no placement"},"reason":"no placement","attempts":1}],"frontier":[{"job":{"latency":3,"policy":"full","lib":"ripple","balance":true,"recipe":"none","iterate":0},"metrics":|}
+    ^ metrics "optimized"
+    ^ {|,"from_cache":false,"degraded":false,"attempts":2,"wall_s":0.125}],"transforms":[],"telemetry":{"extra_attempts":1,"phases":[{"name":"sched.frag","calls":1,"total_s":0.25}],"counters":[{"name":"cache.miss","total":2}],"gauges":[{"name":"timing.levels","last":3.0,"max":4.0}]}}}}|})
+    (resp (Resp.Explored golden_sweep));
+  let entry verdict =
+    {
+      Resp.te_pass = "fold";
+      te_fired = true;
+      te_accepted = true;
+      te_sites = 2;
+      te_nodes_before = 9;
+      te_nodes_after = 7;
+      te_depth_before = 4;
+      te_depth_after = 3;
+      te_verdict = verdict;
+    }
+  in
+  check "transform response"
+    {|{"v":1,"ok":true,"result":{"kind":"transform","recipe":"fold","verify":"every_pass","before":{"name":"chain3","inputs":4,"outputs":1,"nodes":7,"ops":3,"critical":48},"after":{"name":"chain3","inputs":4,"outputs":1,"nodes":7,"ops":3,"critical":48},"checks":1,"rejected":0,"log":[{"pass":"fold","fired":true,"accepted":true,"sites":2,"nodes_before":9,"nodes_after":7,"depth_before":4,"depth_after":3,"verdict":null},{"pass":"fold","fired":true,"accepted":true,"sites":2,"nodes_before":9,"nodes_after":7,"depth_before":4,"depth_after":3,"verdict":"proved"}],"pretty":"p"}}|}
+    (resp
+       (Resp.Transformed
+          {
+            Resp.x_recipe = "fold";
+            x_verify = "every_pass";
+            x_before = stats;
+            x_after = stats;
+            x_checks = 1;
+            x_rejected = 0;
+            x_log = [ entry None; entry (Some "proved") ];
+            x_pretty = "p";
+          }));
+  let simulate vcd =
+    resp
+      (Resp.Simulated
+         {
+           Resp.sim_latency = 3;
+           sim_inputs = [ ("a", 5) ];
+           sim_outputs = [ ("y", 12, 12) ];
+           sim_vcd = vcd;
+         })
+  in
+  check "simulate response, no vcd"
+    {|{"v":1,"ok":true,"result":{"kind":"simulate","latency":3,"inputs":[{"name":"a","value":5}],"outputs":[{"name":"y","behavioural":12,"gate":12}],"vcd":null}}|}
+    (simulate None);
+  check "simulate response, vcd"
+    {|{"v":1,"ok":true,"result":{"kind":"simulate","latency":3,"inputs":[{"name":"a","value":5}],"outputs":[{"name":"y","behavioural":12,"gate":12}],"vcd":"$end"}}|}
+    (simulate (Some "$end"));
+  check "emit response"
+    {|{"v":1,"ok":true,"result":{"kind":"emit","format":"vhdl-rtl","text":"entity"}}|}
+    (resp (Resp.Emitted { format = Req.Vhdl_rtl; text = "entity" }));
+  check "iterate response"
+    {|{"v":1,"ok":true,"result":{"kind":"iterate","initial_latency":14,"final_latency":12,"initial_delta":20,"final_delta":22,"saved_pct":12.5,"stop":"converged","rounds":[{"index":1,"target":13,"cap":22,"region":5,"region_adds":2,"pinned":true,"accepted":false,"latency":14,"delta":20}]}}|}
+    (resp
+       (Resp.Iterated
+          {
+            Resp.it_initial_latency = 14;
+            it_final_latency = 12;
+            it_initial_delta = 20;
+            it_final_delta = 22;
+            it_saved_pct = 12.5;
+            it_stop = "converged";
+            it_rounds =
+              [
+                {
+                  Resp.ir_index = 1;
+                  ir_target = 13;
+                  ir_cap = 22;
+                  ir_region = 5;
+                  ir_region_adds = 2;
+                  ir_pinned = true;
+                  ir_accepted = false;
+                  ir_latency = 14;
+                  ir_delta = 20;
+                };
+              ];
+          }));
+  check "stats response"
+    {|{"v":1,"ok":true,"result":{"kind":"stats","source":"exec","gauges":{"queue":0,"served":12}}}|}
+    (resp
+       (Resp.Stats
+          { st_source = "exec"; st_gauges = [ ("queue", 0); ("served", 12) ] }));
+  check "workloads response"
+    {|{"v":1,"ok":true,"result":{"kind":"workloads","rows":[{"name":"fir8","kind":"builtin","tags":["dsp","fir"],"ops":15,"inputs":16,"latency":4}]}}|}
+    (resp
+       (Resp.Workloads
+          [
+            {
+              Resp.w_name = "fir8";
+              w_kind = "builtin";
+              w_tags = [ "dsp"; "fir" ];
+              w_ops = 15;
+              w_inputs = 16;
+              w_latency = 4;
+            };
+          ]));
+  check "fuzz response"
+    {|{"v":1,"ok":true,"result":{"kind":"fuzz","seed":7,"cases":210,"mismatches":0,"skipped":3,"coverage":41,"wall_s":1.25,"lanes":[{"lane":"spec","cases":70,"mismatches":0,"skipped":3,"repros":[{"path":"_fuzz/r1.spec","ops":4}]}]}}|}
+    (resp
+       (Resp.Fuzzed
+          {
+            Resp.fz_seed = 7;
+            fz_cases = 210;
+            fz_mismatches = 0;
+            fz_skipped = 3;
+            fz_coverage = 41;
+            fz_wall_s = 1.25;
+            fz_lanes =
+              [
+                {
+                  Resp.fl_lane = "spec";
+                  fl_cases = 70;
+                  fl_mismatches = 0;
+                  fl_skipped = 3;
+                  fl_repros = [ ("_fuzz/r1.spec", 4) ];
+                };
+              ];
+          }));
+  check "resource flow failure"
+    {|{"v":1,"ok":false,"error":{"class":"resource","message":"out of memory","exit_code":5,"retryable":true}}|}
+    (Resp.to_string (Resp.fail (Resp.Failed (F.Resource "out of memory"))));
+  check "internal flow failure"
+    {|{"v":1,"ok":false,"error":{"class":"internal","message":"boom","exit_code":7,"retryable":true}}|}
+    (Resp.to_string (Resp.fail (Resp.Failed (F.Internal (F.Remote "boom")))))
+
 (* ------------------------------------------------------------------ *)
 (* Request decoding: versioning, defaults, forward compatibility.      *)
 
@@ -199,6 +568,62 @@ let test_request_versioning () =
   | Req.Report { latency = 4; target_ns = None; config; _ } ->
       check_bool "defaulted config" true (config = Req.default_config)
   | _ -> Alcotest.fail "forward-compatible decode broke"
+
+(* Clients see these texts: one malformed field of each kind. *)
+let test_usage_messages () =
+  let usage line =
+    match Req.of_string ({|{"v":1,"method":"|} ^ line ^ "}") with
+    | Error (`Usage m) -> m
+    | Ok _ -> Alcotest.failf "accepted: %s" line
+    | Error (`Unsupported_version n) -> Alcotest.failf "version %d" n
+  in
+  let spec = {|"spec":{"builtin":"chain3"}|} in
+  check "int field" {|"latency" must be an integer|}
+    (usage ({|report","params":{|} ^ spec ^ {|,"latency":"3"}|}));
+  check "bool field" {|"vhdl" must be a boolean|}
+    (usage ({|optimize","params":{|} ^ spec ^ {|,"vhdl":1}|}));
+  check "string field" {|"recipe" must be a string|}
+    (usage ({|transform","params":{|} ^ spec ^ {|,"recipe":null}|}));
+  check "number field" {|"target_ns" must be a number|}
+    (usage ({|report","params":{|} ^ spec ^ {|,"target_ns":"2"}|}));
+  check "config string field" {|config "lib" must be a string|}
+    (usage ({|report","params":{|} ^ spec ^ {|,"config":{"lib":4}}|}));
+  check "config bool field" {|"balance" must be a boolean|}
+    (usage ({|report","params":{|} ^ spec ^ {|,"config":{"balance":"no"}}|}));
+  check "legacy cleanup field" {|"cleanup" must be a boolean|}
+    (usage ({|report","params":{|} ^ spec ^ {|,"config":{"cleanup":1}}|}));
+  check "list field" {|"latencies" must be an array|}
+    (usage ({|explore","params":{|} ^ spec ^ {|,"latencies":3}|}));
+  check "list element" {|bad element in "policies"|}
+    (usage ({|explore","params":{|} ^ spec ^ {|,"policies":["full","fast"]}|}));
+  check "legacy cleanup axis" {|bad element in "cleanup"|}
+    (usage ({|explore","params":{|} ^ spec ^ {|,"cleanup":[1]}|}));
+  check "optional int field" {|"jobs" must be an integer|}
+    (usage ({|explore","params":{|} ^ spec ^ {|,"jobs":1.5}|}));
+  check "enum field" {|"flow" must be "conventional", "blc" or "optimized"|}
+    (usage ({|schedule","params":{|} ^ spec ^ {|,"flow":"fast"}|}));
+  check "enum field, listed"
+    {|"format" must be one of vhdl, vhdl-rtl, vhdl-netlist, verilog, verilog-tb|}
+    (usage ({|emit","params":{|} ^ spec ^ {|,"format":"edif"}|}));
+  check "config enum field" {|config "policy" must be "full" or "coalesced"|}
+    (usage ({|report","params":{|} ^ spec ^ {|,"config":{"policy":7}}|}));
+  check "optional string field" {|"tag" must be a string|}
+    (usage {|workloads","params":{"tag":["dsp"]}|});
+  check "missing spec" {|params without a "spec" field|}
+    (usage {|parse","params":{}|});
+  check "empty spec" {|spec needs exactly one of "source", "file" or "builtin"|}
+    (usage {|parse","params":{"spec":{"source":5}}|});
+  check "ambiguous spec" {|spec has more than one of "source", "file", "builtin"|}
+    (usage {|parse","params":{"spec":{"source":"x","builtin":"y"}}|});
+  let envelope line =
+    match Req.of_string line with Error (`Usage m) -> m | _ -> "accepted"
+  in
+  check "missing method" {|request without a "method" field|}
+    (envelope {|{"v":1,"params":{}}|});
+  check "missing version" {|request without a "v" version field|}
+    (envelope {|{"method":"ping"}|});
+  check "unknown method" {|unknown method "frobnicate"|}
+    (envelope {|{"v":1,"method":"frobnicate"}|})
 
 (* ------------------------------------------------------------------ *)
 (* Exit codes and retryability: the documented taxonomy.               *)
@@ -689,6 +1114,11 @@ let suite =
   [
     Alcotest.test_case "golden v1 request strings" `Quick test_request_golden;
     Alcotest.test_case "golden v1 response strings" `Quick test_response_golden;
+    Alcotest.test_case "golden v1 request per verb" `Quick
+      test_request_golden_verbs;
+    Alcotest.test_case "golden v1 response per payload" `Quick
+      test_response_golden_payloads;
+    Alcotest.test_case "usage messages pinned" `Quick test_usage_messages;
     Alcotest.test_case "request codec round-trips" `Quick test_request_decode;
     Alcotest.test_case "versioning and forward compat" `Quick
       test_request_versioning;

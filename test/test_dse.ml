@@ -165,6 +165,141 @@ let test_cache_disk_roundtrip () =
     = List.map (fun p -> p.Explore.metrics) r2.Explore.points);
   Sys.remove path
 
+(* The on-disk bytes: one journal line and the compacted store, as
+   written by [journal] and [flush], and read back by a fresh cache. *)
+let golden_metrics =
+  {
+    Cache.m_flow = "optimized";
+    m_latency = 3;
+    m_cycle_delta = 4;
+    m_cycle_ns = 0.1;
+    m_execution_ns = 7.5;
+    m_op_count = 6;
+    m_fragment_count = 9;
+    m_fu_gates = 120;
+    m_register_gates = 48;
+    m_mux_gates = 16;
+    m_controller_gates = 10;
+    m_total_gates = 194;
+  }
+
+let golden_metrics_json =
+  {|{"flow":"optimized","latency":3,"cycle_delta":4,"cycle_ns":0.10000000000000001,"execution_ns":7.5,"op_count":6,"fragment_count":9,"fu_gates":120,"register_gates":48,"mux_gates":16,"controller_gates":10,"total_gates":194}|}
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_cache_journal_golden () =
+  let path = Filename.temp_file "dse-journal" ".json" in
+  let c = Cache.create ~path () in
+  Cache.add c "k1" golden_metrics;
+  Cache.journal c;
+  Alcotest.(check string) "journal line"
+    ({|{"k":"k1","m":|} ^ golden_metrics_json ^ "}\n")
+    (read_file (path ^ ".wal"));
+  Cache.release c;
+  (* A fresh cache replays the journal line into the same record. *)
+  let c = Cache.create ~path () in
+  Alcotest.(check int) "replayed" 1 (Cache.recovered c);
+  Alcotest.(check bool) "replayed metrics" true
+    (Cache.find c "k1" = Some golden_metrics);
+  Cache.close c;
+  Alcotest.(check bool) "journal compacted" false (Sys.file_exists (path ^ ".wal"));
+  Alcotest.(check string) "compacted store"
+    "{\n  \"k1\": {\n    \"flow\": \"optimized\",\n    \"latency\": 3,\n    \"cycle_delta\": 4,\n    \"cycle_ns\": 0.10000000000000001,\n    \"execution_ns\": 7.5,\n    \"op_count\": 6,\n    \"fragment_count\": 9,\n    \"fu_gates\": 120,\n    \"register_gates\": 48,\n    \"mux_gates\": 16,\n    \"controller_gates\": 10,\n    \"total_gates\": 194\n  }\n}\n"
+    (read_file path);
+  Sys.remove path
+
+(* A hand-built sweep document: every field of [Explore.to_json], with a
+   degraded cache point, a timeout failure and a transform summary. *)
+let test_explore_json_golden () =
+  let job latency recipe =
+    {
+      Space.latency;
+      policy = `Coalesced;
+      lib_name = "cla";
+      lib = Option.get (Space.lib_of_name "cla");
+      balance = false;
+      recipe;
+      iterate = 2;
+    }
+  in
+  let point =
+    {
+      Explore.job = job 4 "standard";
+      metrics = golden_metrics;
+      from_cache = true;
+      degraded = true;
+      attempts = 0;
+      wall_s = 0.;
+    }
+  in
+  let sweep =
+    {
+      Explore.graph_name = "fir8";
+      digest = "abc";
+      points = [ point ];
+      failures =
+        [
+          {
+            Explore.f_job = job 3 "none";
+            f_class = Hls_util.Failure.Timeout 1.5;
+            f_reason = "timed out after 1.50 s";
+            f_attempts = 3;
+          };
+        ];
+      frontier = [ point ];
+      transforms =
+        [
+          {
+            Explore.t_recipe = "standard";
+            t_passes = 6;
+            t_fired = 4;
+            t_checks = 4;
+            t_rejected = 1;
+            t_nodes_before = 30;
+            t_nodes_after = 27;
+            t_depth_before = 8;
+            t_depth_after = 6;
+          };
+        ];
+      rounds = 2;
+      wall_s = 1.25;
+      cache_hits = 1;
+      cache_misses = 1;
+      recovered = 1;
+      phases = [ ("xform.apply", 2, 0.5); ("sched.frag", 1, 0.25) ];
+      counters = [ ("cache.hit", 1); ("cache.miss", 1) ];
+      gauges = [ ("timing.levels", (3., 4.)) ];
+    }
+  in
+  let job_json latency recipe =
+    Printf.sprintf
+      {|{"latency":%d,"policy":"coalesced","lib":"cla","balance":false,"recipe":"%s","iterate":2}|}
+      latency recipe
+  in
+  let point_json =
+    {|{"job":|} ^ job_json 4 "standard" ^ {|,"metrics":|} ^ golden_metrics_json
+    ^ {|,"from_cache":true,"degraded":true,"attempts":0,"wall_s":0.0}|}
+  in
+  let golden =
+    {|{"graph":"fir8","digest":"abc","rounds":2,"wall_s":1.25,"cache":{"hits":1,"misses":1,"recovered":1},"points":[|}
+    ^ point_json ^ {|],"failures":[{"job":|} ^ job_json 3 "none"
+    ^ {|,"failure":{"class":"timeout","seconds":1.5},"reason":"timed out after 1.50 s","attempts":3}],"frontier":[|}
+    ^ point_json
+    ^ {|],"transforms":[{"recipe":"standard","passes":6,"fired":4,"checks":4,"rejected":1,"nodes_before":30,"nodes_after":27,"depth_before":8,"depth_after":6}],"telemetry":{"extra_attempts":2,"phases":[{"name":"xform.apply","calls":2,"total_s":0.5},{"name":"sched.frag","calls":1,"total_s":0.25}],"counters":[{"name":"cache.hit","total":1},{"name":"cache.miss","total":1}],"gauges":[{"name":"timing.levels","last":3.0,"max":4.0}]}}|}
+  in
+  Alcotest.(check string) "explore document" golden
+    (Json.to_string (Explore.to_json sweep));
+  match Result.bind (Json.of_string golden) Explore.of_json with
+  | Error m -> Alcotest.failf "golden document did not decode: %s" m
+  | Ok back ->
+      Alcotest.(check string) "decodes back" golden
+        (Json.to_string (Explore.to_json back))
+
 (* ------------------------------------------------------------------ *)
 (* Pareto.                                                             *)
 
@@ -366,6 +501,10 @@ let suite =
     Alcotest.test_case "latency specs" `Quick test_parse_latencies;
     Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_miss;
     Alcotest.test_case "cache disk roundtrip" `Quick test_cache_disk_roundtrip;
+    Alcotest.test_case "golden cache journal and store" `Quick
+      test_cache_journal_golden;
+    Alcotest.test_case "golden explore document" `Quick
+      test_explore_json_golden;
     Alcotest.test_case "pareto frontier" `Quick test_pareto_frontier;
     Alcotest.test_case "pool isolates exceptions" `Quick
       test_pool_exception_isolation;
