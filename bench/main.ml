@@ -16,10 +16,10 @@ module P = Hls_core.Pipeline
 
 (* The deprecated [P.optimized] wrapper collapsed into [Pipeline.run];
    unwrap the result the way the old entry point did. *)
-let optimized ?lib ?policy ?balance ?cleanup ?transform g ~latency =
+let optimized ?lib ?policy ?balance ?transform g ~latency =
   match
     P.run_graph
-      (P.make_config ?lib ?policy ?balance ?cleanup ?transform ())
+      (P.make_config ?lib ?policy ?balance ?transform ())
       g ~latency
   with
   | Ok r -> r
@@ -391,7 +391,7 @@ let ablations () =
   List.iter
     (fun (name, g, latency) ->
       let plain = optimized g ~latency in
-      let cleaned = optimized ~cleanup:true g ~latency in
+      let cleaned = optimized ~transform:Hls_xform.Recipe.cleanup g ~latency in
       Printf.printf
         "%-10s λ=%-2d  kernel ops %3d -> %3d, fragments %3d -> %3d, dp %5d ->          %5d gates\n"
         name latency plain.P.opt_report.P.op_count
@@ -443,7 +443,7 @@ let dse () =
   in
   let sweep workers = Hls_dse.Explore.run ~workers g space in
   let serial = sweep 1 in
-  let workers = max 2 (Hls_dse.Pool.default_workers ()) in
+  let workers = max 2 (Hls_pool.default_workers ()) in
   let parallel = sweep workers in
   Printf.printf "space: %d jobs (elliptic, latency 3-14, both policies, \
                  balance on/off)\n" (Hls_dse.Space.size space);
@@ -476,7 +476,7 @@ let dse () =
      nothing fails, so a fault-free sweep under a retry policy measures
      its fixed cost.  Elliptic has genuinely infeasible coalesced points;
      they fail fast, so no backoff is paid either way. *)
-  let retry = Hls_dse.Pool.Retry_policy.make () in
+  let retry = Hls_pool.Retry_policy.make () in
   let resilient = Hls_dse.Explore.run ~workers:1 ~retry g space in
   Printf.printf
     "retry-armed (1 worker, no faults): %6.3f s, overhead vs serial: %+.1f%%\n"

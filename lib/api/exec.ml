@@ -465,9 +465,9 @@ let stage t req =
                   | Error e -> usage (Dse.Space.axis_error_to_string e)
                   | Ok space ->
                       let retry =
-                        if params.retries <= 1 then Dse.Pool.Retry_policy.none
+                        if params.retries <= 1 then Hls_pool.Retry_policy.none
                         else
-                          Dse.Pool.Retry_policy.make ~attempts:params.retries
+                          Hls_pool.Retry_policy.make ~attempts:params.retries
                             ~backoff_s:params.backoff_s ()
                       in
                       Serial
@@ -692,7 +692,7 @@ let run_batch ?workers ?timeout_s ?deadlines t reqs =
         match staged.(i) with Pure f -> f | _ -> assert false)
       pure_idx
   in
-  let outcomes = Dse.Pool.run_retry ?workers ?timeout_s thunks in
+  let outcomes = Hls_pool.run_retry ?workers ?timeout_s thunks in
   let results =
     Array.map
       (function
@@ -708,9 +708,9 @@ let run_batch ?workers ?timeout_s ?deadlines t reqs =
     (fun k i ->
       results.(i) <-
         (match fst outcomes.(k) with
-        | Dse.Pool.Done p -> Ok p
-        | Dse.Pool.Failed f -> Error (Response.Failed f)
-        | Dse.Pool.Timed_out s ->
+        | Hls_pool.Done p -> Ok p
+        | Hls_pool.Failed f -> Error (Response.Failed f)
+        | Hls_pool.Timed_out s ->
             Error (Response.Failed (Failure.Timeout s))))
     pure_idx;
   Array.iteri

@@ -44,7 +44,7 @@ val run :
   ?deadline:float -> t -> Request.t ->
   (Response.payload, Response.error) result
 
-(** Execute a batch: [Pure] suffixes fan out over an {!Hls_dse.Pool}
+(** Execute a batch: [Pure] suffixes fan out over an {!Hls_pool}
     (probing {!Hls_util.Faults.on_job} under the request's batch index,
     so injected faults reach pooled requests), the rest run in the
     coordinator.  Results are index-aligned with [reqs].
@@ -52,7 +52,7 @@ val run :
     [deadlines] (index-aligned, absolute ms since the Unix epoch) sheds
     requests whose deadline has passed — at staging, or at dispatch if
     it expires while queued — as retryable timeouts.  [timeout_s] bounds
-    each pure suffix the way {!Hls_dse.Pool.run} does (honoured when the
+    each pure suffix the way {!Hls_pool.run} does (honoured when the
     pool runs multi-worker). *)
 val run_batch :
   ?workers:int -> ?timeout_s:float -> ?deadlines:float option array ->

@@ -2,11 +2,11 @@
    through their wire codecs and back, byte-exactly.
 
    Each case draws a random envelope or response, prints it, re-parses
-   the line and prints again: the two strings must be identical.  That
-   is a stronger property than structural equality — it proves the
-   decoder accepts everything the encoder emits AND that re-encoding is
-   canonical, which is what lets the serving tier forward lines
-   verbatim.
+   the line and prints again: the two strings must be identical, and the
+   decoded value equal to the drawn one.  That proves the decoder accepts
+   everything the encoder emits, that re-encoding is canonical (which is
+   what lets the serving tier forward lines verbatim), and that no field
+   is lost on the way.
 
    The check lives here rather than in [lib/fuzz] so the dependency
    points the right way: the driver takes the case as an injected
@@ -156,9 +156,9 @@ let random_request prng =
         }
 
 (* ------------------------------------------------------------------ *)
-(* Random responses.  [Reported] and [Explored] are left out: their
-   payloads embed the sweep cache's record types, whose codec has its
-   own round-trip tests next to the cache. *)
+(* Random responses, drawn field by field without the codecs'
+   descriptors so the round trip checks the descriptors against an
+   independent description of the values. *)
 
 let random_stats prng =
   {
@@ -170,8 +170,94 @@ let random_stats prng =
     gs_critical = small prng;
   }
 
+let random_metrics prng =
+  {
+    Hls_dse.Cache.m_flow = ident prng;
+    m_latency = small prng;
+    m_cycle_delta = small prng;
+    m_cycle_ns = quarter prng;
+    m_execution_ns = quarter prng;
+    m_op_count = small prng;
+    m_fragment_count = small prng;
+    m_fu_gates = small prng;
+    m_register_gates = small prng;
+    m_mux_gates = small prng;
+    m_controller_gates = small prng;
+    m_total_gates = small prng;
+  }
+
+(* Libraries come from the known set: a sweep names them, and decoding
+   resolves the name. *)
+let random_job prng =
+  let lib_name, lib = Prng.pick prng Hls_dse.Space.known_libs in
+  {
+    Hls_dse.Space.latency = small prng;
+    policy = Prng.pick prng [ `Full; `Coalesced ];
+    lib_name;
+    lib;
+    balance = Prng.bool prng;
+    recipe = ident prng;
+    iterate = small prng;
+  }
+
+(* The failure classes that survive the wire; an internal fault crosses
+   it as [Remote], whose printer keeps the text. *)
+let random_failure prng =
+  match Prng.int prng 4 with
+  | 0 -> Failure.Infeasible (ident prng)
+  | 1 -> Failure.Timeout (quarter prng)
+  | 2 -> Failure.Resource (ident prng)
+  | _ -> Failure.Internal (Failure.Remote (ident prng))
+
+let random_point prng =
+  {
+    Hls_dse.Explore.job = random_job prng;
+    metrics = random_metrics prng;
+    from_cache = Prng.bool prng;
+    degraded = Prng.bool prng;
+    attempts = small prng;
+    wall_s = quarter prng;
+  }
+
+let random_sweep prng =
+  {
+    Hls_dse.Explore.graph_name = ident prng;
+    digest = ident prng;
+    points = list prng random_point;
+    failures =
+      list prng (fun p ->
+          {
+            Hls_dse.Explore.f_job = random_job p;
+            f_class = random_failure p;
+            f_reason = ident p;
+            f_attempts = small p;
+          });
+    frontier = list prng random_point;
+    transforms =
+      list prng (fun p ->
+          {
+            Hls_dse.Explore.t_recipe = ident p;
+            t_passes = small p;
+            t_fired = small p;
+            t_checks = small p;
+            t_rejected = small p;
+            t_nodes_before = small p;
+            t_nodes_after = small p;
+            t_depth_before = small p;
+            t_depth_after = small p;
+          });
+    rounds = small prng;
+    wall_s = quarter prng;
+    cache_hits = small prng;
+    cache_misses = small prng;
+    recovered = small prng;
+    phases = list prng (fun p -> (ident p, small p, quarter p));
+    counters = list prng (fun p -> (ident p, small p));
+    gauges = list prng (fun p -> (ident p, (quarter p, quarter p)));
+  }
+
 let random_payload prng =
-  match Prng.int prng 10 with
+  match Prng.int prng 12 with
   | 0 -> Response.Pong { pong_pid = small prng }
   | 1 -> Response.Parsed { stats = random_stats prng; pretty = ident prng }
   | 2 ->
@@ -273,6 +359,18 @@ let random_payload prng =
                w_inputs = small p;
                w_latency = small p;
              }))
+  | 9 ->
+      Response.Reported
+        {
+          r_stats = random_stats prng;
+          r_latency = small prng;
+          r_target = opt prng (fun p -> (quarter p, small p));
+          r_conventional = random_metrics prng;
+          r_optimized = random_metrics prng;
+          r_equivalence = opt prng ident;
+          r_saved_pct = quarter prng;
+        }
+  | 10 -> Response.Explored (random_sweep prng)
   | _ ->
       Response.Fuzzed
         {
@@ -299,10 +397,7 @@ let random_error prng =
   | 1 -> Response.Unsupported_version (small prng)
   | 2 -> Response.Overloaded { queued = small prng; capacity = small prng }
   | 3 -> Response.Unavailable (ident prng)
-  | _ ->
-      Response.Failed
-        (if Prng.bool prng then Failure.Infeasible (ident prng)
-         else Failure.Timeout (quarter prng))
+  | _ -> Response.Failed (random_failure prng)
 
 (* ------------------------------------------------------------------ *)
 (* The round trips.                                                    *)
@@ -310,6 +405,9 @@ let random_error prng =
 let mismatch what first second =
   Error (Printf.sprintf "%s round trip not byte-exact:\n  %s\nvs\n  %s" what
            first second)
+
+let lossy what line =
+  Error (Printf.sprintf "%s decoded to a different value: %s" what line)
 
 let request_trip prng =
   let req = random_request prng in
@@ -327,7 +425,11 @@ let request_trip prng =
           (Request.to_json ?id:e.Request.env_id
              ?deadline_ms:e.Request.env_deadline_ms e.Request.env_req)
       in
-      if String.equal line line' then Ok () else mismatch "request" line line'
+      if not (String.equal line line') then mismatch "request" line line'
+      else if (e.Request.env_id, e.Request.env_deadline_ms, e.Request.env_req)
+              <> (id, deadline_ms, req)
+      then lossy "request" line
+      else Ok ()
 
 let response_trip prng =
   let id = opt prng ident in
@@ -341,7 +443,9 @@ let response_trip prng =
       Error (Printf.sprintf "response rejected by the decoder (%s): %s" m line)
   | Ok r ->
       let line' = Response.to_string r in
-      if String.equal line line' then Ok () else mismatch "response" line line'
+      if not (String.equal line line') then mismatch "response" line line'
+      else if r <> { Response.id; result } then lossy "response" line
+      else Ok ()
 
 let case prng =
   if Prng.bool prng then request_trip prng else response_trip prng

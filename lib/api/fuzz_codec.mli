@@ -11,4 +11,5 @@ val random_request : Hls_util.Prng.t -> Request.t
 
 val case : Hls_util.Prng.t -> (unit, string) result
 (** One codec round trip: draw a random envelope or response, print it,
-    re-parse and print again; [Error] describes any byte difference. *)
+    re-parse and print again; [Error] describes any byte difference, or a
+    decoded value that differs from the drawn one. *)

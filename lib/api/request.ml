@@ -8,10 +8,13 @@
      {"v": 1, "id": "...", "method": "report", "params": {...}}
 
    ["v"] is explicit and checked first: a request from the future is
-   rejected as [`Unsupported_version] without guessing at its params. *)
+   rejected as [`Unsupported_version] without guessing at its params.
+   Everything under "params" is read off the verb table [verbs]: one
+   entry per verb, its params written once as a Codec descriptor. *)
 
 module J = Hls_dse.Dse_json
 module Space = Hls_dse.Space
+module C = Hls_dse.Codec
 
 let version = 1
 
@@ -148,21 +151,6 @@ type t =
       max_seconds : float;
     }
 
-let method_name = function
-  | Ping -> "ping"
-  | Parse _ -> "parse"
-  | Optimize _ -> "optimize"
-  | Report _ -> "report"
-  | Schedule _ -> "schedule"
-  | Explore _ -> "explore"
-  | Transform _ -> "transform"
-  | Simulate _ -> "simulate"
-  | Emit _ -> "emit"
-  | Iterate _ -> "iterate"
-  | Stats -> "stats"
-  | Workloads _ -> "workloads"
-  | Fuzz _ -> "fuzz"
-
 let spec_of = function
   | Ping -> None
   | Parse { spec } -> Some spec
@@ -179,299 +167,219 @@ let spec_of = function
   | Fuzz _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Encoding.                                                           *)
+(* The wire codec: one descriptor per params record, one verb table.
+   Absent params fields take the CLI's defaults, so old clients keep
+   working against newer servers; unknown fields are ignored.           *)
 
-let spec_to_json = function
-  | Source s -> J.Obj [ ("source", J.String s) ]
-  | File f -> J.Obj [ ("file", J.String f) ]
-  | Builtin b -> J.Obj [ ("builtin", J.String b) ]
-
-let config_to_json c =
-  J.Obj
+let spec_codec =
+  C.keyed ~what:"spec"
     [
-      ("lib", J.String c.lib_name);
-      ("policy", J.String (Space.policy_name c.policy));
-      ("balance", J.Bool c.balance);
-      ("transform", J.String c.transform);
-      ("verify", J.String c.verify);
-      ("iterate", J.Int c.iterate);
+      C.case "source" C.string (fun s -> Source s) (function
+        | Source s -> Some s
+        | _ -> None);
+      C.case "file" C.string (fun f -> File f) (function
+        | File f -> Some f
+        | _ -> None);
+      C.case "builtin" C.string (fun b -> Builtin b) (function
+        | Builtin b -> Some b
+        | _ -> None);
     ]
 
-let params_to_json = function
-  | Ping -> J.Obj []
-  | Parse { spec } -> J.Obj [ ("spec", spec_to_json spec) ]
-  | Optimize { spec; latency; config; vhdl } ->
-      J.Obj
-        [
-          ("spec", spec_to_json spec);
-          ("latency", J.Int latency);
-          ("config", config_to_json config);
-          ("vhdl", J.Bool vhdl);
-        ]
-  | Report { spec; latency; config; target_ns } ->
-      J.Obj
-        ([
-           ("spec", spec_to_json spec);
-           ("latency", J.Int latency);
-           ("config", config_to_json config);
-         ]
-        @ match target_ns with
-          | None -> []
-          | Some ns -> [ ("target_ns", J.Float ns) ])
-  | Schedule { spec; latency; flow; config } ->
-      J.Obj
-        [
-          ("spec", spec_to_json spec);
-          ("latency", J.Int latency);
-          ("flow", J.String (flow_name flow));
-          ("config", config_to_json config);
-        ]
-  | Explore { spec; params = p } ->
-      J.Obj
-        ([
-           ("spec", spec_to_json spec);
-           ("latencies", J.List (List.map (fun l -> J.Int l) p.latencies));
-           ( "policies",
-             J.List
-               (List.map (fun x -> J.String (Space.policy_name x)) p.policies)
-           );
-           ("libs", J.List (List.map (fun l -> J.String l) p.lib_names));
-           ("balance", J.List (List.map (fun b -> J.Bool b) p.balance_axis));
-           ("recipes", J.List (List.map (fun r -> J.String r) p.recipes));
-           ("iterates", J.List (List.map (fun i -> J.Int i) p.iterates));
-           ("verify", J.String p.verify);
-         ]
-        @ (match p.jobs with None -> [] | Some n -> [ ("jobs", J.Int n) ])
-        @ (match p.timeout_s with
-          | None -> []
-          | Some s -> [ ("timeout_s", J.Float s) ])
-        @ [
-            ("feedback", J.Int p.feedback);
-            ("retries", J.Int p.retries);
-            ("backoff_s", J.Float p.backoff_s);
-            ("degrade", J.Bool p.degrade);
-          ])
-  | Transform { spec; recipe; verify } ->
-      J.Obj
-        [
-          ("spec", spec_to_json spec);
-          ("recipe", J.String recipe);
-          ("verify", J.String verify);
-        ]
-  | Simulate { spec; latency; seed; config; vcd } ->
-      J.Obj
-        [
-          ("spec", spec_to_json spec);
-          ("latency", J.Int latency);
-          ("seed", J.Int seed);
-          ("config", config_to_json config);
-          ("vcd", J.Bool vcd);
-        ]
-  | Emit { spec; latency; format; config } ->
-      J.Obj
-        [
-          ("spec", spec_to_json spec);
-          ("latency", J.Int latency);
-          ("format", J.String (format_name format));
-          ("config", config_to_json config);
-        ]
-  | Iterate { spec; latency; rounds; config } ->
-      J.Obj
-        [
-          ("spec", spec_to_json spec);
-          ("latency", J.Int latency);
-          ("rounds", J.Int rounds);
-          ("config", config_to_json config);
-        ]
-  | Stats -> J.Obj []
-  | Workloads { tag } ->
-      J.Obj (match tag with None -> [] | Some t -> [ ("tag", J.String t) ])
-  | Fuzz { seed; budget; lanes; dir; max_seconds } ->
-      J.Obj
-        [
-          ("seed", J.Int seed);
-          ("budget", J.Int budget);
-          ("lanes", J.List (List.map (fun l -> J.String l) lanes));
-          ("dir", J.String dir);
-          ("max_seconds", J.Float max_seconds);
-        ]
+let config_codec =
+  let d = default_config in
+  C.(
+    obj (fun lib_name policy balance transform verify iterate ->
+        { lib_name; policy; balance; transform; verify; iterate })
+    |> dft ~label:{|config "lib"|} "lib" string ~default:d.lib_name (fun c ->
+           c.lib_name)
+    |> dft ~label:{|config "policy"|} "policy" Space.policy_codec
+         ~default:d.policy (fun c -> c.policy)
+    |> dft "balance" bool ~default:d.balance (fun c -> c.balance)
+    (* v1 clients before the transform field sent a "cleanup" boolean; it
+       maps onto the "cleanup" preset recipe *)
+    |> dft "transform" string ~default:d.transform
+         ~alias:
+           ( "cleanup",
+             map
+               (fun c -> if c then "cleanup" else d.transform)
+               (String.equal "cleanup") bool )
+         (fun c -> c.transform)
+    |> dft "verify" string ~default:d.verify (fun (c : config) -> c.verify)
+    |> dft "iterate" int ~default:d.iterate (fun c -> c.iterate)
+    |> finish ~what:"config")
+
+let flow_codec =
+  C.enum ~expected:{|"conventional", "blc" or "optimized"|} flow_name
+    flow_of_name
+
+let format_codec =
+  C.enum ~expected:"one of vhdl, vhdl-rtl, vhdl-netlist, verilog, verilog-tb"
+    format_name format_of_name
+
+(* Fields most verbs share. *)
+let spec_field get = C.req "spec" spec_codec get
+let latency_field get = C.dft "latency" C.int ~default:3 get
+let config_field get = C.dft "config" config_codec ~default:default_config get
+
+(* The verb table: wire name, projection, and the params descriptor whose
+   constructor is the injection.  A verb with an inline record projects
+   to a tuple in wire order. *)
+let verbs =
+  let d = default_explore_params in
+  let verb name proj o = C.obj_case ~what:"params" name proj o in
+  C.
+    [
+      verb "ping" (function Ping -> Some () | _ -> None) (obj Ping);
+      verb "parse"
+        (function Parse r -> Some r.spec | _ -> None)
+        (obj (fun spec -> Parse { spec }) |> spec_field Fun.id);
+      verb "optimize"
+        (function
+          | Optimize r -> Some (r.spec, r.latency, r.config, r.vhdl)
+          | _ -> None)
+        (obj (fun spec latency config vhdl ->
+             Optimize { spec; latency; config; vhdl })
+        |> spec_field (fun (s, _, _, _) -> s)
+        |> latency_field (fun (_, l, _, _) -> l)
+        |> config_field (fun (_, _, c, _) -> c)
+        |> dft "vhdl" bool ~default:false (fun (_, _, _, v) -> v));
+      verb "report"
+        (function
+          | Report r -> Some (r.spec, r.latency, r.config, r.target_ns)
+          | _ -> None)
+        (obj (fun spec latency config target_ns ->
+             Report { spec; latency; config; target_ns })
+        |> spec_field (fun (s, _, _, _) -> s)
+        |> latency_field (fun (_, l, _, _) -> l)
+        |> config_field (fun (_, _, c, _) -> c)
+        |> opt "target_ns" float (fun (_, _, _, t) -> t));
+      verb "schedule"
+        (function
+          | Schedule r -> Some (r.spec, r.latency, r.flow, r.config)
+          | _ -> None)
+        (obj (fun spec latency flow config ->
+             Schedule { spec; latency; flow; config })
+        |> spec_field (fun (s, _, _, _) -> s)
+        |> latency_field (fun (_, l, _, _) -> l)
+        |> dft "flow" flow_codec ~default:Optimized (fun (_, _, f, _) -> f)
+        |> config_field (fun (_, _, _, c) -> c));
+      verb "explore"
+        (function Explore r -> Some (r.spec, r.params) | _ -> None)
+        (obj
+           (fun spec latencies policies lib_names balance_axis recipes iterates
+                verify jobs timeout_s feedback retries backoff_s degrade ->
+             let params =
+               {
+                 latencies; policies; lib_names; balance_axis; recipes;
+                 iterates; verify; jobs; timeout_s; feedback; retries;
+                 backoff_s; degrade;
+               }
+             in
+             Explore { spec; params })
+        |> spec_field fst
+        |> dft "latencies" (list int) ~default:d.latencies (fun (_, p) ->
+               p.latencies)
+        |> dft "policies" (list Space.policy_codec) ~default:d.policies
+             (fun (_, p) -> p.policies)
+        |> dft "libs" (list string) ~default:d.lib_names (fun (_, p) ->
+               p.lib_names)
+        |> dft "balance" (list bool) ~default:d.balance_axis (fun (_, p) ->
+               p.balance_axis)
+        (* v1 clients before the recipe axis sent a "cleanup" bool axis;
+           each flag maps onto its preset recipe *)
+        |> dft "recipes" (list string) ~default:d.recipes
+             ~alias:
+               ( "cleanup",
+                 map
+                   (function
+                     | [] -> d.recipes
+                     | flags ->
+                         List.map
+                           (fun c -> if c then "cleanup" else "none")
+                           flags)
+                   (List.map (String.equal "cleanup"))
+                   (list bool) )
+             (fun (_, p) -> p.recipes)
+        |> dft "iterates" (list int) ~default:d.iterates (fun (_, p) ->
+               p.iterates)
+        |> dft "verify" string ~default:d.verify (fun (_, p) -> p.verify)
+        |> opt "jobs" int (fun (_, p) -> p.jobs)
+        |> opt "timeout_s" float (fun (_, p) -> p.timeout_s)
+        |> dft "feedback" int ~default:d.feedback (fun (_, p) -> p.feedback)
+        |> dft "retries" int ~default:d.retries (fun (_, p) -> p.retries)
+        |> dft "backoff_s" float ~default:d.backoff_s (fun (_, p) ->
+               p.backoff_s)
+        |> dft "degrade" bool ~default:d.degrade (fun (_, p) -> p.degrade));
+      verb "transform"
+        (function Transform r -> Some (r.spec, r.recipe, r.verify) | _ -> None)
+        (obj (fun spec recipe verify -> Transform { spec; recipe; verify })
+        |> spec_field (fun (s, _, _) -> s)
+        |> dft "recipe" string ~default:"standard" (fun (_, r, _) -> r)
+        |> dft "verify" string ~default:"every_pass" (fun (_, _, v) -> v));
+      verb "simulate"
+        (function
+          | Simulate r -> Some (r.spec, r.latency, r.seed, r.config, r.vcd)
+          | _ -> None)
+        (obj (fun spec latency seed config vcd ->
+             Simulate { spec; latency; seed; config; vcd })
+        |> spec_field (fun (s, _, _, _, _) -> s)
+        |> latency_field (fun (_, l, _, _, _) -> l)
+        |> dft "seed" int ~default:1 (fun (_, _, s, _, _) -> s)
+        |> config_field (fun (_, _, _, c, _) -> c)
+        |> dft "vcd" bool ~default:false (fun (_, _, _, _, v) -> v));
+      verb "emit"
+        (function
+          | Emit r -> Some (r.spec, r.latency, r.format, r.config) | _ -> None)
+        (obj (fun spec latency format config ->
+             Emit { spec; latency; format; config })
+        |> spec_field (fun (s, _, _, _) -> s)
+        |> latency_field (fun (_, l, _, _) -> l)
+        |> dft "format" format_codec ~default:Vhdl (fun (_, _, f, _) -> f)
+        |> config_field (fun (_, _, _, c) -> c));
+      verb "iterate"
+        (function
+          | Iterate r -> Some (r.spec, r.latency, r.rounds, r.config)
+          | _ -> None)
+        (obj (fun spec latency rounds config ->
+             Iterate { spec; latency; rounds; config })
+        |> spec_field (fun (s, _, _, _) -> s)
+        |> latency_field (fun (_, l, _, _) -> l)
+        |> dft "rounds" int ~default:8 (fun (_, _, r, _) -> r)
+        |> config_field (fun (_, _, _, c) -> c));
+      verb "stats" (function Stats -> Some () | _ -> None) (obj Stats);
+      verb "workloads"
+        (function Workloads r -> Some r.tag | _ -> None)
+        (obj (fun tag -> Workloads { tag }) |> opt "tag" string Fun.id);
+      verb "fuzz"
+        (function
+          | Fuzz r -> Some (r.seed, r.budget, r.lanes, r.dir, r.max_seconds)
+          | _ -> None)
+        (obj (fun seed budget lanes dir max_seconds ->
+             Fuzz { seed; budget; lanes; dir; max_seconds })
+        |> dft "seed" int ~default:1 (fun (s, _, _, _, _) -> s)
+        |> dft "budget" int ~default:200 (fun (_, b, _, _, _) -> b)
+        |> dft "lanes" (list string) ~default:[] (fun (_, _, l, _, _) -> l)
+        |> dft "dir" string ~default:"_fuzz" (fun (_, _, _, d, _) -> d)
+        |> dft "max_seconds" float ~default:120. (fun (_, _, _, _, m) -> m));
+    ]
+
+let method_name = C.case_name verbs
+
+(* The envelope's optional transport fields; [null] spells absent. *)
+let transport =
+  C.(
+    obj (fun id deadline_ms -> (id, deadline_ms))
+    |> opt "id" string fst
+    |> opt "deadline_ms" float snd
+    |> finish)
 
 let to_json ?id ?deadline_ms t =
+  let name, params = C.encode_case verbs t in
   J.Obj
-    ([ ("v", J.Int version) ]
-    @ (match id with None -> [] | Some i -> [ ("id", J.String i) ])
-    @ (match deadline_ms with
-      | None -> []
-      | Some ms -> [ ("deadline_ms", J.Float ms) ])
-    @ [ ("method", J.String (method_name t)); ("params", params_to_json t) ])
-
-(* ------------------------------------------------------------------ *)
-(* Decoding.                                                           *)
+    ((("v", J.Int version) :: C.fields transport (id, deadline_ms))
+    @ [ ("method", J.String name); ("params", params) ])
 
 type decode_error = [ `Usage of string | `Unsupported_version of int ]
-
-let usage fmt = Printf.ksprintf (fun m -> Error (`Usage m)) fmt
-let ( let* ) = Result.bind
-
-let spec_of_json j =
-  match
-    ( Option.bind (J.member "source" j) J.to_str,
-      Option.bind (J.member "file" j) J.to_str,
-      Option.bind (J.member "builtin" j) J.to_str )
-  with
-  | Some s, None, None -> Ok (Source s)
-  | None, Some f, None -> Ok (File f)
-  | None, None, Some b -> Ok (Builtin b)
-  | None, None, None ->
-      usage "spec needs exactly one of \"source\", \"file\" or \"builtin\""
-  | _ -> usage "spec has more than one of \"source\", \"file\", \"builtin\""
-
-let field_spec params =
-  match J.member "spec" params with
-  | None -> usage "params without a \"spec\" field"
-  | Some j -> spec_of_json j
-
-let int_field ~default name params =
-  match J.member name params with
-  | None -> Ok default
-  | Some j -> (
-      match J.to_int j with
-      | Some i -> Ok i
-      | None -> usage "%S must be an integer" name)
-
-let bool_field ~default name params =
-  match J.member name params with
-  | None -> Ok default
-  | Some j -> (
-      match J.to_bool j with
-      | Some b -> Ok b
-      | None -> usage "%S must be a boolean" name)
-
-let str_field ~default name params =
-  match J.member name params with
-  | None -> Ok default
-  | Some j -> (
-      match J.to_str j with
-      | Some s -> Ok s
-      | None -> usage "%S must be a string" name)
-
-let config_of_json params =
-  match J.member "config" params with
-  | None -> Ok default_config
-  | Some j ->
-      let* lib_name =
-        match J.member "lib" j with
-        | None -> Ok default_config.lib_name
-        | Some v -> (
-            match J.to_str v with
-            | Some s -> Ok s
-            | None -> usage "config \"lib\" must be a string")
-      in
-      let* policy =
-        match J.member "policy" j with
-        | None -> Ok default_config.policy
-        | Some v -> (
-            match Option.bind (J.to_str v) Space.policy_of_name with
-            | Some p -> Ok p
-            | None -> usage "config \"policy\" must be \"full\" or \"coalesced\"")
-      in
-      let* balance = bool_field ~default:default_config.balance "balance" j in
-      let* transform =
-        match J.member "transform" j with
-        | Some _ -> str_field ~default:default_config.transform "transform" j
-        | None ->
-            (* v1 clients before the transform field sent a "cleanup"
-               boolean; it maps onto the "cleanup" preset recipe. *)
-            let* cleanup = bool_field ~default:false "cleanup" j in
-            Ok (if cleanup then "cleanup" else default_config.transform)
-      in
-      let* verify = str_field ~default:default_config.verify "verify" j in
-      let* iterate = int_field ~default:default_config.iterate "iterate" j in
-      Ok { lib_name; policy; balance; transform; verify; iterate }
-
-let list_field ~default name decode params =
-  match J.member name params with
-  | None -> Ok default
-  | Some j -> (
-      match J.to_list j with
-      | None -> usage "%S must be an array" name
-      | Some items ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | x :: rest -> (
-                match decode x with
-                | Some v -> go (v :: acc) rest
-                | None -> usage "bad element in %S" name)
-          in
-          go [] items)
-
-let explore_params_of_json params =
-  let d = default_explore_params in
-  let* latencies = list_field ~default:d.latencies "latencies" J.to_int params in
-  let* policies =
-    list_field ~default:d.policies "policies"
-      (fun j -> Option.bind (J.to_str j) Space.policy_of_name)
-      params
-  in
-  let* lib_names = list_field ~default:d.lib_names "libs" J.to_str params in
-  let* balance_axis = list_field ~default:d.balance_axis "balance" J.to_bool params in
-  let* recipes =
-    match J.member "recipes" params with
-    | Some _ -> list_field ~default:d.recipes "recipes" J.to_str params
-    | None ->
-        (* v1 clients before the recipe axis sent a "cleanup" bool axis;
-           each flag maps onto its preset recipe. *)
-        let* cleanup_axis = list_field ~default:[] "cleanup" J.to_bool params in
-        Ok
-          (match cleanup_axis with
-          | [] -> d.recipes
-          | flags -> List.map (fun c -> if c then "cleanup" else "none") flags)
-  in
-  let* iterates = list_field ~default:d.iterates "iterates" J.to_int params in
-  let* verify = str_field ~default:d.verify "verify" params in
-  let* jobs =
-    match J.member "jobs" params with
-    | None -> Ok None
-    | Some j -> (
-        match J.to_int j with
-        | Some n -> Ok (Some n)
-        | None -> usage "\"jobs\" must be an integer")
-  in
-  let* timeout_s =
-    match J.member "timeout_s" params with
-    | None -> Ok None
-    | Some j -> (
-        match J.to_float j with
-        | Some s -> Ok (Some s)
-        | None -> usage "\"timeout_s\" must be a number")
-  in
-  let* feedback = int_field ~default:d.feedback "feedback" params in
-  let* retries = int_field ~default:d.retries "retries" params in
-  let* backoff_s =
-    match J.member "backoff_s" params with
-    | None -> Ok d.backoff_s
-    | Some j -> (
-        match J.to_float j with
-        | Some s -> Ok s
-        | None -> usage "\"backoff_s\" must be a number")
-  in
-  let* degrade = bool_field ~default:d.degrade "degrade" params in
-  Ok
-    {
-      latencies;
-      policies;
-      lib_names;
-      balance_axis;
-      recipes;
-      iterates;
-      verify;
-      jobs;
-      timeout_s;
-      feedback;
-      retries;
-      backoff_s;
-      degrade;
-    }
 
 type envelope = {
   env_id : string option;
@@ -480,130 +388,25 @@ type envelope = {
 }
 
 let envelope_of_json j =
-  match J.member "v" j with
+  let usage m = Error (`Usage m) in
+  match Option.map J.to_int (J.member "v" j) with
   | None -> usage "request without a \"v\" version field"
-  | Some v -> (
-      match J.to_int v with
-      | None -> usage "request \"v\" must be an integer"
-      | Some n when n <> version -> Error (`Unsupported_version n)
-      | Some _ ->
-          let id = Option.bind (J.member "id" j) J.to_str in
-          let deadline_ms =
-            Option.bind (J.member "deadline_ms" j) J.to_float
-          in
-          let params =
-            Option.value (J.member "params" j) ~default:(J.Obj [])
-          in
-          let* req =
-            match Option.bind (J.member "method" j) J.to_str with
-            | None -> usage "request without a \"method\" field"
-            | Some "ping" -> Ok Ping
-            | Some "parse" ->
-                let* spec = field_spec params in
-                Ok (Parse { spec })
-            | Some "optimize" ->
-                let* spec = field_spec params in
-                let* latency = int_field ~default:3 "latency" params in
-                let* config = config_of_json params in
-                let* vhdl = bool_field ~default:false "vhdl" params in
-                Ok (Optimize { spec; latency; config; vhdl })
-            | Some "report" ->
-                let* spec = field_spec params in
-                let* latency = int_field ~default:3 "latency" params in
-                let* config = config_of_json params in
-                let* target_ns =
-                  match J.member "target_ns" params with
-                  | None -> Ok None
-                  | Some t -> (
-                      match J.to_float t with
-                      | Some ns -> Ok (Some ns)
-                      | None -> usage "\"target_ns\" must be a number")
-                in
-                Ok (Report { spec; latency; config; target_ns })
-            | Some "schedule" ->
-                let* spec = field_spec params in
-                let* latency = int_field ~default:3 "latency" params in
-                let* config = config_of_json params in
-                let* flow =
-                  match J.member "flow" params with
-                  | None -> Ok Optimized
-                  | Some f -> (
-                      match Option.bind (J.to_str f) flow_of_name with
-                      | Some fl -> Ok fl
-                      | None ->
-                          usage
-                            "\"flow\" must be \"conventional\", \"blc\" or \
-                             \"optimized\"")
-                in
-                Ok (Schedule { spec; latency; flow; config })
-            | Some "explore" ->
-                let* spec = field_spec params in
-                let* params = explore_params_of_json params in
-                Ok (Explore { spec; params })
-            | Some "transform" ->
-                let* spec = field_spec params in
-                let* recipe = str_field ~default:"standard" "recipe" params in
-                let* verify =
-                  str_field ~default:"every_pass" "verify" params
-                in
-                Ok (Transform { spec; recipe; verify })
-            | Some "simulate" ->
-                let* spec = field_spec params in
-                let* latency = int_field ~default:3 "latency" params in
-                let* seed = int_field ~default:1 "seed" params in
-                let* config = config_of_json params in
-                let* vcd = bool_field ~default:false "vcd" params in
-                Ok (Simulate { spec; latency; seed; config; vcd })
-            | Some "emit" ->
-                let* spec = field_spec params in
-                let* latency = int_field ~default:3 "latency" params in
-                let* config = config_of_json params in
-                let* format =
-                  match J.member "format" params with
-                  | None -> Ok Vhdl
-                  | Some f -> (
-                      match Option.bind (J.to_str f) format_of_name with
-                      | Some fmt -> Ok fmt
-                      | None ->
-                          usage
-                            "\"format\" must be one of vhdl, vhdl-rtl, \
-                             vhdl-netlist, verilog, verilog-tb")
-                in
-                Ok (Emit { spec; latency; format; config })
-            | Some "iterate" ->
-                let* spec = field_spec params in
-                let* latency = int_field ~default:3 "latency" params in
-                let* rounds = int_field ~default:8 "rounds" params in
-                let* config = config_of_json params in
-                Ok (Iterate { spec; latency; rounds; config })
-            | Some "stats" -> Ok Stats
-            | Some "workloads" ->
-                let* tag =
-                  match J.member "tag" params with
-                  | None -> Ok None
-                  | Some t -> (
-                      match J.to_str t with
-                      | Some s -> Ok (Some s)
-                      | None -> usage "\"tag\" must be a string")
-                in
-                Ok (Workloads { tag })
-            | Some "fuzz" ->
-                let* seed = int_field ~default:1 "seed" params in
-                let* budget = int_field ~default:200 "budget" params in
-                let* lanes = list_field ~default:[] "lanes" J.to_str params in
-                let* dir = str_field ~default:"_fuzz" "dir" params in
-                let* max_seconds =
-                  match J.member "max_seconds" params with
-                  | None -> Ok 120.
-                  | Some s -> (
-                      match J.to_float s with
-                      | Some v -> Ok v
-                      | None -> usage "\"max_seconds\" must be a number")
-                in
-                Ok (Fuzz { seed; budget; lanes; dir; max_seconds })
-            | Some other -> usage "unknown method %S" other
-          in
-          Ok { env_id = id; env_deadline_ms = deadline_ms; env_req = req })
+  | Some None -> usage "request \"v\" must be an integer"
+  | Some (Some n) when n <> version -> Error (`Unsupported_version n)
+  | Some (Some _) -> (
+      match C.decode transport j with
+      | Error m -> usage m
+      | Ok (env_id, env_deadline_ms) -> (
+          match Option.bind (J.member "method" j) J.to_str with
+          | None -> usage "request without a \"method\" field"
+          | Some name -> (
+              let params =
+                Option.value (J.member "params" j) ~default:(J.Obj [])
+              in
+              match C.decode_case verbs name params with
+              | None -> usage (Printf.sprintf "unknown method %S" name)
+              | Some (Error m) -> usage m
+              | Some (Ok env_req) -> Ok { env_id; env_deadline_ms; env_req })))
 
 let of_json j =
   match envelope_of_json j with

@@ -9,7 +9,12 @@
 
     The ["v"] field is explicit and checked before anything else: a
     request from a future protocol decodes to [`Unsupported_version]
-    without guessing at its params. *)
+    without guessing at its params.
+
+    The codec is one verb table: each verb's wire name, its params
+    descriptor ({!Hls_dse.Codec}) and the injection and projection
+    between params and constructor.  {!method_name}, {!to_json} and
+    {!envelope_of_json} all dispatch through it. *)
 
 (** The wire protocol version this library speaks. *)
 val version : int
@@ -49,10 +54,16 @@ type flow = Conventional | Blc | Optimized
 val flow_name : flow -> string
 val flow_of_name : string -> flow option
 
+(** A flow on the wire, by name. *)
+val flow_codec : flow Hls_dse.Codec.t
+
 type emit_format = Vhdl | Vhdl_rtl | Vhdl_netlist | Verilog | Verilog_tb
 
 val format_name : emit_format -> string
 val format_of_name : string -> emit_format option
+
+(** An emit format on the wire, by name. *)
+val format_codec : emit_format Hls_dse.Codec.t
 
 type explore_params = {
   latencies : int list;
@@ -134,8 +145,10 @@ type envelope = {
 
 (** Decode a full request envelope.  Unknown [params] fields are ignored
     and missing optional ones take the CLI's defaults, so old clients
-    keep working against newer servers; an unknown method or a version
-    other than {!version} is rejected. *)
+    keep working against newer servers; an unknown method, a version
+    other than {!version}, or a field of the wrong type (including a
+    non-string ["id"] or a non-number ["deadline_ms"]; [null] there means
+    absent) is rejected. *)
 val envelope_of_json :
   Hls_dse.Dse_json.t -> (envelope, decode_error) result
 

@@ -1,7 +1,9 @@
 (* Typed responses and the error taxonomy of the api, with the JSON wire
-   codec.  Report metrics reuse the sweep cache's encoder and failures
-   reuse Dse_json.of_failure, so the CLI's --json output, the cache files
-   and the server's wire format can never drift apart.
+   codec.  Payload records are Codec descriptors; report metrics reuse the
+   sweep cache's descriptor and failures Codec.failure, so the
+   CLI's --json output, the cache files and the server's wire format can
+   never drift apart.  The error object stays hand-written: two of its
+   fields are derived from the class.
 
    Wire shape (one object per line, mirroring the request envelope):
 
@@ -14,6 +16,7 @@
 module J = Hls_dse.Dse_json
 module Cache = Hls_dse.Cache
 module Failure = Hls_util.Failure
+module C = Hls_dse.Codec
 
 type graph_stats = {
   gs_name : string;
@@ -194,256 +197,295 @@ let retryable = function
   | Failed f -> Failure.retryable f
 
 (* ------------------------------------------------------------------ *)
-(* Encoding.                                                           *)
+(* The payload codec: one descriptor per result record, one case per
+   payload kind, tagged by the "kind" field.  Optional values are written
+   as null.                                                             *)
 
-let stats_to_json s =
-  J.Obj
-    [
-      ("name", J.String s.gs_name);
-      ("inputs", J.Int s.gs_inputs);
-      ("outputs", J.Int s.gs_outputs);
-      ("nodes", J.Int s.gs_nodes);
-      ("ops", J.Int s.gs_ops);
-      ("critical", J.Int s.gs_critical);
-    ]
+let stats_codec =
+  C.(
+    obj (fun gs_name gs_inputs gs_outputs gs_nodes gs_ops gs_critical ->
+        { gs_name; gs_inputs; gs_outputs; gs_nodes; gs_ops; gs_critical })
+    |> req "name" string (fun s -> s.gs_name)
+    |> req "inputs" int (fun s -> s.gs_inputs)
+    |> req "outputs" int (fun s -> s.gs_outputs)
+    |> req "nodes" int (fun s -> s.gs_nodes)
+    |> req "ops" int (fun s -> s.gs_ops)
+    |> req "critical" int (fun s -> s.gs_critical)
+    |> finish ~what:"stats")
 
-let opt_int = function None -> J.Null | Some i -> J.Int i
+let result o = C.finish ~what:"result" o
 
-let payload_to_json = function
-  | Pong { pong_pid } ->
-      J.Obj [ ("kind", J.String "pong"); ("pid", J.Int pong_pid) ]
-  | Parsed { stats; pretty } ->
-      J.Obj
-        [
-          ("kind", J.String "parse");
-          ("stats", stats_to_json stats);
-          ("pretty", J.String pretty);
-        ]
-  | Optimized { critical; cycle; fragments; text } ->
-      J.Obj
-        [
-          ("kind", J.String "optimize");
-          ("critical", J.Int critical);
-          ("cycle", J.Int cycle);
-          ("fragments", J.Int fragments);
-          ("text", J.String text);
-        ]
-  | Reported r ->
-      J.Obj
-        [
-          ("kind", J.String "report");
-          ("stats", stats_to_json r.r_stats);
-          ("latency", J.Int r.r_latency);
-          ( "target",
-            match r.r_target with
-            | None -> J.Null
-            | Some (ns, l) ->
-                J.Obj [ ("ns", J.Float ns); ("latency", J.Int l) ] );
-          ("conventional", Cache.metrics_to_json r.r_conventional);
-          ("optimized", Cache.metrics_to_json r.r_optimized);
-          ( "equivalence",
-            match r.r_equivalence with None -> J.Null | Some m -> J.String m );
-          ("saved_pct", J.Float r.r_saved_pct);
-        ]
-  | Scheduled s ->
-      J.Obj
-        [
-          ("kind", J.String "schedule");
-          ("flow", J.String (Request.flow_name s.s_flow));
-          ("latency", J.Int s.s_latency);
-          ( "rows",
-            J.List
-              (List.map
-                 (fun r ->
-                   J.Obj
-                     [
-                       ("cycle", J.Int r.cr_cycle);
-                       ( "ops",
-                         J.List (List.map (fun o -> J.String o) r.cr_ops) );
-                     ])
-                 s.s_rows) );
-          ( "profile",
-            J.List
-              (List.map
-                 (fun p ->
-                   J.Obj
-                     [
-                       ("cycle", J.Int p.pr_cycle);
-                       ("chain", J.Int p.pr_chain);
-                       ("fragments", J.Int p.pr_fragments);
-                       ("adder_bits", J.Int p.pr_adder_bits);
-                     ])
-                 s.s_profile) );
-          ("used_delta", opt_int s.s_used_delta);
-          ("cycle_delta", opt_int s.s_cycle_delta);
-          ( "gantt",
-            J.List
-              (List.map
-                 (fun (op, cycles) ->
-                   J.Obj
-                     [
-                       ("op", J.String op);
-                       ( "cycles",
-                         J.List (List.map (fun c -> J.Int c) cycles) );
-                     ])
-                 s.s_gantt) );
-        ]
-  | Explored sweep ->
-      J.Obj
-        [ ("kind", J.String "explore"); ("sweep", Hls_dse.Explore.to_json sweep) ]
-  | Transformed x ->
-      J.Obj
-        [
-          ("kind", J.String "transform");
-          ("recipe", J.String x.x_recipe);
-          ("verify", J.String x.x_verify);
-          ("before", stats_to_json x.x_before);
-          ("after", stats_to_json x.x_after);
-          ("checks", J.Int x.x_checks);
-          ("rejected", J.Int x.x_rejected);
-          ( "log",
-            J.List
-              (List.map
-                 (fun e ->
-                   J.Obj
-                     [
-                       ("pass", J.String e.te_pass);
-                       ("fired", J.Bool e.te_fired);
-                       ("accepted", J.Bool e.te_accepted);
-                       ("sites", J.Int e.te_sites);
-                       ("nodes_before", J.Int e.te_nodes_before);
-                       ("nodes_after", J.Int e.te_nodes_after);
-                       ("depth_before", J.Int e.te_depth_before);
-                       ("depth_after", J.Int e.te_depth_after);
-                       ( "verdict",
-                         match e.te_verdict with
-                         | None -> J.Null
-                         | Some v -> J.String v );
-                     ])
-                 x.x_log) );
-          ("pretty", J.String x.x_pretty);
-        ]
-  | Simulated s ->
-      J.Obj
-        [
-          ("kind", J.String "simulate");
-          ("latency", J.Int s.sim_latency);
-          ( "inputs",
-            J.List
-              (List.map
-                 (fun (n, v) ->
-                   J.Obj [ ("name", J.String n); ("value", J.Int v) ])
-                 s.sim_inputs) );
-          ( "outputs",
-            J.List
-              (List.map
-                 (fun (n, b, g) ->
-                   J.Obj
-                     [
-                       ("name", J.String n);
-                       ("behavioural", J.Int b);
-                       ("gate", J.Int g);
-                     ])
-                 s.sim_outputs) );
-          ( "vcd",
-            match s.sim_vcd with None -> J.Null | Some v -> J.String v );
-        ]
-  | Emitted { format; text } ->
-      J.Obj
-        [
-          ("kind", J.String "emit");
-          ("format", J.String (Request.format_name format));
-          ("text", J.String text);
-        ]
-  | Iterated it ->
-      J.Obj
-        [
-          ("kind", J.String "iterate");
-          ("initial_latency", J.Int it.it_initial_latency);
-          ("final_latency", J.Int it.it_final_latency);
-          ("initial_delta", J.Int it.it_initial_delta);
-          ("final_delta", J.Int it.it_final_delta);
-          ("saved_pct", J.Float it.it_saved_pct);
-          ("stop", J.String it.it_stop);
-          ( "rounds",
-            J.List
-              (List.map
-                 (fun r ->
-                   J.Obj
-                     [
-                       ("index", J.Int r.ir_index);
-                       ("target", J.Int r.ir_target);
-                       ("cap", J.Int r.ir_cap);
-                       ("region", J.Int r.ir_region);
-                       ("region_adds", J.Int r.ir_region_adds);
-                       ("pinned", J.Bool r.ir_pinned);
-                       ("accepted", J.Bool r.ir_accepted);
-                       ("latency", J.Int r.ir_latency);
-                       ("delta", J.Int r.ir_delta);
-                     ])
-                 it.it_rounds) );
-        ]
-  | Stats { st_source; st_gauges } ->
-      J.Obj
-        [
-          ("kind", J.String "stats");
-          ("source", J.String st_source);
-          ( "gauges",
-            J.Obj (List.map (fun (k, v) -> (k, J.Int v)) st_gauges) );
-        ]
-  | Workloads rows ->
-      J.Obj
-        [
-          ("kind", J.String "workloads");
-          ( "rows",
-            J.List
-              (List.map
-                 (fun w ->
-                   J.Obj
-                     [
-                       ("name", J.String w.w_name);
-                       ("kind", J.String w.w_kind);
-                       ( "tags",
-                         J.List (List.map (fun t -> J.String t) w.w_tags) );
-                       ("ops", J.Int w.w_ops);
-                       ("inputs", J.Int w.w_inputs);
-                       ("latency", J.Int w.w_latency);
-                     ])
-                 rows) );
-        ]
-  | Fuzzed f ->
-      J.Obj
-        [
-          ("kind", J.String "fuzz");
-          ("seed", J.Int f.fz_seed);
-          ("cases", J.Int f.fz_cases);
-          ("mismatches", J.Int f.fz_mismatches);
-          ("skipped", J.Int f.fz_skipped);
-          ("coverage", J.Int f.fz_coverage);
-          ("wall_s", J.Float f.fz_wall_s);
-          ( "lanes",
-            J.List
-              (List.map
-                 (fun l ->
-                   J.Obj
-                     [
-                       ("lane", J.String l.fl_lane);
-                       ("cases", J.Int l.fl_cases);
-                       ("mismatches", J.Int l.fl_mismatches);
-                       ("skipped", J.Int l.fl_skipped);
-                       ( "repros",
-                         J.List
-                           (List.map
-                              (fun (path, ops) ->
-                                J.Obj
-                                  [
-                                    ("path", J.String path);
-                                    ("ops", J.Int ops);
-                                  ])
-                              l.fl_repros) );
-                     ])
-                 f.fz_lanes) );
-        ]
+let reported_codec =
+  C.(
+    obj
+      (fun r_stats r_latency r_target r_conventional r_optimized r_equivalence
+           r_saved_pct ->
+        {
+          r_stats; r_latency; r_target; r_conventional; r_optimized;
+          r_equivalence; r_saved_pct;
+        })
+    |> req "stats" stats_codec (fun r -> r.r_stats)
+    |> req "latency" int (fun r -> r.r_latency)
+    |> nullable "target"
+         (obj (fun ns l -> (ns, l))
+         |> req "ns" float fst
+         |> req "latency" int snd
+         |> finish ~what:"target")
+         (fun r -> r.r_target)
+    |> req "conventional" Cache.metrics_codec (fun r -> r.r_conventional)
+    |> req "optimized" Cache.metrics_codec (fun r -> r.r_optimized)
+    |> nullable "equivalence" string (fun r -> r.r_equivalence)
+    |> req "saved_pct" float (fun r -> r.r_saved_pct)
+    |> result)
+
+let scheduled_codec =
+  C.(
+    obj
+      (fun s_flow s_latency s_rows s_profile s_used_delta s_cycle_delta
+           s_gantt ->
+        {
+          s_flow; s_latency; s_rows; s_profile; s_used_delta; s_cycle_delta;
+          s_gantt;
+        })
+    |> req "flow" Request.flow_codec (fun s -> s.s_flow)
+    |> req "latency" int (fun s -> s.s_latency)
+    |> req "rows"
+         (list
+            (obj (fun cr_cycle cr_ops -> { cr_cycle; cr_ops })
+            |> req "cycle" int (fun r -> r.cr_cycle)
+            |> req "ops" (list string) (fun r -> r.cr_ops)
+            |> finish ~what:"row"))
+         (fun s -> s.s_rows)
+    |> req "profile"
+         (list
+            (obj (fun pr_cycle pr_chain pr_fragments pr_adder_bits ->
+                 { pr_cycle; pr_chain; pr_fragments; pr_adder_bits })
+            |> req "cycle" int (fun p -> p.pr_cycle)
+            |> req "chain" int (fun p -> p.pr_chain)
+            |> req "fragments" int (fun p -> p.pr_fragments)
+            |> req "adder_bits" int (fun p -> p.pr_adder_bits)
+            |> finish ~what:"profile row"))
+         (fun s -> s.s_profile)
+    |> nullable "used_delta" int (fun s -> s.s_used_delta)
+    |> nullable "cycle_delta" int (fun s -> s.s_cycle_delta)
+    |> req "gantt"
+         (list
+            (obj (fun op cycles -> (op, cycles))
+            |> req "op" string fst
+            |> req "cycles" (list int) snd
+            |> finish ~what:"gantt row"))
+         (fun s -> s.s_gantt)
+    |> result)
+
+let transformed_codec =
+  let entry =
+    C.(
+      obj
+        (fun te_pass te_fired te_accepted te_sites te_nodes_before
+             te_nodes_after te_depth_before te_depth_after te_verdict ->
+          {
+            te_pass; te_fired; te_accepted; te_sites; te_nodes_before;
+            te_nodes_after; te_depth_before; te_depth_after; te_verdict;
+          })
+      |> req "pass" string (fun e -> e.te_pass)
+      |> req "fired" bool (fun e -> e.te_fired)
+      |> req "accepted" bool (fun e -> e.te_accepted)
+      |> req "sites" int (fun e -> e.te_sites)
+      |> req "nodes_before" int (fun e -> e.te_nodes_before)
+      |> req "nodes_after" int (fun e -> e.te_nodes_after)
+      |> req "depth_before" int (fun e -> e.te_depth_before)
+      |> req "depth_after" int (fun e -> e.te_depth_after)
+      |> nullable "verdict" string (fun e -> e.te_verdict)
+      |> finish ~what:"log entry")
+  in
+  C.(
+    obj
+      (fun x_recipe x_verify x_before x_after x_checks x_rejected x_log
+           x_pretty ->
+        {
+          x_recipe; x_verify; x_before; x_after; x_checks; x_rejected; x_log;
+          x_pretty;
+        })
+    |> req "recipe" string (fun x -> x.x_recipe)
+    |> req "verify" string (fun x -> x.x_verify)
+    |> req "before" stats_codec (fun x -> x.x_before)
+    |> req "after" stats_codec (fun x -> x.x_after)
+    |> req "checks" int (fun x -> x.x_checks)
+    |> req "rejected" int (fun x -> x.x_rejected)
+    |> req "log" (list entry) (fun x -> x.x_log)
+    |> req "pretty" string (fun x -> x.x_pretty)
+    |> result)
+
+let simulated_codec =
+  C.(
+    obj (fun sim_latency sim_inputs sim_outputs sim_vcd ->
+        { sim_latency; sim_inputs; sim_outputs; sim_vcd })
+    |> req "latency" int (fun s -> s.sim_latency)
+    |> req "inputs"
+         (list
+            (obj (fun n v -> (n, v))
+            |> req "name" string fst
+            |> req "value" int snd
+            |> finish ~what:"input"))
+         (fun s -> s.sim_inputs)
+    |> req "outputs"
+         (list
+            (obj (fun n b g -> (n, b, g))
+            |> req "name" string (fun (n, _, _) -> n)
+            |> req "behavioural" int (fun (_, b, _) -> b)
+            |> req "gate" int (fun (_, _, g) -> g)
+            |> finish ~what:"output"))
+         (fun s -> s.sim_outputs)
+    |> nullable "vcd" string (fun s -> s.sim_vcd)
+    |> result)
+
+let iterated_codec =
+  let round =
+    C.(
+      obj
+        (fun ir_index ir_target ir_cap ir_region ir_region_adds ir_pinned
+             ir_accepted ir_latency ir_delta ->
+          {
+            ir_index; ir_target; ir_cap; ir_region; ir_region_adds; ir_pinned;
+            ir_accepted; ir_latency; ir_delta;
+          })
+      |> req "index" int (fun r -> r.ir_index)
+      |> req "target" int (fun r -> r.ir_target)
+      |> req "cap" int (fun r -> r.ir_cap)
+      |> req "region" int (fun r -> r.ir_region)
+      |> req "region_adds" int (fun r -> r.ir_region_adds)
+      |> req "pinned" bool (fun r -> r.ir_pinned)
+      |> req "accepted" bool (fun r -> r.ir_accepted)
+      |> req "latency" int (fun r -> r.ir_latency)
+      |> req "delta" int (fun r -> r.ir_delta)
+      |> finish ~what:"round")
+  in
+  C.(
+    obj
+      (fun it_initial_latency it_final_latency it_initial_delta it_final_delta
+           it_saved_pct it_stop it_rounds ->
+        {
+          it_initial_latency; it_final_latency; it_initial_delta;
+          it_final_delta; it_saved_pct; it_stop; it_rounds;
+        })
+    |> req "initial_latency" int (fun i -> i.it_initial_latency)
+    |> req "final_latency" int (fun i -> i.it_final_latency)
+    |> req "initial_delta" int (fun i -> i.it_initial_delta)
+    |> req "final_delta" int (fun i -> i.it_final_delta)
+    |> req "saved_pct" float (fun i -> i.it_saved_pct)
+    |> req "stop" string (fun i -> i.it_stop)
+    |> req "rounds" (list round) (fun i -> i.it_rounds)
+    |> result)
+
+let workload_codec =
+  C.(
+    obj (fun w_name w_kind w_tags w_ops w_inputs w_latency ->
+        { w_name; w_kind; w_tags; w_ops; w_inputs; w_latency })
+    |> req "name" string (fun w -> w.w_name)
+    |> req "kind" string (fun w -> w.w_kind)
+    |> req "tags" (list string) (fun w -> w.w_tags)
+    |> req "ops" int (fun w -> w.w_ops)
+    |> req "inputs" int (fun w -> w.w_inputs)
+    |> req "latency" int (fun w -> w.w_latency)
+    |> finish ~what:"workload")
+
+let fuzzed_codec =
+  let lane =
+    C.(
+      obj (fun fl_lane fl_cases fl_mismatches fl_skipped fl_repros ->
+          { fl_lane; fl_cases; fl_mismatches; fl_skipped; fl_repros })
+      |> req "lane" string (fun l -> l.fl_lane)
+      |> req "cases" int (fun l -> l.fl_cases)
+      |> req "mismatches" int (fun l -> l.fl_mismatches)
+      |> req "skipped" int (fun l -> l.fl_skipped)
+      |> req "repros"
+           (list
+              (obj (fun path ops -> (path, ops))
+              |> req "path" string fst
+              |> req "ops" int snd
+              |> finish ~what:"repro"))
+           (fun l -> l.fl_repros)
+      |> finish ~what:"lane")
+  in
+  C.(
+    obj
+      (fun fz_seed fz_cases fz_mismatches fz_skipped fz_coverage fz_wall_s
+           fz_lanes ->
+        {
+          fz_seed; fz_cases; fz_mismatches; fz_skipped; fz_coverage; fz_wall_s;
+          fz_lanes;
+        })
+    |> req "seed" int (fun f -> f.fz_seed)
+    |> req "cases" int (fun f -> f.fz_cases)
+    |> req "mismatches" int (fun f -> f.fz_mismatches)
+    |> req "skipped" int (fun f -> f.fz_skipped)
+    |> req "coverage" int (fun f -> f.fz_coverage)
+    |> req "wall_s" float (fun f -> f.fz_wall_s)
+    |> req "lanes" (list lane) (fun f -> f.fz_lanes)
+    |> result)
+
+let payload_codec =
+  let kind name proj o = C.obj_case ~what:"result" name proj o in
+  C.(
+    tagged "kind"
+      [
+        kind "pong"
+          (function Pong r -> Some r.pong_pid | _ -> None)
+          (obj (fun pong_pid -> Pong { pong_pid }) |> req "pid" int Fun.id);
+        kind "parse"
+          (function Parsed r -> Some (r.stats, r.pretty) | _ -> None)
+          (obj (fun stats pretty -> Parsed { stats; pretty })
+          |> req "stats" stats_codec fst
+          |> req "pretty" string snd);
+        kind "optimize"
+          (function
+            | Optimized r -> Some (r.critical, r.cycle, r.fragments, r.text)
+            | _ -> None)
+          (obj (fun critical cycle fragments text ->
+               Optimized { critical; cycle; fragments; text })
+          |> req "critical" int (fun (c, _, _, _) -> c)
+          |> req "cycle" int (fun (_, c, _, _) -> c)
+          |> req "fragments" int (fun (_, _, f, _) -> f)
+          |> req "text" string (fun (_, _, _, t) -> t));
+        case "report" reported_codec
+          (fun r -> Reported r)
+          (function Reported r -> Some r | _ -> None);
+        case "schedule" scheduled_codec
+          (fun s -> Scheduled s)
+          (function Scheduled s -> Some s | _ -> None);
+        kind "explore"
+          (function Explored sweep -> Some sweep | _ -> None)
+          (obj (fun sweep -> Explored sweep)
+          |> req "sweep" Hls_dse.Explore.codec Fun.id);
+        case "transform" transformed_codec
+          (fun x -> Transformed x)
+          (function Transformed x -> Some x | _ -> None);
+        case "simulate" simulated_codec
+          (fun s -> Simulated s)
+          (function Simulated s -> Some s | _ -> None);
+        kind "emit"
+          (function Emitted r -> Some (r.format, r.text) | _ -> None)
+          (obj (fun format text -> Emitted { format; text })
+          |> req "format" Request.format_codec fst
+          |> req "text" string snd);
+        case "iterate" iterated_codec
+          (fun i -> Iterated i)
+          (function Iterated i -> Some i | _ -> None);
+        kind "stats"
+          (function Stats r -> Some (r.st_source, r.st_gauges) | _ -> None)
+          (obj (fun st_source st_gauges -> Stats { st_source; st_gauges })
+          |> req "source" string fst
+          |> req "gauges" (assoc int) snd);
+        kind "workloads"
+          (function Workloads rows -> Some rows | _ -> None)
+          (obj (fun rows -> Workloads rows)
+          |> req "rows" (list workload_codec) Fun.id);
+        case "fuzz" fuzzed_codec
+          (fun f -> Fuzzed f)
+          (function Fuzzed f -> Some f | _ -> None);
+      ])
+
+let payload_to_json = C.encode payload_codec
 
 let error_to_json e =
   let head =
@@ -464,8 +506,7 @@ let error_to_json e =
         ]
     | Unavailable m ->
         [ ("class", J.String "unavailable"); ("message", J.String m) ]
-    | Failed f -> (
-        match J.of_failure f with J.Obj fields -> fields | j -> [ ("value", j) ])
+    | Failed f -> C.fields C.failure f
   in
   J.Obj
     (head
@@ -492,373 +533,6 @@ let need name conv j =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing or bad %S field" name)
 
-let stats_of_json j =
-  let* gs_name = need "name" J.to_str j in
-  let* gs_inputs = need "inputs" J.to_int j in
-  let* gs_outputs = need "outputs" J.to_int j in
-  let* gs_nodes = need "nodes" J.to_int j in
-  let* gs_ops = need "ops" J.to_int j in
-  let* gs_critical = need "critical" J.to_int j in
-  Ok { gs_name; gs_inputs; gs_outputs; gs_nodes; gs_ops; gs_critical }
-
-let metrics_of_json name j =
-  match J.member name j with
-  | None -> Error (Printf.sprintf "missing %S metrics" name)
-  | Some m -> (
-      match Cache.metrics_of_json m with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "bad %S metrics" name))
-
-let decode_list name decode j =
-  match Option.bind (J.member name j) J.to_list with
-  | None -> Error (Printf.sprintf "missing or bad %S array" name)
-  | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest ->
-            let* v = decode x in
-            go (v :: acc) rest
-      in
-      go [] items
-
-let need_str j =
-  match J.to_str j with Some s -> Ok s | None -> Error "expected a string"
-
-let need_int j =
-  match J.to_int j with Some i -> Ok i | None -> Error "expected an integer"
-
-let opt_int_of name j =
-  match J.member name j with
-  | None | Some J.Null -> Ok None
-  | Some v -> (
-      match J.to_int v with
-      | Some i -> Ok (Some i)
-      | None -> Error (Printf.sprintf "bad %S field" name))
-
-let payload_of_json j =
-  let* kind = need "kind" J.to_str j in
-  match kind with
-  | "pong" ->
-      let* pong_pid = need "pid" J.to_int j in
-      Ok (Pong { pong_pid })
-  | "parse" ->
-      let* stats =
-        match J.member "stats" j with
-        | Some s -> stats_of_json s
-        | None -> Error "parse result without stats"
-      in
-      let* pretty = need "pretty" J.to_str j in
-      Ok (Parsed { stats; pretty })
-  | "optimize" ->
-      let* critical = need "critical" J.to_int j in
-      let* cycle = need "cycle" J.to_int j in
-      let* fragments = need "fragments" J.to_int j in
-      let* text = need "text" J.to_str j in
-      Ok (Optimized { critical; cycle; fragments; text })
-  | "report" ->
-      let* r_stats =
-        match J.member "stats" j with
-        | Some s -> stats_of_json s
-        | None -> Error "report result without stats"
-      in
-      let* r_latency = need "latency" J.to_int j in
-      let* r_target =
-        match J.member "target" j with
-        | None | Some J.Null -> Ok None
-        | Some t ->
-            let* ns = need "ns" J.to_float t in
-            let* l = need "latency" J.to_int t in
-            Ok (Some (ns, l))
-      in
-      let* r_conventional = metrics_of_json "conventional" j in
-      let* r_optimized = metrics_of_json "optimized" j in
-      let* r_equivalence =
-        match J.member "equivalence" j with
-        | None | Some J.Null -> Ok None
-        | Some v -> (
-            match J.to_str v with
-            | Some m -> Ok (Some m)
-            | None -> Error "bad \"equivalence\" field")
-      in
-      let* r_saved_pct = need "saved_pct" J.to_float j in
-      Ok
-        (Reported
-           {
-             r_stats;
-             r_latency;
-             r_target;
-             r_conventional;
-             r_optimized;
-             r_equivalence;
-             r_saved_pct;
-           })
-  | "schedule" ->
-      let* s_flow =
-        match Option.bind (J.member "flow" j) J.to_str with
-        | Some f -> (
-            match Request.flow_of_name f with
-            | Some fl -> Ok fl
-            | None -> Error ("unknown flow " ^ f))
-        | None -> Error "schedule result without flow"
-      in
-      let* s_latency = need "latency" J.to_int j in
-      let* s_rows =
-        decode_list "rows"
-          (fun r ->
-            let* cr_cycle = need "cycle" J.to_int r in
-            let* cr_ops = decode_list "ops" (fun o -> need_str o) r in
-            Ok { cr_cycle; cr_ops })
-          j
-      in
-      let* s_profile =
-        decode_list "profile"
-          (fun p ->
-            let* pr_cycle = need "cycle" J.to_int p in
-            let* pr_chain = need "chain" J.to_int p in
-            let* pr_fragments = need "fragments" J.to_int p in
-            let* pr_adder_bits = need "adder_bits" J.to_int p in
-            Ok { pr_cycle; pr_chain; pr_fragments; pr_adder_bits })
-          j
-      in
-      let* s_used_delta = opt_int_of "used_delta" j in
-      let* s_cycle_delta = opt_int_of "cycle_delta" j in
-      let* s_gantt =
-        decode_list "gantt"
-          (fun g ->
-            let* op = need "op" J.to_str g in
-            let* cycles = decode_list "cycles" (fun c -> need_int c) g in
-            Ok (op, cycles))
-          j
-      in
-      Ok
-        (Scheduled
-           {
-             s_flow;
-             s_latency;
-             s_rows;
-             s_profile;
-             s_used_delta;
-             s_cycle_delta;
-             s_gantt;
-           })
-  | "explore" -> (
-      match J.member "sweep" j with
-      | None -> Error "explore result without sweep"
-      | Some s ->
-          let* sweep = Hls_dse.Explore.of_json s in
-          Ok (Explored sweep))
-  | "transform" ->
-      let* x_recipe = need "recipe" J.to_str j in
-      let* x_verify = need "verify" J.to_str j in
-      let* x_before =
-        match J.member "before" j with
-        | Some s -> stats_of_json s
-        | None -> Error "transform result without before stats"
-      in
-      let* x_after =
-        match J.member "after" j with
-        | Some s -> stats_of_json s
-        | None -> Error "transform result without after stats"
-      in
-      let* x_checks = need "checks" J.to_int j in
-      let* x_rejected = need "rejected" J.to_int j in
-      let* x_log =
-        decode_list "log"
-          (fun e ->
-            let* te_pass = need "pass" J.to_str e in
-            let* te_fired = need "fired" J.to_bool e in
-            let* te_accepted = need "accepted" J.to_bool e in
-            let* te_sites = need "sites" J.to_int e in
-            let* te_nodes_before = need "nodes_before" J.to_int e in
-            let* te_nodes_after = need "nodes_after" J.to_int e in
-            let* te_depth_before = need "depth_before" J.to_int e in
-            let* te_depth_after = need "depth_after" J.to_int e in
-            let* te_verdict =
-              match J.member "verdict" e with
-              | None | Some J.Null -> Ok None
-              | Some v -> (
-                  match J.to_str v with
-                  | Some s -> Ok (Some s)
-                  | None -> Error "bad \"verdict\" field")
-            in
-            Ok
-              {
-                te_pass;
-                te_fired;
-                te_accepted;
-                te_sites;
-                te_nodes_before;
-                te_nodes_after;
-                te_depth_before;
-                te_depth_after;
-                te_verdict;
-              })
-          j
-      in
-      let* x_pretty = need "pretty" J.to_str j in
-      Ok
-        (Transformed
-           {
-             x_recipe;
-             x_verify;
-             x_before;
-             x_after;
-             x_checks;
-             x_rejected;
-             x_log;
-             x_pretty;
-           })
-  | "simulate" ->
-      let* sim_latency = need "latency" J.to_int j in
-      let* sim_inputs =
-        decode_list "inputs"
-          (fun i ->
-            let* n = need "name" J.to_str i in
-            let* v = need "value" J.to_int i in
-            Ok (n, v))
-          j
-      in
-      let* sim_outputs =
-        decode_list "outputs"
-          (fun o ->
-            let* n = need "name" J.to_str o in
-            let* b = need "behavioural" J.to_int o in
-            let* g = need "gate" J.to_int o in
-            Ok (n, b, g))
-          j
-      in
-      let* sim_vcd =
-        match J.member "vcd" j with
-        | None | Some J.Null -> Ok None
-        | Some v -> (
-            match J.to_str v with
-            | Some s -> Ok (Some s)
-            | None -> Error "bad \"vcd\" field")
-      in
-      Ok (Simulated { sim_latency; sim_inputs; sim_outputs; sim_vcd })
-  | "emit" ->
-      let* format =
-        match Option.bind (J.member "format" j) J.to_str with
-        | Some f -> (
-            match Request.format_of_name f with
-            | Some fmt -> Ok fmt
-            | None -> Error ("unknown emit format " ^ f))
-        | None -> Error "emit result without format"
-      in
-      let* text = need "text" J.to_str j in
-      Ok (Emitted { format; text })
-  | "iterate" ->
-      let* it_initial_latency = need "initial_latency" J.to_int j in
-      let* it_final_latency = need "final_latency" J.to_int j in
-      let* it_initial_delta = need "initial_delta" J.to_int j in
-      let* it_final_delta = need "final_delta" J.to_int j in
-      let* it_saved_pct = need "saved_pct" J.to_float j in
-      let* it_stop = need "stop" J.to_str j in
-      let* it_rounds =
-        decode_list "rounds"
-          (fun r ->
-            let* ir_index = need "index" J.to_int r in
-            let* ir_target = need "target" J.to_int r in
-            let* ir_cap = need "cap" J.to_int r in
-            let* ir_region = need "region" J.to_int r in
-            let* ir_region_adds = need "region_adds" J.to_int r in
-            let* ir_pinned = need "pinned" J.to_bool r in
-            let* ir_accepted = need "accepted" J.to_bool r in
-            let* ir_latency = need "latency" J.to_int r in
-            let* ir_delta = need "delta" J.to_int r in
-            Ok
-              {
-                ir_index;
-                ir_target;
-                ir_cap;
-                ir_region;
-                ir_region_adds;
-                ir_pinned;
-                ir_accepted;
-                ir_latency;
-                ir_delta;
-              })
-          j
-      in
-      Ok
-        (Iterated
-           {
-             it_initial_latency;
-             it_final_latency;
-             it_initial_delta;
-             it_final_delta;
-             it_saved_pct;
-             it_stop;
-             it_rounds;
-           })
-  | "stats" ->
-      let* st_source = need "source" J.to_str j in
-      let* st_gauges =
-        match J.member "gauges" j with
-        | Some (J.Obj fields) ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | (k, v) :: rest -> (
-                  match J.to_int v with
-                  | Some i -> go ((k, i) :: acc) rest
-                  | None -> Error (Printf.sprintf "bad gauge %S" k))
-            in
-            go [] fields
-        | _ -> Error "stats result without a gauges object"
-      in
-      Ok (Stats { st_source; st_gauges })
-  | "workloads" ->
-      let* rows =
-        decode_list "rows"
-          (fun w ->
-            let* w_name = need "name" J.to_str w in
-            let* w_kind = need "kind" J.to_str w in
-            let* w_tags = decode_list "tags" (fun t -> need_str t) w in
-            let* w_ops = need "ops" J.to_int w in
-            let* w_inputs = need "inputs" J.to_int w in
-            let* w_latency = need "latency" J.to_int w in
-            Ok { w_name; w_kind; w_tags; w_ops; w_inputs; w_latency })
-          j
-      in
-      Ok (Workloads rows)
-  | "fuzz" ->
-      let* fz_seed = need "seed" J.to_int j in
-      let* fz_cases = need "cases" J.to_int j in
-      let* fz_mismatches = need "mismatches" J.to_int j in
-      let* fz_skipped = need "skipped" J.to_int j in
-      let* fz_coverage = need "coverage" J.to_int j in
-      let* fz_wall_s = need "wall_s" J.to_float j in
-      let* fz_lanes =
-        decode_list "lanes"
-          (fun l ->
-            let* fl_lane = need "lane" J.to_str l in
-            let* fl_cases = need "cases" J.to_int l in
-            let* fl_mismatches = need "mismatches" J.to_int l in
-            let* fl_skipped = need "skipped" J.to_int l in
-            let* fl_repros =
-              decode_list "repros"
-                (fun r ->
-                  let* path = need "path" J.to_str r in
-                  let* ops = need "ops" J.to_int r in
-                  Ok (path, ops))
-                l
-            in
-            Ok { fl_lane; fl_cases; fl_mismatches; fl_skipped; fl_repros })
-          j
-      in
-      Ok
-        (Fuzzed
-           {
-             fz_seed;
-             fz_cases;
-             fz_mismatches;
-             fz_skipped;
-             fz_coverage;
-             fz_wall_s;
-             fz_lanes;
-           })
-  | other -> Error (Printf.sprintf "unknown result kind %S" other)
-
 let error_of_json j =
   match Option.bind (J.member "class" j) J.to_str with
   | Some "usage" -> (
@@ -878,7 +552,7 @@ let error_of_json j =
       | Some m -> Ok (Unavailable m)
       | None -> Error "unavailable error without message")
   | Some _ ->
-      let* f = J.failure_of_json j in
+      let* f = C.decode C.failure j in
       Ok (Failed f)
   | None -> Error "error without a class field"
 
@@ -895,7 +569,7 @@ let of_json j =
           match J.member "result" j with
           | None -> Error "ok response without a result"
           | Some r ->
-              let* p = payload_of_json r in
+              let* p = C.decode payload_codec r in
               Ok { id; result = Ok p })
       | Some false -> (
           match J.member "error" j with

@@ -1,9 +1,11 @@
 (** Typed responses and the api's error taxonomy, with the JSON wire
-    codec.  Report metrics are encoded through
-    {!Hls_dse.Cache.metrics_to_json} and failures through
-    {!Hls_dse.Dse_json.of_failure} — the sweep cache, the [--json] sweep
-    output and the server wire format share one encoder, so they cannot
-    drift apart. *)
+    codec.  Each payload record is one {!Hls_dse.Codec} descriptor, and
+    the payload is a variant tagged by its ["kind"] field; report
+    metrics reuse {!Hls_dse.Cache.metrics_codec}, sweeps
+    {!Hls_dse.Explore.codec} and failures {!Hls_dse.Codec.failure},
+    so the sweep cache, the [--json] sweep output and the server wire
+    format share one encoding and cannot drift apart.  The error object
+    is written by hand: its [exit_code] and [retryable] are derived. *)
 
 type graph_stats = {
   gs_name : string;

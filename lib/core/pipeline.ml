@@ -172,16 +172,8 @@ let default_config =
     iterate = 0 }
 
 let make_config ?(lib = Hls_techlib.default) ?(policy = `Full)
-    ?(balance = true) ?cleanup ?transform
+    ?(balance = true) ?(transform = Hls_xform.Recipe.none)
     ?(verify = Hls_xform.Verify.Off) ?(iterate = 0) () =
-  (* [cleanup] is the historic boolean this record used to carry; it maps
-     onto the "cleanup" preset recipe.  An explicit [transform] wins. *)
-  let transform =
-    match (transform, cleanup) with
-    | Some t, _ -> t
-    | None, Some true -> Hls_xform.Recipe.cleanup
-    | None, (Some false | None) -> Hls_xform.Recipe.none
-  in
   { lib; policy; balance; transform; verify; iterate }
 
 (** The per-point suffix of the optimized flow on prepared timing state:

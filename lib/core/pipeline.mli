@@ -95,12 +95,10 @@ type config = {
     transformation — the paper's reproduction settings. *)
 val default_config : config
 
-(** [cleanup] is the historic boolean knob this record used to carry; it
-    maps onto the ["cleanup"] preset recipe ([repeat(fold,cse,dce)]).
-    An explicit [transform] wins over it. *)
+(** Defaults as {!default_config}. *)
 val make_config :
   ?lib:Hls_techlib.t -> ?policy:Hls_fragment.Mobility.policy ->
-  ?balance:bool -> ?cleanup:bool -> ?transform:Hls_xform.Recipe.t ->
+  ?balance:bool -> ?transform:Hls_xform.Recipe.t ->
   ?verify:Hls_xform.Verify.policy -> ?iterate:int -> unit -> config
 
 (** The single supported per-point entry of the optimized flow: cycle

@@ -66,44 +66,41 @@ let metrics_of_report (r : Hls_core.Pipeline.report) =
     m_total_gates = a.Hls_alloc.Datapath.total_gates;
   }
 
-let metrics_to_json m =
-  Dse_json.Obj
-    [
-      ("flow", Dse_json.String m.m_flow);
-      ("latency", Dse_json.Int m.m_latency);
-      ("cycle_delta", Dse_json.Int m.m_cycle_delta);
-      ("cycle_ns", Dse_json.Float m.m_cycle_ns);
-      ("execution_ns", Dse_json.Float m.m_execution_ns);
-      ("op_count", Dse_json.Int m.m_op_count);
-      ("fragment_count", Dse_json.Int m.m_fragment_count);
-      ("fu_gates", Dse_json.Int m.m_fu_gates);
-      ("register_gates", Dse_json.Int m.m_register_gates);
-      ("mux_gates", Dse_json.Int m.m_mux_gates);
-      ("controller_gates", Dse_json.Int m.m_controller_gates);
-      ("total_gates", Dse_json.Int m.m_total_gates);
-    ]
+let metrics_codec =
+  Codec.(
+    obj
+      (fun m_flow m_latency m_cycle_delta m_cycle_ns m_execution_ns m_op_count
+           m_fragment_count m_fu_gates m_register_gates m_mux_gates
+           m_controller_gates m_total_gates ->
+        {
+          m_flow; m_latency; m_cycle_delta; m_cycle_ns; m_execution_ns;
+          m_op_count; m_fragment_count; m_fu_gates; m_register_gates;
+          m_mux_gates; m_controller_gates; m_total_gates;
+        })
+    |> req "flow" string (fun m -> m.m_flow)
+    |> req "latency" int (fun m -> m.m_latency)
+    |> req "cycle_delta" int (fun m -> m.m_cycle_delta)
+    |> req "cycle_ns" float (fun m -> m.m_cycle_ns)
+    |> req "execution_ns" float (fun m -> m.m_execution_ns)
+    |> req "op_count" int (fun m -> m.m_op_count)
+    |> req "fragment_count" int (fun m -> m.m_fragment_count)
+    |> req "fu_gates" int (fun m -> m.m_fu_gates)
+    |> req "register_gates" int (fun m -> m.m_register_gates)
+    |> req "mux_gates" int (fun m -> m.m_mux_gates)
+    |> req "controller_gates" int (fun m -> m.m_controller_gates)
+    |> req "total_gates" int (fun m -> m.m_total_gates)
+    |> finish ~what:"metrics")
 
-let metrics_of_json j =
-  let open Dse_json in
-  let ( let* ) = Option.bind in
-  let* m_flow = Option.bind (member "flow" j) to_str in
-  let* m_latency = Option.bind (member "latency" j) to_int in
-  let* m_cycle_delta = Option.bind (member "cycle_delta" j) to_int in
-  let* m_cycle_ns = Option.bind (member "cycle_ns" j) to_float in
-  let* m_execution_ns = Option.bind (member "execution_ns" j) to_float in
-  let* m_op_count = Option.bind (member "op_count" j) to_int in
-  let* m_fragment_count = Option.bind (member "fragment_count" j) to_int in
-  let* m_fu_gates = Option.bind (member "fu_gates" j) to_int in
-  let* m_register_gates = Option.bind (member "register_gates" j) to_int in
-  let* m_mux_gates = Option.bind (member "mux_gates" j) to_int in
-  let* m_controller_gates = Option.bind (member "controller_gates" j) to_int in
-  let* m_total_gates = Option.bind (member "total_gates" j) to_int in
-  Some
-    {
-      m_flow; m_latency; m_cycle_delta; m_cycle_ns; m_execution_ns;
-      m_op_count; m_fragment_count; m_fu_gates; m_register_gates;
-      m_mux_gates; m_controller_gates; m_total_gates;
-    }
+let metrics_to_json = Codec.encode metrics_codec
+let metrics_of_json j = Result.to_option (Codec.decode metrics_codec j)
+
+(* One journal line: an entry's key and its metrics. *)
+let wal_entry =
+  Codec.(
+    obj (fun k m -> (k, m))
+    |> req "k" string fst
+    |> req "m" metrics_codec snd
+    |> finish)
 
 (* ------------------------------------------------------------------ *)
 
@@ -209,15 +206,8 @@ let load_store t path =
   | exception Sys_error m -> warn t (m ^ "; starting empty")
 
 let wal_entry_of_line line =
-  match Dse_json.of_string line with
-  | Ok j -> (
-      match
-        ( Option.bind (Dse_json.member "k" j) Dse_json.to_str,
-          Option.bind (Dse_json.member "m" j) metrics_of_json )
-      with
-      | Some k, Some m -> Some (k, m)
-      | _ -> None)
-  | Error _ -> None
+  Result.to_option
+    (Result.bind (Dse_json.of_string line) (Codec.decode wal_entry))
 
 let replay_wal t path =
   let wp = wal_path path in
@@ -332,12 +322,7 @@ let journal t =
             List.iter
               (fun (k, m) ->
                 let line =
-                  Dse_json.to_string
-                    (Dse_json.Obj
-                       [
-                         ("k", Dse_json.String k); ("m", metrics_to_json m);
-                       ])
-                  ^ "\n"
+                  Dse_json.to_string (Codec.encode wal_entry (k, m)) ^ "\n"
                 in
                 output_string oc (Hls_util.Faults.on_write line))
               (List.rev t.pending);

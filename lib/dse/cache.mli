@@ -31,6 +31,11 @@ type metrics = {
 }
 
 val metrics_of_report : Hls_core.Pipeline.report -> metrics
+
+(** The one wire shape of {!metrics}: cache store, journal, sweep
+    documents and api reports all use it. *)
+val metrics_codec : metrics Codec.t
+
 val metrics_to_json : metrics -> Dse_json.t
 val metrics_of_json : Dse_json.t -> metrics option
 

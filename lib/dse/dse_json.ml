@@ -263,44 +263,3 @@ let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -
 let to_str = function String s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List l -> Some l | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* The one wire encoding of the failure taxonomy, shared by the sweep
-   journal/report and the request/response api so the two surfaces can
-   never drift: a "class" discriminator plus the class's payload.        *)
-
-let of_failure (f : Hls_util.Failure.t) =
-  let cls = String (Hls_util.Failure.class_name f) in
-  match f with
-  | Hls_util.Failure.Infeasible m ->
-      Obj [ ("class", cls); ("message", String m) ]
-  | Hls_util.Failure.Timeout s ->
-      Obj [ ("class", cls); ("seconds", Float s) ]
-  | Hls_util.Failure.Resource m ->
-      Obj [ ("class", cls); ("message", String m) ]
-  | Hls_util.Failure.Internal e ->
-      Obj [ ("class", cls); ("message", String (Printexc.to_string e)) ]
-
-let failure_of_json j =
-  let str k = Option.bind (member k j) to_str in
-  match str "class" with
-  | Some "infeasible" -> (
-      match str "message" with
-      | Some m -> Ok (Hls_util.Failure.Infeasible m)
-      | None -> Error "infeasible failure without message")
-  | Some "timeout" -> (
-      match Option.bind (member "seconds" j) to_float with
-      | Some s -> Ok (Hls_util.Failure.Timeout s)
-      | None -> Error "timeout failure without seconds")
-  | Some "resource" -> (
-      match str "message" with
-      | Some m -> Ok (Hls_util.Failure.Resource m)
-      | None -> Error "resource failure without message")
-  | Some "internal" -> (
-      match str "message" with
-      (* [Remote]'s printer reproduces the text, so re-encoding is
-         lossless even though the original exception is gone. *)
-      | Some m -> Ok (Hls_util.Failure.Internal (Hls_util.Failure.Remote m))
-      | None -> Error "internal failure without message")
-  | Some other -> Error (Printf.sprintf "unknown failure class %S" other)
-  | None -> Error "failure without a class field"

@@ -21,14 +21,3 @@ val to_float : t -> float option
 val to_str : t -> string option
 val to_bool : t -> bool option
 val to_list : t -> t list option
-
-(** The one wire encoding of {!Hls_util.Failure.t}, shared by the sweep
-    report and the request/response api: an object with a ["class"]
-    discriminator plus the class payload (["message"], or ["seconds"]
-    for timeouts).  [failure_of_json] inverts it exactly —
-    [of_failure (decode j) = j] for any [j] it accepts ([Internal]
-    faults decode to {!Hls_util.Failure.Remote}, whose printer
-    reproduces the original text). *)
-val of_failure : Hls_util.Failure.t -> t
-
-val failure_of_json : t -> (Hls_util.Failure.t, string) result

@@ -150,13 +150,15 @@ let run_round ~cache ~digest ~graph ~kernels ~workers ~timeout_s ~retry
             | Error f -> raise (Failure.Flow_failure f)))
       misses
   in
-  let outcomes = Pool.run_retry ?workers ?timeout_s ~retry (Array.of_list thunks) in
+  let outcomes =
+    Hls_pool.run_retry ?workers ?timeout_s ~retry (Array.of_list thunks)
+  in
   let computed = Hashtbl.create 16 in
   List.iteri
     (fun i (job, key) ->
       (match outcomes.(i) with
-      | Pool.Done m, _ -> Cache.add cache key m
-      | (Pool.Failed _ | Pool.Timed_out _), _ -> ());
+      | Hls_pool.Done m, _ -> Cache.add cache key m
+      | (Hls_pool.Failed _ | Hls_pool.Timed_out _), _ -> ());
       Hashtbl.replace computed (Space.job_key job) (outcomes.(i), times.(i)))
     misses;
   List.fold_left
@@ -169,13 +171,13 @@ let run_round ~cache ~digest ~graph ~kernels ~workers ~timeout_s ~retry
             failures )
       | None -> (
           match Hashtbl.find computed (Space.job_key job) with
-          | (Pool.Done m, attempts), wall ->
+          | (Hls_pool.Done m, attempts), wall ->
               ( { job; metrics = m; from_cache = false; degraded = false;
                   attempts; wall_s = wall }
                 :: points,
                 failures )
           | (outcome, attempts), wall -> (
-              let f_class = Option.get (Pool.failure_of_outcome outcome) in
+              let f_class = Option.get (Hls_pool.failure_of_outcome outcome) in
               let fail () =
                 ( points,
                   {
@@ -291,7 +293,7 @@ let summarize_transform spec (p : Pipeline.prepared) =
         }
 
 let run ?workers ?timeout_s ?cache ?(feedback = 0)
-    ?(retry = Pool.Retry_policy.none) ?(degrade = false)
+    ?(retry = Hls_pool.Retry_policy.none) ?(degrade = false)
     ?(verify = Hls_xform.Verify.Off) graph (space : Space.t) =
   let t0 = Unix.gettimeofday () in
   let spans0 = Hls_telemetry.span_totals () in
@@ -394,269 +396,138 @@ let run ?workers ?timeout_s ?cache ?(feedback = 0)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rendering.                                                          *)
+(* The JSON document: what `hlsopt explore --json` prints and the api's
+   explore response carries.  Decoding is the exact inverse, so a sweep
+   can cross a wire or a file and re-render identically.  Libraries are
+   resolved by name through Space.known_libs — a sweep of a custom
+   library object does not round-trip, which the api documents. *)
 
-let job_to_json (j : Space.job) =
-  Dse_json.Obj
-    [
-      ("latency", Dse_json.Int j.Space.latency);
-      ("policy", Dse_json.String (Space.policy_name j.Space.policy));
-      ("lib", Dse_json.String j.Space.lib_name);
-      ("balance", Dse_json.Bool j.Space.balance);
-      ("recipe", Dse_json.String j.Space.recipe);
-      ("iterate", Dse_json.Int j.Space.iterate);
-    ]
-
-let transform_summary_to_json s =
-  Dse_json.Obj
-    [
-      ("recipe", Dse_json.String s.t_recipe);
-      ("passes", Dse_json.Int s.t_passes);
-      ("fired", Dse_json.Int s.t_fired);
-      ("checks", Dse_json.Int s.t_checks);
-      ("rejected", Dse_json.Int s.t_rejected);
-      ("nodes_before", Dse_json.Int s.t_nodes_before);
-      ("nodes_after", Dse_json.Int s.t_nodes_after);
-      ("depth_before", Dse_json.Int s.t_depth_before);
-      ("depth_after", Dse_json.Int s.t_depth_after);
-    ]
-
-let point_to_json p =
-  Dse_json.Obj
-    [
-      ("job", job_to_json p.job);
-      ("metrics", Cache.metrics_to_json p.metrics);
-      ("from_cache", Dse_json.Bool p.from_cache);
-      ("degraded", Dse_json.Bool p.degraded);
-      ("attempts", Dse_json.Int p.attempts);
-      ("wall_s", Dse_json.Float p.wall_s);
-    ]
-
-let to_json t =
-  Dse_json.Obj
-    [
-      ("graph", Dse_json.String t.graph_name);
-      ("digest", Dse_json.String t.digest);
-      ("rounds", Dse_json.Int t.rounds);
-      ("wall_s", Dse_json.Float t.wall_s);
-      ( "cache",
-        Dse_json.Obj
-          [
-            ("hits", Dse_json.Int t.cache_hits);
-            ("misses", Dse_json.Int t.cache_misses);
-            ("recovered", Dse_json.Int t.recovered);
-          ] );
-      ("points", Dse_json.List (List.map point_to_json t.points));
-      ( "failures",
-        Dse_json.List
-          (List.map
-             (fun f ->
-               Dse_json.Obj
-                 [
-                   ("job", job_to_json f.f_job);
-                   (* The shared taxonomy encoding (Dse_json.of_failure):
-                      the api error surface uses the same bytes. *)
-                   ("failure", Dse_json.of_failure f.f_class);
-                   ("reason", Dse_json.String f.f_reason);
-                   ("attempts", Dse_json.Int f.f_attempts);
-                 ])
-             t.failures) );
-      ("frontier", Dse_json.List (List.map point_to_json t.frontier));
-      ( "transforms",
-        Dse_json.List (List.map transform_summary_to_json t.transforms) );
-      ( "telemetry",
-        Dse_json.Obj
-          [
-            ("extra_attempts", Dse_json.Int (extra_attempts t));
-            ( "phases",
-              Dse_json.List
-                (List.map
-                   (fun (name, calls, secs) ->
-                     Dse_json.Obj
-                       [
-                         ("name", Dse_json.String name);
-                         ("calls", Dse_json.Int calls);
-                         ("total_s", Dse_json.Float secs);
-                       ])
-                   t.phases) );
-            ( "counters",
-              Dse_json.List
-                (List.map
-                   (fun (name, total) ->
-                     Dse_json.Obj
-                       [
-                         ("name", Dse_json.String name);
-                         ("total", Dse_json.Int total);
-                       ])
-                   t.counters) );
-            ( "gauges",
-              Dse_json.List
-                (List.map
-                   (fun (name, (last, mx)) ->
-                     Dse_json.Obj
-                       [
-                         ("name", Dse_json.String name);
-                         ("last", Dse_json.Float last);
-                         ("max", Dse_json.Float mx);
-                       ])
-                   t.gauges) );
-          ] );
-    ]
-
-(* Decoding: the exact inverse of to_json, so a sweep can cross a wire
-   (the api's explore response) or a file and re-render identically.
-   Libraries are resolved by name through Space.known_libs — a sweep of a
-   custom library object does not round-trip, which the api documents. *)
-
-let ( let* ) = Result.bind
-
-let of_json_field name conv j =
-  match Option.bind (Dse_json.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "explore json: bad or missing %S" name)
-
-let job_of_json j =
-  let* latency = of_json_field "latency" Dse_json.to_int j in
-  let* policy_name = of_json_field "policy" Dse_json.to_str j in
-  let* lib_name = of_json_field "lib" Dse_json.to_str j in
-  let* balance = of_json_field "balance" Dse_json.to_bool j in
-  let* recipe = of_json_field "recipe" Dse_json.to_str j in
-  let* policy =
-    Option.to_result
-      ~none:(Printf.sprintf "explore json: unknown policy %S" policy_name)
-      (Space.policy_of_name policy_name)
+let job_codec =
+  let lib =
+    Codec.enum ~expected:"a known library" fst (fun name ->
+        Option.map (fun lib -> (name, lib)) (Space.lib_of_name name))
   in
-  let* lib =
-    Option.to_result
-      ~none:(Printf.sprintf "explore json: unknown library %S" lib_name)
-      (Space.lib_of_name lib_name)
-  in
-  (* Absent in pre-axis sweep files: default to one-shot. *)
-  let iterate =
-    match Option.bind (Dse_json.member "iterate" j) Dse_json.to_int with
-    | Some i -> i
-    | None -> 0
-  in
-  Ok { Space.latency; policy; lib_name; lib; balance; recipe; iterate }
+  Codec.(
+    obj (fun latency policy (lib_name, lib) balance recipe iterate ->
+        { Space.latency; policy; lib_name; lib; balance; recipe; iterate })
+    |> req "latency" int (fun j -> j.Space.latency)
+    |> req "policy" Space.policy_codec (fun j -> j.Space.policy)
+    |> req "lib" lib (fun j -> (j.Space.lib_name, j.Space.lib))
+    |> req "balance" bool (fun j -> j.Space.balance)
+    |> req "recipe" string (fun j -> j.Space.recipe)
+    (* absent in sweep files written before the iteration axis *)
+    |> dft "iterate" int ~default:0 (fun j -> j.Space.iterate)
+    |> finish ~what:"job")
 
-let transform_summary_of_json j =
-  let* t_recipe = of_json_field "recipe" Dse_json.to_str j in
-  let* t_passes = of_json_field "passes" Dse_json.to_int j in
-  let* t_fired = of_json_field "fired" Dse_json.to_int j in
-  let* t_checks = of_json_field "checks" Dse_json.to_int j in
-  let* t_rejected = of_json_field "rejected" Dse_json.to_int j in
-  let* t_nodes_before = of_json_field "nodes_before" Dse_json.to_int j in
-  let* t_nodes_after = of_json_field "nodes_after" Dse_json.to_int j in
-  let* t_depth_before = of_json_field "depth_before" Dse_json.to_int j in
-  let* t_depth_after = of_json_field "depth_after" Dse_json.to_int j in
-  Ok
-    {
-      t_recipe;
-      t_passes;
-      t_fired;
-      t_checks;
-      t_rejected;
-      t_nodes_before;
-      t_nodes_after;
-      t_depth_before;
-      t_depth_after;
-    }
+let point_codec =
+  Codec.(
+    obj (fun job metrics from_cache degraded attempts wall_s ->
+        { job; metrics; from_cache; degraded; attempts; wall_s })
+    |> req "job" job_codec (fun p -> p.job)
+    |> req "metrics" Cache.metrics_codec (fun p -> p.metrics)
+    |> req "from_cache" bool (fun p -> p.from_cache)
+    |> req "degraded" bool (fun p -> p.degraded)
+    |> req "attempts" int (fun p -> p.attempts)
+    |> req "wall_s" float (fun (p : point) -> p.wall_s)
+    |> finish ~what:"point")
 
-let point_of_json j =
-  let* job = Result.bind (of_json_field "job" Option.some j) job_of_json in
-  let* metrics =
-    Result.bind
-      (of_json_field "metrics" Option.some j)
-      (fun m ->
-        Option.to_result ~none:"explore json: bad metrics"
-          (Cache.metrics_of_json m))
-  in
-  let* from_cache = of_json_field "from_cache" Dse_json.to_bool j in
-  let* degraded = of_json_field "degraded" Dse_json.to_bool j in
-  let* attempts = of_json_field "attempts" Dse_json.to_int j in
-  let* wall_s = of_json_field "wall_s" Dse_json.to_float j in
-  Ok { job; metrics; from_cache; degraded; attempts; wall_s }
+let failure_codec =
+  Codec.(
+    obj (fun f_job f_class f_reason f_attempts ->
+        { f_job; f_class; f_reason; f_attempts })
+    |> req "job" job_codec (fun f -> f.f_job)
+    |> req "failure" failure (fun f -> f.f_class)
+    |> req "reason" string (fun f -> f.f_reason)
+    |> req "attempts" int (fun f -> f.f_attempts)
+    |> finish ~what:"failure")
 
-let failure_of_json j =
-  let* f_job = Result.bind (of_json_field "job" Option.some j) job_of_json in
-  let* f_class =
-    Result.bind
-      (of_json_field "failure" Option.some j)
-      Dse_json.failure_of_json
-  in
-  let* f_reason = of_json_field "reason" Dse_json.to_str j in
-  let* f_attempts = of_json_field "attempts" Dse_json.to_int j in
-  Ok { f_job; f_class; f_reason; f_attempts }
+let transform_summary_codec =
+  Codec.(
+    obj
+      (fun t_recipe t_passes t_fired t_checks t_rejected t_nodes_before
+           t_nodes_after t_depth_before t_depth_after ->
+        {
+          t_recipe; t_passes; t_fired; t_checks; t_rejected; t_nodes_before;
+          t_nodes_after; t_depth_before; t_depth_after;
+        })
+    |> req "recipe" string (fun s -> s.t_recipe)
+    |> req "passes" int (fun s -> s.t_passes)
+    |> req "fired" int (fun s -> s.t_fired)
+    |> req "checks" int (fun s -> s.t_checks)
+    |> req "rejected" int (fun s -> s.t_rejected)
+    |> req "nodes_before" int (fun s -> s.t_nodes_before)
+    |> req "nodes_after" int (fun s -> s.t_nodes_after)
+    |> req "depth_before" int (fun s -> s.t_depth_before)
+    |> req "depth_after" int (fun s -> s.t_depth_after)
+    |> finish ~what:"transform summary")
 
-let list_of_json name conv j =
-  Result.bind (of_json_field name Dse_json.to_list j) (fun items ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* v = conv item in
-          Ok (v :: acc))
-        (Ok []) items
-      |> Result.map List.rev)
+(* The [cache] and [telemetry] sub-objects hold fields of [t] itself. *)
+let cache_codec =
+  Codec.(
+    obj (fun hits misses recovered -> (hits, misses, recovered))
+    |> req "hits" int (fun (h, _, _) -> h)
+    |> req "misses" int (fun (_, m, _) -> m)
+    |> req "recovered" int (fun (_, _, r) -> r)
+    |> finish ~what:"cache")
 
-let of_json j =
-  let* graph_name = of_json_field "graph" Dse_json.to_str j in
-  let* digest = of_json_field "digest" Dse_json.to_str j in
-  let* rounds = of_json_field "rounds" Dse_json.to_int j in
-  let* wall_s = of_json_field "wall_s" Dse_json.to_float j in
-  let* cache = of_json_field "cache" Option.some j in
-  let* cache_hits = of_json_field "hits" Dse_json.to_int cache in
-  let* cache_misses = of_json_field "misses" Dse_json.to_int cache in
-  let* recovered = of_json_field "recovered" Dse_json.to_int cache in
-  let* points = list_of_json "points" point_of_json j in
-  let* failures = list_of_json "failures" failure_of_json j in
-  let* frontier = list_of_json "frontier" point_of_json j in
-  let* transforms = list_of_json "transforms" transform_summary_of_json j in
-  let* telemetry = of_json_field "telemetry" Option.some j in
-  let* phases =
-    list_of_json "phases"
-      (fun p ->
-        let* name = of_json_field "name" Dse_json.to_str p in
-        let* calls = of_json_field "calls" Dse_json.to_int p in
-        let* total_s = of_json_field "total_s" Dse_json.to_float p in
-        Ok (name, calls, total_s))
-      telemetry
-  in
-  (* Absent in documents written before the counter/gauge export; decode
-     them as empty rather than rejecting old files. *)
-  let optional_list name conv =
-    if Dse_json.member name telemetry = None then Ok []
-    else list_of_json name conv telemetry
-  in
-  let* counters =
-    optional_list "counters" (fun c ->
-        let* name = of_json_field "name" Dse_json.to_str c in
-        let* total = of_json_field "total" Dse_json.to_int c in
-        Ok (name, total))
-  in
-  let* gauges =
-    optional_list "gauges" (fun g ->
-        let* name = of_json_field "name" Dse_json.to_str g in
-        let* last = of_json_field "last" Dse_json.to_float g in
-        let* mx = of_json_field "max" Dse_json.to_float g in
-        Ok (name, (last, mx)))
-  in
-  Ok
-    {
-      graph_name;
-      digest;
-      points;
-      failures;
-      frontier;
-      transforms;
-      rounds;
-      wall_s;
-      cache_hits;
-      cache_misses;
-      recovered;
-      phases;
-      counters;
-      gauges;
-    }
+(* [extra_attempts] is derived from the points: written for readers of
+   the document, read back and dropped.  Counters and gauges are absent
+   in documents written before their export. *)
+let telemetry_codec =
+  Codec.(
+    obj (fun extra phases counters gauges -> (extra, phases, counters, gauges))
+    |> dft "extra_attempts" int ~default:0 (fun (e, _, _, _) -> e)
+    |> req "phases"
+         (list
+            (obj (fun name calls total_s -> (name, calls, total_s))
+            |> req "name" string (fun (n, _, _) -> n)
+            |> req "calls" int (fun (_, c, _) -> c)
+            |> req "total_s" float (fun (_, _, s) -> s)
+            |> finish ~what:"phase"))
+         (fun (_, p, _, _) -> p)
+    |> dft "counters" ~default:[]
+         (list
+            (obj (fun name total -> (name, total))
+            |> req "name" string fst
+            |> req "total" int snd
+            |> finish ~what:"counter"))
+         (fun (_, _, c, _) -> c)
+    |> dft "gauges" ~default:[]
+         (list
+            (obj (fun name last mx -> (name, (last, mx)))
+            |> req "name" string fst
+            |> req "last" float (fun (_, (l, _)) -> l)
+            |> req "max" float (fun (_, (_, m)) -> m)
+            |> finish ~what:"gauge"))
+         (fun (_, _, _, g) -> g)
+    |> finish ~what:"telemetry")
+
+let codec =
+  Codec.(
+    obj
+      (fun graph_name digest rounds wall_s (cache_hits, cache_misses, recovered)
+           points failures frontier transforms (_, phases, counters, gauges) ->
+        {
+          graph_name; digest; points; failures; frontier; transforms; rounds;
+          wall_s; cache_hits; cache_misses; recovered; phases; counters;
+          gauges;
+        })
+    |> req "graph" string (fun t -> t.graph_name)
+    |> req "digest" string (fun t -> t.digest)
+    |> req "rounds" int (fun t -> t.rounds)
+    |> req "wall_s" float (fun t -> t.wall_s)
+    |> req "cache" cache_codec (fun t ->
+           (t.cache_hits, t.cache_misses, t.recovered))
+    |> req "points" (list point_codec) (fun t -> t.points)
+    |> req "failures" (list failure_codec) (fun t -> t.failures)
+    |> req "frontier" (list point_codec) (fun t -> t.frontier)
+    |> req "transforms" (list transform_summary_codec) (fun t -> t.transforms)
+    |> req "telemetry" telemetry_codec (fun t ->
+           (extra_attempts t, t.phases, t.counters, t.gauges))
+    |> finish ~what:"sweep")
+
+let to_json = Codec.encode codec
+let of_json = Codec.decode codec
 
 let pp ppf t =
   let on_frontier =

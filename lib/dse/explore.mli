@@ -1,5 +1,5 @@
 (** The sweep driver: expand a {!Space} into jobs, satisfy what it can
-    from the {!Cache}, fan the rest out over the {!Pool}, and reduce the
+    from the {!Cache}, fan the rest out over the {!Hls_pool}, and reduce the
     reports to a {!Pareto} frontier.
 
     The latency-independent prefix of the optimized flow — the
@@ -10,7 +10,7 @@
     job order, so results are identical whatever the worker count.
 
     Resilience: transient faults are retried under the given
-    {!Pool.Retry_policy} (permanently [Infeasible] points fail fast), a
+    {!Hls_pool.Retry_policy} (permanently [Infeasible] points fail fast), a
     failed or timed-out fragmented flow can degrade to the direct
     (conventional) flow instead of losing its point, and the cache is
     journaled after every round so a killed sweep resumes from everything
@@ -91,7 +91,7 @@ val objectives : point -> Pareto.objectives
     space].  [feedback] bounds the refinement rounds: after each round
     the latency axis is probed one step either side of every frontier
     point until nothing new remains or the bound is hit (default 0: plain
-    sweep).  [retry] (default {!Pool.Retry_policy.none}) re-dispatches
+    sweep).  [retry] (default {!Hls_pool.Retry_policy.none}) re-dispatches
     jobs whose failure class the policy accepts, with exponential
     backoff.  With [degrade] (default false), a job whose fragmented flow
     still fails falls back to the direct flow and survives as a point
@@ -104,16 +104,20 @@ val objectives : point -> Pareto.objectives
     the recipes of the transformation axis are run. *)
 val run :
   ?workers:int -> ?timeout_s:float -> ?cache:Cache.t -> ?feedback:int ->
-  ?retry:Pool.Retry_policy.t -> ?degrade:bool ->
+  ?retry:Hls_pool.Retry_policy.t -> ?degrade:bool ->
   ?verify:Hls_xform.Verify.policy ->
   Hls_dfg.Graph.t -> Space.t -> t
+
+(** The sweep document's wire shape; {!to_json} and {!of_json} are its
+    two directions. *)
+val codec : t Codec.t
 
 val to_json : t -> Dse_json.t
 
 (** Exact inverse of {!to_json} — [to_json (of_json (to_json t)) = to_json t]
     — so a sweep can cross the wire (the api's explore response) and
     re-render identically.  Failure classes decode through
-    {!Dse_json.failure_of_json}; libraries are resolved by name through
+    {!Codec.failure}; libraries are resolved by name through
     {!Space.known_libs}, so a sweep of a custom library object does not
     round-trip. *)
 val of_json : Dse_json.t -> (t, string) result

@@ -121,6 +121,9 @@ let policy_of_name = function
   | "coalesced" -> Some `Coalesced
   | _ -> None
 
+let policy_codec =
+  Codec.enum ~expected:{|"full" or "coalesced"|} policy_name policy_of_name
+
 let known_libs =
   [ ("ripple", Hls_techlib.default); ("cla", Hls_techlib.fast_cla) ]
 

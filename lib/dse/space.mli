@@ -66,6 +66,9 @@ val jobs : t -> job list
 val policy_name : Hls_fragment.Mobility.policy -> string
 val policy_of_name : string -> Hls_fragment.Mobility.policy option
 
+(** A policy on the wire, by name. *)
+val policy_codec : Hls_fragment.Mobility.policy Codec.t
+
 (** The libraries a sweep can name on the command line. *)
 val known_libs : (string * Hls_techlib.t) list
 

@@ -5,9 +5,9 @@ module P = Hls_core.Pipeline
 
 (* The deprecated [P.optimized] wrapper collapsed into [Pipeline.run];
    unwrap the result the way the old entry point did. *)
-let optimized ?lib ?policy ?balance ?cleanup g ~latency =
+let optimized ?lib ?policy ?balance ?transform g ~latency =
   match
-    P.run_graph (P.make_config ?lib ?policy ?balance ?cleanup ()) g ~latency
+    P.run_graph (P.make_config ?lib ?policy ?balance ?transform ()) g ~latency
   with
   | Ok r -> r
   | Error f -> raise (Hls_util.Failure.Flow_failure f)

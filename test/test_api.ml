@@ -536,6 +536,17 @@ let test_request_decode () =
           config = { Req.default_config with iterate = 5 };
         };
       Req.Stats;
+      Req.Ping;
+      Req.Workloads { tag = None };
+      Req.Workloads { tag = Some "dsp" };
+      Req.Fuzz
+        {
+          seed = 3;
+          budget = 40;
+          lanes = [ "codec" ];
+          dir = "fz";
+          max_seconds = 2.5;
+        };
     ]
   in
   List.iter
@@ -568,6 +579,41 @@ let test_request_versioning () =
   | Req.Report { latency = 4; target_ns = None; config; _ } ->
       check_bool "defaulted config" true (config = Req.default_config)
   | _ -> Alcotest.fail "forward-compatible decode broke"
+
+(* The envelope's transport fields: a wrong type is a usage error naming
+   the field (an [id] dropped silently could not be matched by a
+   pipelining client), and [null] spells absent. *)
+let test_envelope_field_types () =
+  let usage line =
+    match Req.envelope_of_string line with
+    | Error (`Usage m) -> m
+    | Ok _ -> Alcotest.failf "accepted: %s" line
+    | Error (`Unsupported_version n) -> Alcotest.failf "version %d" n
+  in
+  check "integer id" {|"id" must be a string|}
+    (usage {|{"v":1,"id":7,"method":"ping","params":{}}|});
+  check "string deadline" {|"deadline_ms" must be a number|}
+    (usage {|{"v":1,"id":"a","deadline_ms":"soon","method":"ping","params":{}}|});
+  (match
+     Req.envelope_of_string
+       {|{"v":1,"id":null,"deadline_ms":null,"method":"ping","params":{}}|}
+   with
+  | Ok { Req.env_id = None; env_deadline_ms = None; env_req = Req.Ping } -> ()
+  | _ -> Alcotest.fail "null id and deadline must decode as absent");
+  (match
+     Req.envelope_of_string
+       {|{"v":1,"id":"a","deadline_ms":17,"method":"ping","params":{}}|}
+   with
+  | Ok { Req.env_id = Some "a"; env_deadline_ms = Some 17.; _ } -> ()
+  | _ -> Alcotest.fail "integral deadline must decode as a number");
+  (* the optional params fields without a default read null the same way *)
+  match
+    Req.of_string
+      {|{"v":1,"method":"explore","params":{"spec":{"builtin":"x"},"jobs":null,"timeout_s":null}}|}
+  with
+  | Ok (_, Req.Explore { params = { Req.jobs = None; timeout_s = None; _ }; _ })
+    -> ()
+  | _ -> Alcotest.fail "null jobs and timeout_s must decode as absent"
 
 (* Clients see these texts: one malformed field of each kind. *)
 let test_usage_messages () =
@@ -1119,6 +1165,8 @@ let suite =
     Alcotest.test_case "golden v1 response per payload" `Quick
       test_response_golden_payloads;
     Alcotest.test_case "usage messages pinned" `Quick test_usage_messages;
+    Alcotest.test_case "envelope id and deadline types" `Quick
+      test_envelope_field_types;
     Alcotest.test_case "request codec round-trips" `Quick test_request_decode;
     Alcotest.test_case "versioning and forward compat" `Quick
       test_request_versioning;

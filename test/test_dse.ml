@@ -5,7 +5,7 @@
 module P = Hls_core.Pipeline
 module Space = Hls_dse.Space
 module Cache = Hls_dse.Cache
-module Pool = Hls_dse.Pool
+module Pool = Hls_pool
 module Pareto = Hls_dse.Pareto
 module Explore = Hls_dse.Explore
 module Json = Hls_dse.Dse_json

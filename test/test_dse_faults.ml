@@ -6,7 +6,7 @@
 module P = Hls_core.Pipeline
 module Space = Hls_dse.Space
 module Cache = Hls_dse.Cache
-module Pool = Hls_dse.Pool
+module Pool = Hls_pool
 module Explore = Hls_dse.Explore
 module F = Hls_util.Faults
 module Failure = Hls_util.Failure

@@ -7,10 +7,10 @@ module Elaborate = Hls_speclang.Elaborate
 
 (* The deprecated [Pipeline.optimized] wrapper collapsed into
    [Pipeline.run]; unwrap the result the way the old entry point did. *)
-let optimized ?lib ?policy ?balance ?cleanup g ~latency =
+let optimized ?lib ?policy ?balance ?transform g ~latency =
   match
     Hls_core.Pipeline.run_graph
-      (Hls_core.Pipeline.make_config ?lib ?policy ?balance ?cleanup ())
+      (Hls_core.Pipeline.make_config ?lib ?policy ?balance ?transform ())
       g ~latency
   with
   | Ok r -> r

@@ -142,12 +142,12 @@ let test_pool_counters_under_faults () =
       delay_job = (Some (None, 0.001));
     };
   let work = Array.init 4 (fun i () -> Tm.count "test.work"; i * 10) in
-  let retry = Hls_dse.Pool.Retry_policy.make ~attempts:3 ~backoff_s:0. () in
-  let out = Hls_dse.Pool.run_retry ~workers:2 ~retry work in
+  let retry = Hls_pool.Retry_policy.make ~attempts:3 ~backoff_s:0. () in
+  let out = Hls_pool.run_retry ~workers:2 ~retry work in
   Array.iteri
     (fun i (o, attempts) ->
       match o with
-      | Hls_dse.Pool.Done v ->
+      | Hls_pool.Done v ->
           Alcotest.(check int) (Printf.sprintf "job %d result" i) (i * 10) v;
           Alcotest.(check int)
             (Printf.sprintf "job %d attempts" i)
