@@ -236,6 +236,81 @@ let prop_left_edge_no_double_booking =
            regs
          = List.length intervals)
 
+(* --- identity with the pre-rewrite binder --- *)
+
+module Bind_frag = Hls_alloc.Bind_frag
+module Oracle = Hls_oracle.Bind_oracle
+
+(* Every graph of the benchmark's latency sweep at its default latency
+   -1, 0 and +1, plus two points past 62 cycles, where a cycle set no
+   longer fits one int mask.  The expected [area.total_gates] of each
+   point pins the datapath to a fixed figure independent of both
+   binders. *)
+let sweep_points =
+  [
+    ("fir8", 5, 12083); ("fir8", 6, 10775); ("fir8", 7, 10453);
+    ("adpcm-decoder", 13, 2842); ("adpcm-decoder", 14, 2899);
+    ("adpcm-decoder", 15, 2829);
+    ("elliptic", 7, 6982); ("elliptic", 8, 6585); ("elliptic", 9, 6824);
+    ("dct8", 7, 8852); ("dct8", 8, 8970); ("dct8", 9, 9114);
+    ("random240", 13, 30608); ("random240", 14, 30112);
+    ("random240", 15, 30106);
+    ("random480", 13, 61374); ("random480", 14, 60052);
+    ("random480", 15, 59347);
+    ("adpcm-decoder", 70, 2646); ("fir8", 64, 7558);
+  ]
+
+let test_bind_matches_oracle () =
+  let prepared = Hashtbl.create 8 in
+  List.iter
+    (fun (name, latency, gates) ->
+      let p =
+        match Hashtbl.find_opt prepared name with
+        | Some p -> p
+        | None ->
+            let g = Option.get (Hls_workloads.Catalog.find_graph name) in
+            let p = P.prepare g in
+            Hashtbl.add prepared name p;
+            p
+      in
+      let what = Printf.sprintf "%s@%d" name latency in
+      let r =
+        match P.run P.default_config p ~latency with
+        | Ok r -> r
+        | Error f -> Alcotest.failf "%s: %s" what (Hls_util.Failure.to_string f)
+      in
+      let s = r.P.schedule in
+      if Bind_frag.dedicated_fus s <> Oracle.dedicated_fus s then
+        Alcotest.failf "%s: dedicated_fus differ" what;
+      if Bind_frag.stored_runs s <> Oracle.stored_runs s then
+        Alcotest.failf "%s: stored_runs differ" what;
+      if Bind_frag.registers s <> Oracle.registers s then
+        Alcotest.failf "%s: registers differ" what;
+      let dp = Bind_frag.bind s in
+      if dp <> Oracle.bind s then Alcotest.failf "%s: datapath differs" what;
+      if dp <> r.P.opt_report.P.datapath then
+        Alcotest.failf "%s: pipeline datapath differs" what;
+      Alcotest.(check int) (what ^ " total gates") gates
+        (Datapath.area P.default_config.P.lib dp).Datapath.total_gates)
+    sweep_points
+
+(* The production left-edge against the pre-rewrite first-fit scan, on
+   lists drawn to collide: few start cycles (equal [iv_from]), few widths
+   (equal widths, width 1), zero-length lives (single-cycle intervals),
+   and the empty list. *)
+let prop_left_edge_matches_oracle =
+  QCheck.Test.make ~name:"left-edge == pre-rewrite first-fit" ~count:500
+    QCheck.(list_of_size Gen.(0 -- 40)
+              (triple (int_range 1 3) (int_range 1 6) (int_range 0 3)))
+    (fun specs ->
+      let intervals =
+        List.mapi
+          (fun i (w, from_, len) ->
+            iv ~label:(string_of_int i) ~w ~from_ ~to_:(from_ + len) ())
+          specs
+      in
+      Lifetime.left_edge intervals = Oracle.left_edge intervals)
+
 let suite =
   [
     Alcotest.test_case "storage interval" `Quick test_storage_interval;
@@ -257,6 +332,12 @@ let suite =
       test_area_model_consistency;
     Alcotest.test_case "chain3 cycle-1 stored bits (paper)" `Quick
       test_chain3_cycle1_stored_bits;
+    Alcotest.test_case "bind == pre-rewrite oracle on sweep points" `Slow
+      test_bind_matches_oracle;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_left_edge_no_double_booking; prop_shared_registers_cover_reads ]
+      [
+        prop_left_edge_no_double_booking;
+        prop_shared_registers_cover_reads;
+        prop_left_edge_matches_oracle;
+      ]

@@ -159,7 +159,7 @@ let test_bind_identity () =
       let tr = first_feasible kernel 1 in
       let s = Hls_sched.Frag_sched.schedule tr in
       let dp = Hls_alloc.Bind_frag.bind s
-      and dp_ref = Hls_alloc.Bind_frag.bind_reference s in
+      and dp_ref = Hls_oracle.Bind_oracle.bind_reference s in
       if dp <> dp_ref then Alcotest.failf "%s: datapath mismatch" name)
     (sched_workloads ())
 
