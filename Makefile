@@ -65,9 +65,9 @@ iter-smoke:
 
 # Tiny-iteration run of the timing bench (reference vs Bitnet pairs) and a
 # sanity check of the JSON it emits.  --assert additionally times the
-# arrival/deadline kernels against their references on every registry
-# workload and fails loudly if any kernel is slower — a perf regression
-# gate, not just a smoke test.  The full-quota run that regenerates the
+# arrival/deadline kernels and the binder against their references on
+# every registry workload and fails loudly if any is slower — a perf
+# regression gate, not just a smoke test.  The full-quota run that regenerates the
 # committed BENCH_timing.json is `dune exec bench/main.exe -- timing
 # --json`.
 bench-smoke:
@@ -148,7 +148,7 @@ trace-smoke:
 	dune exec bin/hlsopt.exe -- explore --builtin adpcm-decoder --latency 4:6 --jobs 2 --trace $$dir/sweep.json >/dev/null 2>&1 \
 	  || { echo "trace-smoke: traced explore failed"; exit 1; }; \
 	dune exec bin/hlsopt.exe -- trace-validate $$dir/sweep.json \
-	  --expect kernel,bitnet,arrival,mobility,fragment,schedule,bind,job --min-tracks 3 >/dev/null \
+	  --expect kernel,bitnet,arrival,mobility,fragment,schedule,bind,bind.pack,bind.registers,job --min-tracks 3 >/dev/null \
 	  || { echo "trace-smoke: sweep trace failed validation"; exit 1; }; \
 	dune exec bin/hlsopt.exe -- emit-vhdl --builtin chain3 --netlist --trace $$dir/emit.json >/dev/null 2>&1 \
 	  || { echo "trace-smoke: traced emit-vhdl failed"; exit 1; }; \

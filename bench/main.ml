@@ -934,7 +934,7 @@ let timing () =
             (fun () -> ignore (Hls_sched.Frag_sched.schedule tr))
         @ (let sched = Hls_sched.Frag_sched.schedule tr in
            pair "bind"
-             (fun () -> ignore (Hls_alloc.Bind_frag.bind_reference sched))
+             (fun () -> ignore (Hls_oracle.Bind_oracle.bind_reference sched))
              (fun () -> ignore (Hls_alloc.Bind_frag.bind sched)))
         @ pair "pipeline_sweep"
             (fun () ->
@@ -951,7 +951,7 @@ let timing () =
                   in
                   let tr = Hls_fragment.Transform.apply kernel plan in
                   let s = Hls_sched.Frag_sched.schedule_reference tr in
-                  let dp = Hls_alloc.Bind_frag.bind_reference s in
+                  let dp = Hls_oracle.Bind_oracle.bind_reference s in
                   ignore (Hls_alloc.Datapath.cycle_ns lib dp);
                   ignore (Hls_alloc.Datapath.execution_ns lib dp);
                   ignore (Hls_alloc.Datapath.area lib dp);
@@ -1188,12 +1188,12 @@ let timing () =
     Printf.printf "wrote %s\n" path
   end;
   if assert_mode then begin
-    (* A timing kernel slower than its retained reference is a
-       regression, not a tradeoff — fail the build loudly. *)
+    (* A timing kernel or the binder slower than its retained reference
+       is a regression, not a tradeoff — fail the build loudly. *)
     let failed = ref false in
     List.iter
       (fun (w, a, _, _, s) ->
-        if (a = "arrival" || a = "deadline") && s < 1.0 then begin
+        if (a = "arrival" || a = "deadline" || a = "bind") && s < 1.0 then begin
           failed := true;
           Printf.eprintf "bench-assert: %s/%s at %.2fx, slower than its \
                           reference\n" w a s
@@ -1201,7 +1201,9 @@ let timing () =
       rows;
     (* Sweep every registry workload, not just the benched ones: best-of-
        batches wall timing of the amortized kernels (prebuilt net, the
-       serving-path configuration) against the per-query references. *)
+       serving-path configuration) against the per-query references, and
+       of the flat-array binder against the list-based binder it replaced
+       (both on the net) at the workload's default latency. *)
     let best_ns f =
       ignore (Sys.opaque_identity (f ()));
       let batch reps =
@@ -1223,7 +1225,7 @@ let timing () =
       !best *. 1e9 /. float_of_int !reps
     in
     List.iter
-      (fun (w, g) ->
+      (fun (w, g, latency) ->
         let kernel = P.prepare_kernel g in
         let net = Hls_timing.Bitnet.build kernel in
         let total =
@@ -1246,10 +1248,18 @@ let timing () =
         check "deadline"
           (fun () ->
             Hls_timing.Deadline.compute_reference kernel ~total_slots:total)
-          (fun () -> Hls_timing.Deadline.of_net net ~total_slots:total))
+          (fun () -> Hls_timing.Deadline.of_net net ~total_slots:total);
+        match P.run P.default_config (P.prepared_of_kernel kernel) ~latency with
+        | Ok r ->
+            check "bind"
+              (fun () -> Hls_oracle.Bind_oracle.bind r.P.schedule)
+              (fun () -> Hls_alloc.Bind_frag.bind r.P.schedule)
+        | Error _ -> ())
       (List.map
          (fun e ->
-           (e.Hls_workloads.Catalog.name, Hls_workloads.Catalog.graph e))
+           ( e.Hls_workloads.Catalog.name,
+             Hls_workloads.Catalog.graph e,
+             e.Hls_workloads.Catalog.default_latency ))
          (Hls_workloads.Catalog.all ()));
     (* Gate the sections other benches merged into the same JSON file:
        the iteration bench must not lose cycles against its own
@@ -1324,8 +1334,8 @@ let timing () =
              | _ -> Printf.printf "bench-assert: fuzz section within bounds\n")));
     if !failed then exit 1;
     print_endline
-      "bench-assert: ok (arrival and deadline kernels at or above their \
-       references on every workload)"
+      "bench-assert: ok (arrival and deadline kernels and the binder at or \
+       above their references on every workload)"
   end
 
 (* ------------------------------------------------------------------ *)

@@ -39,10 +39,3 @@ val dedicated_fus : Hls_sched.Frag_sched.t -> (Datapath.fu * node list) list
 
 (** Build the optimized datapath summary from a fragment schedule. *)
 val bind : Hls_sched.Frag_sched.t -> Datapath.t
-
-(** Identical binding through per-query {!Hls_timing.Bitdep} evaluation:
-    the executable pre-net baseline for the timing benchmark and the
-    property tests' datapath-identity check.  Produces the same datapath
-    as {!bind}. *)
-val bind_reference : Hls_sched.Frag_sched.t -> Datapath.t
-
