@@ -106,6 +106,9 @@ fuzz-smoke:
 #     moment) exits non-zero but leaves the write-ahead journal behind.
 #  3. `--resume` replays that journal: every point is recovered, nothing
 #     is recomputed, and the frontier is non-empty again.
+#  4. Network faults: a daemon armed with drop-conn or truncate-write,
+#     and a router armed with drop-conn in front of an unfaulted daemon,
+#     still answer a retrying `hlsopt call`.
 fault-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf '$$dir EXIT; \
 	out=$$(HLS_FAULTS="fail-job=0:1" dune exec bin/hlsopt.exe -- explore --builtin chain3 --latency 2:4 --retries 3 --json) \
@@ -135,9 +138,17 @@ fault-smoke:
 	  || { echo "fault-smoke: call did not ride out a truncated response"; kill $$fpid; exit 1; }; \
 	grep -q '"ok":true' $$dir/f2.txt || { echo "fault-smoke: no answer after truncate-write retry"; kill $$fpid; exit 1; }; \
 	kill -TERM $$fpid; wait $$fpid; \
+	$$hlsopt serve --socket $$dir/b.sock 2>/dev/null & bpid=$$!; \
+	for i in $$(seq 50); do test -S $$dir/b.sock && break; sleep 0.1; done; \
+	HLS_FAULTS="drop-conn=1" $$hlsopt route --backends $$dir/b.sock --socket $$dir/r.sock 2>/dev/null & fpid=$$!; \
+	for i in $$(seq 50); do test -S $$dir/r.sock && break; sleep 0.1; done; \
+	echo "$$req" | $$hlsopt call --connect $$dir/r.sock --retries 2 --backoff 0.05 > $$dir/r.txt \
+	  || { echo "fault-smoke: routed call did not ride out a dropped connection"; kill $$fpid $$bpid; exit 1; }; \
+	grep -q '"ok":true' $$dir/r.txt || { echo "fault-smoke: no routed answer after drop-conn retry"; kill $$fpid $$bpid; exit 1; }; \
+	kill -TERM $$fpid; wait $$fpid; kill -TERM $$bpid; wait $$bpid; \
 	echo "$$req" | $$hlsopt call --connect $$dir/no-daemon.sock --retries 2 --backoff 0.01 >/dev/null 2>&1; \
 	test $$? -eq 8 || { echo "fault-smoke: give-up on a dead socket should exit 8 (unavailable)"; exit 1; }; \
-	echo "fault-smoke: ok (retries, crash journal, resume, and network faults all hold)"
+	echo "fault-smoke: ok (retries, crash journal, resume, and network faults on the daemon and the router all hold)"
 
 # Telemetry smoke: a 2-worker sweep under --trace must leave a
 # Perfetto-loadable Chrome trace with every pipeline phase span and one

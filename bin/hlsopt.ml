@@ -1116,9 +1116,10 @@ let route_cmd =
   let io_timeout_arg =
     Arg.(value & opt float 30.
          & info [ "io-timeout" ] ~docv:"SECS"
-             ~doc:"Per-client write timeout: a client that stops reading \
-                   its responses is dropped after this long instead of \
-                   stalling the router (0 = no timeout).")
+             ~doc:"Per-client read/write timeout: a client that stops \
+                   reading its responses, or stalls mid-request, is dropped \
+                   after this long instead of stalling the router (0 = no \
+                   timeout).")
   in
   Cmd.v
     (Cmd.info "route"

@@ -1,8 +1,12 @@
 (* The front-end router: one process that owns client connections and
    fans requests out over N backend daemons.
 
-   Everything runs in a single coordinator select loop, like the server:
-   client lines are decoded, admitted against a bounded in-flight cap,
+   Everything runs in one coordinator on Hls_server.Loop, the readiness
+   loop the daemon uses too: the loop owns client sockets, framing,
+   writes and read timeouts, and also waits on the backend connections.
+   It wakes on the earliest of the next probe, an outstanding probe's
+   timeout, a held request's retry time and the drain grace.  Client
+   lines are decoded, admitted against a bounded in-flight cap,
    and consistent-hashed by graph digest onto a backend (digest affinity
    keeps each design's memoized prepare prefix and WAL cache hot on one
    shard).  Requests are forwarded with rewritten ids ("r<seq>"), and
@@ -33,7 +37,7 @@ module R = Hls_api.Request
 module Resp = Hls_api.Response
 module Client = Hls_server.Client
 module Retry_policy = Hls_pool.Retry_policy
-module Faults = Hls_util.Faults
+module Loop = Hls_server.Loop
 
 type spawn = {
   count : int;
@@ -55,8 +59,8 @@ type config = {
   hold_s : float;  (** how long an unroutable request waits for a backend *)
   grace_s : float;
   io_timeout_s : float option;
-      (** SO_SNDTIMEO on accepted client connections: a client that
-          stops reading is dropped instead of wedging the coordinator *)
+      (** SO_SNDTIMEO on accepted client connections, and the cut-off
+          for a client stalled mid-line *)
   max_line : int;
 }
 
@@ -127,72 +131,6 @@ let affinity_key =
             Hashtbl.add memo spec k;
             k)
 
-(* ------------------------------------------------------------------ *)
-(* Connections (client side of the router and router side of a
-   backend share the same line framing).                               *)
-
-type conn = {
-  fd : Unix.file_descr;
-  buf : Buffer.t;
-  mutable alive : bool;
-}
-
-let write_line conn s =
-  if conn.alive then begin
-    let line = s ^ "\n" in
-    let len = String.length line in
-    let len, truncate =
-      match Faults.on_net_write ~len with
-      | Some l -> (min l len, true)
-      | None -> (len, false)
-    in
-    let rec go off =
-      if off < len then
-        match Unix.write_substring conn.fd line off (len - off) with
-        | n -> go (off + n)
-        | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-            conn.alive <- false
-        | exception
-            Unix.Unix_error
-              ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _) ->
-            conn.alive <- false
-    in
-    go 0;
-    if truncate && conn.alive then begin
-      (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
-       with Unix.Unix_error _ -> ());
-      conn.alive <- false
-    end
-  end
-
-let read_into conn =
-  Faults.on_read ();
-  let chunk = Bytes.create 65536 in
-  match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-  | 0 -> conn.alive <- false
-  | n -> Buffer.add_subbytes conn.buf chunk 0 n
-  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> conn.alive <- false
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-
-(* Pop complete lines out of the buffer. *)
-let split_lines conn =
-  let data = Buffer.contents conn.buf in
-  let n = String.length data in
-  let lines = ref [] in
-  let start = ref 0 in
-  (try
-     while !start < n do
-       match String.index_from data !start '\n' with
-       | nl ->
-           lines := String.sub data !start (nl - !start) :: !lines;
-           start := nl + 1
-       | exception Not_found -> raise Exit
-     done
-   with Exit -> ());
-  Buffer.clear conn.buf;
-  Buffer.add_substring conn.buf data !start (n - !start);
-  List.rev !lines
-
 (* A bounded one-shot ping for fleet boot: SO_RCVTIMEO/SO_SNDTIMEO keep
    a child that accepts the connection but never answers (or never
    reads) from wedging startup — the blocking Client.call would wait on
@@ -243,7 +181,7 @@ type backend = {
   b_address : Client.address;
   b_spawn_index : int option;
   mutable b_pid : int option;
-  mutable b_conn : conn option;
+  mutable b_conn : Loop.conn option;
   b_health : Health.t;
   mutable b_probe : (string * float) option;  (** outstanding (id, sent) *)
 }
@@ -252,7 +190,7 @@ type backend = {
 (* In-flight requests.                                                 *)
 
 type gather = {
-  g_client : conn;
+  g_client : Loop.conn;
   g_id : string option;
   g_total : int;
   mutable g_parts : (int * Hls_dse.Explore.t) list;
@@ -261,7 +199,7 @@ type gather = {
 
 type inflight = {
   i_seq : int;
-  i_client : conn;
+  i_client : Loop.conn;
   i_id : string option;
   i_deadline : float option;
   i_req : R.t;
@@ -281,44 +219,23 @@ let expired_timeout deadline_ms =
 (* ------------------------------------------------------------------ *)
 (* The router.                                                         *)
 
-let unix_listener path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try if Sys.file_exists path then Sys.remove path
-   with Sys_error _ -> ());
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  Unix.set_nonblock fd;
-  fd
-
-let tcp_listener (host, port) =
-  let ip =
-    match Client.resolve_host host with
-    | Ok a -> a
-    | Error m -> invalid_arg ("Router.serve: " ^ m)
-  in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (ip, port));
-  Unix.listen fd 64;
-  Unix.set_nonblock fd;
-  fd
-
 let serve ?(stop = Atomic.make false) ?(handle_signals = false)
     ?(stats = make_stats ()) ?(log = fun _ -> ()) cfg =
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
-  if handle_signals then begin
-    let quit = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-    Sys.set_signal Sys.sigterm quit;
-    Sys.set_signal Sys.sigint quit
-  end;
-  let listeners =
-    (match cfg.socket with None -> [] | Some p -> [ unix_listener p ])
-    @ match cfg.listen with None -> [] | Some hp -> [ tcp_listener hp ]
+  if cfg.backends = []
+     && match cfg.spawn with None -> true | Some sp -> sp.count <= 0
+  then invalid_arg "Router.serve: no backends";
+  let loop =
+    Loop.create ~handle_signals ~stop
+      {
+        Loop.name = "router";
+        socket = cfg.socket;
+        listen = cfg.listen;
+        max_line = cfg.max_line;
+        max_conns = None;
+        io_timeout_s = cfg.io_timeout_s;
+        grace_s = cfg.grace_s;
+      }
   in
-  if listeners = [] then
-    invalid_arg "Router.serve: no endpoint (need a socket path or listen)";
   (* ---- backend table --------------------------------------------- *)
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let spawn_child (sp : spawn) i =
@@ -351,7 +268,6 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
                    (sp.socket_of i));
             mk_backend ~spawn_index:i ~pid (sp.socket_of i))
   in
-  if backends = [] then invalid_arg "Router.serve: no backends";
   let backend_tbl = Hashtbl.create 8 in
   List.iter (fun b -> Hashtbl.replace backend_tbl b.b_name b) backends;
   let ring = Ring.make (List.map (fun b -> b.b_name) backends) in
@@ -375,7 +291,6 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
           wait ())
         (List.init sp.count Fun.id));
   (* ---- shared mutable state -------------------------------------- *)
-  let clients = ref [] in
   let inflight_tbl : (int, inflight) Hashtbl.t = Hashtbl.create 64 in
   let waiting : (inflight * float) Queue.t = Queue.create () in
   let seq = ref 0 in
@@ -383,7 +298,7 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
   let last_probe = ref 0. in
   let inflight_load () = Hashtbl.length inflight_tbl + Queue.length waiting in
   let respond_client conn resp =
-    write_line conn (Resp.to_string resp);
+    Loop.respond conn resp;
     Atomic.incr stats.served
   in
   let shed conn ?id error =
@@ -411,7 +326,7 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
         | Ok fd ->
             (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO cfg.probe_timeout_s
              with Unix.Unix_error _ | Invalid_argument _ -> ());
-            let c = { fd; buf = Buffer.create 256; alive = true } in
+            let c = Loop.conn ~name:"router" fd in
             b.b_conn <- Some c;
             Some c)
   in
@@ -477,7 +392,7 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
                ~id:("r" ^ string_of_int fl.i_seq)
                ?deadline_ms:fl.i_deadline fl.i_req)
         in
-        write_line c line;
+        Loop.write_line c line;
         c.alive
   in
   let dispatch now fl =
@@ -724,24 +639,28 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
       (fun _ fl acc -> acc || fl.i_backend = Some b.b_name)
       inflight_tbl false
   in
+  (* Returns the next time a probe is due or an outstanding one times
+     out. *)
   let probe_sweep now =
+    (* Time out a stuck probe — but liveness is decoupled from request
+       latency: a backend with our requests in flight has a
+       single-threaded coordinator that answers pings between batches,
+       so a late probe while it owes us answers only proves it is
+       executing, not dead.  A crash still surfaces immediately as
+       EOF/ECONNRESET on the connection.  Only an *idle* backend that
+       cannot answer a ping within the probe timeout counts as failed. *)
+    List.iter
+      (fun b ->
+        match b.b_probe with
+        | Some (_, sent) when now -. sent >= cfg.probe_timeout_s ->
+            if backend_busy b then b.b_probe <- None
+            else fail_backend now b "probe timeout"
+        | _ -> ())
+      backends;
     if now -. !last_probe >= cfg.probe_interval_s then begin
       last_probe := now;
       List.iter
         (fun b ->
-          (* Time out a stuck probe — but liveness is decoupled from
-             request latency: a backend with our requests in flight has
-             a single-threaded coordinator that answers pings between
-             batches, so a late probe while it owes us answers only
-             proves it is executing, not dead.  A crash still surfaces
-             immediately as EOF/ECONNRESET on the connection.  Only an
-             *idle* backend that cannot answer a ping within the probe
-             timeout counts as failed. *)
-          (match b.b_probe with
-          | Some (_, sent) when now -. sent > cfg.probe_timeout_s ->
-              if backend_busy b then b.b_probe <- None
-              else fail_backend now b "probe timeout"
-          | _ -> ());
           let want_probe =
             b.b_probe = None
             && (Health.is_routable b.b_health
@@ -756,7 +675,7 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
             | Some c ->
                 incr probe_seq;
                 let id = "hc" ^ string_of_int !probe_seq in
-                write_line c
+                Loop.write_line c
                   (Hls_dse.Dse_json.to_string (R.to_json ~id R.Ping));
                 if c.alive then b.b_probe <- Some (id, now)
                 else fail_backend now b "probe write failed")
@@ -770,7 +689,14 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
             ("router.backend." ^ b.b_name ^ ".healthy")
             (if Health.is_routable b.b_health then 1. else 0.))
         backends
-    end
+    end;
+    List.fold_left
+      (fun next b ->
+        match b.b_probe with
+        | Some (_, sent) -> Float.min next (sent +. cfg.probe_timeout_s)
+        | None -> next)
+      (!last_probe +. cfg.probe_interval_s)
+      backends
   in
   (* ---- child reaping / respawn ------------------------------------ *)
   let reap_children now =
@@ -802,194 +728,102 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
           backends
   in
   (* ---- waiting queue ---------------------------------------------- *)
+  (* Dispatches every entry that is due; returns the earliest not-before
+     time still waiting. *)
   let run_waiting now =
     let n = Queue.length waiting in
     for _ = 1 to n do
       let fl, not_before = Queue.pop waiting in
       if now >= not_before then dispatch now fl
       else Queue.add (fl, not_before) waiting
-    done
+    done;
+    Queue.fold (fun next (_, t) -> Float.min next t) infinity waiting
   in
-  (* ---- accept ----------------------------------------------------- *)
-  let accept_one listen_fd =
-    let rec go () =
-      match Unix.accept listen_fd with
-      | fd, _ ->
-          if Faults.on_accept () then begin
-            Hls_telemetry.count "router.fault_dropped_conns";
-            (try Unix.close fd with Unix.Unix_error _ -> ())
-          end
-          else begin
-            Hls_telemetry.count "router.connections";
-            (match cfg.io_timeout_s with
-            | Some t -> (
-                (* Bounds blocking response writes: a client that stops
-                   reading hits ETIMEDOUT in write_line and is dropped
-                   instead of wedging the single-threaded coordinator
-                   (and every backend behind it). *)
-                try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t
-                with Unix.Unix_error _ | Invalid_argument _ -> ())
-            | None -> ());
-            clients := { fd; buf = Buffer.create 256; alive = true } :: !clients
-          end;
-          go ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    in
-    go ()
-  in
-  let close_conn c = try Unix.close c.fd with Unix.Unix_error _ -> () in
-  (* ---- main loop --------------------------------------------------- *)
-  let drain () =
-    (* Stop taking work; wait for in-flight answers within the grace
-       window; answer whatever is left Unavailable. *)
-    let deadline = Unix.gettimeofday () +. cfg.grace_s in
-    Queue.iter
-      (fun (fl, _) -> give_up fl "router draining")
-      waiting;
-    Queue.clear waiting;
-    let rec wait () =
-      if Hashtbl.length inflight_tbl > 0 && Unix.gettimeofday () < deadline
-      then begin
-        let bfds =
-          List.filter_map
-            (fun b ->
-              match b.b_conn with
-              | Some c when c.alive -> Some c.fd
-              | _ -> None)
-            backends
-        in
-        (match Unix.select bfds [] [] 0.1 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | ready, _, _ ->
-            List.iter
-              (fun b ->
-                match b.b_conn with
-                | Some c when c.alive && List.memq c.fd ready ->
-                    read_into c;
-                    List.iter (handle_backend_line b) (split_lines c);
+  (* ---- backend reads ---------------------------------------------- *)
+  let backend_fds () =
+    List.filter_map
+      (fun b ->
+        match b.b_conn with
+        | Some c when c.alive ->
+            Some
+              ( c.fd,
+                fun () ->
+                  (* a dispatch earlier in this round may have closed it *)
+                  if c.alive then begin
+                    Loop.read c;
+                    List.iter (handle_backend_line b)
+                      (fst (Loop.frame ~max_line:max_int c));
                     if not c.alive then
                       fail_backend (Unix.gettimeofday ()) b
                         "backend connection lost"
-                | _ -> ())
-              backends);
-        run_waiting (Unix.gettimeofday ());
-        wait ()
-      end
-    in
-    wait ();
-    let leftovers = Hashtbl.fold (fun _ fl acc -> fl :: acc) inflight_tbl [] in
-    List.iter
-      (fun fl -> give_up fl "draining: shutdown grace expired")
-      leftovers;
-    (* bring the children down with us *)
-    match cfg.spawn with
-    | None -> ()
-    | Some _ ->
-        List.iter
-          (fun b ->
-            match b.b_pid with
-            | Some pid -> (
-                try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-            | None -> ())
-          backends;
-        let kill_deadline = Unix.gettimeofday () +. 5. in
-        List.iter
-          (fun b ->
-            match b.b_pid with
-            | None -> ()
-            | Some pid ->
-                let rec reap () =
-                  match Unix.waitpid [ Unix.WNOHANG ] pid with
-                  | 0, _ ->
-                      if Unix.gettimeofday () < kill_deadline then begin
-                        Unix.sleepf 0.05;
-                        reap ()
-                      end
-                      else begin
-                        (try Unix.kill pid Sys.sigkill
-                         with Unix.Unix_error _ -> ());
-                        ignore (Unix.waitpid [] pid)
-                      end
-                  | _ -> ()
-                  | exception Unix.Unix_error _ -> ()
-                in
-                reap ())
-          backends
+                  end )
+        | _ -> None)
+      backends
   in
-  let running = ref true in
-  while !running do
-    if Atomic.get stop then begin
-      drain ();
-      running := false
-    end
-    else begin
-      let now = Unix.gettimeofday () in
-      reap_children now;
-      probe_sweep now;
-      run_waiting now;
-      let bconns =
-        List.filter_map
-          (fun b ->
-            match b.b_conn with
-            | Some c when c.alive -> Some (b, c)
-            | _ -> None)
-          backends
-      in
-      let fds =
-        listeners
-        @ List.filter_map (fun c -> if c.alive then Some c.fd else None) !clients
-        @ List.map (fun (_, c) -> c.fd) bconns
-      in
-      match Unix.select fds [] [] 0.05 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | ready, _, _ ->
-          List.iter (fun l -> if List.memq l ready then accept_one l) listeners;
-          List.iter
-            (fun c ->
-              if c.alive && List.memq c.fd ready then begin
-                read_into c;
-                if Buffer.length c.buf > cfg.max_line then begin
-                  respond_client c
-                    (Resp.fail (Resp.Usage "request line too long"));
-                  c.alive <- false
+  (* ---- drain ------------------------------------------------------ *)
+  let stop_children () =
+    let pids = List.filter_map (fun b -> b.b_pid) backends in
+    List.iter
+      (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
+      pids;
+    let kill_deadline = Unix.gettimeofday () +. 5. in
+    let rec reap pid =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Unix.gettimeofday () < kill_deadline ->
+          Unix.sleepf 0.05;
+          reap pid
+      | 0, _ ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid)
+      | _ | (exception Unix.Unix_error _) -> ()
+    in
+    List.iter reap pids
+  in
+  let give_up_waiting reason =
+    Queue.iter (fun (fl, _) -> give_up fl reason) waiting;
+    Queue.clear waiting
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter close_bconn backends;
+      try Unix.close devnull with Unix.Unix_error _ -> ())
+    (fun () ->
+      Loop.run loop
+        {
+          Loop.on_line =
+            (fun c line -> handle_client_line (Unix.gettimeofday ()) c line);
+          on_turn =
+            (fun now ->
+              (* No probes or respawns once stopping: the drain only
+                 waits on answers already owed. *)
+              let next_probe =
+                if Atomic.get stop then infinity
+                else begin
+                  reap_children now;
+                  probe_sweep now
                 end
-                else
-                  List.iter
-                    (handle_client_line (Unix.gettimeofday ()) c)
-                    (split_lines c)
-              end)
-            !clients;
-          List.iter
-            (fun (b, c) ->
-              if c.alive && List.memq c.fd ready then begin
-                read_into c;
-                List.iter (handle_backend_line b) (split_lines c);
-                if not c.alive then
-                  fail_backend (Unix.gettimeofday ()) b
-                    "backend connection lost"
-              end)
-            bconns;
-          (* forget dead client connections with nothing in flight *)
-          let dead, live =
-            List.partition
-              (fun c ->
-                (not c.alive)
-                && not
-                     (Hashtbl.fold
-                        (fun _ fl acc -> acc || fl.i_client == c)
-                        inflight_tbl false))
-              !clients
-          in
-          List.iter close_conn dead;
-          clients := live
-    end
-  done;
-  List.iter close_conn !clients;
-  List.iter (fun b -> close_bconn b) backends;
-  List.iter (fun l -> try Unix.close l with Unix.Unix_error _ -> ()) listeners;
-  (try Unix.close devnull with Unix.Unix_error _ -> ());
-  match cfg.socket with
-  | Some p -> ( try Sys.remove p with Sys_error _ -> ())
-  | None -> ()
+              in
+              Float.min next_probe (run_waiting now));
+          extra = backend_fds;
+          owes =
+            (fun c ->
+              Hashtbl.fold
+                (fun _ fl acc -> acc || fl.i_client == c)
+                inflight_tbl false);
+          busy = (fun () -> inflight_load () > 0);
+          on_drain =
+            (fun _ ->
+              (* Stop taking work; the loop waits on the backends for
+                 in-flight answers within the grace window. *)
+              give_up_waiting "router draining");
+          on_drained =
+            (fun () ->
+              (* Answer whatever the grace window cut off, then bring the
+                 children down with us. *)
+              let reason = "draining: shutdown grace expired" in
+              Hashtbl.fold (fun _ fl acc -> fl :: acc) inflight_tbl []
+              |> List.iter (fun fl -> give_up fl reason);
+              (* failovers during the drain may have parked work here *)
+              give_up_waiting reason;
+              stop_children ());
+        })

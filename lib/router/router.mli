@@ -34,9 +34,10 @@ type config = {
   hold_s : float;  (** how long an unroutable request waits *)
   grace_s : float;  (** shutdown drain bound *)
   io_timeout_s : float option;
-      (** SO_SNDTIMEO on accepted client connections: a client that
-          stops reading is dropped instead of wedging the coordinator;
-          [None] = wait forever *)
+      (** bound on response writes (SO_SNDTIMEO on accepted client
+          connections: a client that stops reading is dropped instead of
+          wedging the coordinator) and on clients stalled mid-line (cut
+          off with [Unavailable]); [None] = wait forever *)
   max_line : int;
 }
 
@@ -71,7 +72,8 @@ val make_stats : unit -> stats
 val affinity_key : Hls_api.Request.t -> string
 
 (** Run the router until [stop] flips (or SIGTERM/SIGINT when
-    [handle_signals]).  Blocks; raises [Invalid_argument] when the
+    [handle_signals]) on {!Hls_server.Loop}, the daemon's readiness
+    loop.  Blocks; raises [Invalid_argument] when the
     config has no endpoint or no backends.  [log] receives one line per
     fleet event (spawn, ejection, respawn). *)
 val serve :

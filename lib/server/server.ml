@@ -1,16 +1,18 @@
 (* The request daemon: line-delimited JSON over a Unix-domain socket, a
    TCP socket, or both.
 
-   One coordinator thread owns everything: a select loop reads complete
-   lines off client connections, decodes them into Api requests, and
-   admits them to a bounded queue.  Each select round executes one batch
-   through Exec.run_batch — pure per-request suffixes fan out over a
-   domain pool while explore requests (which own a pool and write the
-   shared sweep cache) run serially in the coordinator — then returns to
-   select, so fresh lines are read between batches even while a deep
-   queue works off.  Pings are answered at decode time, never queued:
-   liveness probes do not wait on batch latency and cannot be shed
-   Overloaded.  Responses go back on the connection the request came
+   One coordinator thread owns everything.  It runs on Loop, the
+   readiness loop shared with the router, which owns the sockets, line
+   framing, writes and read timeouts; this module decodes each complete
+   line into an Api request and admits it to a bounded queue.  Each loop
+   round executes one batch through Exec.run_batch — pure per-request
+   suffixes fan out over a domain pool while explore requests (which own
+   a pool and write the shared sweep cache) run serially in the
+   coordinator — then returns to select, polling rather than sleeping
+   while work is queued, so fresh lines are read between batches even
+   while a deep queue works off.  Pings are answered at decode time,
+   never queued: liveness probes do not wait on batch latency and cannot
+   be shed Overloaded.  Responses go back on the connection the request came
    from; requests carry ids, and a shed response can overtake an
    admitted one, so clients match on id rather than order.
 
@@ -22,17 +24,16 @@
    deadline rides into Exec so work whose client gave up while it was
    queued never reaches a worker.
 
-   A SIGTERM (or the caller's stop flag) drains: lines already read are
-   decoded, the queue is executed until empty or until the grace window
-   closes, responses are flushed, and whatever the grace window cut off
-   is answered Unavailable (exit code 8, retryable) so no accepted line
+   A SIGTERM (or the caller's stop flag) drains: nothing new is read,
+   the queue is executed until empty or until the grace window closes,
+   responses are flushed, and whatever the grace window cut off is
+   answered Unavailable (exit code 8, retryable) so no accepted line
    ever goes unanswered.  Queued explore requests are shed Unavailable
    at drain time rather than executed: they run serially and cannot be
    preempted, so only shedding keeps the drain genuinely bounded. *)
 
 module R = Hls_api.Request
 module Resp = Hls_api.Response
-module Faults = Hls_util.Faults
 
 type config = {
   socket : string option;
@@ -59,50 +60,7 @@ let default_config ~socket =
     grace_s = 5.0;
   }
 
-type conn = {
-  fd : Unix.file_descr;
-  buf : Buffer.t;
-  mutable alive : bool;
-  mutable last_read : float;  (** when the last byte arrived *)
-}
-
 let now_ms () = Unix.gettimeofday () *. 1e3
-
-let write_line conn s =
-  if conn.alive then begin
-    let line = s ^ "\n" in
-    let len = String.length line in
-    (* An armed truncate-write fault sends a prefix and slams the
-       connection: the client sees a half line and a close, exactly what
-       a crashing peer produces. *)
-    let len, truncate =
-      match Faults.on_net_write ~len with
-      | Some l -> (min l len, true)
-      | None -> (len, false)
-    in
-    let rec go off =
-      if off < len then
-        match Unix.write_substring conn.fd line off (len - off) with
-        | n -> go (off + n)
-        | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-            conn.alive <- false
-        | exception
-            Unix.Unix_error
-              ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _) ->
-            (* SO_SNDTIMEO expired: the peer stopped reading.  Drop it
-               rather than wedge the coordinator. *)
-            Hls_telemetry.count "server.write_timeout";
-            conn.alive <- false
-    in
-    go 0;
-    if truncate && conn.alive then begin
-      (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
-       with Unix.Unix_error _ -> ());
-      conn.alive <- false
-    end
-  end
-
-let respond conn resp = write_line conn (Resp.to_string resp)
 
 let expired_timeout deadline_ms =
   Hls_util.Failure.Timeout (max 0. ((now_ms () -. deadline_ms) /. 1e3))
@@ -114,98 +72,43 @@ let handle_line ~admit conn line =
   if String.trim line = "" then ()
   else
     match R.envelope_of_string line with
-    | Error (`Usage m) -> respond conn (Resp.fail (Resp.Usage m))
+    | Error (`Usage m) -> Loop.respond conn (Resp.fail (Resp.Usage m))
     | Error (`Unsupported_version n) ->
-        respond conn (Resp.fail (Resp.Unsupported_version n))
+        Loop.respond conn (Resp.fail (Resp.Unsupported_version n))
     | Ok { R.env_id = id; env_req = R.Ping; _ } ->
         (* Liveness must not depend on queue capacity or batch latency:
            a ping is answered at decode time, never admitted, so a
            health-checker's probe cannot be shed Overloaded or stuck
            behind a batch that is already queued. *)
-        respond conn
+        Loop.respond conn
           { Resp.id; result = Ok (Resp.Pong { pong_pid = Unix.getpid () }) }
     | Ok { R.env_id = id; env_deadline_ms; env_req } -> (
         match env_deadline_ms with
         | Some d when now_ms () > d ->
             Hls_telemetry.count "server.deadline_shed";
-            respond conn (Resp.fail ?id (Resp.Failed (expired_timeout d)))
+            Loop.respond conn (Resp.fail ?id (Resp.Failed (expired_timeout d)))
         | _ -> (
             match admit (conn, id, env_deadline_ms, env_req) with
             | `Admitted -> ()
             | `Overloaded (queued, capacity) ->
                 Hls_telemetry.count "server.overloaded";
-                respond conn
+                Loop.respond conn
                   (Resp.fail ?id (Resp.Overloaded { queued; capacity }))))
 
-(* Split freshly buffered bytes into complete lines; the trailing
-   fragment stays buffered. *)
-let drain_lines ~max_line ~admit conn =
-  let data = Buffer.contents conn.buf in
-  let n = String.length data in
-  let start = ref 0 in
-  (try
-     while !start < n do
-       match String.index_from data !start '\n' with
-       | nl ->
-           handle_line ~admit conn (String.sub data !start (nl - !start));
-           start := nl + 1
-       | exception Not_found -> raise Exit
-     done
-   with Exit -> ());
-  Buffer.clear conn.buf;
-  Buffer.add_substring conn.buf data !start (n - !start);
-  if Buffer.length conn.buf > max_line then begin
-    respond conn (Resp.fail (Resp.Usage "request line too long"));
-    conn.alive <- false
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Listeners.                                                          *)
-
-let unix_listener path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try if Sys.file_exists path then Sys.remove path
-   with Sys_error _ -> ());
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  Unix.set_nonblock fd;
-  fd
-
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | a -> a
-  | exception Failure _ -> (
-      match (Unix.gethostbyname host).Unix.h_addr_list with
-      | [||] -> invalid_arg (Printf.sprintf "cannot resolve host %S" host)
-      | addrs -> addrs.(0)
-      | exception Not_found ->
-          invalid_arg (Printf.sprintf "cannot resolve host %S" host))
-
-let tcp_listener (host, port) =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (resolve_host host, port));
-  Unix.listen fd 64;
-  Unix.set_nonblock fd;
-  fd
-
 let serve ?(stop = Atomic.make false) ?(handle_signals = false) cfg exec =
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
-  if handle_signals then begin
-    let quit = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-    Sys.set_signal Sys.sigterm quit;
-    Sys.set_signal Sys.sigint quit
-  end;
-  let listeners =
-    (match cfg.socket with None -> [] | Some p -> [ unix_listener p ])
-    @ match cfg.listen with None -> [] | Some hp -> [ tcp_listener hp ]
+  let loop =
+    Loop.create ~handle_signals ~stop
+      {
+        Loop.name = "server";
+        socket = cfg.socket;
+        listen = cfg.listen;
+        max_line = cfg.max_line;
+        max_conns = Some cfg.max_conns;
+        io_timeout_s = cfg.io_timeout_s;
+        grace_s = cfg.grace_s;
+      }
   in
-  if listeners = [] then
-    invalid_arg "Server.serve: no endpoint (need a socket path or listen)";
-  let conns = ref [] in
-  let pending : (conn * string option * float option * R.t) Queue.t =
+  let pending : (Loop.conn * string option * float option * R.t) Queue.t =
     Queue.create ()
   in
   let admit item =
@@ -217,223 +120,79 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false) cfg exec =
       `Admitted
     end
   in
-  let execute_pending ?drain_deadline () =
-    let drain_expired () =
-      match drain_deadline with
-      | Some d -> Unix.gettimeofday () > d
-      | None -> false
-    in
-    (* Explore requests run serially and cannot be preempted once they
-       start, so the grace window cannot bound them: during drain they
-       are shed up front as the retryable Unavailable rather than
-       allowed to hold shutdown past the grace the operator asked for. *)
-    if drain_deadline <> None then begin
-      let keep = Queue.create () in
-      Queue.iter
-        (fun ((conn, id, _, req) as item) ->
-          match req with
-          | R.Explore _ ->
-              Hls_telemetry.count "server.drain_shed";
-              respond conn
-                (Resp.fail ?id
-                   (Resp.Unavailable
-                      "draining: explore cannot be bounded by the shutdown \
-                       grace"))
-          | _ -> Queue.add item keep)
-        pending;
-      Queue.clear pending;
-      Queue.transfer keep pending
-    end;
-    let run_one_batch () =
-      let n = min cfg.batch (Queue.length pending) in
-      let items = Array.init n (fun _ -> Queue.pop pending) in
-      let reqs = Array.map (fun (_, _, _, r) -> r) items in
-      let deadlines = Array.map (fun (_, _, d, _) -> d) items in
-      (* During drain, bound each batch by what's left of the grace
-         window so a wedged request cannot hold shutdown forever. *)
-      let timeout_s =
-        match drain_deadline with
-        | None -> None
-        | Some d -> Some (max 0.1 (d -. Unix.gettimeofday ()))
-      in
-      let results =
-        Hls_telemetry.with_span ~cat:"server"
-          ~attrs:[ ("batch", Hls_telemetry.Int n) ]
-          "server.batch"
-          (fun () ->
-            Hls_api.Exec.run_batch ?workers:cfg.workers ?timeout_s ~deadlines
-              exec reqs)
-      in
-      Array.iteri
-        (fun i (conn, id, _, _) -> respond conn { Resp.id; result = results.(i) })
-        items;
-      Hls_telemetry.gauge "server.queue_depth" (float (Queue.length pending))
-    in
-    (* One batch per select round while serving: between batches the
-       loop returns to select, so pings and fresh lines are read even
-       while a deep queue works off.  Drain keeps going — nothing new is
-       being read, only the grace window can stop it. *)
-    if not (Queue.is_empty pending) then run_one_batch ();
-    while
-      drain_deadline <> None
-      && (not (Queue.is_empty pending))
-      && not (drain_expired ())
-    do
-      run_one_batch ()
-    done;
-    if drain_deadline <> None && not (Queue.is_empty pending) then begin
-      (* Grace expired with work still queued: every accepted line still
-         gets an answer, just not the one the client hoped for. *)
-      Queue.iter
-        (fun (conn, id, _, _) ->
+  let drain_deadline = ref None in
+  let shed_pending keep reason =
+    let kept = Queue.create () in
+    Queue.iter
+      (fun ((conn, id, _, req) as item) ->
+        if keep req then Queue.add item kept
+        else begin
           Hls_telemetry.count "server.drain_shed";
-          respond conn
-            (Resp.fail ?id
-               (Resp.Unavailable "draining: shutdown grace expired")))
-        pending;
-      Queue.clear pending
-    end
+          Loop.respond conn (Resp.fail ?id (Resp.Unavailable reason))
+        end)
+      pending;
+    Queue.clear pending;
+    Queue.transfer kept pending
   in
-  let read_conn conn =
-    Faults.on_read ();
-    let chunk = Bytes.create 65536 in
-    match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-    | 0 -> conn.alive <- false
-    | n ->
-        conn.last_read <- Unix.gettimeofday ();
-        Buffer.add_subbytes conn.buf chunk 0 n
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> conn.alive <- false
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  in
-  let live_count () = List.length (List.filter (fun c -> c.alive) !conns) in
-  let accept_one listen_fd =
-    let rec go () =
-      match Unix.accept listen_fd with
-      | fd, _ ->
-          if Faults.on_accept () then begin
-            (* Armed drop-conn fault: close before a byte moves. *)
-            Hls_telemetry.count "server.fault_dropped_conns";
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            go ()
-          end
-          else if live_count () >= cfg.max_conns then begin
-            Hls_telemetry.count "server.conns_refused";
-            let c =
-              { fd; buf = Buffer.create 0; alive = true;
-                last_read = Unix.gettimeofday () }
-            in
-            respond c
-              (Resp.fail
-                 (Resp.Unavailable
-                    (Printf.sprintf "connection limit reached (%d)"
-                       cfg.max_conns)));
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            go ()
-          end
-          else begin
-            Hls_telemetry.count "server.connections";
-            (match cfg.io_timeout_s with
-            | Some t -> (
-                (* Bounds blocking response writes; reads are
-                   select-driven, so only SNDTIMEO matters here. *)
-                try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t
-                with Unix.Unix_error _ | Invalid_argument _ -> ())
-            | None -> ());
-            conns :=
-              { fd; buf = Buffer.create 256; alive = true;
-                last_read = Unix.gettimeofday () }
-              :: !conns;
-            go ()
-          end
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  let run_one_batch () =
+    let n = min cfg.batch (Queue.length pending) in
+    let items = Array.init n (fun _ -> Queue.pop pending) in
+    let reqs = Array.map (fun (_, _, _, r) -> r) items in
+    let deadlines = Array.map (fun (_, _, d, _) -> d) items in
+    (* During drain, bound each batch by what's left of the grace
+       window so a wedged request cannot hold shutdown forever. *)
+    let timeout_s =
+      Option.map (fun d -> max 0.1 (d -. Unix.gettimeofday ())) !drain_deadline
     in
-    go ()
+    let results =
+      Hls_telemetry.with_span ~cat:"server"
+        ~attrs:[ ("batch", Hls_telemetry.Int n) ]
+        "server.batch"
+        (fun () ->
+          Hls_api.Exec.run_batch ?workers:cfg.workers ?timeout_s ~deadlines
+            exec reqs)
+    in
+    Array.iteri
+      (fun i (conn, id, _, _) ->
+        Loop.respond conn { Resp.id; result = results.(i) })
+      items;
+    Hls_telemetry.gauge "server.queue_depth" (float (Queue.length pending))
   in
-  (* A connection stalled mid-line (bytes buffered, nothing arriving) is
-     holding coordinator memory for a request that may never finish
-     arriving; cut it after the io timeout.  Fully idle connections keep
-     costing nothing and are left alone. *)
-  let reap_stalled () =
-    match cfg.io_timeout_s with
-    | None -> ()
-    | Some t ->
-        let now = Unix.gettimeofday () in
-        List.iter
-          (fun c ->
-            if c.alive && Buffer.length c.buf > 0 && now -. c.last_read > t
-            then begin
-              Hls_telemetry.count "server.read_timeout";
-              respond c
-                (Resp.fail
-                   (Resp.Unavailable
-                      (Printf.sprintf "read timeout (%.1fs mid-request)" t)));
-              c.alive <- false
-            end)
-          !conns
-  in
-  let close_conn conn =
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  in
-  let running = ref true in
-  while !running do
-    if Atomic.get stop then begin
-      (* Drain: decode what was already read, run the queue until empty
-         or the grace window closes, answer, and only then go down. *)
-      let drain_deadline = Unix.gettimeofday () +. cfg.grace_s in
-      List.iter
-        (fun c -> if c.alive then drain_lines ~max_line:cfg.max_line ~admit c)
-        !conns;
-      execute_pending ~drain_deadline ();
-      running := false
-    end
-    else begin
-      let fds =
-        listeners
-        @ List.filter_map
-            (fun c -> if c.alive then Some c.fd else None)
-            !conns
-      in
-      (* With work still queued (execute_pending runs one batch per
-         round) select must only poll, not sleep. *)
-      let timeout = if Queue.is_empty pending then 0.1 else 0. in
-      match Unix.select fds [] [] timeout with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | ready, _, _ ->
-          List.iter
-            (fun l -> if List.memq l ready then accept_one l)
-            listeners;
-          List.iter
-            (fun c ->
-              if c.alive && List.memq c.fd ready then begin
-                read_conn c;
-                drain_lines ~max_line:cfg.max_line ~admit c
-              end)
-            !conns;
-          reap_stalled ();
-          execute_pending ();
-          let dead, live =
-            List.partition
-              (fun c ->
-                (not c.alive)
-                && not
-                     (Queue.fold
-                        (fun acc (qc, _, _, _) -> acc || qc == c)
-                        false pending))
-              !conns
-          in
-          List.iter close_conn dead;
-          conns := live
-    end
-  done;
-  List.iter close_conn !conns;
-  List.iter
-    (fun l -> try Unix.close l with Unix.Unix_error _ -> ())
-    listeners;
-  match cfg.socket with
-  | Some p -> ( try Sys.remove p with Sys_error _ -> ())
-  | None -> ()
+  Loop.run loop
+    {
+      Loop.on_line = handle_line ~admit;
+      (* One batch per select round: between batches the loop returns to
+         select, so pings and fresh lines are read even while a deep
+         queue works off.  With work still queued select only polls.
+         While draining nothing new is read and the rounds keep running
+         batches until the queue is empty or the grace window closes. *)
+      on_turn =
+        (fun _ ->
+          if not (Queue.is_empty pending) then run_one_batch ();
+          if Queue.is_empty pending then infinity else 0.);
+      extra = (fun () -> []);
+      owes =
+        (fun c ->
+          Queue.fold (fun acc (qc, _, _, _) -> acc || qc == c) false pending);
+      busy = (fun () -> not (Queue.is_empty pending));
+      on_drain =
+        (fun d ->
+          drain_deadline := Some d;
+          (* Explore requests run serially and cannot be preempted once
+             they start, so the grace window cannot bound them: they are
+             shed up front as the retryable Unavailable rather than
+             allowed to hold shutdown past the grace the operator asked
+             for. *)
+          shed_pending
+            (function R.Explore _ -> false | _ -> true)
+            "draining: explore cannot be bounded by the shutdown grace");
+      on_drained =
+        (fun () ->
+          (* Grace expired with work still queued: every accepted line
+             still gets an answer, just not the one the client hoped
+             for. *)
+          shed_pending (fun _ -> false) "draining: shutdown grace expired");
+    }
 
 (* One-process fallback: NDJSON over stdin/stdout, no socket, no pool —
    each request runs in the calling domain as the CLI would run it. *)

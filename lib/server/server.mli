@@ -1,8 +1,9 @@
 (** The request daemon: line-delimited JSON (one {!Hls_api.Request}
     envelope per line) over a Unix-domain socket, a TCP socket, or both.
 
-    A single coordinator select loop reads lines, admits decoded requests
-    to a bounded queue, and executes one batch per select round through
+    A single coordinator runs on {!Loop}, the readiness loop shared with
+    the router: it reads lines, admits decoded requests to a bounded
+    queue, and executes one batch per loop round through
     {!Hls_api.Exec.run_batch} — pure request suffixes fan out over a
     domain pool; explore requests run serially in the coordinator (they
     own a pool and write the shared sweep cache).  Between batches the

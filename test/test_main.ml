@@ -32,6 +32,7 @@ let () =
       ("telemetry", Test_telemetry.suite);
       ("iter", Test_iter.suite);
       ("api", Test_api.suite);
+      ("loop", Test_loop.suite);
       ("router", Test_router.suite);
       ("fuzz", Test_fuzz.suite);
     ]

@@ -404,6 +404,147 @@ let test_router_unavailable_when_fleet_dead () =
           Alcotest.fail "a dead fleet cannot answer"
       | Error m -> Alcotest.failf "transport: %s" m)
 
+(* ------------------------------------------------------------------ *)
+(* Transport rules both tiers share through Hls_server.Loop.           *)
+
+(* A router whose backends point at nothing still answers ping and
+   stats itself, which is all a transport test needs. *)
+let with_lone_router name tweak f =
+  let router_sock = tmp name in
+  (try Sys.remove router_sock with Sys_error _ -> ());
+  let stop = Atomic.make false in
+  let cfg =
+    tweak
+      {
+        (Router.default_config ()) with
+        Router.socket = Some router_sock;
+        backends = [ tmp (name ^ "-gone.sock") ];
+      }
+  in
+  let srv = Domain.spawn (fun () -> Router.serve ~stop cfg) in
+  let rec wait_up k =
+    if k = 0 then Alcotest.fail "router socket never appeared";
+    if not (Sys.file_exists router_sock) then begin
+      Unix.sleepf 0.02;
+      wait_up (k - 1)
+    end
+  in
+  wait_up 250;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join srv)
+    (fun () -> f router_sock)
+
+let with_daemon name tweak f =
+  let sock = tmp name in
+  (try Sys.remove sock with Sys_error _ -> ());
+  let exec = Exec.create () in
+  let stop = Atomic.make false in
+  let cfg = tweak (Hls_server.Server.default_config ~socket:sock) in
+  let srv = Domain.spawn (fun () -> Hls_server.Server.serve ~stop cfg exec) in
+  let rec wait_up k =
+    if k = 0 then Alcotest.fail "daemon socket never appeared";
+    if not (Sys.file_exists sock) then begin
+      Unix.sleepf 0.02;
+      wait_up (k - 1)
+    end
+  in
+  wait_up 250;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join srv;
+      Exec.close exec)
+    (fun () -> f sock)
+
+(* Send [payload] in one write on a fresh connection, then read until
+   [lines] complete lines have arrived, the peer closes, or [timeout_s]
+   passes.  Returns the complete lines and whether the peer closed. *)
+let exchange ?(timeout_s = 2.) sock payload ~lines =
+  match Client.connect_fd (Client.parse_address sock) with
+  | Error m -> Alcotest.failf "connect %s: %s" sock m
+  | Ok fd ->
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
+      ignore (Unix.write_substring fd payload 0 (String.length payload));
+      let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+      let complete () =
+        match List.rev (String.split_on_char '\n' (Buffer.contents buf)) with
+        | _partial :: done_ -> List.rev done_
+        | [] -> []
+      in
+      let rec go () =
+        if List.length (complete ()) >= lines then false
+        else
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> true
+          | n ->
+              Buffer.add_subbytes buf chunk 0 n;
+              go ()
+          | exception
+              Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              false
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+      in
+      let closed = go () in
+      (complete (), closed)
+
+(* A ping line padded through its id to exactly [len] bytes. *)
+let padded_ping k len =
+  let line pad =
+    J.to_string (Req.to_json ~id:(Printf.sprintf "p%d-%s" k pad) Req.Ping)
+  in
+  line (String.make (len - String.length (line "")) 'x')
+
+(* Two complete 212-byte lines in one write are within a 256-byte line
+   limit: only an unterminated fragment may count against it.  Both
+   tiers must answer both pings. *)
+let test_framing_counts_only_the_fragment () =
+  let payload = padded_ping 1 212 ^ "\n" ^ padded_ping 2 212 ^ "\n" in
+  check_int "each line is 212 bytes" 212 (String.length (padded_ping 1 212));
+  let pongs tier sock =
+    let lines, _ = exchange sock payload ~lines:2 in
+    let ok =
+      List.filter
+        (fun l ->
+          match Resp.of_string l with
+          | Ok { Resp.result = Ok (Resp.Pong _); _ } -> true
+          | _ -> false)
+        lines
+    in
+    check_int
+      (Printf.sprintf "%s answers both pings (got: %s)" tier
+         (String.concat " | " lines))
+      2 (List.length ok)
+  in
+  with_lone_router "framing-router.sock"
+    (fun cfg -> { cfg with Router.max_line = 256 })
+    (pongs "router");
+  with_daemon "framing-daemon.sock"
+    (fun cfg -> { cfg with Hls_server.Server.max_line = 256 })
+    (pongs "daemon")
+
+(* A router client that sends half a line and stops is cut off after
+   the io timeout, as the daemon cuts its own, instead of holding its
+   buffer forever. *)
+let test_router_cuts_stalled_client () =
+  with_lone_router "stall-router.sock"
+    (fun cfg -> { cfg with Router.io_timeout_s = Some 0.2 })
+  @@ fun sock ->
+  let t0 = Unix.gettimeofday () in
+  let lines, closed = exchange sock {|{"v":1,"id":"half|} ~lines:2 in
+  let dt = Unix.gettimeofday () -. t0 in
+  (match List.map Resp.of_string lines with
+  | [ Ok { Resp.result = Error (Resp.Unavailable m); _ } ] ->
+      check_bool ("the answer names the read timeout: " ^ m) true
+        (String.starts_with ~prefix:"read timeout" m)
+  | _ ->
+      Alcotest.failf "expected one unavailable answer, got [%s]"
+        (String.concat " | " lines));
+  check_bool "the router closed the connection" true closed;
+  check_bool (Printf.sprintf "within 2 s (%.2f s)" dt) true (dt < 2.)
+
 let suite =
   [
     Alcotest.test_case "ring: stability and bounded movement" `Quick
@@ -426,4 +567,8 @@ let suite =
       test_busy_backend_not_ejected;
     Alcotest.test_case "dead fleet sheds unavailable" `Slow
       test_router_unavailable_when_fleet_dead;
+    Alcotest.test_case "framing: only the fragment counts against max_line"
+      `Quick test_framing_counts_only_the_fragment;
+    Alcotest.test_case "router cuts clients stalled mid-line" `Quick
+      test_router_cuts_stalled_client;
   ]
