@@ -115,26 +115,6 @@ let run_or_raise cfg p ~latency =
   | Ok r -> r
   | Error f -> raise (Failure.Flow_failure f)
 
-(* The optimized flow behind [--target-ns]: invert the period model on
-   the prepared arrival analysis (the same arithmetic as
-   Pipeline.optimized_for_cycle, but reusing the memoized prefix). *)
-let latency_for_target (cfg : P.config) p ~target_ns =
-  let lib = cfg.P.lib in
-  let chain_budget =
-    int_of_float
-      ((target_ns -. lib.Hls_techlib.seq_overhead_ns
-        -. lib.Hls_techlib.mux_delay_ns)
-       /. lib.Hls_techlib.delta_ns)
-  in
-  if chain_budget < 1 then
-    raise
-      (Failure.Flow_failure
-         (Failure.Infeasible "the period target is unreachable"))
-  else
-    Hls_timing.Critical_path.latency_for_cycle_delta
-      ~critical:(Hls_timing.Arrival.critical_delta p.P.p_arrival)
-      ~n_bits:chain_budget
-
 let emitted_spec tg =
   match Hls_speclang.Emit.emit tg with
   | src -> src
@@ -331,9 +311,16 @@ let stage t req =
                   let target, latency =
                     match target_ns with
                     | None -> (None, latency)
-                    | Some ns ->
-                        let l = latency_for_target cfg p ~target_ns:ns in
-                        (Some (ns, l), l)
+                    | Some ns -> (
+                        match
+                          P.latency_for_target ~lib:cfg.P.lib p ~target_ns:ns
+                        with
+                        | Some l -> (Some (ns, l), l)
+                        | None ->
+                            raise
+                              (Failure.Flow_failure
+                                 (Failure.Infeasible
+                                    "the period target is unreachable")))
                   in
                   let conv = P.conventional ~lib:cfg.P.lib g ~latency in
                   let r = run_or_raise cfg p ~latency in

@@ -275,14 +275,11 @@ let free_floating_latency graph =
   let finish = Hls_sched.List_sched.asap_finish graph ~cycle_delta:c in
   Hls_sched.List_sched.latency_of_finish ~cycle_delta:c finish
 
-(** The dual problem: given a clock-period target in ns, find the smallest
-    latency whose fragmented schedule meets it, and run the optimized flow
-    there.  Returns [None] when even a 1 δ chain misses the target (the
+(** Invert the period model on a prepared analysis: the smallest latency
+    whose chain budget [(target - overhead - mux) / δ] covers the critical
+    delta path.  [None] when even a 1 δ chain misses the target (the
     period is below the sequential overhead). *)
-let optimized_for_cycle ?(lib = Hls_techlib.default) graph ~target_ns =
-  let p = prepare graph in
-  let critical = Hls_timing.Arrival.critical_delta p.p_arrival in
-  (* Invert the period model: usable chain = (target - overhead - mux). *)
+let latency_for_target ?(lib = Hls_techlib.default) p ~target_ns =
   let chain_budget =
     int_of_float
       ((target_ns -. lib.Hls_techlib.seq_overhead_ns
@@ -291,11 +288,19 @@ let optimized_for_cycle ?(lib = Hls_techlib.default) graph ~target_ns =
   in
   if chain_budget < 1 then None
   else
-    let latency =
-      Hls_timing.Critical_path.latency_for_cycle_delta ~critical
-        ~n_bits:chain_budget
-    in
-    Some (latency, optimized_of_prepared ~lib p ~latency)
+    Some
+      (Hls_timing.Critical_path.latency_for_cycle_delta
+         ~critical:(Hls_timing.Arrival.critical_delta p.p_arrival)
+         ~n_bits:chain_budget)
+
+(** The dual problem: given a clock-period target in ns, find the smallest
+    latency whose fragmented schedule meets it, and run the optimized flow
+    there. *)
+let optimized_for_cycle ?(lib = Hls_techlib.default) graph ~target_ns =
+  let p = prepare graph in
+  Option.map
+    (fun latency -> (latency, optimized_of_prepared ~lib p ~latency))
+    (latency_for_target ~lib p ~target_ns)
 
 let pct_saved ~original ~optimized =
   Hls_util.Pretty.pct ~from:original ~to_:optimized

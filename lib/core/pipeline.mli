@@ -138,6 +138,12 @@ val check_optimized_equivalence :
   ?trials:int -> ?seed:int -> Hls_dfg.Graph.t -> optimized_result ->
   (unit, string) result
 
+(** The smallest latency whose chain budget [(target - overhead - mux) / δ]
+    covers the prepared kernel's critical delta path; [None] when the
+    period is below the sequential overhead. *)
+val latency_for_target :
+  ?lib:Hls_techlib.t -> prepared -> target_ns:float -> int option
+
 (** The dual problem: given a clock-period target in ns, find the smallest
     latency whose fragmented schedule meets it and run the optimized flow
     there; [None] when the period is below the sequential overhead. *)

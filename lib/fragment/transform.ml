@@ -18,6 +18,7 @@
 open Hls_dfg.Types
 module Graph = Hls_dfg.Graph
 module B = Hls_dfg.Builder
+module Rewrite = Hls_dfg.Rewrite
 module Operand = Hls_dfg.Operand
 module Bv = Hls_bitvec
 
@@ -41,21 +42,17 @@ let slice_positions (o : operand) ~lo ~hi =
     | Zext -> None
     | Sext -> Some { o with lo = o.hi; ext = Sext }
 
-type builder_state = {
-  b : B.t;
-  mutable rev_windows : (int * int) list;
-}
-
-let mk st ?label ?origin ~window kind ~width operands =
-  let o = B.node st.b kind ~width ?label ?origin operands in
-  st.rev_windows <- window :: st.rev_windows;
-  o
+(* Create a node and record its scheduling window; windows accumulate in
+   node-creation order, i.e. by transformed-node id. *)
+let mk ctx windows ?label ?origin ~window kind ~width operands =
+  windows := window :: !windows;
+  B.node ctx.Rewrite.b kind ~width ?label ?origin operands
 
 let free_window plan = (1, plan.Mobility.latency)
 
 (* Build the fragment chain for one multi-fragment addition and return the
    operand over its reassembled full value. *)
-let build_fragments st plan (n : node) ~mapped_operands frags =
+let build_fragments ctx windows plan (n : node) ~mapped_operands frags =
   let op_name = if n.label = "" then Printf.sprintf "op%d" n.id else n.label in
   let a, bop, cin0 =
     match mapped_operands with
@@ -78,7 +75,8 @@ let build_fragments st plan (n : node) ~mapped_operands frags =
               if Operand.width o >= fw then Some { o with ext = Zext }
               else if o.ext = Sext then
                 Some
-                  (mk st ~window:(free_window plan) Wire ~width:fw [ o ])
+                  (mk ctx windows ~window:(free_window plan) Wire ~width:fw
+                     [ o ])
               else Some o
         in
         let oa = fit (slice_positions a ~lo:f.f_lo ~hi:f.f_hi) in
@@ -92,8 +90,8 @@ let build_fragments st plan (n : node) ~mapped_operands frags =
           { orig_op = op_name; orig_lo = f.f_lo; orig_hi = f.f_hi }
         in
         let value =
-          mk st ~label ~origin ~window:(f.f_asap, f.f_alap) Add ~width:node_w
-            operands
+          mk ctx windows ~label ~origin ~window:(f.f_asap, f.f_alap) Add
+            ~width:node_w operands
         in
         let sum_slice = Operand.reslice value ~hi:(fw - 1) ~lo:0 in
         let carry_out =
@@ -107,32 +105,16 @@ let build_fragments st plan (n : node) ~mapped_operands frags =
   match pieces with
   | [ single ] -> single
   | _ ->
-      mk st ~window:(free_window plan)
+      mk ctx windows ~window:(free_window plan)
         ~label:(op_name ^ ".val")
         Concat ~width:n.width pieces
 
 (** Apply the fragmentation plan to a kernel-form graph. *)
 let apply graph (plan : Mobility.plan) =
-  let st =
-    { b = B.create ~name:(Graph.name graph ^ "_frag"); rev_windows = [] }
-  in
-  List.iter
-    (fun p ->
-      ignore
-        (B.input st.b p.port_name ~width:p.port_width ~signed:p.port_signed))
-    graph.Graph.inputs;
-  let map : (node_id, operand) Hashtbl.t = Hashtbl.create 64 in
-  let map_operand (o : operand) =
-    match o.src with
-    | Input _ | Const _ -> o
-    | Node id ->
-        let base = Hashtbl.find map id in
-        { base with hi = base.lo + o.hi; lo = base.lo + o.lo; ext = o.ext }
-  in
-  Graph.iter_nodes
-    (fun n ->
-      let mapped_operands = List.map map_operand n.operands in
-      let value =
+  let windows = ref [] in
+  let g =
+    Rewrite.run ~name:(Graph.name graph ^ "_frag") graph ~f:(fun ctx n ->
+        let mapped_operands = List.map (Rewrite.map_operand ctx) n.operands in
         match (n.kind, plan.per_node.(n.id)) with
         | Add, ([] | [ _ ]) ->
             (* Unfragmented addition: copy, carrying its window. *)
@@ -144,21 +126,16 @@ let apply graph (plan : Mobility.plan) =
             let op_name =
               if n.label = "" then Printf.sprintf "op%d" n.id else n.label
             in
-            mk st ~label:op_name
+            mk ctx windows ~label:op_name
               ~origin:{ orig_op = op_name; orig_lo = 0; orig_hi = n.width - 1 }
               ~window Add ~width:n.width mapped_operands
-        | Add, frags -> build_fragments st plan n ~mapped_operands frags
+        | Add, frags ->
+            build_fragments ctx windows plan n ~mapped_operands frags
         | _ ->
-            mk st ~label:n.label ?origin:n.origin ~window:(free_window plan)
-              n.kind ~width:n.width mapped_operands
-      in
-      Hashtbl.replace map n.id value)
-    graph;
-  List.iter
-    (fun (name, o) -> B.output st.b name (map_operand o))
-    graph.Graph.outputs;
-  let g = B.finish st.b in
-  let windows = Array.of_list (List.rev st.rev_windows) in
+            mk ctx windows ~label:n.label ?origin:n.origin
+              ~window:(free_window plan) n.kind ~width:n.width mapped_operands)
+  in
+  let windows = Array.of_list (List.rev !windows) in
   assert (Array.length windows = Graph.node_count g);
   { graph = g; plan; source = graph; windows }
 

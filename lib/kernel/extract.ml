@@ -1,14 +1,14 @@
 (** Operative-kernel extraction driver (paper §3.1).
 
-    Walks the behavioural graph in topological order, lowering every
-    operation through {!Lower} into unsigned additions plus glue, and
-    rebuilds the port bindings.  The result is a graph in *additive kernel
-    form*: its only δ-costly nodes are [Add] nodes, which is the input form
-    both the cycle estimation (§3.2) and the fragmentation (§3.3) expect. *)
+    Rewrites the behavioural graph node by node through {!Lower} into
+    unsigned additions plus glue.  The result is a graph in *additive
+    kernel form*: its only δ-costly nodes are [Add] nodes, which is the
+    input form both the cycle estimation (§3.2) and the fragmentation
+    (§3.3) expect. *)
 
 open Hls_dfg.Types
 module Graph = Hls_dfg.Graph
-module B = Hls_dfg.Builder
+module Rewrite = Hls_dfg.Rewrite
 
 (** A graph is in additive kernel form when no behavioural kind other than
     plain unsigned addition remains. *)
@@ -18,61 +18,15 @@ let is_kernel_form g =
     true g
 
 let extract (g : Graph.t) =
-  let b = B.create ~name:(Graph.name g ^ "_kernel") in
-  List.iter
-    (fun p ->
-      ignore (B.input b p.port_name ~width:p.port_width ~signed:p.port_signed))
-    g.Graph.inputs;
-  let ctx = Lower.create_ctx b in
-  Graph.iter_nodes (fun n -> ignore (Lower.lower_node ctx n)) g;
-  List.iter
-    (fun (name, o) -> B.output b name (Lower.map_operand ctx o))
-    g.Graph.outputs;
-  let result = B.finish b in
+  let result =
+    Rewrite.run ~name:(Graph.name g ^ "_kernel") g ~f:Lower.lower_node
+  in
   assert (is_kernel_form result);
   result
 
-(** Remove nodes whose value reaches no output port.  Kernel lowering can
-    leave unused slices (e.g. the top product bits of a truncated
-    multiplication); synthesis should not pay for them. *)
-let eliminate_dead (g : Graph.t) =
-  let n = Graph.node_count g in
-  let live = Array.make n false in
-  let rec mark (o : operand) =
-    match o.src with
-    | Input _ | Const _ -> ()
-    | Node id ->
-        if not live.(id) then begin
-          live.(id) <- true;
-          List.iter mark (Graph.node g id).operands
-        end
-  in
-  List.iter (fun (_, o) -> mark o) g.Graph.outputs;
-  (* Rebuild with dense ids. *)
-  let b = B.create ~name:(Graph.name g) in
-  List.iter
-    (fun p ->
-      ignore (B.input b p.port_name ~width:p.port_width ~signed:p.port_signed))
-    g.Graph.inputs;
-  let remap = Hashtbl.create n in
-  let map_operand (o : operand) =
-    match o.src with
-    | Input _ | Const _ -> o
-    | Node id -> { o with src = Node (Hashtbl.find remap id) }
-  in
-  Graph.iter_nodes
-    (fun nd ->
-      if live.(nd.id) then begin
-        let o =
-          B.node b nd.kind ~width:nd.width ~signedness:nd.signedness
-            ~label:nd.label ?origin:nd.origin
-            (List.map map_operand nd.operands)
-        in
-        Hashtbl.replace remap nd.id (B.node_id_of o)
-      end)
-    g;
-  List.iter (fun (name, o) -> B.output b name (map_operand o)) g.Graph.outputs;
-  B.finish b
+(** Kernel lowering can leave unused slices (e.g. the top product bits of
+    a truncated multiplication); synthesis should not pay for them. *)
+let eliminate_dead = Rewrite.prune
 
 (** Full phase 1: lower, then drop dead logic. *)
 let run g = eliminate_dead (extract g)

@@ -23,26 +23,12 @@ module B = Hls_dfg.Builder
 module Operand = Hls_dfg.Operand
 module Bv = Hls_bitvec
 
-type ctx = {
+type ctx = Hls_dfg.Rewrite.ctx = {
   b : B.t;
-  map : (node_id, operand) Hashtbl.t;
-      (** old node id → operand over the rewritten graph *)
+  map : operand array;
 }
 
-let create_ctx b = { b; map = Hashtbl.create 64 }
-
-(** Rewrite an operand of the old graph into the new graph. *)
-let map_operand ctx (o : operand) =
-  match o.src with
-  | Input _ | Const _ -> o
-  | Node id -> (
-      match Hashtbl.find_opt ctx.map id with
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Lower.map_operand: node %d not lowered yet" id)
-      | Some base ->
-          (* [base] covers the old node's full width starting at base.lo. *)
-          { base with hi = base.lo + o.hi; lo = base.lo + o.lo; ext = o.ext })
+let map_operand = Hls_dfg.Rewrite.map_operand
 
 let zeros k = Operand.of_const (Bv.zero k)
 
@@ -349,6 +335,4 @@ let lower_node ctx (n : node) =
         B.node ctx.b n.kind ~label ~width:n.width ~signedness:n.signedness
           (List.map (map_operand ctx) n.operands)
   in
-  let value = fit ctx value ~width:n.width in
-  Hashtbl.replace ctx.map n.id value;
-  value
+  fit ctx value ~width:n.width

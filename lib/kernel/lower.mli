@@ -3,21 +3,12 @@
     callers should use {!Extract.run}; the individual lowerings are exposed
     for targeted testing and reuse.
 
-    All constructors operate within a rewriting context whose hashtable
+    All constructors operate within a {!Hls_dfg.Rewrite} context, which
     maps old node ids to their value operands over the new graph. *)
 
 open Hls_dfg.Types
 
-type ctx = {
-  b : Hls_dfg.Builder.t;
-  map : (node_id, operand) Hashtbl.t;
-}
-
-val create_ctx : Hls_dfg.Builder.t -> ctx
-
-(** Rewrite an operand of the old graph into the new graph; raises if the
-    referenced node has not been lowered yet. *)
-val map_operand : ctx -> operand -> operand
+type ctx = Hls_dfg.Rewrite.ctx
 
 (** [a - b] as [a + not b + 1] at [width] bits. *)
 val lower_sub :
@@ -53,6 +44,7 @@ val lower_eq :
   ctx -> ?label:string -> signedness:signedness -> operand -> operand ->
   operand
 
-(** Lower one behavioural node; returns (and records in the context) the
-    operand carrying its value at the node's declared width. *)
+(** Lower one behavioural node; returns the operand carrying its value at
+    the node's declared width.  [Hls_dfg.Rewrite.run ~f:lower_node] is the
+    whole extraction. *)
 val lower_node : ctx -> node -> operand

@@ -18,7 +18,6 @@ module Names = Hls_speclang.Names
 let emit (s : Frag_sched.t) =
   let g = Frag_sched.graph s in
   let names = Names.assign g in
-  let ctrl = Control.extract s in
   let runs = Bind_frag.stored_runs s in
   let buf = Buffer.create 8192 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -118,11 +117,7 @@ let emit (s : Frag_sched.t) =
     | Input name -> Printf.sprintf "%s(%d)" name i
     | Const bv -> if Hls_bitvec.get bv i then "'1'" else "'0'"
     | Node id -> (
-        let produced =
-          match (Graph.node g id).kind with
-          | Add -> s.Frag_sched.bit_time.(id).(i).Frag_sched.bt_cycle
-          | _ -> s.Frag_sched.bit_time.(id).(i).Frag_sched.bt_cycle
-        in
+        let produced = s.Frag_sched.bit_time.(id).(i).Frag_sched.bt_cycle in
         if produced < cycle then
           match reg_for id i ~cycle with
           | Some (k, r) ->
@@ -203,5 +198,4 @@ let emit (s : Frag_sched.t) =
       add "  %s <= %s;\n" name src)
     g.Graph.outputs;
   add "\nend rtl;\n";
-  ignore ctrl;
   Buffer.contents buf

@@ -19,8 +19,8 @@
     final (cross-node consumers sit at strictly higher levels; the only
     same-node consumer of bit [pos] is the carry into [pos + 1], pulled
     just before).  Pull order is what makes the per-level early exit of
-    {!of_net_check} and the region-parallel {!of_net_parallel} possible:
-    a level's slots are final the moment the level is swept. *)
+    {!of_net_check} possible: a level's slots are final the moment the
+    level is swept. *)
 
 open Hls_dfg.Types
 module Graph = Hls_dfg.Graph
@@ -82,38 +82,6 @@ let of_net ?caps (net : Bitnet.t) ~total_slots =
   done;
   if n_levels > 0 then Hls_telemetry.count ~n:n_levels "timing.rounds";
   { total_slots; bit_base; slots }
-
-(** Like {!of_net}, but independent net regions are distributed over
-    [workers] pool domains; bit-identical to the serial sweep (regions
-    touch disjoint slices of the shared slot array).  Falls back to
-    {!of_net} for single-region nets or [workers <= 1]. *)
-let of_net_parallel ?caps ?workers (net : Bitnet.t) ~total_slots =
-  let workers =
-    match workers with Some w -> w | None -> Hls_pool.default_workers ()
-  in
-  let n_regions = Bitnet.n_regions net in
-  if workers <= 1 || n_regions <= 1 then of_net ?caps net ~total_slots
-  else begin
-    let bit_base = net.Bitnet.bit_base in
-    let slots = init_slots ?caps bit_base ~total_slots in
-    let sweep_region c () =
-      (* Descending id within the region is reverse-topological there. *)
-      for i = net.Bitnet.comp_off.(c + 1) - 1 downto net.Bitnet.comp_off.(c) do
-        sweep_node_rev net slots net.Bitnet.comp_nodes.(i)
-      done
-    in
-    let outcomes = Hls_pool.run ~workers (Array.init n_regions sweep_region) in
-    let all_done =
-      Array.for_all
-        (fun o -> match o with Hls_pool.Done () -> true | _ -> false)
-        outcomes
-    in
-    if all_done then { total_slots; bit_base; slots }
-    else
-      (* A region job died mid-sweep (fault injection is the only
-         realistic cause); restart from fresh initial deadlines. *)
-      of_net ?caps net ~total_slots
-  end
 
 exception Violated of int
 

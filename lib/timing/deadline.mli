@@ -15,14 +15,6 @@ val of_net :
   ?caps:(Hls_dfg.Types.node_id -> int -> int) -> Bitnet.t ->
   total_slots:int -> t
 
-(** Like {!of_net}, with independent net regions distributed over
-    [workers] pool domains (default {!Hls_pool.default_workers});
-    bit-identical to the serial sweep.  Single-region nets and
-    [workers <= 1] fall back to {!of_net}. *)
-val of_net_parallel :
-  ?caps:(Hls_dfg.Types.node_id -> int -> int) -> ?workers:int ->
-  Bitnet.t -> total_slots:int -> t
-
 (** Monotone early-exit variant: deadlines are computed level by level
     and each level is validated against [arrival] the moment it is final.
     [Ok t] means every bit was checked — the budget is feasible and [t]

@@ -20,7 +20,7 @@
 open Hls_dfg.Types
 module Graph = Hls_dfg.Graph
 module B = Hls_dfg.Builder
-module Rewrite = Hls_opt.Rewrite
+module Rewrite = Hls_dfg.Rewrite
 
 let chain_kind = function Add | Mul -> true | _ -> false
 
@@ -136,5 +136,5 @@ let run g =
   in
   (* The absorbed interiors were copied (nothing references the copies);
      drop them here so the plan reflects the real node-count effect. *)
-  let graph = if !sites = [] then graph else Hls_opt.Dce.run graph in
+  let graph = if !sites = [] then graph else Rewrite.prune graph in
   { Pass.graph; sites = List.rev !sites }

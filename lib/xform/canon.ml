@@ -14,7 +14,7 @@ open Hls_dfg.Types
 module Graph = Hls_dfg.Graph
 module Operand = Hls_dfg.Operand
 module B = Hls_dfg.Builder
-module Rewrite = Hls_opt.Rewrite
+module Rewrite = Hls_dfg.Rewrite
 
 (* Kinds whose operands may be reordered freely.  [Add] is handled
    separately because a third operand is a carry-in that must stay put;

@@ -1,23 +1,20 @@
-(* The transformation catalog: every pass a recipe can name.  The four
-   presynthesis cleanup passes of [lib/opt] are wrapped as siteless
-   entries (they predate the plan machinery; their node-count effect
-   still lands in the plan); the native entries report their sites. *)
+(* The transformation catalog: every pass a recipe can name.  The
+   presynthesis cleanup passes ({!Cleanup} and [Rewrite.prune]) are
+   wrapped as siteless entries (they predate the plan machinery; their
+   node-count effect still lands in the plan); the native entries report
+   their sites. *)
 
 let wrap name doc f =
   { Pass.name; doc; rewrite = (fun g -> { Pass.graph = f g; sites = [] }) }
 
 let fold =
-  wrap "fold" "constant folding and algebraic simplification"
-    Hls_opt.Fold.run
+  wrap "fold" "constant folding and algebraic simplification" Cleanup.fold
 
-let cse =
-  wrap "cse" "common-subexpression elimination" Hls_opt.Cse.run
-
-let dce = wrap "dce" "dead-code elimination" Hls_opt.Dce.run
+let cse = wrap "cse" "common-subexpression elimination" Cleanup.cse
+let dce = wrap "dce" "dead-code elimination" Hls_dfg.Rewrite.prune
 
 let normalize =
-  wrap "normalize" "fold+cse+dce iterated to a fixed point"
-    (fun g -> Hls_opt.Normalize.run g)
+  wrap "normalize" "fold+cse+dce iterated to a fixed point" Cleanup.normalize
 
 let canon =
   {

@@ -26,7 +26,7 @@ open Hls_dfg.Types
 module Graph = Hls_dfg.Graph
 module Operand = Hls_dfg.Operand
 module B = Hls_dfg.Builder
-module Rewrite = Hls_opt.Rewrite
+module Rewrite = Hls_dfg.Rewrite
 module Bv = Hls_bitvec
 module Csd = Hls_util.Csd
 

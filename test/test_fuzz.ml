@@ -63,13 +63,13 @@ let test_shrink_fixpoint () =
    repro shrunk small enough to read. *)
 
 let add_to_sub g =
-  Hls_opt.Rewrite.run g ~f:(fun ctx n ->
+  Hls_dfg.Rewrite.run g ~f:(fun ctx n ->
       match n.T.kind with
       | T.Add when List.length n.T.operands = 2 ->
-          Hls_dfg.Builder.node ctx.Hls_opt.Rewrite.b T.Sub ~width:n.T.width
+          Hls_dfg.Builder.node ctx.Hls_dfg.Rewrite.b T.Sub ~width:n.T.width
             ~signedness:n.T.signedness ~label:n.T.label
-            (List.map (Hls_opt.Rewrite.map_operand ctx) n.T.operands)
-      | _ -> Hls_opt.Rewrite.copy ctx n)
+            (List.map (Hls_dfg.Rewrite.map_operand ctx) n.T.operands)
+      | _ -> Hls_dfg.Rewrite.copy ctx n)
 
 let test_planted_pass_caught () =
   let dir =

@@ -5,10 +5,8 @@
 open Hls_dfg.Types
 module B = Hls_dfg.Builder
 module Graph = Hls_dfg.Graph
-module Fold = Hls_opt.Fold
-module Cse = Hls_opt.Cse
-module Dce = Hls_opt.Dce
-module Normalize = Hls_opt.Normalize
+module Cleanup = Hls_xform.Cleanup
+module Rewrite = Hls_dfg.Rewrite
 module Check = Hls_check
 module Bv = Hls_bitvec
 
@@ -28,10 +26,10 @@ let test_fold_constants () =
   let total = B.add b ~width:8 a sum in
   B.output b "o" total;
   let g = B.finish b in
-  let folded = Fold.run g in
+  let folded = Cleanup.fold g in
   check_equiv "fold" g folded;
   (* 5+7 disappears: one node left. *)
-  Alcotest.(check int) "one node" 1 (Graph.node_count (Dce.run folded))
+  Alcotest.(check int) "one node" 1 (Graph.node_count (Rewrite.prune folded))
 
 let test_fold_identities () =
   let b = B.create ~name:"ids" in
@@ -43,7 +41,7 @@ let test_fold_identities () =
   let x3 = B.mul b ~width:8 x2 one in
   B.output b "o" x3;
   let g = B.finish b in
-  let folded = Dce.run (Fold.run g) in
+  let folded = Rewrite.prune (Cleanup.fold g) in
   check_equiv "identities" g folded;
   Alcotest.(check bool) "only wires remain" true
     (Graph.behavioural_op_count folded = 0)
@@ -56,7 +54,7 @@ let test_fold_mux_const_select () =
   let m = B.node b Mux ~width:4 [ sel; a; c ] in
   B.output b "o" m;
   let g = B.finish b in
-  let folded = Dce.run (Fold.run g) in
+  let folded = Rewrite.prune (Cleanup.fold g) in
   check_equiv "mux" g folded;
   Alcotest.(check int) "mux gone" 0 (Graph.count_kind folded Mux)
 
@@ -68,7 +66,7 @@ let test_fold_mul_zero () =
   let s = B.add b ~width:16 p a in
   B.output b "o" s;
   let g = B.finish b in
-  let folded = Dce.run (Fold.run g) in
+  let folded = Rewrite.prune (Cleanup.fold g) in
   check_equiv "mul-zero" g folded;
   Alcotest.(check int) "mul gone" 0 (Graph.count_kind folded Mul)
 
@@ -83,7 +81,7 @@ let test_cse_shares () =
   let d = B.add b ~width:8 s1 s2 in
   B.output b "o" d;
   let g = B.finish b in
-  let shared = Dce.run (Cse.run g) in
+  let shared = Rewrite.prune (Cleanup.cse g) in
   check_equiv "cse" g shared;
   Alcotest.(check int) "two adds left" 2 (Graph.count_kind shared Add)
 
@@ -98,7 +96,7 @@ let test_cse_distinguishes () =
   let d = B.add b ~width:8 s1 lo in
   B.output b "o" d;
   let g = B.finish b in
-  let shared = Dce.run (Cse.run g) in
+  let shared = Rewrite.prune (Cleanup.cse g) in
   check_equiv "no-cse" g shared;
   Alcotest.(check int) "three adds kept" 3 (Graph.count_kind shared Add)
 
@@ -113,8 +111,9 @@ let test_dce () =
   let _dead2 = B.sub b ~width:8 a c in
   B.output b "o" live;
   let g = B.finish b in
-  Alcotest.(check int) "two dead" 2 (Dce.dead_count g);
-  let clean = Dce.run g in
+  let clean = Rewrite.prune g in
+  Alcotest.(check int) "two dead" 2
+    (Graph.node_count g - Graph.node_count clean);
   check_equiv "dce" g clean;
   Alcotest.(check int) "one node" 1 (Graph.node_count clean)
 
@@ -136,7 +135,7 @@ let test_normalize_fixed_point () =
   (* x ^ x: stays, but only one add feeds it *)
   B.output b "o" d;
   let g = B.finish b in
-  let n = Normalize.run g in
+  let n = Cleanup.normalize g in
   check_equiv "normalize" g n;
   Alcotest.(check int) "one add survives" 1 (Graph.count_kind n Add)
 
@@ -144,7 +143,7 @@ let test_normalize_on_kernel_graphs () =
   List.iter
     (fun (name, g) ->
       let kernel = Hls_kernel.Extract.run g in
-      let n = Normalize.run kernel in
+      let n = Cleanup.normalize kernel in
       (match Hls_sim.equivalent g n ~trials:30
                ~prng:(Hls_util.Prng.create ~seed:7) with
       | Ok () -> ()
@@ -222,7 +221,7 @@ let prop_passes_preserve_semantics =
     QCheck.(int_range 0 5000)
     (fun seed ->
       let g = Hls_workloads.Random_dfg.generate ~seed () in
-      let n = Normalize.run g in
+      let n = Cleanup.normalize g in
       Hls_sim.equivalent g n ~trials:20
         ~prng:(Hls_util.Prng.create ~seed:(seed + 3))
       = Ok ())
@@ -232,8 +231,8 @@ let prop_normalize_idempotent =
     QCheck.(int_range 0 5000)
     (fun seed ->
       let g = Hls_workloads.Random_dfg.generate ~seed () in
-      let once = Normalize.run g in
-      let twice = Normalize.run once in
+      let once = Cleanup.normalize g in
+      let twice = Cleanup.normalize once in
       Graph.node_count once = Graph.node_count twice)
 
 let suite =
