@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-smoke examples explore-smoke xform-smoke iter-smoke fuzz-smoke fault-smoke trace-smoke serve-smoke fleet-smoke check clean
+.PHONY: all build test bench bench-smoke examples explore-smoke xform-smoke emit-smoke iter-smoke fuzz-smoke fault-smoke trace-smoke serve-smoke fleet-smoke check clean
 
 all: build
 
@@ -37,6 +37,26 @@ xform-smoke:
 	  done; \
 	done; \
 	echo "xform-smoke: ok (standard + aggressive verified on every workload)"
+
+# Emission smoke: every registry workload at latency 14 prints its one
+# elaborated netlist as VHDL and as Verilog plus testbench.  Both must
+# exit 0 and end in the closing line of their language.
+emit-smoke:
+	@dune build bin/hlsopt.exe; \
+	hlsopt=_build/default/bin/hlsopt.exe; \
+	for w in $$($$hlsopt list | awk '{print $$1}'); do \
+	  out=$$($$hlsopt emit-vhdl --builtin $$w -l 14 --netlist) \
+	    || { echo "emit-smoke: emit-vhdl --netlist $$w failed"; exit 1; }; \
+	  last=$$(echo "$$out" | tail -1); \
+	  test "$$last" = "end structural;" \
+	    || { echo "emit-smoke: $$w VHDL ends in '$$last'"; exit 1; }; \
+	  out=$$($$hlsopt emit-verilog --builtin $$w -l 14 --testbench) \
+	    || { echo "emit-smoke: emit-verilog --testbench $$w failed"; exit 1; }; \
+	  last=$$(echo "$$out" | tail -1); \
+	  test "$$last" = "endmodule" \
+	    || { echo "emit-smoke: $$w Verilog ends in '$$last'"; exit 1; }; \
+	done; \
+	echo "emit-smoke: ok (netlist VHDL and Verilog testbench for every workload)"
 
 # Feedback-iteration smoke: `hlsopt iterate` on three registry workloads
 # at a latency with slack inside its clock tier.  The loop must never
@@ -271,7 +291,7 @@ fleet-smoke:
 	grep -q 'router drained' $$dir/route.log || { echo "fleet-smoke: no drain message"; cat $$dir/route.log; exit 1; }; \
 	echo "fleet-smoke: ok (zero loss under SIGKILL, byte-identical answers, respawn, deadline shed, clean drain)"
 
-check: build test explore-smoke xform-smoke iter-smoke fuzz-smoke bench-smoke fault-smoke trace-smoke serve-smoke fleet-smoke
+check: build test explore-smoke xform-smoke emit-smoke iter-smoke fuzz-smoke bench-smoke fault-smoke trace-smoke serve-smoke fleet-smoke
 
 bench:
 	dune exec bench/main.exe

@@ -42,6 +42,53 @@ let gates label (a : Datapath.area) =
     a.Datapath.controller_gates a.Datapath.total_gates
 
 (* ------------------------------------------------------------------ *)
+(* Flags and the JSON ledger shared by the timing, serve, iter and fuzz
+   sections.  Each section owns some top-level keys of the ledger
+   (BENCH_timing.json unless --out FILE) and rewrites only those.       *)
+
+module J = Hls_dse.Dse_json
+
+type opts = { json : bool; quick : bool; assert_mode : bool; out : string }
+
+let opts () =
+  let flag f = Array.exists (( = ) f) Sys.argv in
+  let out = ref "BENCH_timing.json" in
+  Array.iteri
+    (fun i a ->
+      if a = "--out" && i + 1 < Array.length Sys.argv then
+        out := Sys.argv.(i + 1))
+    Sys.argv;
+  {
+    json = flag "--json";
+    quick = flag "--quick";
+    assert_mode = flag "--assert";
+    out = !out;
+  }
+
+let read_ledger path =
+  if Sys.file_exists path then
+    In_channel.with_open_bin path In_channel.input_all
+    |> J.of_string |> Result.to_option
+  else None
+
+(* Keys already in the ledger are replaced in place, new ones appended;
+   every other section is kept. *)
+let write_ledger path fields =
+  let existing =
+    match read_ledger path with Some (J.Obj f) -> f | _ -> []
+  in
+  let merged =
+    List.map
+      (fun (k, v) -> (k, Option.value (List.assoc_opt k fields) ~default:v))
+      existing
+    @ List.filter (fun (k, _) -> not (List.mem_assoc k existing)) fields
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (J.to_string ~indent:true (J.Obj merged));
+      output_char oc '\n');
+  Printf.printf "wrote %s\n" path
+
+(* ------------------------------------------------------------------ *)
 (* E1/E2: Fig. 1 and Fig. 2 — schedules of the motivational example.  *)
 
 let fig1_fig2 () =
@@ -641,31 +688,17 @@ let api_bench () =
 (* ------------------------------------------------------------------ *)
 (* Serving tier: end-to-end request latency through the router (three
    in-process backends behind digest-affinity routing) and the shed
-   rate when a pipelined burst overruns the in-flight cap.  With
-   --json --out FILE the measurements merge into the timing bench's
-   JSON under a "serving" section, so BENCH_timing.json accumulates
-   both without either run clobbering the other.                       *)
+   rate when a pipelined burst overruns the in-flight cap.  --json
+   writes the "serving" section of the ledger.                         *)
 
 let serve_bench () =
-  let flag f = Array.exists (( = ) f) Sys.argv in
-  let json = flag "--json" in
-  let quick = flag "--quick" in
-  let out =
-    let r = ref "BENCH_timing.json" in
-    Array.iteri
-      (fun i a ->
-        if a = "--out" && i + 1 < Array.length Sys.argv then
-          r := Sys.argv.(i + 1))
-      Sys.argv;
-    !r
-  in
+  let { json; quick; out; _ } = opts () in
   section "Serving tier: router latency percentiles and shed rate";
   let module Server = Hls_server.Server in
   let module Client = Hls_server.Client in
   let module Router = Hls_router.Router in
   let module Req = Hls_api.Request in
   let module Resp = Hls_api.Response in
-  let module J = Hls_dse.Dse_json in
   let tmp name =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -802,19 +835,6 @@ let serve_bench () =
     max_inflight shed
     (100. *. shed_rate);
   if json then begin
-    (* merge (don't clobber): the timing bench owns the rest of the
-       file; this section rides alongside it *)
-    let existing =
-      if Sys.file_exists out then
-        let ic = open_in out in
-        let src =
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        match J.of_string src with Ok (J.Obj fields) -> fields | _ -> []
-      else []
-    in
     let serving =
       J.Obj
         [
@@ -831,15 +851,7 @@ let serve_bench () =
           ("failovers", J.Int (Atomic.get rstats.Router.failovers));
         ]
     in
-    let fields =
-      List.filter (fun (k, _) -> k <> "serving") existing
-      @ [ ("serving", serving) ]
-    in
-    let oc = open_out out in
-    output_string oc (J.to_string ~indent:true (J.Obj fields));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" out
+    write_ledger out [ ("serving", serving) ]
   end
 
 (* ------------------------------------------------------------------ *)
@@ -847,19 +859,7 @@ let serve_bench () =
 (* Bitnet, on each analysis alone and on the full optimized pipeline.  *)
 
 let timing () =
-  let flag f = Array.exists (( = ) f) Sys.argv in
-  let json = flag "--json" in
-  let quick = flag "--quick" in
-  let assert_mode = flag "--assert" in
-  let out =
-    let r = ref "BENCH_timing.json" in
-    Array.iteri
-      (fun i a ->
-        if a = "--out" && i + 1 < Array.length Sys.argv then
-          r := Sys.argv.(i + 1))
-      Sys.argv;
-    !r
-  in
+  let { json; quick; assert_mode; out } = opts () in
   section "Bit-level timing core: per-query reference vs packed Bitnet";
   let open Bechamel in
   let random_dfg =
@@ -1091,102 +1091,92 @@ let timing () =
         Some (base, off, on, disabled_pct, armed_pct)
     | _ -> None
   in
-  if json then begin
-    let module J = Hls_dse.Dse_json in
-    let doc =
-      J.Obj
-        [
-          ("bench", J.String "timing");
-          ("quick", J.Bool quick);
-          ( "workloads",
-            J.List
-              (List.map
-                 (fun (w, _, lats) ->
-                   J.Obj
-                     [
-                       ("name", J.String w);
-                       ("latencies", J.List (List.map (fun l -> J.Int l) lats));
-                     ])
-                 workloads) );
-          (* Shape of each workload's dependency net: how many wavefront
-             rounds the kernels take (levels) and how much intra-request
-             parallelism is available (regions). *)
-          ( "kernels",
-            J.List
-              (List.map
-                 (fun (w, g, _) ->
-                   let net = Hls_timing.Bitnet.build (P.prepare_kernel g) in
-                   J.Obj
-                     [
-                       ("name", J.String w);
-                       ("bits", J.Int (Hls_timing.Bitnet.total_bits net));
-                       ("levels", J.Int (Hls_timing.Bitnet.n_levels net));
-                       ("regions", J.Int (Hls_timing.Bitnet.n_regions net));
-                     ])
-                 workloads) );
-          ( "results",
-            J.List
-              (List.map
-                 (fun (w, a, r, n, s) ->
-                   J.Obj
-                     [
-                       ("workload", J.String w);
-                       ("analysis", J.String a);
-                       ("reference_ns_per_run", J.Float r);
-                       ("bitnet_ns_per_run", J.Float n);
-                       ("speedup", J.Float s);
-                     ])
-                 rows) );
-          (* Per-recipe deltas on the ADPCM decoder at the sweep's
-             tightest latency: what each preset costs (engine alone,
-             unverified) and what it buys the finished flow. *)
-          ( "transforms",
-            J.List
-              (List.map
-                 (fun (spec, est, nb, na, db, da, cycle, saved) ->
-                   J.Obj
-                     ([
-                        ("workload", J.String "adpcm");
-                        ("recipe", J.String spec);
-                      ]
-                     @ (match est with
-                       | Some e -> [ ("engine_ns_per_run", J.Float e) ]
-                       | None -> [])
-                     @ [
-                         ("nodes_before", J.Int nb);
-                         ("nodes_after", J.Int na);
-                         ("depth_before", J.Int db);
-                         ("depth_after", J.Int da);
-                         ("cycle_ns", J.Float cycle);
-                         ("cycle_saved_pct", J.Float saved);
-                       ]))
-                 xform_rows) );
-          (* Disabled-mode overhead is bounded by the delta between two
-             measurements of the same unarmed sweep (pipeline_sweep/net
-             and telemetry/off share every instruction); the armed figure
-             prices metric recording itself. *)
-          ( "telemetry",
-            match telemetry with
-            | None -> J.Null
-            | Some (base, off, on, disabled_pct, armed_pct) ->
-                J.Obj
-                  [
-                    ("workload", J.String "adpcm");
-                    ("pipeline_sweep_ns_per_run", J.Float base);
-                    ("disabled_ns_per_run", J.Float off);
-                    ("armed_ns_per_run", J.Float on);
-                    ("disabled_overhead_noise_bound_pct", J.Float disabled_pct);
-                    ("armed_overhead_pct", J.Float armed_pct);
-                  ] );
-        ]
-    in
-    let path = out in
-    let oc = open_out path in
-    output_string oc (J.to_string ~indent:true doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  end;
+  if json then
+    write_ledger out
+      [
+        ("bench", J.String "timing");
+        ("quick", J.Bool quick);
+        ( "workloads",
+          J.List
+            (List.map
+               (fun (w, _, lats) ->
+                 J.Obj
+                   [
+                     ("name", J.String w);
+                     ("latencies", J.List (List.map (fun l -> J.Int l) lats));
+                   ])
+               workloads) );
+        (* Shape of each workload's dependency net: how many wavefront
+           rounds the kernels take (levels) and how much intra-request
+           parallelism is available (regions). *)
+        ( "kernels",
+          J.List
+            (List.map
+               (fun (w, g, _) ->
+                 let net = Hls_timing.Bitnet.build (P.prepare_kernel g) in
+                 J.Obj
+                   [
+                     ("name", J.String w);
+                     ("bits", J.Int (Hls_timing.Bitnet.total_bits net));
+                     ("levels", J.Int (Hls_timing.Bitnet.n_levels net));
+                     ("regions", J.Int (Hls_timing.Bitnet.n_regions net));
+                   ])
+               workloads) );
+        ( "results",
+          J.List
+            (List.map
+               (fun (w, a, r, n, s) ->
+                 J.Obj
+                   [
+                     ("workload", J.String w);
+                     ("analysis", J.String a);
+                     ("reference_ns_per_run", J.Float r);
+                     ("bitnet_ns_per_run", J.Float n);
+                     ("speedup", J.Float s);
+                   ])
+               rows) );
+        (* Per-recipe deltas on the ADPCM decoder at the sweep's
+           tightest latency: what each preset costs (engine alone,
+           unverified) and what it buys the finished flow. *)
+        ( "transforms",
+          J.List
+            (List.map
+               (fun (spec, est, nb, na, db, da, cycle, saved) ->
+                 J.Obj
+                   ([
+                      ("workload", J.String "adpcm");
+                      ("recipe", J.String spec);
+                    ]
+                   @ (match est with
+                     | Some e -> [ ("engine_ns_per_run", J.Float e) ]
+                     | None -> [])
+                   @ [
+                       ("nodes_before", J.Int nb);
+                       ("nodes_after", J.Int na);
+                       ("depth_before", J.Int db);
+                       ("depth_after", J.Int da);
+                       ("cycle_ns", J.Float cycle);
+                       ("cycle_saved_pct", J.Float saved);
+                     ]))
+               xform_rows) );
+        (* Disabled-mode overhead is bounded by the delta between two
+           measurements of the same unarmed sweep (pipeline_sweep/net
+           and telemetry/off share every instruction); the armed figure
+           prices metric recording itself. *)
+        ( "telemetry",
+          match telemetry with
+          | None -> J.Null
+          | Some (base, off, on, disabled_pct, armed_pct) ->
+              J.Obj
+                [
+                  ("workload", J.String "adpcm");
+                  ("pipeline_sweep_ns_per_run", J.Float base);
+                  ("disabled_ns_per_run", J.Float off);
+                  ("armed_ns_per_run", J.Float on);
+                  ("disabled_overhead_noise_bound_pct", J.Float disabled_pct);
+                  ("armed_overhead_pct", J.Float armed_pct);
+                ] );
+      ];
   if assert_mode then begin
     (* A timing kernel or the binder slower than its retained reference
        is a regression, not a tradeoff — fail the build loudly. *)
@@ -1266,19 +1256,7 @@ let timing () =
        one-shot, its incremental retime must not be a slowdown, and a
        fuzz section reporting any mismatch is a correctness regression
        regardless of speed. *)
-    (let module J = Hls_dse.Dse_json in
-     let doc =
-       if Sys.file_exists out then
-         let ic = open_in out in
-         let src =
-           Fun.protect
-             ~finally:(fun () -> close_in_noerr ic)
-             (fun () -> really_input_string ic (in_channel_length ic))
-         in
-         Result.to_option (J.of_string src)
-       else None
-     in
-     match doc with
+    (match read_ledger out with
      | None -> ()
      | Some doc ->
          (match J.member "iteration" doc with
@@ -1343,25 +1321,13 @@ let timing () =
    one-shot schedule at a latency with slack inside its clock tier, and
    the incremental timing recompute (Bitnet.rebuild_dirty +
    Arrival.update_of_net) against the from-scratch pair it must stay
-   bit-identical to.  With --json --out FILE the measurements merge
-   into the timing bench's JSON under an "iteration" section, the same
-   read-filter-append idiom the serving section uses.                  *)
+   bit-identical to.  --json writes the "iteration" section of the
+   ledger.                                                              *)
 
 let iter_bench () =
-  let flag f = Array.exists (( = ) f) Sys.argv in
-  let json = flag "--json" in
-  let out =
-    let r = ref "BENCH_timing.json" in
-    Array.iteri
-      (fun i a ->
-        if a = "--out" && i + 1 < Array.length Sys.argv then
-          r := Sys.argv.(i + 1))
-      Sys.argv;
-    !r
-  in
+  let { json; out; _ } = opts () in
   section "Feedback-guided iteration: cycles clawed back, incremental retime";
   let module Iter = Hls_iter.Iter in
-  let module J = Hls_dse.Dse_json in
   let registry w =
     match Hls_workloads.Catalog.find_graph w with
     | Some g -> g
@@ -1440,19 +1406,6 @@ let iter_bench () =
     (List.length dirty) n net_scratch_ns net_incr_ns arr_scratch_ns
     arr_incr_ns retime_speedup;
   if json then begin
-    (* merge (don't clobber): the timing bench owns the rest of the
-       file; this section rides alongside it *)
-    let existing =
-      if Sys.file_exists out then
-        let ic = open_in out in
-        let src =
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        match J.of_string src with Ok (J.Obj fields) -> fields | _ -> []
-      else []
-    in
     let iteration =
       J.Obj
         [
@@ -1486,40 +1439,19 @@ let iter_bench () =
               ] );
         ]
     in
-    let fields =
-      List.filter (fun (k, _) -> k <> "iteration") existing
-      @ [ ("iteration", iteration) ]
-    in
-    let oc = open_out out in
-    output_string oc (J.to_string ~indent:true (J.Obj fields));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" out
+    write_ledger out [ ("iteration", iteration) ]
   end
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzzing throughput (lib/fuzz): cases per second over a
    fixed-seed run of all three lanes.  A mismatch here is a correctness
-   failure, not a slow bench — the run aborts the bench loudly.  With
-   --json --out FILE the figures merge into BENCH_timing.json under a
-   "fuzz" section, the same read-filter-append idiom as "serving" and
-   "iteration".                                                        *)
+   failure, not a slow bench — the run aborts the bench loudly.  --json
+   writes the "fuzz" section of the ledger.                            *)
 
 let fuzz_bench () =
-  let flag f = Array.exists (( = ) f) Sys.argv in
-  let json = flag "--json" in
-  let out =
-    let r = ref "BENCH_timing.json" in
-    Array.iteri
-      (fun i a ->
-        if a = "--out" && i + 1 < Array.length Sys.argv then
-          r := Sys.argv.(i + 1))
-      Sys.argv;
-    !r
-  in
+  let { json; out; _ } = opts () in
   section "Differential fuzzing throughput (lib/fuzz), fixed seed";
   let module D = Hls_fuzz.Driver in
-  let module J = Hls_dse.Dse_json in
   let cfg =
     D.make_config ~seed:7 ~budget:120 ~lanes:[ D.Spec; D.Diff; D.Codec ]
       ~dir:(Filename.concat (Filename.get_temp_dir_name ()) "hls_fuzz_bench")
@@ -1543,19 +1475,6 @@ let fuzz_bench () =
      mismatches\n"
     s.D.s_cases s.D.s_wall_s cases_per_s s.D.s_coverage;
   if json then begin
-    (* merge (don't clobber): the timing bench owns the rest of the
-       file; this section rides alongside it *)
-    let existing =
-      if Sys.file_exists out then
-        let ic = open_in out in
-        let src =
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        match J.of_string src with Ok (J.Obj fields) -> fields | _ -> []
-      else []
-    in
     let fuzz =
       J.Obj
         [
@@ -1580,14 +1499,7 @@ let fuzz_bench () =
                  s.D.s_lanes) );
         ]
     in
-    let fields =
-      List.filter (fun (k, _) -> k <> "fuzz") existing @ [ ("fuzz", fuzz) ]
-    in
-    let oc = open_out out in
-    output_string oc (J.to_string ~indent:true (J.Obj fields));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" out
+    write_ledger out [ ("fuzz", fuzz) ]
   end
 
 (* ------------------------------------------------------------------ *)

@@ -14,7 +14,7 @@
      schedule    schedule with a chosen flow and print the cycle assignment
      report      compare the conventional / BLC / optimized flows
      explore     sweep the design space and print its Pareto frontier
-     emit-vhdl   print behavioural or RTL VHDL
+     emit-vhdl   print behavioural VHDL, or the gate-level netlist
      emit-verilog  print the gate-level netlist as structural Verilog
      simulate    run one random vector through the gate-level netlist
      iterate     feedback-iterate the schedule: re-time the critical region
@@ -279,61 +279,39 @@ let transform_cmd =
     Term.(const run $ telemetry_term $ connect_arg $ file_arg $ builtin_arg
           $ recipe_arg $ verify_arg)
 
-let emit_vhdl_cmd =
-  let run tel connect file builtin latency rtl netlist =
+(* emit-vhdl and emit-verilog: one Emit request, its format picked by a
+   flag. *)
+let emit_cmd name ~doc ~flag:flag_name ~flag_doc ~formats:(plain, flagged) =
+  let run tel connect file builtin latency set =
     with_telemetry tel @@ fun () ->
-    let format =
-      if netlist then Req.Vhdl_netlist else if rtl then Req.Vhdl_rtl
-      else Req.Vhdl
-    in
     let req =
       Req.Emit
         {
           spec = spec_of ~file ~builtin;
           latency;
-          format;
+          format = (if set then flagged else plain);
           config = Req.default_config;
         }
     in
     print_string (Api.Render.to_text (payload_or_die connect req))
   in
-  let rtl_arg =
-    Arg.(value & flag & info [ "rtl" ]
-           ~doc:"Emit the scheduled RTL (FSM + datapath) instead of the \
-                 behavioural source.")
-  in
-  let netlist_arg =
-    Arg.(value & flag & info [ "netlist" ]
-           ~doc:"Emit the gate-level structural netlist.")
-  in
-  Cmd.v (Cmd.info "emit-vhdl" ~doc:"Print VHDL")
+  let flag_arg = Arg.(value & flag & info [ flag_name ] ~doc:flag_doc) in
+  Cmd.v (Cmd.info name ~doc)
     Term.(const run $ telemetry_term $ connect_arg $ file_arg $ builtin_arg
-          $ latency_arg $ rtl_arg $ netlist_arg)
+          $ latency_arg $ flag_arg)
+
+let emit_vhdl_cmd =
+  emit_cmd "emit-vhdl" ~doc:"Print VHDL" ~flag:"netlist"
+    ~flag_doc:"Emit the scheduled design as its gate-level structural \
+               netlist instead of the behavioural source."
+    ~formats:(Req.Vhdl, Req.Vhdl_netlist)
 
 let emit_verilog_cmd =
-  let run tel connect file builtin latency testbench =
-    with_telemetry tel @@ fun () ->
-    let format = if testbench then Req.Verilog_tb else Req.Verilog in
-    let req =
-      Req.Emit
-        {
-          spec = spec_of ~file ~builtin;
-          latency;
-          format;
-          config = Req.default_config;
-        }
-    in
-    print_string (Api.Render.to_text (payload_or_die connect req))
-  in
-  let tb_arg =
-    Arg.(value & flag & info [ "testbench" ]
-           ~doc:"Also emit a self-checking testbench with golden vectors.")
-  in
-  Cmd.v
-    (Cmd.info "emit-verilog"
-       ~doc:"Print the gate-level netlist as structural Verilog")
-    Term.(const run $ telemetry_term $ connect_arg $ file_arg $ builtin_arg
-          $ latency_arg $ tb_arg)
+  emit_cmd "emit-verilog"
+    ~doc:"Print the gate-level netlist as structural Verilog"
+    ~flag:"testbench"
+    ~flag_doc:"Also emit a self-checking testbench with golden vectors."
+    ~formats:(Req.Verilog, Req.Verilog_tb)
 
 let simulate_cmd =
   let run tel connect file builtin latency vcd_path seed =

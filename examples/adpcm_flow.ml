@@ -1,7 +1,8 @@
 (* Table III workload: the three ADPCM G.721 decoder modules, each
    synthesized at the latency a conventional tool would pick in
    free-floating mode, then at that same latency with the presynthesis
-   transformation — and the optimized IAQ emitted as RTL VHDL. *)
+   transformation — and the optimized IAQ emitted as its gate-level
+   VHDL netlist. *)
 
 module P = Hls_core.Pipeline
 
@@ -52,8 +53,9 @@ let () =
     (Hls_bitvec.to_signed_int (List.assoc "dq" behavioural))
     (Hls_bitvec.to_signed_int (List.assoc "dq" rtl.Hls_rtl.Cycle_sim.fr_outputs));
 
-  print_endline "\n== RTL VHDL of the optimized IAQ (first 40 lines)";
-  let vhdl = Hls_rtl.Rtl_vhdl.emit opt.P.schedule in
+  print_endline "\n== netlist VHDL of the optimized IAQ (first 40 lines)";
+  let nl = Hls_rtl.Elaborate_netlist.elaborate opt.P.schedule in
+  let vhdl = Hls_rtl.Vhdl_netlist.emit ~name:"iaq" nl in
   String.split_on_char '\n' vhdl
   |> Hls_util.List_ext.take 40
   |> List.iter print_endline;

@@ -553,20 +553,13 @@ let stage t req =
                 (fun () ->
                   let r = run_or_raise cfg p ~latency in
                   let name = Hls_speclang.Names.sanitize (Graph.name g) in
+                  let nl = Hls_rtl.Elaborate_netlist.elaborate r.P.schedule in
                   let text =
                     match format with
                     | Request.Vhdl -> assert false (* handled above *)
-                    | Request.Vhdl_rtl -> Hls_rtl.Rtl_vhdl.emit r.P.schedule
-                    | Request.Vhdl_netlist ->
-                        Hls_rtl.Vhdl_netlist.emit ~name
-                          (Hls_rtl.Elaborate_netlist.elaborate r.P.schedule)
-                    | Request.Verilog ->
-                        Hls_rtl.Verilog.emit ~name
-                          (Hls_rtl.Elaborate_netlist.elaborate r.P.schedule)
+                    | Request.Vhdl_netlist -> Hls_rtl.Vhdl_netlist.emit ~name nl
+                    | Request.Verilog -> Hls_rtl.Verilog.emit ~name nl
                     | Request.Verilog_tb ->
-                        let nl =
-                          Hls_rtl.Elaborate_netlist.elaborate r.P.schedule
-                        in
                         let prng = Hls_util.Prng.create ~seed:7 in
                         let vectors =
                           List.init 5 (fun _ ->

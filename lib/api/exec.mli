@@ -58,3 +58,11 @@ val run_batch :
   ?workers:int -> ?timeout_s:float -> ?deadlines:float option array ->
   t -> Request.t array ->
   (Response.payload, Response.error) result array
+
+(** [expired d]: the absolute deadline [d] (ms since the Unix epoch) has
+    passed.  The daemon and the router shed on it before admitting. *)
+val expired : float -> bool
+
+(** The retryable {!Hls_util.Failure.Timeout} an expired deadline [d] is
+    shed with; it carries how many seconds past [d] it was noticed. *)
+val deadline_failure : float -> Hls_util.Failure.t

@@ -128,7 +128,6 @@ let random_request prng =
             Prng.pick prng
               [
                 Request.Vhdl;
-                Request.Vhdl_rtl;
                 Request.Vhdl_netlist;
                 Request.Verilog;
                 Request.Verilog_tb;

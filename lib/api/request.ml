@@ -69,18 +69,16 @@ let flow_of_name = function
   | "optimized" -> Some Optimized
   | _ -> None
 
-type emit_format = Vhdl | Vhdl_rtl | Vhdl_netlist | Verilog | Verilog_tb
+type emit_format = Vhdl | Vhdl_netlist | Verilog | Verilog_tb
 
 let format_name = function
   | Vhdl -> "vhdl"
-  | Vhdl_rtl -> "vhdl-rtl"
   | Vhdl_netlist -> "vhdl-netlist"
   | Verilog -> "verilog"
   | Verilog_tb -> "verilog-tb"
 
 let format_of_name = function
   | "vhdl" -> Some Vhdl
-  | "vhdl-rtl" -> Some Vhdl_rtl
   | "vhdl-netlist" -> Some Vhdl_netlist
   | "verilog" -> Some Verilog
   | "verilog-tb" -> Some Verilog_tb
@@ -213,7 +211,7 @@ let flow_codec =
     flow_of_name
 
 let format_codec =
-  C.enum ~expected:"one of vhdl, vhdl-rtl, vhdl-netlist, verilog, verilog-tb"
+  C.enum ~expected:"one of vhdl, vhdl-netlist, verilog, verilog-tb"
     format_name format_of_name
 
 (* Fields most verbs share. *)

@@ -57,7 +57,7 @@ val flow_of_name : string -> flow option
 (** A flow on the wire, by name. *)
 val flow_codec : flow Hls_dse.Codec.t
 
-type emit_format = Vhdl | Vhdl_rtl | Vhdl_netlist | Verilog | Verilog_tb
+type emit_format = Vhdl | Vhdl_netlist | Verilog | Verilog_tb
 
 val format_name : emit_format -> string
 val format_of_name : string -> emit_format option

@@ -35,6 +35,7 @@
 
 module R = Hls_api.Request
 module Resp = Hls_api.Response
+module Exec = Hls_api.Exec
 module Client = Hls_server.Client
 module Retry_policy = Hls_pool.Retry_policy
 module Loop = Hls_server.Loop
@@ -210,11 +211,6 @@ type inflight = {
   mutable i_backend : string option;  (** where it is right now *)
   i_gather : (gather * int) option;  (** parent, shard index *)
 }
-
-let now_ms () = Unix.gettimeofday () *. 1e3
-
-let expired_timeout deadline_ms =
-  Hls_util.Failure.Timeout (max 0. ((now_ms () -. deadline_ms) /. 1e3))
 
 (* ------------------------------------------------------------------ *)
 (* The router.                                                         *)
@@ -397,11 +393,11 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
   in
   let dispatch now fl =
     match fl.i_deadline with
-    | Some d when now_ms () > d ->
+    | Some d when Exec.expired d ->
         Hashtbl.remove inflight_tbl fl.i_seq;
         Atomic.incr stats.shed;
         Hls_telemetry.count "router.deadline_shed";
-        let err = Resp.Failed (expired_timeout d) in
+        let err = Resp.Failed (Exec.deadline_failure d) in
         (match fl.i_gather with
         | Some (g, _) when g.g_done -> ()
         | Some (g, _) ->
@@ -593,11 +589,11 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
                          }) }
           | _ -> (
               match deadline with
-              | Some d when now_ms () > d ->
+              | Some d when Exec.expired d ->
                   Hls_telemetry.count "router.deadline_shed";
                   Atomic.incr stats.shed;
                   respond_client conn
-                    (Resp.fail ?id (Resp.Failed (expired_timeout d)))
+                    (Resp.fail ?id (Resp.Failed (Exec.deadline_failure d)))
               | _ ->
                   if inflight_load () >= cfg.max_inflight then
                     shed conn ?id

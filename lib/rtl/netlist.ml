@@ -101,9 +101,32 @@ let output_pin t ~port ~bit net = t.outputs <- (port, bit, net) :: t.outputs
 (** Cells in creation (topological) order. *)
 let cells t = List.rev t.cells
 
-let input_pins t = List.rev t.inputs
-let output_pins t = List.rev t.outputs
 let net_count t = t.net_count
+
+type port = { port : string; width : int; bits : (int * net) list }
+
+(* Ports in the order of their first pin; each port's bits come out in
+   reverse pin order. *)
+let group pins =
+  let tbl = Hashtbl.create 8 and first = ref [] in
+  List.iter
+    (fun (port, bit, net) ->
+      match Hashtbl.find_opt tbl port with
+      | Some l -> Hashtbl.replace tbl port ((bit, net) :: l)
+      | None ->
+          first := port :: !first;
+          Hashtbl.replace tbl port [ (bit, net) ])
+    pins;
+  List.rev_map
+    (fun port ->
+      let bits = Hashtbl.find tbl port in
+      let width = 1 + List.fold_left (fun a (b, _) -> max a b) 0 bits in
+      { port; width; bits })
+    !first
+
+let input_ports t = group (List.rev t.inputs)
+let output_ports t = group (List.rev t.outputs)
+let by_name ports = List.sort (fun a b -> compare a.port b.port) ports
 
 (** {1 Statistics} *)
 
@@ -214,15 +237,17 @@ let clock sim =
   List.iter (fun (q, v) -> sim.values.(q) <- v) next;
   sim.cycle <- sim.cycle + 1
 
+let input_bit ~caller inputs port bit =
+  match List.assoc_opt port inputs with
+  | Some bv -> Hls_bitvec.get bv bit
+  | None ->
+      invalid_arg (Printf.sprintf "Netlist.%s: missing input %s" caller port)
+
 (** Run [cycles] clock cycles with constant inputs and return the output
     pins' final values. *)
 let run netlist ~cycles ~inputs =
   let sim = sim_create netlist in
-  let input_bit port bit =
-    match List.assoc_opt port inputs with
-    | Some bv -> Hls_bitvec.get bv bit
-    | None -> invalid_arg (Printf.sprintf "Netlist.run: missing input %s" port)
-  in
+  let input_bit = input_bit ~caller:"run" inputs in
   for _ = 1 to cycles do
     settle sim ~input_bit;
     clock sim
@@ -230,21 +255,14 @@ let run netlist ~cycles ~inputs =
   (* Outputs are sampled after the last settle (port registers excluded,
      as in the paper's area accounting). *)
   settle sim ~input_bit;
-  let by_port = Hashtbl.create 8 in
-  List.iter
-    (fun (port, bit, net) ->
-      let bits = Option.value (Hashtbl.find_opt by_port port) ~default:[] in
-      Hashtbl.replace by_port port ((bit, sim.values.(net)) :: bits))
-    netlist.outputs;
-  Hashtbl.fold
-    (fun port bits acc ->
-      let width = 1 + List.fold_left (fun a (b, _) -> max a b) 0 bits in
-      let bv =
-        Hls_bitvec.init width (fun i ->
-            match List.assoc_opt i bits with Some v -> v | None -> false)
-      in
-      (port, bv) :: acc)
-    by_port []
+  List.map
+    (fun p ->
+      ( p.port,
+        Hls_bitvec.init p.width (fun i ->
+            match List.assoc_opt i p.bits with
+            | Some net -> sim.values.(net)
+            | None -> false) ))
+    (output_ports netlist)
 
 (** {1 VCD waveform dumping} *)
 
@@ -298,12 +316,7 @@ let dump_vcd netlist ~cycles ~inputs =
     signals;
   add "$upscope $end\n$enddefinitions $end\n";
   let sim = sim_create netlist in
-  let input_bit port bit =
-    match List.assoc_opt port inputs with
-    | Some bv -> Hls_bitvec.get bv bit
-    | None ->
-        invalid_arg (Printf.sprintf "Netlist.dump_vcd: missing input %s" port)
-  in
+  let input_bit = input_bit ~caller:"dump_vcd" inputs in
   let last = Hashtbl.create 64 in
   let dump_values time clk =
     add "#%d\n" time;

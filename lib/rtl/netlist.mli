@@ -40,9 +40,19 @@ val dff_into : t -> ?en:net -> ?init:bool -> d:net -> q:net -> unit -> unit
 val input_pin : t -> port:string -> bit:int -> net
 val output_pin : t -> port:string -> bit:int -> net -> unit
 val cells : t -> cell list
-val input_pins : t -> (string * int * net) list
-val output_pins : t -> (string * int * net) list
 val net_count : t -> int
+
+(** A port as the printers declare it: its name, its width (highest pin
+    bit + 1) and its [(bit, net)] pins. *)
+type port = { port : string; width : int; bits : (int * net) list }
+
+(** The pins grouped per port, ports in the order of their first pin. *)
+val input_ports : t -> port list
+
+val output_ports : t -> port list
+
+(** Ports sorted by name: the order a module or entity declares them. *)
+val by_name : port list -> port list
 
 type stats = {
   n_fa : int;

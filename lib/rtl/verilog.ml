@@ -15,28 +15,14 @@ let emit ?(name = "design") (nl : N.t) =
   let buf = Buffer.create 8192 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let cells = N.cells nl in
-  (* Group ports. *)
-  let group pins =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (port, bit, net) ->
-        let l = Option.value (Hashtbl.find_opt tbl port) ~default:[] in
-        Hashtbl.replace tbl port ((bit, net) :: l))
-      pins;
-    Hashtbl.fold (fun port bits acc -> (port, bits) :: acc) tbl []
-    |> List.sort compare
-  in
-  let inputs = group (N.input_pins nl) in
-  let outputs = group (N.output_pins nl) in
-  let width bits = 1 + List.fold_left (fun a (b, _) -> max a b) 0 bits in
+  let inputs = N.by_name (N.input_ports nl) in
+  let outputs = N.by_name (N.output_ports nl) in
   add "module %s (\n  input wire clk" name;
   List.iter
-    (fun (port, bits) ->
-      add ",\n  input wire [%d:0] %s" (width bits - 1) port)
+    (fun (p : N.port) -> add ",\n  input wire [%d:0] %s" (p.width - 1) p.port)
     inputs;
   List.iter
-    (fun (port, bits) ->
-      add ",\n  output wire [%d:0] %s" (width bits - 1) port)
+    (fun (p : N.port) -> add ",\n  output wire [%d:0] %s" (p.width - 1) p.port)
     outputs;
   add "\n);\n\n";
   (* One wire per net. *)
@@ -44,8 +30,10 @@ let emit ?(name = "design") (nl : N.t) =
   let w k = Printf.sprintf "n[%d]" k in
   (* Input pins. *)
   List.iter
-    (fun (port, bits) ->
-      List.iter (fun (bit, net) -> add "  assign %s = %s[%d];\n" (w net) port bit) bits)
+    (fun (p : N.port) ->
+      List.iter
+        (fun (bit, net) -> add "  assign %s = %s[%d];\n" (w net) p.port bit)
+        p.bits)
     inputs;
   (* Cells. *)
   let regs = ref [] in
@@ -81,10 +69,10 @@ let emit ?(name = "design") (nl : N.t) =
     (List.rev !regs);
   (* Output pins. *)
   List.iter
-    (fun (port, bits) ->
+    (fun (p : N.port) ->
       List.iter
-        (fun (bit, net) -> add "  assign %s[%d] = %s;\n" port bit (w net))
-        bits)
+        (fun (bit, net) -> add "  assign %s[%d] = %s;\n" p.port bit (w net))
+        p.bits)
     outputs;
   add "\nendmodule\n";
   Buffer.contents buf
@@ -100,34 +88,19 @@ let testbench ?(name = "design") (nl : N.t) ~cycles
   let literal bv =
     Printf.sprintf "%d'b%s" (Hls_bitvec.width bv) (Hls_bitvec.to_string bv)
   in
-  let in_ports =
-    Hls_util.List_ext.dedup ~eq:( = )
-      (List.map (fun (p, _, _) -> p) (N.input_pins nl))
-  in
-  let out_ports =
-    Hls_util.List_ext.dedup ~eq:( = )
-      (List.map (fun (p, _, _) -> p) (N.output_pins nl))
-  in
-  let port_width pins port =
-    1
-    + List.fold_left
-        (fun acc (p, bit, _) -> if p = port then max acc bit else acc)
-        0 pins
-  in
+  let in_ports = N.input_ports nl and out_ports = N.output_ports nl in
   add "`timescale 1ns/1ps\nmodule %s_tb;\n" name;
   add "  reg clk = 0;\n  always #5 clk = ~clk;\n";
   List.iter
-    (fun p -> add "  reg [%d:0] %s;\n" (port_width (N.input_pins nl) p - 1) p)
+    (fun (p : N.port) -> add "  reg [%d:0] %s;\n" (p.width - 1) p.port)
     in_ports;
   List.iter
-    (fun p ->
-      add "  wire [%d:0] %s;\n" (port_width (N.output_pins nl) p - 1) p)
+    (fun (p : N.port) -> add "  wire [%d:0] %s;\n" (p.width - 1) p.port)
     out_ports;
+  let connect (p : N.port) = Printf.sprintf ", .%s(%s)" p.port p.port in
   add "  %s dut (.clk(clk)%s%s);\n" name
-    (String.concat ""
-       (List.map (fun p -> Printf.sprintf ", .%s(%s)" p p) in_ports))
-    (String.concat ""
-       (List.map (fun p -> Printf.sprintf ", .%s(%s)" p p) out_ports));
+    (String.concat "" (List.map connect in_ports))
+    (String.concat "" (List.map connect out_ports));
   add "  integer errors = 0;\n";
   add "  initial begin\n";
   List.iter

@@ -8,29 +8,21 @@ module N = Netlist
 let emit ?(name = "design") (nl : N.t) =
   let buf = Buffer.create 8192 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let group pins =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (port, bit, net) ->
-        let l = Option.value (Hashtbl.find_opt tbl port) ~default:[] in
-        Hashtbl.replace tbl port ((bit, net) :: l))
-      pins;
-    Hashtbl.fold (fun port bits acc -> (port, bits) :: acc) tbl []
-    |> List.sort compare
-  in
-  let inputs = group (N.input_pins nl) in
-  let outputs = group (N.output_pins nl) in
-  let width bits = 1 + List.fold_left (fun a (b, _) -> max a b) 0 bits in
+  let id = Hls_util.Vhdl_ident.of_string in
+  let name = id name in
+  let inputs = N.by_name (N.input_ports nl) in
+  let outputs = N.by_name (N.output_ports nl) in
   add "library ieee;\nuse ieee.std_logic_1164.all;\n\n";
   add "entity %s is\n  port (\n    clk : in std_logic" name;
   List.iter
-    (fun (port, bits) ->
-      add ";\n    %s : in std_logic_vector(%d downto 0)" port (width bits - 1))
+    (fun (p : N.port) ->
+      add ";\n    %s : in std_logic_vector(%d downto 0)" (id p.port)
+        (p.width - 1))
     inputs;
   List.iter
-    (fun (port, bits) ->
-      add ";\n    %s : out std_logic_vector(%d downto 0)" port
-        (width bits - 1))
+    (fun (p : N.port) ->
+      add ";\n    %s : out std_logic_vector(%d downto 0)" (id p.port)
+        (p.width - 1))
     outputs;
   add "\n  );\nend %s;\n\n" name;
   add "architecture structural of %s is\n" name;
@@ -49,10 +41,10 @@ let emit ?(name = "design") (nl : N.t) =
   add "begin\n";
   let w k = Printf.sprintf "n(%d)" k in
   List.iter
-    (fun (port, bits) ->
+    (fun (p : N.port) ->
       List.iter
-        (fun (bit, net) -> add "  %s <= %s(%d);\n" (w net) port bit)
-        bits)
+        (fun (bit, net) -> add "  %s <= %s(%d);\n" (w net) (id p.port) bit)
+        p.bits)
     inputs;
   List.iter
     (fun cell ->
@@ -87,10 +79,10 @@ let emit ?(name = "design") (nl : N.t) =
       add "    end if;\n  end process reg%d;\n" k)
     regs;
   List.iter
-    (fun (port, bits) ->
+    (fun (p : N.port) ->
       List.iter
-        (fun (bit, net) -> add "  %s(%d) <= %s;\n" port bit (w net))
-        bits)
+        (fun (bit, net) -> add "  %s(%d) <= %s;\n" (id p.port) bit (w net))
+        p.bits)
     outputs;
   add "end structural;\n";
   Buffer.contents buf

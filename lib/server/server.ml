@@ -60,11 +60,6 @@ let default_config ~socket =
     grace_s = 5.0;
   }
 
-let now_ms () = Unix.gettimeofday () *. 1e3
-
-let expired_timeout deadline_ms =
-  Hls_util.Failure.Timeout (max 0. ((now_ms () -. deadline_ms) /. 1e3))
-
 (* Decode one line and either admit it or answer immediately.  [admit]
    returns false when the queue is full.  A request whose deadline has
    already passed is shed here — admission control, like Overloaded. *)
@@ -84,9 +79,10 @@ let handle_line ~admit conn line =
           { Resp.id; result = Ok (Resp.Pong { pong_pid = Unix.getpid () }) }
     | Ok { R.env_id = id; env_deadline_ms; env_req } -> (
         match env_deadline_ms with
-        | Some d when now_ms () > d ->
+        | Some d when Hls_api.Exec.expired d ->
             Hls_telemetry.count "server.deadline_shed";
-            Loop.respond conn (Resp.fail ?id (Resp.Failed (expired_timeout d)))
+            Loop.respond conn
+              (Resp.fail ?id (Resp.Failed (Hls_api.Exec.deadline_failure d)))
         | _ -> (
             match admit (conn, id, env_deadline_ms, env_req) with
             | `Admitted -> ()

@@ -16,10 +16,11 @@ let literal bv =
   Printf.sprintf "\"%s\"" (Hls_bitvec.to_string bv)
 
 let emit graph =
-  let names = Names.assign graph in
+  let id = Hls_util.Vhdl_ident.of_string in
+  let names = Array.map id (Names.assign graph) in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let entity = Names.sanitize (Graph.name graph) in
+  let entity = id (Names.sanitize (Graph.name graph)) in
   add "library ieee;\n";
   add "use ieee.std_logic_1164.all;\n";
   add "use ieee.numeric_std.all;\n\n";
@@ -29,11 +30,12 @@ let emit graph =
   List.iter
     (fun p ->
       add "%s%s%s : in std_logic_vector(%d downto 0);\n" indent indent
-        p.port_name (p.port_width - 1))
+        (id p.port_name) (p.port_width - 1))
     graph.Graph.inputs;
   List.iteri
     (fun i (name, o) ->
-      add "%s%s%s : out std_logic_vector(%d downto 0)%s\n" indent indent name
+      add "%s%s%s : out std_logic_vector(%d downto 0)%s\n" indent indent
+        (id name)
         (Operand.width o - 1)
         (if i = List.length graph.Graph.outputs - 1 then "" else ";"))
     graph.Graph.outputs;
@@ -51,12 +53,11 @@ let emit graph =
   let src (o : operand) =
     let base, w =
       match o.src with
-      | Input name -> (name, Graph.source_width graph o.src)
-      | Node id -> (names.(id), (Graph.node graph id).width)
+      | Input name -> (id name, Graph.source_width graph o.src)
+      | Node n -> (names.(n), (Graph.node graph n).width)
       | Const bv -> (literal bv, Hls_bitvec.width bv)
     in
     if o.lo = 0 && o.hi = w - 1 then base
-    else if o.lo = o.hi then Printf.sprintf "%s(%d downto %d)" base o.hi o.lo
     else Printf.sprintf "%s(%d downto %d)" base o.hi o.lo
   in
   (* Operand as a numeric_std value resized to [width] honouring its
@@ -70,8 +71,8 @@ let emit graph =
   let slv e = Printf.sprintf "std_logic_vector(%s)" e in
   let bit (o : operand) = Printf.sprintf "%s(%d)" (
       match o.src with
-      | Input name -> name
-      | Node id -> names.(id)
+      | Input name -> id name
+      | Node n -> names.(n)
       | Const bv -> literal bv) o.lo
   in
   let cmp_expr n op =
@@ -138,17 +139,10 @@ let emit graph =
             (slv (num ~width:w b))
       | Not ->
           stmt "%s := not %s;" name (slv (num ~width:w (o 0)))
-      | And ->
-          stmt "%s := %s and %s;" name
+      | And | Or | Xor ->
+          stmt "%s := %s %s %s;" name
             (slv (num ~width:w (o 0)))
-            (slv (num ~width:w (o 1)))
-      | Or ->
-          stmt "%s := %s or %s;" name
-            (slv (num ~width:w (o 0)))
-            (slv (num ~width:w (o 1)))
-      | Xor ->
-          stmt "%s := %s xor %s;" name
-            (slv (num ~width:w (o 0)))
+            (kind_to_string n.kind)
             (slv (num ~width:w (o 1)))
       | Gate ->
           stmt "%s := %s when %s = '1' else (others => '0');" name
@@ -168,7 +162,7 @@ let emit graph =
       | Wire -> stmt "%s := %s;" name (slv (num ~width:w (o 0))))
     graph;
   List.iter
-    (fun (name, o) -> stmt "%s <= %s;" name (src o))
+    (fun (name, o) -> stmt "%s <= %s;" (id name) (src o))
     graph.Graph.outputs;
   add "%send process main;\n" indent;
   add "end beh;\n";

@@ -462,3 +462,44 @@ module Csd = struct
         if neg then acc - term else acc + term)
       0 ds
 end
+
+module Vhdl_ident = struct
+  (** VHDL-93 identifiers, for the printers that write VHDL text. *)
+
+  let reserved =
+    String.split_on_char ' '
+      "abs access after alias all and architecture array assert attribute \
+       begin block body buffer bus case component configuration constant \
+       disconnect downto else elsif end entity exit file for function \
+       generate generic group guarded if impure in inertial inout is label \
+       library linkage literal loop map mod nand new next nor not null of \
+       on open or others out package port postponed procedure process pure \
+       range record register reject rem report return rol ror select \
+       severity signal shared sla sll sra srl subtype then to transport \
+       type unaffected units until use variable wait when while with xnor \
+       xor"
+
+  let is_letter = function 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false
+  let is_alnum c = is_letter c || match c with '0' .. '9' -> true | _ -> false
+
+  (** A basic identifier: letter { [underline] letter_or_digit }, and not a
+      reserved word (case-insensitively). *)
+  let is_basic s =
+    let n = String.length s in
+    let rec ok i =
+      i = n
+      || (is_alnum s.[i] && ok (i + 1))
+      || (s.[i] = '_' && i + 1 < n && is_alnum s.[i + 1] && ok (i + 1))
+    in
+    n > 0 && is_letter s.[0] && ok 1
+    && not (List.mem (String.lowercase_ascii s) reserved)
+
+  (** [s] itself when it is a basic identifier, otherwise the extended
+      identifier [\s\] (inner backslashes doubled). *)
+  let of_string s =
+    if is_basic s then s
+    else
+      "\\"
+      ^ String.concat "\\\\" (String.split_on_char '\\' s)
+      ^ "\\"
+end

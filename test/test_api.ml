@@ -379,8 +379,8 @@ let test_response_golden_payloads () =
     {|{"v":1,"ok":true,"result":{"kind":"simulate","latency":3,"inputs":[{"name":"a","value":5}],"outputs":[{"name":"y","behavioural":12,"gate":12}],"vcd":"$end"}}|}
     (simulate (Some "$end"));
   check "emit response"
-    {|{"v":1,"ok":true,"result":{"kind":"emit","format":"vhdl-rtl","text":"entity"}}|}
-    (resp (Resp.Emitted { format = Req.Vhdl_rtl; text = "entity" }));
+    {|{"v":1,"ok":true,"result":{"kind":"emit","format":"vhdl-netlist","text":"entity"}}|}
+    (resp (Resp.Emitted { format = Req.Vhdl_netlist; text = "entity" }));
   check "iterate response"
     {|{"v":1,"ok":true,"result":{"kind":"iterate","initial_latency":14,"final_latency":12,"initial_delta":20,"final_delta":22,"saved_pct":12.5,"stop":"converged","rounds":[{"index":1,"target":13,"cap":22,"region":5,"region_adds":2,"pinned":true,"accepted":false,"latency":14,"delta":20}]}}|}
     (resp
@@ -649,7 +649,7 @@ let test_usage_messages () =
   check "enum field" {|"flow" must be "conventional", "blc" or "optimized"|}
     (usage ({|schedule","params":{|} ^ spec ^ {|,"flow":"fast"}|}));
   check "enum field, listed"
-    {|"format" must be one of vhdl, vhdl-rtl, vhdl-netlist, verilog, verilog-tb|}
+    {|"format" must be one of vhdl, vhdl-netlist, verilog, verilog-tb|}
     (usage ({|emit","params":{|} ^ spec ^ {|,"format":"edif"}|}));
   check "config enum field" {|config "policy" must be "full" or "coalesced"|}
     (usage ({|report","params":{|} ^ spec ^ {|,"config":{"policy":7}}|}));

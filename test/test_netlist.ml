@@ -255,6 +255,67 @@ let test_vhdl_netlist_emission () =
       "end structural;";
     ]
 
+(* Both printers read one netlist: the same ports at the same widths, a
+   register per flip-flop and a sum assignment per full adder.  sat_acc's
+   output [next] is a VHDL reserved word, printed as [\next\]. *)
+let test_printers_agree () =
+  let lines s = String.split_on_char '\n' s in
+  let count p s = List.length (List.filter p (lines s)) in
+  let starts prefix l = String.starts_with ~prefix l in
+  let words w l =
+    List.length (List.filter (String.equal w) (String.split_on_char ' ' l))
+  in
+  let ports scan s =
+    List.filter_map (fun l -> try Some (scan l) with _ -> None) (lines s)
+  in
+  let vhdl_ports =
+    ports (fun l ->
+        Scanf.sscanf l "    %s : %s std_logic_vector(%d downto 0)"
+          (fun name dir hi -> (name, dir, hi + 1)))
+  in
+  let verilog_ports =
+    ports (fun l ->
+        Scanf.sscanf l "  %s wire [%d:0] %[a-zA-Z0-9_]" (fun dir hi name ->
+            (name, (if dir = "input" then "in" else "out"), hi + 1)))
+  in
+  let unescape (name, dir, w) =
+    (String.concat "" (String.split_on_char '\\' name), dir, w)
+  in
+  let sat_acc =
+    match
+      Hls_speclang.Elaborate.from_string_result
+        (In_channel.with_open_text "specs/sat_accumulate.spec"
+           In_channel.input_all)
+    with
+    | Ok g -> g
+    | Error m -> Alcotest.fail m
+  in
+  List.iter
+    (fun (name, g, seed, trials) ->
+      let _, nl = check_netlist ~seed ~trials g ~latency:3 in
+      let stats = N.stats nl in
+      let vhdl = Hls_rtl.Vhdl_netlist.emit ~name nl in
+      let verilog = Hls_rtl.Verilog.emit ~name nl in
+      let ports = vhdl_ports vhdl in
+      Alcotest.(check bool) (name ^ ": ports found") true
+        (List.length ports >= 2);
+      Alcotest.(check (list (triple string string int)))
+        (name ^ ": same ports")
+        (verilog_ports verilog)
+        (List.map unescape ports);
+      Alcotest.(check int) (name ^ ": vhdl registers") stats.N.n_dff
+        (count (starts "  signal r") vhdl);
+      Alcotest.(check int) (name ^ ": verilog registers") stats.N.n_dff
+        (count (starts "  reg r") verilog);
+      Alcotest.(check int) (name ^ ": vhdl sums") stats.N.n_fa
+        (count (fun l -> words "xor" l = 2) vhdl);
+      Alcotest.(check int) (name ^ ": verilog sums") stats.N.n_fa
+        (count (fun l -> words "^" l = 2) verilog);
+      if name = "sat_acc" then
+        Alcotest.(check bool) "reserved port escaped" true
+          (List.mem ("\\next\\", "out", 12) ports))
+    [ ("chain3", Motivational.chain3 (), 48, 20); ("sat_acc", sat_acc, 49, 50) ]
+
 let test_netlist_sensitivity () =
   (* Corrupting a single cell changes the output: the gate-level match is
      not vacuous. *)
@@ -313,6 +374,8 @@ let suite =
     Alcotest.test_case "testbench generation" `Quick test_testbench_generation;
     Alcotest.test_case "vhdl netlist emission" `Quick
       test_vhdl_netlist_emission;
+    Alcotest.test_case "vhdl and verilog prints agree" `Quick
+      test_printers_agree;
     Alcotest.test_case "netlist sensitivity" `Quick test_netlist_sensitivity;
     Alcotest.test_case "gate estimate correlates" `Quick
       test_gate_estimate_correlates;

@@ -5,11 +5,6 @@ module Motivational = Hls_workloads.Motivational
 module Benchmarks = Hls_workloads.Benchmarks
 module Bv = Hls_bitvec
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
 let frag_schedule g ~latency =
   let kernel = Hls_kernel.Extract.run g in
   let tr = Hls_fragment.Transform.run kernel ~latency in
@@ -98,34 +93,6 @@ let test_control_extraction () =
        (fun c -> c.Control.cap_width)
        st1.Control.st_captures)
 
-let test_rtl_vhdl_smoke () =
-  let s = frag_schedule (Motivational.chain3 ()) ~latency:3 in
-  let v = Hls_rtl.Rtl_vhdl.emit s in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "contains %S" needle) true
-        (contains v needle))
-    [
-      "entity chain3_w16_kernel_frag_rtl";
-      "type state_t is (s_idle, s_c1, s_c2, s_c3);";
-      "rising_edge(clk)";
-      "done <= '1' when state = s_c3";
-      "cap0 : process";
-    ]
-
-let test_rtl_vhdl_registers_match_runs () =
-  let s = frag_schedule (Motivational.chain3 ()) ~latency:3 in
-  let v = Hls_rtl.Rtl_vhdl.emit s in
-  let runs = Hls_alloc.Bind_frag.stored_runs s in
-  (* One capture process per stored run. *)
-  List.iteri
-    (fun k _ ->
-      Alcotest.(check bool)
-        (Printf.sprintf "cap%d present" k)
-        true
-        (contains v (Printf.sprintf "cap%d : process" k)))
-    runs
-
 (* Property: cycle-accurate simulation matches the behavioural reference on
    random additive DAGs across latencies. *)
 let prop_cycle_sim_matches =
@@ -162,8 +129,5 @@ let suite =
     Alcotest.test_case "cycle sim: adpcm" `Quick test_cycle_sim_adpcm;
     Alcotest.test_case "cycle sim: op schedule" `Quick test_op_cycle_sim;
     Alcotest.test_case "control extraction" `Quick test_control_extraction;
-    Alcotest.test_case "rtl vhdl smoke" `Quick test_rtl_vhdl_smoke;
-    Alcotest.test_case "rtl vhdl registers" `Quick
-      test_rtl_vhdl_registers_match_runs;
   ]
   @ [ QCheck_alcotest.to_alcotest prop_cycle_sim_matches ]

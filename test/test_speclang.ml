@@ -328,6 +328,27 @@ let test_vhdl_transformed_has_slices () =
   Alcotest.(check bool) "has sliced operands" true
     (contains v "(5 downto 0)")
 
+(* Names that are not VHDL-93 basic identifiers come out extended;
+   legal ones are left alone. *)
+let test_vhdl_identifiers () =
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check string) name want (Hls_util.Vhdl_ident.of_string name))
+    [
+      ("x1_1", "x1_1"); ("A", "A"); ("chain3_w16", "chain3_w16");
+      ("next", {|\next\|}); ("NeXt", {|\NeXt\|}); ("abs", {|\abs\|});
+      ("Xor", {|\Xor\|}); ("C_5_0_", {|\C_5_0_\|}); ("a__b", {|\a__b\|});
+      ("_a", {|\_a\|}); ("9a", {|\9a\|}); ("a-b", {|\a-b\|});
+      ({|a\b|}, {|\a\\b\|});
+    ];
+  let g = Hls_workloads.Motivational.chain3 () in
+  let t = Hls_fragment.Transform.run g ~latency:3 in
+  let v = Vhdl.emit t.Hls_fragment.Transform.graph in
+  Alcotest.(check bool) "fragment variable escaped" true
+    (contains v {|variable \C_5_0_\ :|});
+  Alcotest.(check bool) "legal port untouched" true
+    (contains v "A : in std_logic_vector(15 downto 0);")
+
 (* Property: emitted source of random additive graphs re-elaborates to an
    equivalent graph. *)
 let prop_emit_roundtrip =
@@ -376,5 +397,6 @@ let suite =
     Alcotest.test_case "vhdl smoke" `Quick test_vhdl_emission_smoke;
     Alcotest.test_case "vhdl transformed slices" `Quick
       test_vhdl_transformed_has_slices;
+    Alcotest.test_case "vhdl identifiers" `Quick test_vhdl_identifiers;
   ]
   @ [ QCheck_alcotest.to_alcotest prop_emit_roundtrip ]
