@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-smoke examples explore-smoke xform-smoke emit-smoke iter-smoke fuzz-smoke fault-smoke trace-smoke serve-smoke fleet-smoke check clean
+.PHONY: all build test bench bench-smoke perfbench-smoke examples explore-smoke xform-smoke emit-smoke iter-smoke fuzz-smoke fault-smoke trace-smoke serve-smoke fleet-smoke check clean
 
 all: build
 
@@ -101,6 +101,15 @@ bench-smoke:
 	grep -q '"regions":' $$out || { echo "bench-smoke: no kernel shape section"; exit 1; }; \
 	grep -q 'bench-assert: ok' $$log || { echo "bench-smoke: kernel-vs-reference assertion missing"; tail -20 $$log; exit 1; }; \
 	echo "bench-smoke: ok (timing bench runs, kernels beat references, JSON sane)"
+
+# Repository-benchmark smoke: perfbench's own selftest.  Every workload's
+# answers must pass the replay gate, every planted wrong answer must be
+# rejected, traced and untraced replays must agree, and the metric names
+# must match BENCHMARK.json and perfbench/layers.json.
+perfbench-smoke:
+	@dune build @perfbench/selftest \
+	  || { echo "perfbench-smoke: perfbench selftest failed"; exit 1; }; \
+	echo "perfbench-smoke: ok (replay gate, planted faults, metric names)"
 
 # Fuzzing smoke: a fixed-seed, budgeted run of all three lanes (spec
 # generation/emission round trips, differential transforms and
@@ -291,7 +300,7 @@ fleet-smoke:
 	grep -q 'router drained' $$dir/route.log || { echo "fleet-smoke: no drain message"; cat $$dir/route.log; exit 1; }; \
 	echo "fleet-smoke: ok (zero loss under SIGKILL, byte-identical answers, respawn, deadline shed, clean drain)"
 
-check: build test explore-smoke xform-smoke emit-smoke iter-smoke fuzz-smoke bench-smoke fault-smoke trace-smoke serve-smoke fleet-smoke
+check: build test perfbench-smoke explore-smoke xform-smoke emit-smoke iter-smoke fuzz-smoke bench-smoke fault-smoke trace-smoke serve-smoke fleet-smoke
 
 bench:
 	dune exec bench/main.exe

@@ -42,7 +42,7 @@ let gates label (a : Datapath.area) =
     a.Datapath.controller_gates a.Datapath.total_gates
 
 (* ------------------------------------------------------------------ *)
-(* Flags and the JSON ledger shared by the timing, serve, iter and fuzz
+(* Flags and the JSON ledger shared by the timing, iter and fuzz
    sections.  Each section owns some top-level keys of the ledger
    (BENCH_timing.json unless --out FILE) and rewrites only those.       *)
 
@@ -483,10 +483,14 @@ let dse () =
     | None -> failwith "elliptic missing from the workload catalog"
   in
   let space =
-    Hls_dse.Space.make_exn
-      ~latencies:(List.init 12 (fun i -> 3 + i))
-      ~policies:[ `Full; `Coalesced ]
-      ~balance:[ true; false ] ()
+    match
+      Hls_dse.Space.make
+        ~latencies:(List.init 12 (fun i -> 3 + i))
+        ~policies:[ `Full; `Coalesced ]
+        ~balance:[ true; false ] ()
+    with
+    | Ok s -> s
+    | Error e -> failwith (Hls_dse.Space.axis_error_to_string e)
   in
   let sweep workers = Hls_dse.Explore.run ~workers g space in
   let serial = sweep 1 in
@@ -684,175 +688,6 @@ let api_bench () =
       | _ -> Printf.printf "%-32s (no estimate)\n" name)
     results;
   Hls_api.Exec.close exec
-
-(* ------------------------------------------------------------------ *)
-(* Serving tier: end-to-end request latency through the router (three
-   in-process backends behind digest-affinity routing) and the shed
-   rate when a pipelined burst overruns the in-flight cap.  --json
-   writes the "serving" section of the ledger.                         *)
-
-let serve_bench () =
-  let { json; quick; out; _ } = opts () in
-  section "Serving tier: router latency percentiles and shed rate";
-  let module Server = Hls_server.Server in
-  let module Client = Hls_server.Client in
-  let module Router = Hls_router.Router in
-  let module Req = Hls_api.Request in
-  let module Resp = Hls_api.Response in
-  let tmp name =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hls-bench-serve-%d-%s" (Unix.getpid ()) name)
-  in
-  let backend_count = 3 in
-  let socks =
-    List.init backend_count (fun i -> tmp (Printf.sprintf "b%d.sock" i))
-  in
-  List.iter (fun s -> try Sys.remove s with Sys_error _ -> ()) socks;
-  let execs = List.map (fun _ -> Hls_api.Exec.create ()) socks in
-  let bstop = Atomic.make false in
-  let bdoms =
-    List.map2
-      (fun sock exec ->
-        let cfg =
-          { (Server.default_config ~socket:sock) with Server.workers = Some 2 }
-        in
-        Domain.spawn (fun () -> Server.serve ~stop:bstop cfg exec))
-      socks execs
-  in
-  let router_sock = tmp "router.sock" in
-  (try Sys.remove router_sock with Sys_error _ -> ());
-  let rstop = Atomic.make false in
-  let rstats = Router.make_stats () in
-  let max_inflight = 8 in
-  let rcfg =
-    {
-      (Router.default_config ()) with
-      Router.socket = Some router_sock;
-      backends = socks;
-      max_inflight;
-      probe_interval_s = 0.2;
-    }
-  in
-  let rdom = Domain.spawn (fun () -> Router.serve ~stop:rstop ~stats:rstats rcfg) in
-  let wait_ready sock =
-    let deadline = Unix.gettimeofday () +. 10. in
-    let rec go () =
-      match Client.call ~socket:sock Req.Ping with
-      | Ok { Resp.result = Ok _; _ } -> ()
-      | _ ->
-          if Unix.gettimeofday () > deadline then
-            failwith ("endpoint on " ^ sock ^ " never came up")
-          else begin
-            Unix.sleepf 0.02;
-            go ()
-          end
-    in
-    go ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set rstop true;
-      Domain.join rdom;
-      Atomic.set bstop true;
-      List.iter Domain.join bdoms;
-      List.iter Hls_api.Exec.close execs)
-  @@ fun () ->
-  List.iter wait_ready socks;
-  wait_ready router_sock;
-  (* --- sequential latency: one warm client, mixed verbs ------------ *)
-  let n = if quick then 30 else 200 in
-  let requests =
-    [|
-      Req.Report
-        { spec = Req.Builtin "chain3"; latency = 3;
-          config = Req.default_config; target_ns = None };
-      Req.Parse { spec = Req.Builtin "fir2" };
-      Req.Report
-        { spec = Req.Builtin "elliptic"; latency = 8;
-          config = Req.default_config; target_ns = None };
-    |]
-  in
-  let latencies_ms =
-    match Client.connect router_sock with
-    | Error m -> failwith ("router connect: " ^ m)
-    | Ok c ->
-        Fun.protect
-          ~finally:(fun () -> Client.close c)
-          (fun () ->
-            List.init n (fun i ->
-                let req = requests.(i mod Array.length requests) in
-                let t0 = Unix.gettimeofday () in
-                (match Client.roundtrip c ~id:(string_of_int i) req with
-                | Ok { Resp.result = Ok _; _ } -> ()
-                | Ok { Resp.result = Error e; _ } ->
-                    failwith ("request failed: " ^ Resp.error_message e)
-                | Error m -> failwith ("transport: " ^ m));
-                (Unix.gettimeofday () -. t0) *. 1e3))
-  in
-  let module Stats = Hls_telemetry.Stats in
-  let p50 = Stats.p50 latencies_ms
-  and p95 = Stats.p95 latencies_ms
-  and p99 = Stats.p99 latencies_ms
-  and mean = Stats.mean latencies_ms in
-  Printf.printf
-    "%d requests via router over %d backends: p50 %.2f ms, p95 %.2f ms, \
-     p99 %.2f ms, mean %.2f ms\n"
-    n backend_count p50 p95 p99 mean;
-  (* --- shed rate: a pipelined burst past the in-flight cap ---------- *)
-  let burst_n = 64 in
-  let line i =
-    J.to_string
-      (Req.to_json
-         ~id:(Printf.sprintf "burst-%d" i)
-         (Req.Parse { spec = Req.Builtin "chain3" }))
-  in
-  let shed =
-    match Client.connect router_sock with
-    | Error m -> failwith ("router connect: " ^ m)
-    | Ok c ->
-        Fun.protect
-          ~finally:(fun () -> Client.close c)
-          (fun () ->
-            match Client.raw_burst c (List.init burst_n line) with
-            | Error m -> failwith ("burst: " ^ m)
-            | Ok resps ->
-                List.length
-                  (List.filter
-                     (fun r ->
-                       match Resp.of_string r with
-                       | Ok
-                           { Resp.result =
-                               Error (Resp.Overloaded _ | Resp.Unavailable _);
-                             _ } ->
-                           true
-                       | _ -> false)
-                     resps))
-  in
-  let shed_rate = float shed /. float burst_n in
-  Printf.printf
-    "burst of %d against an in-flight cap of %d: %d shed (%.0f%%)\n" burst_n
-    max_inflight shed
-    (100. *. shed_rate);
-  if json then begin
-    let serving =
-      J.Obj
-        [
-          ("backends", J.Int backend_count);
-          ("requests", J.Int n);
-          ("p50_ms", J.Float p50);
-          ("p95_ms", J.Float p95);
-          ("p99_ms", J.Float p99);
-          ("mean_ms", J.Float mean);
-          ("burst", J.Int burst_n);
-          ("max_inflight", J.Int max_inflight);
-          ("shed", J.Int shed);
-          ("shed_rate", J.Float shed_rate);
-          ("failovers", J.Int (Atomic.get rstats.Router.failovers));
-        ]
-    in
-    write_ledger out [ ("serving", serving) ]
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Bit-level timing core: per-query Bitdep reference vs the packed     *)
@@ -1569,7 +1404,6 @@ let () =
   | "speed" -> speed ()
   | "timing" -> timing ()
   | "api" -> api_bench ()
-  | "serve" -> serve_bench ()
   | "xform" -> xform_bench ()
   | "iter" -> iter_bench ()
   | "fuzz" -> fuzz_bench ()
@@ -1585,6 +1419,6 @@ let () =
   | other ->
       prerr_endline
         ("unknown experiment " ^ other
-       ^ " (try: all, tables, speed, timing, api, serve, xform, iter, fuzz, \
+       ^ " (try: all, tables, speed, timing, api, xform, iter, fuzz, \
           dse, fig1, table1, fig3, table2, table3, fig4)");
       exit 1

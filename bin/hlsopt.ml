@@ -813,43 +813,6 @@ let serve_cmd =
 
 let call_cmd =
   let module Retry = Hls_pool.Retry_policy in
-  (* One raw line, reconnecting per attempt (the daemon may have
-     restarted between them).  Retryable answers (overloaded,
-     unavailable, retryable flow failures) and transport errors back
-     off and retry; the last answer received is printed even when the
-     budget runs out, so callers see the typed error. *)
-  let retry_roundtrip ~socket ~retry line =
-    let rec attempt n =
-      if n > 1 then Unix.sleepf (Retry.delay_s retry ~attempt:(n - 1) ~job:0);
-      let outcome =
-        match Hls_server.Client.connect socket with
-        | Error m -> Error m
-        | Ok c ->
-            Fun.protect
-              ~finally:(fun () -> Hls_server.Client.close c)
-              (fun () -> Hls_server.Client.raw_roundtrip c line)
-      in
-      let retry_failure =
-        match outcome with
-        | Error m ->
-            Some (Hls_util.Failure.Internal (Hls_util.Failure.Remote m))
-        | Ok resp_line -> (
-            match Resp.of_string resp_line with
-            | Ok { Resp.result = Error e; _ } when Resp.retryable e -> (
-                match e with
-                | Resp.Failed f -> Some f
-                | e ->
-                    Some
-                      (Hls_util.Failure.Internal
-                         (Hls_util.Failure.Remote (Resp.error_message e))))
-            | _ -> None)
-      in
-      match retry_failure with
-      | Some f when Retry.should_retry retry ~attempt:n f -> attempt (n + 1)
-      | _ -> outcome
-    in
-    attempt 1
-  in
   let run socket burst retries backoff =
     if burst && retries > 0 then
       usage_die "--burst pipelines one connection; it cannot retry \
@@ -863,9 +826,11 @@ let call_cmd =
          while true do
            let line = input_line stdin in
            if String.trim line <> "" then
-             match retry_roundtrip ~socket ~retry line with
-             | Ok resp -> print_endline resp
-             | Error m -> transport_die m
+             (* The last answer received is printed even when the
+                budget runs out, so callers see the typed error. *)
+             match Hls_server.Client.raw_call_retry ~socket ~retry line with
+             | Ok resp, _ -> print_endline resp
+             | Error m, _ -> transport_die m
          done
        with End_of_file -> ())
     else

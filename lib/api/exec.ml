@@ -23,30 +23,19 @@ module Dse = Hls_dse
 
 type t = {
   cache : Dse.Cache.t;  (** shared by every explore request *)
-  pool : Hls_pool.Shared.t;
-      (** one persistent domain pool for every request's region-parallel
-          timing jobs — preparation batches onto it instead of spawning
-          domains per request *)
   prepared : (string * string * string, P.prepared) Hashtbl.t;
       (** latency-independent prefix, keyed (graph digest, canonical
           recipe spec, verify policy) *)
   mutable prepared_hits : int;
 }
 
-let create ?cache ?timing_workers () =
+let create ?cache ?timing_workers:_ () =
   let cache =
     match cache with Some c -> c | None -> Dse.Cache.create ()
   in
-  {
-    cache;
-    pool = Hls_pool.Shared.create ?workers:timing_workers ();
-    prepared = Hashtbl.create 8;
-    prepared_hits = 0;
-  }
+  { cache; prepared = Hashtbl.create 8; prepared_hits = 0 }
 
-let close t =
-  Hls_pool.Shared.shutdown t.pool;
-  Dse.Cache.close t.cache
+let close t = Dse.Cache.close t.cache
 
 let prepared_hits t = t.prepared_hits
 
@@ -84,7 +73,7 @@ let prepare_memo t g ~transform ~verify =
       t.prepared_hits <- t.prepared_hits + 1;
       p
   | None ->
-      let p = P.prepare ~transform ~verify ~pool:t.pool g in
+      let p = P.prepare ~transform ~verify g in
       Hashtbl.replace t.prepared key p;
       p
 
@@ -186,7 +175,6 @@ let stage t req =
                     ("pid", Unix.getpid ());
                     ("prepared_entries", Hashtbl.length t.prepared);
                     ("prepared_hits", t.prepared_hits);
-                    ("pool_workers", Hls_pool.Shared.workers t.pool);
                   ];
               }))
   | Request.Workloads { tag } ->

@@ -13,14 +13,12 @@
 type t
 
 (** [create ?cache ()] — the executor's shared state: the sweep cache
-    (memory-only unless one is passed in), the prepared-prefix memo, and
-    one persistent {!Hls_pool.Shared} domain pool that every request's
-    region-parallel timing jobs batch onto ([timing_workers] sizes it;
-    default {!Hls_pool.default_workers}). *)
+    (memory-only unless one is passed in) and the prepared-prefix memo.
+    [timing_workers] is ignored; it is kept only so that existing
+    callers still compile. *)
 val create : ?cache:Hls_dse.Cache.t -> ?timing_workers:int -> unit -> t
 
-(** Shut the shared timing pool down and close the underlying sweep
-    cache (flush + release). *)
+(** Close the underlying sweep cache (flush + release). *)
 val close : t -> unit
 
 (** How many requests were served a memoized prepared prefix (tests). *)

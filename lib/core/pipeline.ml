@@ -127,28 +127,18 @@ type prepared = {
 }
 
 (** Extend an already extracted kernel with its dependency net and arrival
-    analysis, both latency-independent.  [workers > 1] runs the arrival
-    wavefront region-parallel over the domain pool — worthwhile on large
-    multi-region kernels, pure overhead on small ones, so serial stays
-    the default. *)
-let prepared_of_kernel ?workers ?pool kernel =
+    analysis, both latency-independent. *)
+let prepared_of_kernel kernel =
   let net = span "bitnet" (fun () -> Hls_timing.Bitnet.build kernel) in
-  let arrival =
-    span "arrival" (fun () ->
-        match (workers, pool) with
-        | _, Some p -> Hls_timing.Arrival.of_net_parallel ?workers ~pool:p net
-        | Some w, None when w > 1 ->
-            Hls_timing.Arrival.of_net_parallel ~workers:w net
-        | _ -> Hls_timing.Arrival.of_net net)
-  in
+  let arrival = span "arrival" (fun () -> Hls_timing.Arrival.of_net net) in
   { p_kernel = kernel; p_net = net; p_arrival = arrival; p_xform = [] }
 
 (** Behavioural transformation, kernel extraction, then the
     latency-independent timing prework. *)
-let prepare ?transform ?verify ?workers ?pool graph =
+let prepare ?transform ?verify graph =
   let g, log = transform_graph ?transform ?verify graph in
   let kernel = span "kernel" (fun () -> Hls_kernel.Extract.run g) in
-  { (prepared_of_kernel ?workers ?pool kernel) with p_xform = log }
+  { (prepared_of_kernel kernel) with p_xform = log }
 
 (** One record for every per-point knob of the optimized flow.
     [transform] and [verify] only matter to the entry points that start

@@ -58,20 +58,13 @@ type prepared = {
 
 (** Behavioural transformation, kernel extraction, then the
     latency-independent timing prework (the kernel's dependency net and
-    arrival analysis).  [workers > 1] runs the arrival wavefront
-    region-parallel over the domain pool ({!Hls_timing.Arrival.of_net_parallel})
-    — worthwhile on large multi-region kernels; serial is the default.
-    [pool] runs the same region jobs on an existing shared domain pool
-    ({!Hls_pool.Shared}) instead of spawning domains per call — the
-    serving tier batches many requests' timing jobs onto one pool. *)
+    arrival analysis). *)
 val prepare :
   ?transform:Hls_xform.Recipe.t -> ?verify:Hls_xform.Verify.policy ->
-  ?workers:int -> ?pool:Hls_pool.Shared.t -> Hls_dfg.Graph.t -> prepared
+  Hls_dfg.Graph.t -> prepared
 
-(** Extend an already extracted kernel with its timing prework.
-    [workers] and [pool] as in {!prepare}. *)
-val prepared_of_kernel :
-  ?workers:int -> ?pool:Hls_pool.Shared.t -> Hls_dfg.Graph.t -> prepared
+(** Extend an already extracted kernel with its timing prework. *)
+val prepared_of_kernel : Hls_dfg.Graph.t -> prepared
 
 (** One record for every per-point knob of the optimized flow.
     [transform] (a behavioural transformation recipe applied before

@@ -69,12 +69,12 @@ type t = {
           armed *)
   counters : (string * int) list;
       (** telemetry counter deltas accumulated during this run (e.g.
-          [timing.rounds], [timing.words_swept], [cache.hit]), sorted by
-          name; empty when the sink was not armed *)
+          [timing.rounds], [cache.hit]), sorted by name; empty when
+          the sink was not armed *)
   gauges : (string * (float * float)) list;
       (** telemetry gauges as (name, (last, max)) at the end of the run
-          (e.g. [timing.levels], [timing.regions]), sorted by name; empty
-          when the sink was not armed *)
+          (e.g. [timing.levels]), sorted by name; empty when the sink
+          was not armed *)
 }
 
 (** Pool attempts beyond each point's first (the sweep's retry bill). *)
@@ -304,9 +304,7 @@ let run ?workers ?timeout_s ?cache ?(feedback = 0)
     List.map
       (fun spec ->
         let transform = Hls_xform.Recipe.of_string_exn spec in
-        (* The same worker budget that fans points out also parallelizes
-           the arrival wavefront inside each prepared kernel. *)
-        (spec, Pipeline.prepare ~transform ~verify ?workers graph))
+        (spec, Pipeline.prepare ~transform ~verify graph))
       (List.sort_uniq compare space.Space.recipes)
   in
   let transforms =

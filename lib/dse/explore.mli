@@ -74,12 +74,12 @@ type t = {
           empty when {!Hls_telemetry} was not armed *)
   counters : (string * int) list;
       (** telemetry counter deltas accumulated during this run (e.g.
-          [timing.rounds], [timing.words_swept], [cache.hit]), sorted by
-          name; empty when {!Hls_telemetry} was not armed *)
+          [timing.rounds], [cache.hit]), sorted by name; empty when
+          {!Hls_telemetry} was not armed *)
   gauges : (string * (float * float)) list;
       (** telemetry gauges as (name, (last, max)) at the end of the run
-          (e.g. [timing.levels], [timing.regions]), sorted by name; empty
-          when {!Hls_telemetry} was not armed *)
+          (e.g. [timing.levels]), sorted by name; empty when
+          {!Hls_telemetry} was not armed *)
 }
 
 (** Pool attempts beyond each point's first — the sweep's retry bill. *)

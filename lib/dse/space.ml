@@ -83,11 +83,6 @@ let make ?(latencies = [ 3; 4; 5; 6 ]) ?(policies = [ `Full ])
   in
   Ok { latencies; policies; libs; balance; recipes; iterates }
 
-let make_exn ?latencies ?policies ?libs ?balance ?recipes ?iterates () =
-  match make ?latencies ?policies ?libs ?balance ?recipes ?iterates () with
-  | Ok s -> s
-  | Error e -> invalid_arg ("Space.make: " ^ axis_error_to_string e)
-
 let size (s : t) =
   List.length s.latencies * List.length s.policies * List.length s.libs
   * List.length s.balance * List.length s.recipes * List.length s.iterates

@@ -48,16 +48,6 @@ val make :
   ?iterates:int list ->
   unit -> (t, axis_error) result
 
-(** [make], raising [Invalid_argument] on an axis error. *)
-val make_exn :
-  ?latencies:int list ->
-  ?policies:Hls_fragment.Mobility.policy list ->
-  ?libs:(string * Hls_techlib.t) list ->
-  ?balance:bool list ->
-  ?recipes:string list ->
-  ?iterates:int list ->
-  unit -> t
-
 val size : t -> int
 
 (** Cartesian expansion, latencies in ascending order. *)

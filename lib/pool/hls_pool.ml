@@ -192,110 +192,6 @@ let failure_of_outcome = function
 let outcome_error o = Option.map Failure.to_string (failure_of_outcome o)
 
 (* ------------------------------------------------------------------ *)
-(* Persistent shared pool.                                             *)
-
-module Shared = struct
-  (* [run]/[run_pooled] spawn domains per call — fine for a sweep that
-     amortizes the spawn over hundreds of jobs, wasteful for the serving
-     path where every request wants a few millisecond region jobs.  A
-     [Shared.t] spawns its domains once: workers block on a
-     mutex/condvar queue, batches from any thread interleave, and each
-     submitter waits only on its own batch's countdown.  Jobs must not
-     submit to the pool they run on (the submitter holds no worker, so
-     nested batches would deadlock once every domain is waiting). *)
-
-  type batch = { mutable remaining : int; mutable failed : exn option }
-  type job = { run : unit -> unit; batch : batch }
-
-  type t = {
-    mutex : Mutex.t;
-    work : Condition.t;  (** a job or the stop flag became visible *)
-    settled : Condition.t;  (** some batch hit zero remaining *)
-    queue : job Queue.t;
-    mutable stopping : bool;
-    mutable domains : unit Domain.t list;
-    n_workers : int;
-  }
-
-  let worker t w () =
-    if Tm.armed () then Tm.name_track (Printf.sprintf "shared worker %d" w);
-    let rec loop () =
-      Mutex.lock t.mutex;
-      while Queue.is_empty t.queue && not t.stopping do
-        Condition.wait t.work t.mutex
-      done;
-      if Queue.is_empty t.queue then Mutex.unlock t.mutex
-      else begin
-        let j = Queue.pop t.queue in
-        Mutex.unlock t.mutex;
-        let failure = match j.run () with () -> None | exception e -> Some e in
-        Mutex.lock t.mutex;
-        (match failure with
-        | Some e when j.batch.failed = None -> j.batch.failed <- Some e
-        | _ -> ());
-        j.batch.remaining <- j.batch.remaining - 1;
-        if j.batch.remaining = 0 then Condition.broadcast t.settled;
-        Mutex.unlock t.mutex;
-        loop ()
-      end
-    in
-    loop ()
-
-  let create ?workers () =
-    let n_workers =
-      match workers with Some w -> max 1 w | None -> default_workers ()
-    in
-    let t =
-      {
-        mutex = Mutex.create ();
-        work = Condition.create ();
-        settled = Condition.create ();
-        queue = Queue.create ();
-        stopping = false;
-        domains = [];
-        n_workers;
-      }
-    in
-    if n_workers > 1 then
-      t.domains <- List.init n_workers (fun w -> Domain.spawn (worker t w));
-    t
-
-  let workers t = t.n_workers
-
-  let run_list t jobs =
-    if t.domains = [] then
-      (* Inline mode (1 worker, or after shutdown): same exception
-         contract without touching the queue. *)
-      let rec go = function
-        | [] -> Ok ()
-        | j :: rest -> ( match j () with () -> go rest | exception e -> Error e)
-      in
-      go jobs
-    else begin
-      let batch = { remaining = List.length jobs; failed = None } in
-      if batch.remaining = 0 then Ok ()
-      else begin
-        Mutex.lock t.mutex;
-        List.iter (fun run -> Queue.add { run; batch } t.queue) jobs;
-        Condition.broadcast t.work;
-        while batch.remaining > 0 do
-          Condition.wait t.settled t.mutex
-        done;
-        Mutex.unlock t.mutex;
-        match batch.failed with None -> Ok () | Some e -> Error e
-      end
-    end
-
-  let shutdown t =
-    Mutex.lock t.mutex;
-    t.stopping <- true;
-    Condition.broadcast t.work;
-    Mutex.unlock t.mutex;
-    List.iter Domain.join t.domains;
-    t.domains <- []
-end
-
-(* ------------------------------------------------------------------ *)
 (* Retry with backoff.                                                 *)
 
 module Retry_policy = struct

@@ -41,31 +41,6 @@ val failure_of_outcome : 'a outcome -> Hls_util.Failure.t option
 (** Human-readable reason for a non-[Done] outcome. *)
 val outcome_error : 'a outcome -> string option
 
-(** A persistent shared pool: domains are spawned once and live until
-    {!Shared.shutdown}, so the serving path can run many small batches
-    (e.g. per-request region-parallel timing jobs) without paying a
-    domain spawn per call.  Batches may be submitted from different
-    threads concurrently; each submitter blocks only until its own batch
-    completes.  Jobs must not submit to the pool they run on. *)
-module Shared : sig
-  type t
-
-  (** Spawn the worker domains ([workers] defaults to
-      {!default_workers}; [workers <= 1] spawns none and runs batches
-      inline in the submitter). *)
-  val create : ?workers:int -> unit -> t
-
-  val workers : t -> int
-
-  (** Run one batch to completion.  [Error e] carries the first
-      exception a job raised (the rest of the batch still runs). *)
-  val run_list : t -> (unit -> unit) list -> (unit, exn) result
-
-  (** Stop accepting work, drain what is queued, join the domains.
-      Idempotent; after shutdown batches run inline. *)
-  val shutdown : t -> unit
-end
-
 (** When and how to re-dispatch failed jobs. *)
 module Retry_policy : sig
   type t = {

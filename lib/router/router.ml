@@ -132,48 +132,6 @@ let affinity_key =
             Hashtbl.add memo spec k;
             k)
 
-(* A bounded one-shot ping for fleet boot: SO_RCVTIMEO/SO_SNDTIMEO keep
-   a child that accepts the connection but never answers (or never
-   reads) from wedging startup — the blocking Client.call would wait on
-   input_line forever. *)
-let ping_once ?(timeout_s = 0.5) address =
-  match Client.connect_fd address with
-  | Error _ -> false
-  | Ok fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          (try
-             Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
-             Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout_s
-           with Unix.Unix_error _ | Invalid_argument _ -> ());
-          let line = Hls_dse.Dse_json.to_string (R.to_json R.Ping) ^ "\n" in
-          match Unix.write_substring fd line 0 (String.length line) with
-          | exception Unix.Unix_error _ -> false
-          | _ ->
-              let buf = Buffer.create 64 in
-              let chunk = Bytes.create 4096 in
-              let rec read_reply () =
-                match Unix.read fd chunk 0 (Bytes.length chunk) with
-                | 0 -> false
-                | n ->
-                    Buffer.add_subbytes buf chunk 0 n;
-                    String.contains (Buffer.contents buf) '\n' || read_reply ()
-                | exception
-                    Unix.Unix_error
-                      ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
-                  ->
-                    false
-                | exception Unix.Unix_error _ -> false
-              in
-              read_reply ()
-              &&
-              let data = Buffer.contents buf in
-              let first = String.sub data 0 (String.index data '\n') in
-              match Resp.of_string first with
-              | Ok { Resp.result = Ok _; _ } -> true
-              | _ -> false)
-
 (* ------------------------------------------------------------------ *)
 (* Backends.                                                           *)
 
@@ -269,17 +227,23 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
   let ring = Ring.make (List.map (fun b -> b.b_name) backends) in
   (* Wait for spawned children to come up so early requests don't burn
      through the hold window while the fleet boots.  Each attempt is a
-     bounded ping_once, so the 10 s deadline holds even against a child
-     that accepts the connection and then never answers. *)
+     ping bounded by the client's socket timeouts, so the 10 s deadline
+     holds even against a child that accepts the connection and then
+     never answers (or never reads). *)
   (match cfg.spawn with
   | None -> ()
   | Some sp ->
       let deadline = Unix.gettimeofday () +. 10. in
+      let answers socket =
+        match Client.call ~socket ~timeout_s:0.5 R.Ping with
+        | Ok { Resp.result = Ok _; _ } -> true
+        | Ok _ | Error _ -> false
+      in
       List.iter
         (fun i ->
-          let addr = Client.parse_address (sp.socket_of i) in
           let rec wait () =
-            if Unix.gettimeofday () < deadline && not (ping_once addr) then begin
+            if Unix.gettimeofday () < deadline && not (answers (sp.socket_of i))
+            then begin
               Unix.sleepf 0.05;
               wait ()
             end

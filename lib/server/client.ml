@@ -100,12 +100,17 @@ let send t ?id ?deadline_ms req =
   with
   | () -> Ok ()
   | exception Sys_error m -> Error ("send failed: " ^ m)
+  | exception Sys_blocked_io -> Error "send timed out"
 
-let receive t =
+(* One response line; [Sys_blocked_io] is an expired [timeout_s]. *)
+let read_line t =
   match input_line t.ic with
-  | line -> Hls_api.Response.of_string line
+  | line -> Ok line
   | exception End_of_file -> Error "server closed the connection"
   | exception Sys_error m -> Error ("receive failed: " ^ m)
+  | exception Sys_blocked_io -> Error "receive timed out"
+
+let receive t = Result.bind (read_line t) Hls_api.Response.of_string
 
 (* Raw passthrough for `hlsopt call`: ship an already-encoded line,
    return the raw response line. *)
@@ -116,11 +121,8 @@ let raw_roundtrip t line =
     flush t.oc
   with
   | exception Sys_error m -> Error ("send failed: " ^ m)
-  | () -> (
-      match input_line t.ic with
-      | resp -> Ok resp
-      | exception End_of_file -> Error "server closed the connection"
-      | exception Sys_error m -> Error ("receive failed: " ^ m))
+  | exception Sys_blocked_io -> Error "send timed out"
+  | () -> read_line t
 
 (* Pipelined passthrough: write every line, flush once, then read one
    response per line sent.  Responses may arrive in any order (shed
@@ -135,27 +137,37 @@ let raw_burst t lines =
     flush t.oc
   with
   | exception Sys_error m -> Error ("send failed: " ^ m)
-  | () -> (
+  | exception Sys_blocked_io -> Error "send timed out"
+  | () ->
       let rec read acc = function
         | 0 -> Ok (List.rev acc)
         | n -> (
-            match input_line t.ic with
-            | resp -> read (resp :: acc) (n - 1)
-            | exception End_of_file -> Error "server closed the connection"
-            | exception Sys_error m -> Error ("receive failed: " ^ m))
+            match read_line t with
+            | Ok resp -> read (resp :: acc) (n - 1)
+            | Error _ as e -> e)
       in
-      read [] (List.length lines))
+      read [] (List.length lines)
 
 let roundtrip t ?id ?deadline_ms req =
   match send t ?id ?deadline_ms req with
   | Error _ as e -> e
   | Ok () -> receive t
 
-(* One-shot convenience: connect, ask, disconnect. *)
-let call ~socket ?id ?deadline_ms req =
+(* One-shot convenience: connect, ask, disconnect.  [timeout_s] bounds
+   every blocking read and write on the socket (SO_RCVTIMEO/SO_SNDTIMEO):
+   a peer that accepts but never answers, or never reads, surfaces as a
+   transport error instead of a hang. *)
+let call ~socket ?timeout_s ?id ?deadline_ms req =
   match connect socket with
   | Error _ as e -> e
   | Ok t ->
+      Option.iter
+        (fun s ->
+          try
+            Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO s;
+            Unix.setsockopt_float t.fd Unix.SO_SNDTIMEO s
+          with Unix.Unix_error _ | Invalid_argument _ -> ())
+        timeout_s;
       Fun.protect
         ~finally:(fun () -> close t)
         (fun () -> roundtrip t ?id ?deadline_ms req)
@@ -166,33 +178,45 @@ let call ~socket ?id ?deadline_ms req =
 module Resp = Hls_api.Response
 module Retry_policy = Hls_pool.Retry_policy
 
-(* One-shot call that honours retryable answers (Overloaded shed,
-   Unavailable, retryable flow failures) and transport failures under a
-   Retry_policy: reconnect each attempt (the daemon may have restarted),
-   back off between rounds, give up with the last answer.  Transport
-   errors are folded into the taxonomy as Internal(Remote) so the policy
-   judges every outcome the same way. *)
-let call_retry ~socket ?id ?deadline_ms ?(retry = Retry_policy.none) req =
-  let failure_of_error = function
-    | Resp.Failed f -> f
-    | e -> Hls_util.Failure.Internal (Hls_util.Failure.Remote (Resp.error_message e))
-  in
+(* One raw request line under a Retry_policy: reconnect each attempt
+   (the daemon may have restarted), back off between rounds, give up
+   with the last answer.  Retryable answers (Overloaded shed,
+   Unavailable, retryable flow failures) are judged by their class;
+   transport errors and unparseable lines (a half-written response) are
+   folded into the taxonomy as Internal(Remote) so the policy judges
+   every outcome the same way. *)
+let raw_call_retry ~socket ?(retry = Retry_policy.none) line =
+  let remote m = Hls_util.Failure.Internal (Hls_util.Failure.Remote m) in
   let rec attempt n =
     if n > 1 then
       Unix.sleepf (Retry_policy.delay_s retry ~attempt:(n - 1) ~job:0);
-    let outcome = call ~socket ?id ?deadline_ms req in
+    let outcome =
+      match connect socket with
+      | Error _ as e -> e
+      | Ok t ->
+          Fun.protect
+            ~finally:(fun () -> close t)
+            (fun () -> raw_roundtrip t line)
+    in
     let retry_failure =
-      match outcome with
-      | Ok { Resp.result = Ok _; _ } -> None
-      | Ok { Resp.result = Error e; _ } ->
-          if Resp.retryable e then Some (failure_of_error e) else None
-      | Error m ->
-          Some (Hls_util.Failure.Internal (Hls_util.Failure.Remote m))
+      match Result.bind outcome Resp.of_string with
+      | Ok { Resp.result = Error e; _ } when Resp.retryable e -> (
+          match e with
+          | Resp.Failed f -> Some f
+          | e -> Some (remote (Resp.error_message e)))
+      | Ok _ -> None
+      | Error m -> Some (remote m)
     in
     match retry_failure with
-    | None -> (outcome, n)
-    | Some f ->
-        if Retry_policy.should_retry retry ~attempt:n f then attempt (n + 1)
-        else (outcome, n)
+    | Some f when Retry_policy.should_retry retry ~attempt:n f ->
+        attempt (n + 1)
+    | _ -> (outcome, n)
   in
   attempt 1
+
+let call_retry ~socket ?id ?deadline_ms ?retry req =
+  let line =
+    Hls_dse.Dse_json.to_string (Hls_api.Request.to_json ?id ?deadline_ms req)
+  in
+  let outcome, attempts = raw_call_retry ~socket ?retry line in
+  (Result.bind outcome Resp.of_string, attempts)

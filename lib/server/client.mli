@@ -45,18 +45,27 @@ val roundtrip :
   t -> ?id:string -> ?deadline_ms:float -> Hls_api.Request.t ->
   (Hls_api.Response.t, string) result
 
-(** Connect, round-trip one request, disconnect. *)
+(** Connect, round-trip one request, disconnect.  [timeout_s] bounds
+    every blocking read and write on the socket (SO_RCVTIMEO/SO_SNDTIMEO);
+    one that expires is a transport error. *)
 val call :
-  socket:string -> ?id:string -> ?deadline_ms:float -> Hls_api.Request.t ->
-  (Hls_api.Response.t, string) result
+  socket:string -> ?timeout_s:float -> ?id:string -> ?deadline_ms:float ->
+  Hls_api.Request.t -> (Hls_api.Response.t, string) result
 
-(** {!call} under an {!Hls_pool.Retry_policy}: retryable answers
-    ([Overloaded], [Unavailable], retryable flow failures) and transport
-    failures are retried with the policy's backoff, reconnecting each
-    attempt (the daemon may have restarted between them).  Transport
-    errors are judged as [Internal (Remote _)].  Returns the final
-    outcome and how many attempts were made; the default policy
-    ({!Hls_pool.Retry_policy.none}) makes exactly one. *)
+(** One raw request line under an {!Hls_pool.Retry_policy}: retryable
+    answers ([Overloaded], [Unavailable], retryable flow failures) and
+    transport failures are retried with the policy's backoff,
+    reconnecting each attempt (the daemon may have restarted between
+    them).  Transport errors and response lines that do not parse are
+    judged as [Internal (Remote _)].  Returns the last raw response line
+    (or transport error) and how many attempts were made; the default
+    policy ({!Hls_pool.Retry_policy.none}) makes exactly one. *)
+val raw_call_retry :
+  socket:string -> ?retry:Hls_pool.Retry_policy.t -> string ->
+  (string, string) result * int
+
+(** {!raw_call_retry} on one encoded request, with the final line
+    decoded. *)
 val call_retry :
   socket:string -> ?id:string -> ?deadline_ms:float ->
   ?retry:Hls_pool.Retry_policy.t -> Hls_api.Request.t ->

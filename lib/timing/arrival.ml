@@ -13,9 +13,7 @@
     Slots live in one flat [bit_base]-indexed array sharing the net's
     layout, and the kernel advances as a wavefront over the net's
     topological levels: every node of a level reads only slots settled by
-    earlier levels (or its own carry chain), which is also what lets
-    {!of_net_parallel} run independent net regions on separate domains
-    against the same array. *)
+    earlier levels (or its own carry chain). *)
 
 open Hls_dfg.Types
 module Graph = Hls_dfg.Graph
@@ -63,50 +61,6 @@ let of_net (net : Bitnet.t) =
   done;
   if n_levels > 0 then Hls_telemetry.count ~n:n_levels "timing.rounds";
   { bit_base = net.Bitnet.bit_base; slots }
-
-(** Like {!of_net}, but independent net regions (weakly-connected
-    components) are distributed over [workers] pool domains.  Regions
-    write disjoint slices of the shared slot array and read only within
-    their own region, so the result is bit-identical to the serial sweep.
-    Falls back to {!of_net} when the net has a single region or
-    [workers <= 1]. *)
-let of_net_parallel ?workers ?pool (net : Bitnet.t) =
-  let workers =
-    match (workers, pool) with
-    | Some w, _ -> w
-    | None, Some p -> Hls_pool.Shared.workers p
-    | None, None -> Hls_pool.default_workers ()
-  in
-  let n_regions = Bitnet.n_regions net in
-  if workers <= 1 || n_regions <= 1 then of_net net
-  else begin
-    let slots = Array.make (Bitnet.total_bits net) 0 in
-    let sweep_region c () =
-      for i = net.Bitnet.comp_off.(c) to net.Bitnet.comp_off.(c + 1) - 1 do
-        sweep_node net slots net.Bitnet.comp_nodes.(i)
-      done
-    in
-    let all_done =
-      match pool with
-      | Some p ->
-          (* The shared pool's domains are already up: many requests'
-             region batches interleave on one set of workers instead of
-             spawning domains per request. *)
-          Hls_pool.Shared.run_list p (List.init n_regions sweep_region) = Ok ()
-      | None ->
-          let outcomes =
-            Hls_pool.run ~workers (Array.init n_regions sweep_region)
-          in
-          Array.for_all
-            (fun o -> match o with Hls_pool.Done () -> true | _ -> false)
-            outcomes
-    in
-    if all_done then { bit_base = net.Bitnet.bit_base; slots }
-    else
-      (* A region job died (fault injection is the only realistic cause);
-         the serial sweep is always available. *)
-      of_net net
-  end
 
 (** Incremental re-timing: arrival slots of [net] given [told], the
     arrival of a net with the identical bit layout whose dependency rows

@@ -18,14 +18,6 @@ type t
     (deadline, mobility, fragment scheduling). *)
 val of_net : Bitnet.t -> t
 
-(** Like {!of_net}, with independent net regions (weakly-connected
-    components) distributed over [workers] pool domains (default
-    {!Hls_pool.default_workers}).  Regions touch disjoint slices of the
-    shared slot array, so the result is bit-identical to the serial
-    sweep; single-region nets and [workers <= 1] fall back to
-    {!of_net}. *)
-val of_net_parallel : ?workers:int -> ?pool:Hls_pool.Shared.t -> Bitnet.t -> t
-
 (** [update_of_net net told ~dirty] — incremental re-timing.  [net] must
     share its flat bit layout with the net [told] was computed on, with
     dependency rows differing only at the [dirty] node ids (exactly what

@@ -53,13 +53,6 @@ type t = {
   level_nodes : int array;
       (** node ids grouped by level, ascending id within a level — the
           wavefront order of the timing kernels *)
-  comp_of : int array;  (** per node: weakly-connected region id *)
-  comp_off : int array;
-      (** length [n_regions + 1]: CSR offsets into [comp_nodes] *)
-  comp_nodes : int array;
-      (** node ids grouped by region, ascending id within a region (a
-          valid topological order of the region) — the unit of
-          intra-request parallelism *)
   rdep_off : int array;
       (** length [total_bits + 1]: CSR offsets into [rdeps] *)
   rdeps : int array;
@@ -293,9 +286,9 @@ let bases_of graph =
 
 (* Everything downstream of the dependency rows: cheap O(V + E) int
    passes deriving the prefix counts, the flat re-encoding, the
-   wavefront levels, the region partition and the transpose.  Shared by
-   [build] and [rebuild_dirty] so both construction paths are
-   definitionally identical past the rows. *)
+   wavefront levels and the transpose.  Shared by [build] and
+   [rebuild_dirty] so both construction paths are definitionally
+   identical past the rows. *)
 let derive graph ~bit_base ~cost ~dep_off ~deps =
   let n_nodes = Graph.node_count graph in
   let total_bits = bit_base.(n_nodes) in
@@ -348,101 +341,6 @@ let derive graph ~bit_base ~cost ~dep_off ~deps =
     level_nodes.(cursor.(l)) <- id;
     cursor.(l) <- cursor.(l) + 1
   done;
-  (* Weakly-connected regions over the node graph, from operand [Node]
-     sources — a superset of the bit-dependency edges (some operand bits
-     may not feed any result bit), so regions stay dependency-closed and
-     merely err towards coarser partitions.  Discovery is a word-packed
-     BFS: a {!Hls_bitvec.Wordset} visited set seeds each region with a
-     [next_unset] whole-word scan, and frontier/next sets sweep members
-     with [next_set]. *)
-  let module Ws = Hls_bitvec.Wordset in
-  let degree = Array.make (n_nodes + 1) 0 in
-  let iter_operand_edges f =
-    Graph.iter_nodes
-      (fun (n : node) ->
-        List.iter
-          (fun (o : operand) ->
-            match o.src with
-            | Node s -> f n.id s
-            | Input _ | Const _ -> ())
-          n.operands)
-      graph
-  in
-  iter_operand_edges (fun id s ->
-      degree.(id + 1) <- degree.(id + 1) + 1;
-      degree.(s + 1) <- degree.(s + 1) + 1);
-  for i = 0 to n_nodes - 1 do
-    degree.(i + 1) <- degree.(i + 1) + degree.(i)
-  done;
-  let adj_off = degree in
-  let adj = Array.make adj_off.(n_nodes) 0 in
-  let acursor = Array.copy adj_off in
-  iter_operand_edges (fun id s ->
-      adj.(acursor.(id)) <- s;
-      acursor.(id) <- acursor.(id) + 1;
-      adj.(acursor.(s)) <- id;
-      acursor.(s) <- acursor.(s) + 1);
-  let comp_of = Array.make (max n_nodes 1) 0 in
-  let visited = Ws.create n_nodes in
-  let frontier = ref (Ws.create n_nodes) in
-  let next_front = ref (Ws.create n_nodes) in
-  let words_swept = ref 0 in
-  let n_regions = ref 0 in
-  let seed_from = ref 0 in
-  let continue = ref (n_nodes > 0) in
-  while !continue do
-    let seed = Ws.next_unset visited !seed_from in
-    if seed < 0 then continue := false
-    else begin
-      (* Seed scan cost: whole full words are skipped in one load each. *)
-      words_swept :=
-        !words_swept + (seed / Ws.bits_per_word)
-        - (!seed_from / Ws.bits_per_word)
-        + 1;
-      seed_from := seed;
-      let comp = !n_regions in
-      incr n_regions;
-      Ws.add visited seed;
-      comp_of.(seed) <- comp;
-      Ws.clear !frontier;
-      Ws.add !frontier seed;
-      while not (Ws.is_empty !frontier) do
-        words_swept := !words_swept + Ws.words !frontier;
-        Ws.clear !next_front;
-        Ws.iter
-          (fun u ->
-            for k = adj_off.(u) to adj_off.(u + 1) - 1 do
-              let v = adj.(k) in
-              if not (Ws.mem visited v) then begin
-                Ws.add visited v;
-                comp_of.(v) <- comp;
-                Ws.add !next_front v
-              end
-            done)
-          !frontier;
-        let tmp = !frontier in
-        frontier := !next_front;
-        next_front := tmp
-      done
-    end
-  done;
-  let n_regions = !n_regions in
-  (* Regroup by region with a counting sort: ascending ids within a
-     region keep each [comp_nodes] slice a valid topological order. *)
-  let comp_off = Array.make (n_regions + 1) 0 in
-  for id = 0 to n_nodes - 1 do
-    comp_off.(comp_of.(id) + 1) <- comp_off.(comp_of.(id) + 1) + 1
-  done;
-  for c = 0 to n_regions - 1 do
-    comp_off.(c + 1) <- comp_off.(c + 1) + comp_off.(c)
-  done;
-  let comp_nodes = Array.make n_nodes 0 in
-  let ccursor = Array.copy comp_off in
-  for id = 0 to n_nodes - 1 do
-    let c = comp_of.(id) in
-    comp_nodes.(ccursor.(c)) <- id;
-    ccursor.(c) <- ccursor.(c) + 1
-  done;
   (* Transpose CSR: who consumes each flat bit.  Filling by ascending
      consumer bit keeps every [rdeps] run sorted. *)
   let rdep_off = Array.make (total_bits + 1) 0 in
@@ -462,9 +360,6 @@ let derive graph ~bit_base ~cost ~dep_off ~deps =
     done
   done;
   Hls_telemetry.gauge "timing.levels" (float n_levels);
-  Hls_telemetry.gauge "timing.regions" (float n_regions);
-  if !words_swept > 0 then
-    Hls_telemetry.count ~n:!words_swept "timing.words_swept";
   {
     graph;
     bit_base;
@@ -476,9 +371,6 @@ let derive graph ~bit_base ~cost ~dep_off ~deps =
     node_level;
     level_off;
     level_nodes;
-    comp_of;
-    comp_off;
-    comp_nodes;
     rdep_off;
     rdeps;
   }
@@ -547,7 +439,38 @@ let rebuild_dirty old graph ~dirty =
 
 let total_bits t = t.bit_base.(Array.length t.bit_base - 1)
 let n_levels t = Array.length t.level_off - 1
-let n_regions t = Array.length t.comp_off - 1
+
+(* Weakly-connected regions over the node graph, joined by operand [Node]
+   sources: a union-find with path halving, counted on demand (only the
+   bench's kernel-shape section and the tests ask). *)
+let n_regions t =
+  let n_nodes = Array.length t.bit_base - 1 in
+  let parent = Array.init n_nodes Fun.id in
+  let rec find i =
+    let p = parent.(i) in
+    if p = i then i
+    else begin
+      parent.(i) <- parent.(p);
+      find parent.(i)
+    end
+  in
+  let regions = ref n_nodes in
+  Graph.iter_nodes
+    (fun (n : node) ->
+      List.iter
+        (fun (o : operand) ->
+          match o.src with
+          | Node s ->
+              let a = find n.id and b = find s in
+              if a <> b then begin
+                parent.(a) <- b;
+                decr regions
+              end
+          | Input _ | Const _ -> ())
+        n.operands)
+    t.graph;
+  !regions
+
 let width t ~id = t.bit_base.(id + 1) - t.bit_base.(id)
 let cost_of t ~id ~bit = t.cost.(t.bit_base.(id) + bit)
 

@@ -31,13 +31,6 @@ type t = {
   level_nodes : int array;
       (** node ids grouped by level, ascending id within a level — the
           wavefront order of the timing kernels *)
-  comp_of : int array;  (** per node: weakly-connected region id *)
-  comp_off : int array;
-      (** length [n_regions + 1]: CSR offsets into [comp_nodes] *)
-  comp_nodes : int array;
-      (** node ids grouped by region, ascending id within a region (each
-          slice is a valid topological order) — the unit of intra-request
-          parallelism *)
   rdep_off : int array;
       (** length [total_bits + 1]: CSR offsets into [rdeps] *)
   rdeps : int array;
@@ -54,7 +47,7 @@ val build : Hls_dfg.Graph.t -> t
     pre-edit graph).  The dependency model of a node reads only its own
     kind/operands/width, so clean nodes' packed rows are blitted from
     [old] and only dirty nodes re-run the model; the derived structures
-    (levels, regions, transpose) are recomputed with cheap O(V + E) int
+    (levels, transpose) are recomputed with cheap O(V + E) int
     passes.  The result is bit-identical to [build graph].
 
     Returns [None] when the edit changed the node count or any node
@@ -85,7 +78,8 @@ val total_bits : t -> int
 (** Number of topological levels (0 for the empty graph). *)
 val n_levels : t -> int
 
-(** Number of weakly-connected regions (0 for the empty graph). *)
+(** Number of weakly-connected regions, joined by operand edges (0 for
+    the empty graph).  Counted on demand in O(V + E). *)
 val n_regions : t -> int
 
 val width : t -> id:Hls_dfg.Types.node_id -> int

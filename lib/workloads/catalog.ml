@@ -82,8 +82,7 @@ let all () =
     builtin "ar-lattice" ~tags:[ "filter" ] ~latency:8 Extra.ar_lattice;
     builtin "dct8" ~tags:[ "dsp"; "dct" ] ~latency:8 Extra.dct8;
     (* Random stress workloads for the timing kernels: multi-lane profiles
-       guarantee several weakly-connected regions, the shape that the
-       region-parallel wavefront sweeps exploit. *)
+       guarantee several weakly-connected regions. *)
     generated "random240" ~tags:[ "stress" ] ~latency:14 ~seed:43
       (random ~ops:240 ~lanes:3 ~seed:43);
     generated "random480" ~tags:[ "stress" ] ~latency:14 ~seed:44

@@ -17,8 +17,7 @@ type profile = {
   lanes : int;
       (** independent operation streams: ops are dealt round-robin across
           [lanes] and operand reuse never crosses a lane, so the graph has
-          at least [lanes] weakly-connected regions — the shape that
-          exercises region-parallel timing kernels *)
+          at least [lanes] weakly-connected regions *)
 }
 
 let default_profile =

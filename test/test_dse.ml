@@ -13,9 +13,16 @@ module Json = Hls_dse.Dse_json
 (* ------------------------------------------------------------------ *)
 (* Space.                                                              *)
 
+(* [Space.make] on axes the test knows to be valid; also used by the
+   fault and telemetry suites. *)
+let make_space ?latencies ?policies ?balance ?recipes () =
+  match Space.make ?latencies ?policies ?balance ?recipes () with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "Space.make: %s" (Space.axis_error_to_string e)
+
 let test_space_expansion () =
   let space =
-    Space.make_exn ~latencies:[ 3; 4 ] ~policies:[ `Full; `Coalesced ]
+    make_space ~latencies:[ 3; 4 ] ~policies:[ `Full; `Coalesced ]
       ~balance:[ true; false ] ()
   in
   let jobs = Space.jobs space in
@@ -47,21 +54,22 @@ let test_space_axis_errors () =
   | Error (Space.Bad_recipe _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Space.axis_error_to_string e)
   | Ok _ -> Alcotest.fail "unknown recipe must be rejected");
-  match Space.make_exn ~latencies:[ 3; 3 ] () with
-  | exception Invalid_argument m ->
-      Alcotest.(check bool) "make_exn names the axis" true
+  match Space.make ~latencies:[ 3; 3 ] () with
+  | Error e ->
+      let m = Space.axis_error_to_string e in
+      Alcotest.(check bool) "the error names the axis" true
         (let needle = "latency" in
          let rec has i =
            i + String.length needle <= String.length m
            && (String.sub m i (String.length needle) = needle || has (i + 1))
          in
          has 0)
-  | _ -> Alcotest.fail "make_exn must raise on a duplicate axis value"
+  | Ok _ -> Alcotest.fail "make must refuse a duplicate axis value"
 
 let test_recipe_axis () =
   let g = Hls_workloads.Motivational.fig3 () in
   let space =
-    Space.make_exn ~latencies:[ 3 ] ~recipes:[ "none"; "standard" ] ()
+    make_space ~latencies:[ 3 ] ~recipes:[ "none"; "standard" ] ()
   in
   Alcotest.(check int) "two jobs" 2 (Space.size space);
   let keys = List.map Space.job_key (Space.jobs space) in
@@ -119,7 +127,7 @@ let test_parse_latencies () =
 let test_cache_hit_miss () =
   let g = Hls_workloads.Motivational.chain3 () in
   let cache = Cache.create () in
-  let space = Space.make_exn ~latencies:[ 3; 4 ] () in
+  let space = make_space ~latencies:[ 3; 4 ] () in
   let first = Explore.run ~workers:1 ~cache g space in
   Alcotest.(check int) "first run misses" 2 (Explore.(first.cache_misses));
   Alcotest.(check int) "first run hits" 0 Explore.(first.cache_hits);
@@ -147,7 +155,7 @@ let test_cache_hit_miss () =
 let test_cache_disk_roundtrip () =
   let path = Filename.temp_file "dse-cache" ".json" in
   let g = Hls_workloads.Motivational.chain3 () in
-  let space = Space.make_exn ~latencies:[ 3 ] () in
+  let space = make_space ~latencies:[ 3 ] () in
   let c1 = Cache.create ~path () in
   let r1 = Explore.run ~workers:1 ~cache:c1 g space in
   Cache.close c1;
@@ -390,7 +398,7 @@ let test_pool_timeout () =
 let test_explore_matches_serial () =
   let g = Hls_workloads.Motivational.chain3 () in
   let latencies = [ 3; 6 ] in
-  let space = Space.make_exn ~latencies () in
+  let space = make_space ~latencies () in
   let serial =
     List.map
       (fun latency ->
@@ -438,7 +446,7 @@ let test_explore_survives_infeasible () =
      sweep must record those failures and keep the feasible points. *)
   let g = Hls_workloads.Benchmarks.elliptic () in
   let space =
-    Space.make_exn ~latencies:[ 5; 6 ] ~policies:[ `Full; `Coalesced ] ()
+    make_space ~latencies:[ 5; 6 ] ~policies:[ `Full; `Coalesced ] ()
   in
   let r = Explore.run ~workers:2 g space in
   Alcotest.(check int) "attempted = points + failures" 4
@@ -449,7 +457,7 @@ let test_explore_survives_infeasible () =
 
 let test_feedback_refines_latency () =
   let g = Hls_workloads.Motivational.chain3 () in
-  let space = Space.make_exn ~latencies:[ 4 ] () in
+  let space = make_space ~latencies:[ 4 ] () in
   let r = Explore.run ~workers:1 ~feedback:1 g space in
   Alcotest.(check int) "two rounds ran" 2 r.Explore.rounds;
   let latencies =

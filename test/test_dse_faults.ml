@@ -92,7 +92,7 @@ let test_retry_policy_backoff () =
 let test_explore_retry_recovers () =
   with_faults { F.inert with F.fail_job = Some (0, 1) } @@ fun () ->
   let g = Hls_workloads.Motivational.chain3 () in
-  let space = Space.make_exn ~latencies:[ 3; 4 ] () in
+  let space = Test_dse.make_space ~latencies:[ 3; 4 ] () in
   let retry = Pool.Retry_policy.make ~attempts:3 ~backoff_s:0.001 () in
   let r = Explore.run ~workers:2 ~retry g space in
   Alcotest.(check int) "both points survive" 2 (List.length r.Explore.points);
@@ -110,7 +110,7 @@ let test_explore_retry_recovers () =
 let test_explore_exhausted_reported () =
   with_faults { F.inert with F.fail_job = Some (0, 1000) } @@ fun () ->
   let g = Hls_workloads.Motivational.chain3 () in
-  let space = Space.make_exn ~latencies:[ 3; 4 ] () in
+  let space = Test_dse.make_space ~latencies:[ 3; 4 ] () in
   let retry = Pool.Retry_policy.make ~attempts:2 ~backoff_s:0.001 () in
   let r = Explore.run ~workers:2 ~retry g space in
   Alcotest.(check int) "one point lost" 1 (List.length r.Explore.points);
@@ -126,7 +126,7 @@ let test_explore_infeasible_fails_fast () =
   (* Retries must not be wasted on permanently infeasible points. *)
   let g = Hls_workloads.Benchmarks.elliptic () in
   let space =
-    Space.make_exn ~latencies:[ 5; 6 ] ~policies:[ `Full; `Coalesced ] ()
+    Test_dse.make_space ~latencies:[ 5; 6 ] ~policies:[ `Full; `Coalesced ] ()
   in
   let retry = Pool.Retry_policy.make ~attempts:4 ~backoff_s:0.001 () in
   let r = Explore.run ~workers:2 ~retry g space in
@@ -142,7 +142,7 @@ let test_explore_infeasible_fails_fast () =
 let test_explore_degrades_on_failure () =
   with_faults { F.inert with F.fail_job = Some (0, 1000) } @@ fun () ->
   let g = Hls_workloads.Motivational.chain3 () in
-  let space = Space.make_exn ~latencies:[ 3; 4 ] () in
+  let space = Test_dse.make_space ~latencies:[ 3; 4 ] () in
   let cache = Cache.create () in
   let r = Explore.run ~workers:2 ~cache ~degrade:true g space in
   Alcotest.(check int) "both points survive" 2 (List.length r.Explore.points);
@@ -174,7 +174,7 @@ let test_explore_degrades_on_failure () =
 let test_explore_degrades_on_timeout () =
   with_faults { F.inert with F.delay_job = Some (Some 0, 1.0) } @@ fun () ->
   let g = Hls_workloads.Motivational.chain3 () in
-  let space = Space.make_exn ~latencies:[ 3; 4 ] () in
+  let space = Test_dse.make_space ~latencies:[ 3; 4 ] () in
   let r = Explore.run ~workers:2 ~timeout_s:0.15 ~degrade:true g space in
   Alcotest.(check int) "both points survive" 2 (List.length r.Explore.points);
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
@@ -196,7 +196,7 @@ let test_wal_replay_after_death () =
   let path = temp_store () in
   Fun.protect ~finally:(fun () -> cleanup_store path) @@ fun () ->
   let g = Hls_workloads.Motivational.chain3 () in
-  let space = Space.make_exn ~latencies:[ 3; 4 ] () in
+  let space = Test_dse.make_space ~latencies:[ 3; 4 ] () in
   let reference = Explore.run ~workers:1 g space in
   let digest = Cache.graph_digest g in
   let c = Cache.create ~path () in
@@ -234,7 +234,7 @@ let test_wal_truncated_tail () =
   let path = temp_store () in
   Fun.protect ~finally:(fun () -> cleanup_store path) @@ fun () ->
   let g = Hls_workloads.Motivational.chain3 () in
-  let space = Space.make_exn ~latencies:[ 3 ] () in
+  let space = Test_dse.make_space ~latencies:[ 3 ] () in
   let reference = Explore.run ~workers:1 g space in
   let digest = Cache.graph_digest g in
   let c = Cache.create ~path () in
@@ -279,7 +279,7 @@ let test_cache_garbage_store () =
   (* The sweep proceeds regardless, recomputing everything. *)
   let g = Hls_workloads.Motivational.chain3 () in
   let r =
-    Explore.run ~workers:1 ~cache:c g (Space.make_exn ~latencies:[ 3 ] ())
+    Explore.run ~workers:1 ~cache:c g (Test_dse.make_space ~latencies:[ 3 ] ())
   in
   Cache.close c;
   Alcotest.(check int) "sweep recomputes" 1 (List.length r.Explore.points);
@@ -289,7 +289,7 @@ let test_cache_corrupt_writes () =
   let path = temp_store () in
   Fun.protect ~finally:(fun () -> cleanup_store path) @@ fun () ->
   let g = Hls_workloads.Motivational.chain3 () in
-  let space = Space.make_exn ~latencies:[ 3 ] () in
+  let space = Test_dse.make_space ~latencies:[ 3 ] () in
   with_faults { F.inert with F.corrupt_writes = true } (fun () ->
       let c = Cache.create ~path () in
       let r = Explore.run ~workers:1 ~cache:c g space in

@@ -60,9 +60,6 @@ let nets_identical (a : Bitnet.t) (b : Bitnet.t) =
   && a.Bitnet.node_level = b.Bitnet.node_level
   && a.Bitnet.level_off = b.Bitnet.level_off
   && a.Bitnet.level_nodes = b.Bitnet.level_nodes
-  && a.Bitnet.comp_of = b.Bitnet.comp_of
-  && a.Bitnet.comp_off = b.Bitnet.comp_off
-  && a.Bitnet.comp_nodes = b.Bitnet.comp_nodes
   && a.Bitnet.rdep_off = b.Bitnet.rdep_off
   && a.Bitnet.rdeps = b.Bitnet.rdeps
 
@@ -254,24 +251,6 @@ let test_extraction_invariants () =
           | _ -> ())
         (Frag_sched.graph s)
 
-(* --- shared pool: arrival over Hls_pool.Shared == serial --- *)
-
-let test_shared_pool_arrival () =
-  let pool = Hls_pool.Shared.create ~workers:3 () in
-  Fun.protect
-    ~finally:(fun () -> Hls_pool.Shared.shutdown pool)
-    (fun () ->
-      let g = kernel_of_seed ~lanes:4 ~ops:96 11 in
-      let net = Bitnet.build g in
-      let serial = Arrival.of_net net in
-      let pooled = Arrival.of_net_parallel ~pool net in
-      Alcotest.(check bool) "pooled == serial" true
-        (Arrival.flat_slots pooled = Arrival.flat_slots serial);
-      (* Batches keep working after earlier batches completed. *)
-      let again = Arrival.of_net_parallel ~pool net in
-      Alcotest.(check bool) "second batch == serial" true
-        (Arrival.flat_slots again = Arrival.flat_slots serial))
-
 let suite =
   [
     Alcotest.test_case "rebuild_dirty edge cases" `Quick
@@ -282,7 +261,6 @@ let suite =
       test_iterate_improves_somewhere;
     Alcotest.test_case "extraction invariants" `Quick
       test_extraction_invariants;
-    Alcotest.test_case "shared pool arrival" `Quick test_shared_pool_arrival;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

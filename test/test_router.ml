@@ -545,6 +545,121 @@ let test_router_cuts_stalled_client () =
   check_bool "the router closed the connection" true closed;
   check_bool (Printf.sprintf "within 2 s (%.2f s)" dt) true (dt < 2.)
 
+(* A response cut off mid-line is a transport failure: the one raw
+   retry loop behind [hlsopt call --retries] and [Client.call_retry]
+   reconnects and returns the whole answer, not the half line. *)
+let test_client_retry_truncated_line () =
+  with_daemon "truncate-daemon.sock" Fun.id @@ fun sock ->
+  let module F = Hls_util.Faults in
+  Fun.protect ~finally:F.disarm @@ fun () ->
+  F.arm { F.inert with F.truncate_write = Some 1 };
+  let line = J.to_string (Req.to_json ~id:"t" Req.Ping) in
+  let retry = Retry.make ~attempts:3 ~backoff_s:0.005 () in
+  match Client.raw_call_retry ~socket:sock ~retry line with
+  | Ok resp, attempts -> (
+      check_int "the half line was retried once" 2 attempts;
+      match Resp.of_string resp with
+      | Ok { Resp.result = Ok (Resp.Pong _); _ } -> ()
+      | _ -> Alcotest.failf "expected a whole pong, got %s" resp)
+  | Error m, _ -> Alcotest.failf "transport: %s" m
+
+(* A peer that accepts the connection and never answers: the bounded
+   ping the router sends its spawned children gives up on its socket
+   timeout instead of waiting on the reply.  The peer hangs up after
+   5 s at the latest, so an unbounded ping fails the time check rather
+   than hanging the suite. *)
+let test_bounded_ping_gives_up () =
+  let sock = tmp "silent.sock" in
+  (try Sys.remove sock with Sys_error _ -> ());
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX sock);
+  Unix.listen lfd 4;
+  let finished = Atomic.make false in
+  let peer =
+    Domain.spawn (fun () ->
+        match Unix.select [ lfd ] [] [] 5. with
+        | [], _, _ -> ()
+        | _ ->
+            let fd, _ = Unix.accept lfd in
+            let until = Unix.gettimeofday () +. 5. in
+            while (not (Atomic.get finished)) && Unix.gettimeofday () < until do
+              Unix.sleepf 0.02
+            done;
+            Unix.close fd)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join peer;
+      Unix.close lfd;
+      Sys.remove sock)
+  @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let outcome = Client.call ~socket:sock ~timeout_s:0.5 Req.Ping in
+  let dt = Unix.gettimeofday () -. t0 in
+  (match outcome with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a silent peer cannot answer");
+  check_bool (Printf.sprintf "gave up within 2 s (%.2f s)" dt) true (dt < 2.)
+
+(* A pipelined burst past the router's in-flight cap, over in-process
+   daemons: every line is answered, the overflow is shed as overloaded
+   and the rest is served. *)
+let test_burst_sheds_past_inflight_cap () =
+  let rec with_daemons k f =
+    if k = 0 then f []
+    else
+      with_daemon (Printf.sprintf "burst-daemon-%d.sock" k) Fun.id
+        (fun sock -> with_daemons (k - 1) (fun socks -> f (sock :: socks)))
+  in
+  with_daemons 3 @@ fun socks ->
+  with_lone_router "burst-router.sock"
+    (fun cfg -> { cfg with Router.backends = socks; max_inflight = 8 })
+  @@ fun router_sock ->
+  let n = 64 in
+  let ids = List.init n (Printf.sprintf "burst-%d") in
+  let lines =
+    List.map
+      (fun id ->
+        J.to_string
+          (Req.to_json ~id (Req.Parse { spec = Req.Builtin "chain3" })))
+      ids
+  in
+  let resps =
+    match Client.connect router_sock with
+    | Error m -> Alcotest.failf "router connect: %s" m
+    | Ok c ->
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () ->
+            match Client.raw_burst c lines with
+            | Ok resps -> resps
+            | Error m -> Alcotest.failf "burst: %s" m)
+  in
+  let decoded =
+    List.map
+      (fun r ->
+        match Resp.of_string r with
+        | Ok resp -> resp
+        | Error m -> Alcotest.failf "undecodable answer %s: %s" r m)
+      resps
+  in
+  Alcotest.(check (list string))
+    "every line is answered" (List.sort compare ids)
+    (List.sort compare
+       (List.map (fun r -> Option.value r.Resp.id ~default:"") decoded));
+  let count p = List.length (List.filter p decoded) in
+  let shed =
+    count (fun r ->
+        match r.Resp.result with Error (Resp.Overloaded _) -> true | _ -> false)
+  and served =
+    count (fun r -> match r.Resp.result with Ok _ -> true | Error _ -> false)
+  in
+  check_bool
+    (Printf.sprintf "some shed as overloaded (%d)" shed)
+    true (shed >= 1);
+  check_bool (Printf.sprintf "some served (%d)" served) true (served >= 1)
+
 let suite =
   [
     Alcotest.test_case "ring: stability and bounded movement" `Quick
@@ -561,6 +676,10 @@ let suite =
       test_deadline_envelope;
     Alcotest.test_case "client retry gives up with a count" `Quick
       test_client_retry_gives_up;
+    Alcotest.test_case "bounded ping gives up on a silent peer" `Quick
+      test_bounded_ping_gives_up;
+    Alcotest.test_case "client retry rides out a truncated line" `Quick
+      test_client_retry_truncated_line;
     Alcotest.test_case "chaos: SIGKILL one backend mid-burst" `Slow
       test_chaos_kill_one_backend;
     Alcotest.test_case "busy backend is not ejected by probe timeouts" `Slow
@@ -571,4 +690,6 @@ let suite =
       `Quick test_framing_counts_only_the_fragment;
     Alcotest.test_case "router cuts clients stalled mid-line" `Quick
       test_router_cuts_stalled_client;
+    Alcotest.test_case "burst past the in-flight cap sheds, answers all"
+      `Quick test_burst_sheds_past_inflight_cap;
   ]

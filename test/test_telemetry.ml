@@ -173,7 +173,9 @@ let test_explore_wall_and_order () =
   (* Per-point wall_s: computed points cost time, cache hits are free;
      points come back sorted on the full job key either way. *)
   let g = Hls_workloads.Motivational.chain3 () in
-  let space = Hls_dse.Space.make_exn ~latencies:[ 4; 3 ] ~balance:[ true; false ] () in
+  let space =
+    Test_dse.make_space ~latencies:[ 4; 3 ] ~balance:[ true; false ] ()
+  in
   let cache = Hls_dse.Cache.create () in
   let sorted r =
     let keys = List.map (fun p -> p.Hls_dse.Explore.job) r.Hls_dse.Explore.points in

@@ -1,7 +1,7 @@
 (* Wavefront timing kernels: bit-identity of the flat level-ordered
-   arrival/deadline sweeps against the per-query references, determinism
-   of the region-parallel variants, the early-exit feasibility check, and
-   the word-packed index sets underneath them. *)
+   arrival/deadline sweeps against the per-query references, the
+   region count of lane-structured graphs, the early-exit feasibility
+   check, and the word-packed index sets underneath them. *)
 
 open Hls_dfg.Types
 module B = Hls_dfg.Builder
@@ -73,18 +73,6 @@ let prop_deadline_identity =
           (Deadline.compute_reference ~caps g ~total_slots:total)
       in
       plain && capped)
-
-(* --- region-parallel == serial --- *)
-
-let prop_parallel_identity =
-  QCheck.Test.make ~name:"region-parallel sweeps == serial" ~count:25
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let g = kernel_of_seed ~lanes:4 ~ops:40 seed in
-      let net = Bitnet.build g in
-      arrivals_equal g
-        (Arrival.of_net_parallel ~workers:4 net)
-        (Arrival.of_net net))
 
 (* --- early-exit feasibility check --- *)
 
@@ -167,8 +155,8 @@ let test_width1_chain () =
        (Deadline.compute_reference g ~total_slots:total))
 
 let test_registry_regions () =
-  (* The multi-lane stress workloads must actually exercise the region
-     partition: at least one region per lane. *)
+  (* The multi-lane stress workloads have at least one region per
+     lane. *)
   let regions w =
     match Hls_workloads.Catalog.find_graph w with
     | Some g -> Bitnet.n_regions (Bitnet.build (P.prepare_kernel g))
@@ -250,7 +238,6 @@ let suite =
       [
         prop_arrival_identity;
         prop_deadline_identity;
-        prop_parallel_identity;
         prop_check_matches_feasible;
         prop_wordset_model;
       ]
