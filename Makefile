@@ -86,8 +86,11 @@ iter-smoke:
 # Tiny-iteration run of the timing bench (reference vs Bitnet pairs) and a
 # sanity check of the JSON it emits.  --assert additionally times the
 # arrival/deadline kernels and the binder against their references on
-# every registry workload and fails loudly if any is slower — a perf
-# regression gate, not just a smoke test.  The full-quota run that regenerates the
+# every registry workload, and the equivalence checker against its
+# oracle on every non-stress one, and fails loudly if any is slower — a
+# perf regression gate, not just a smoke test.  Then a random480 report
+# (whose equivalence check took 25 s with the per-vector checker) must
+# finish within 10 s.  The full-quota run that regenerates the
 # committed BENCH_timing.json is `dune exec bench/main.exe -- timing
 # --json`.
 bench-smoke:
@@ -100,7 +103,15 @@ bench-smoke:
 	grep -q '"speedup":' $$out || { echo "bench-smoke: no speedup estimates"; exit 1; }; \
 	grep -q '"regions":' $$out || { echo "bench-smoke: no kernel shape section"; exit 1; }; \
 	grep -q 'bench-assert: ok' $$log || { echo "bench-smoke: kernel-vs-reference assertion missing"; tail -20 $$log; exit 1; }; \
-	echo "bench-smoke: ok (timing bench runs, kernels beat references, JSON sane)"
+	grep -q '"checker_ns_per_run":' $$out || { echo "bench-smoke: no equivalence section"; exit 1; }; \
+	dune build bin/hlsopt.exe; \
+	t0=$$(date +%s%N); \
+	./_build/default/bin/hlsopt.exe report -b random480 -l 14 > $$log \
+	  || { echo "bench-smoke: random480 report failed"; tail -5 $$log; exit 1; }; \
+	ms=$$(( ($$(date +%s%N) - t0) / 1000000 )); \
+	grep -q 'equivalence check: OK' $$log || { echo "bench-smoke: random480 report not checked"; exit 1; }; \
+	[ $$ms -le 10000 ] || { echo "bench-smoke: random480 report took $$ms ms (limit 10 s)"; exit 1; }; \
+	echo "bench-smoke: ok (timing bench runs, kernels and checker beat references, JSON sane, random480 report in $$ms ms)"
 
 # Repository-benchmark smoke: perfbench's own selftest.  Every workload's
 # answers must pass the replay gate, every planted wrong answer must be

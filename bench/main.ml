@@ -693,6 +693,89 @@ let api_bench () =
 (* Bit-level timing core: per-query Bitdep reference vs the packed     *)
 (* Bitnet, on each analysis alone and on the full optimized pipeline.  *)
 
+(* Best-of-[rounds] wall time of [f] in ns per call, over batches grown
+   until one lasts at least 0.3 ms. *)
+let best_ns ?(rounds = 7) f =
+  ignore (Sys.opaque_identity (f ()));
+  let batch reps =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Unix.gettimeofday () -. t0
+  in
+  let reps = ref 1 in
+  while batch !reps < 3e-4 do
+    reps := !reps * 2
+  done;
+  let best = ref infinity in
+  for _ = 1 to rounds do
+    let dt = batch !reps in
+    if dt < !best then best := dt
+  done;
+  !best *. 1e9 /. float_of_int !reps
+
+(* The end-to-end equivalence check of every catalog workload's optimized
+   flow at its default latency ([Pipeline.check_optimized_equivalence]'s
+   call): the bit-sliced [Hls_check] against the per-vector checker it
+   replaced ([Hls_oracle.Check_oracle]), with both verdicts.  The stress
+   workloads are left out: one oracle run takes 4.5 s on random240 and
+   25 s on random480, against well under 1 s on every other workload. *)
+let equivalence_rows ~quick =
+  List.filter_map
+    (fun e ->
+      let open Hls_workloads.Catalog in
+      if List.mem "stress" e.tags then None
+      else
+        let g = graph e in
+        let latency = e.default_latency in
+        let h =
+          (optimized g ~latency).P.transformed.Hls_fragment.Transform.graph
+        in
+        let fresh () = Hls_check.equivalent ~samples:40 ~seed:99 g h in
+        let oracle () =
+          Hls_oracle.Check_oracle.equivalent ~samples:40 ~seed:99 g h
+        in
+        let rounds = if quick then 3 else 7 in
+        let c = best_ns ~rounds fresh and o = best_ns ~rounds oracle in
+        let v = fresh () in
+        Some (e.name, latency, v, v = oracle (), o, c))
+    (Hls_workloads.Catalog.all ())
+
+let print_equivalence rows =
+  Printf.printf "%-16s %-22s %5s %14s %14s %9s\n" "workload" "verdict" "same"
+    "oracle ns" "checker ns" "speedup";
+  List.iter
+    (fun (w, _, v, same, o, c) ->
+      Printf.printf "%-16s %-22s %5b %14.0f %14.0f %8.2fx\n" w
+        (Format.asprintf "%a" Hls_check.pp_verdict v)
+        same o c (o /. c))
+    rows
+
+let equivalence_json ~quick rows =
+  J.Obj
+    [
+      ("quick", J.Bool quick);
+      ("samples", J.Int 40);
+      ("seed", J.Int 99);
+      ( "results",
+        J.List
+          (List.map
+             (fun (w, latency, v, same, o, c) ->
+               J.Obj
+                 [
+                   ("workload", J.String w);
+                   ("latency", J.Int latency);
+                   ( "verdict",
+                     J.String (Format.asprintf "%a" Hls_check.pp_verdict v) );
+                   ("same_verdict", J.Bool same);
+                   ("oracle_ns_per_run", J.Float o);
+                   ("checker_ns_per_run", J.Float c);
+                   ("speedup", J.Float (o /. c));
+                 ])
+             rows) );
+    ]
+
 let timing () =
   let { json; quick; assert_mode; out } = opts () in
   section "Bit-level timing core: per-query reference vs packed Bitnet";
@@ -1012,10 +1095,29 @@ let timing () =
                   ("armed_overhead_pct", J.Float armed_pct);
                 ] );
       ];
+  section "Equivalence check: bit-sliced Hls_check vs the per-vector oracle";
+  let equivalence = equivalence_rows ~quick in
+  print_equivalence equivalence;
+  if json then
+    write_ledger out [ ("equivalence", equivalence_json ~quick equivalence) ];
   if assert_mode then begin
-    (* A timing kernel or the binder slower than its retained reference
-       is a regression, not a tradeoff — fail the build loudly. *)
+    (* A timing kernel, the binder or the equivalence checker slower than
+       its retained reference is a regression, not a tradeoff — fail the
+       build loudly.  So is a checker verdict the oracle disagrees with. *)
     let failed = ref false in
+    List.iter
+      (fun (w, _, _, same, o, c) ->
+        if not same then begin
+          failed := true;
+          Printf.eprintf "bench-assert: %s/equivalence verdict differs from \
+                          the oracle's\n" w
+        end;
+        if c > o then begin
+          failed := true;
+          Printf.eprintf "bench-assert: %s/equivalence at %.2fx, slower than \
+                          its oracle\n" w (o /. c)
+        end)
+      equivalence;
     List.iter
       (fun (w, a, _, _, s) ->
         if (a = "arrival" || a = "deadline" || a = "bind") && s < 1.0 then begin
@@ -1029,26 +1131,6 @@ let timing () =
        serving-path configuration) against the per-query references, and
        of the flat-array binder against the list-based binder it replaced
        (both on the net) at the workload's default latency. *)
-    let best_ns f =
-      ignore (Sys.opaque_identity (f ()));
-      let batch reps =
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          ignore (Sys.opaque_identity (f ()))
-        done;
-        Unix.gettimeofday () -. t0
-      in
-      let reps = ref 1 in
-      while batch !reps < 3e-4 do
-        reps := !reps * 2
-      done;
-      let best = ref infinity in
-      for _ = 1 to 7 do
-        let dt = batch !reps in
-        if dt < !best then best := dt
-      done;
-      !best *. 1e9 /. float_of_int !reps
-    in
     List.iter
       (fun (w, g, latency) ->
         let kernel = P.prepare_kernel g in
@@ -1147,8 +1229,8 @@ let timing () =
              | _ -> Printf.printf "bench-assert: fuzz section within bounds\n")));
     if !failed then exit 1;
     print_endline
-      "bench-assert: ok (arrival and deadline kernels and the binder at or \
-       above their references on every workload)"
+      "bench-assert: ok (arrival and deadline kernels, the binder and the \
+       equivalence checker at or above their references on every workload)"
   end
 
 (* ------------------------------------------------------------------ *)

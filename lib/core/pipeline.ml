@@ -250,8 +250,9 @@ let run_graph config graph ~latency =
     plus [trials] random samples otherwise. *)
 let check_optimized_equivalence ?(trials = 40) ?(seed = 99) graph result =
   match
-    Hls_check.equivalent ~samples:trials ~seed graph
-      result.transformed.Hls_fragment.Transform.graph
+    Hls_telemetry.with_span ~cat:"check" "check.equivalence" (fun () ->
+        Hls_check.equivalent ~samples:trials ~seed graph
+          result.transformed.Hls_fragment.Transform.graph)
   with
   | Hls_check.Proved | Hls_check.Passed _ -> Ok ()
   | Hls_check.Failed _ as f ->

@@ -21,12 +21,22 @@ let presets () =
 
 type verdict = Match | Skip of string | Mismatch of string
 
+let sampled g g' ~vectors ~prng =
+  match
+    Hls_check.equivalent ~exhaustive_budget:0 ~samples:vectors
+      ~seed:(Prng.int prng 0x3fffffff) g g'
+  with
+  | Hls_check.Proved | Hls_check.Passed _ -> Ok ()
+  | Hls_check.Failed _ as v ->
+      Error (Format.asprintf "%a" Hls_check.pp_verdict v)
+  | exception Invalid_argument m -> Error m
+
 let behavioural g t ~vectors ~prng =
   match t.t_apply g with
   | exception e ->
       Mismatch (Printf.sprintf "%s raised %s" t.t_name (Printexc.to_string e))
   | g' -> (
-      match Hls_sim.equivalent g g' ~trials:vectors ~prng with
+      match sampled g g' ~vectors ~prng with
       | Ok () -> Match
       | Error m -> Mismatch (Printf.sprintf "%s: %s" t.t_name m))
 

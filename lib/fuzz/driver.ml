@@ -144,10 +144,7 @@ let spec_case cfg st prng coverage profile =
                 ~detail:("emitted source failed to elaborate: " ^ m)
                 src
           | Ok g2 -> (
-              match
-                Hls_sim.equivalent g g2 ~trials:cfg.vectors
-                  ~prng:(Prng.create ~seed:cfg.seed)
-              with
+              match Diff.sampled g g2 ~vectors:cfg.vectors ~prng with
               | Ok () -> ()
               | Error m ->
                   st.mismatches <- st.mismatches + 1;

@@ -136,40 +136,3 @@ let random_inputs graph prng =
   List.map
     (fun p -> (p.port_name, Bv.random ~width:p.port_width prng))
     graph.Graph.inputs
-
-let equivalent a b ~trials ~prng =
-  let common_outputs =
-    List.filter_map
-      (fun (name, _) ->
-        if List.mem_assoc name b.Graph.outputs then Some name else None)
-      a.Graph.outputs
-  in
-  if common_outputs = [] then Error "no common output ports"
-  else
-    let rec go i =
-      if i >= trials then Ok ()
-      else
-        let inputs = random_inputs a prng in
-        let oa = outputs a ~inputs and ob = outputs b ~inputs in
-        let mismatch =
-          List.find_opt
-            (fun name ->
-              not
-                (Bv.equal (List.assoc name oa) (List.assoc name ob)))
-            common_outputs
-        in
-        match mismatch with
-        | None -> go (i + 1)
-        | Some name ->
-            let pp_env ppf env =
-              List.iter
-                (fun (n, v) -> Format.fprintf ppf "%s=%a " n Bv.pp v)
-                env
-            in
-            Error
-              (Format.asprintf
-                 "output %s differs on trial %d: %a vs %a under %a" name i
-                 Bv.pp (List.assoc name oa) Bv.pp (List.assoc name ob) pp_env
-                 inputs)
-    in
-    go 0

@@ -3,8 +3,10 @@
     This is the reference semantics against which every transformation in
     the flow is checked: operative-kernel extraction, operation
     fragmentation, scheduling-preserving rewrites and RTL generation must
-    all leave the input→output function of the graph unchanged, and the
-    test-suite asserts exactly that by running both sides here. *)
+    all leave the input→output function of the graph unchanged.
+    {!Hls_check} evaluates the same semantics bit-sliced, 63 vectors at a
+    time, to check both sides of a transformation; the cycle-accurate
+    RTL simulator and the cleanup passes evaluate through this module. *)
 
 type env = (string * Hls_bitvec.t) list
 (** Input valuation: one bit vector per primary input port, exact width. *)
@@ -35,11 +37,3 @@ val eval_node :
 
 (** Draw a random full-width valuation for every input port. *)
 val random_inputs : Hls_dfg.Graph.t -> Hls_util.Prng.t -> env
-
-(** [equivalent a b ~trials ~prng] checks that two graphs with identical
-    input ports compute identical values on every *common* output port,
-    over [trials] random input vectors.  Returns the first counterexample
-    as an error message. *)
-val equivalent :
-  Hls_dfg.Graph.t -> Hls_dfg.Graph.t -> trials:int -> prng:Hls_util.Prng.t ->
-  (unit, string) result

@@ -203,7 +203,7 @@ let prop_coalesced_sound =
             match Frag_sched.schedule tr with
             | s ->
                 Frag_sched.verify s = Ok ()
-                && Hls_sim.equivalent g tr.Transform.graph ~trials:15
+                && Hls_fuzz.Diff.sampled g tr.Transform.graph ~vectors:15
                      ~prng:(Hls_util.Prng.create ~seed:(seed + 5))
                    = Ok ()
             | exception Frag_sched.Infeasible _ -> true)

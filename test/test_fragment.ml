@@ -89,7 +89,7 @@ let check_transform_equiv ?(trials = 60) ~seed g ~latency =
   let t = Transform.run g ~latency in
   Graph.validate t.Transform.graph;
   (match
-     Hls_sim.equivalent g t.Transform.graph ~trials
+     Hls_fuzz.Diff.sampled g t.Transform.graph ~vectors:trials
        ~prng:(Hls_util.Prng.create ~seed)
    with
   | Ok () -> ()
@@ -311,7 +311,7 @@ let prop_transform_preserves_semantics =
       else
       let g = random_kernel_graph ~seed ~size:8 in
       let t = Transform.run g ~latency in
-      Hls_sim.equivalent g t.Transform.graph ~trials:20
+      Hls_fuzz.Diff.sampled g t.Transform.graph ~vectors:20
         ~prng:(Hls_util.Prng.create ~seed:(seed + 7))
       = Ok ())
 
@@ -347,7 +347,7 @@ let prop_lowered_behavioural_graphs_fragment =
       let g = B.finish b in
       let kernel = Extract.run g in
       let tr = Transform.run kernel ~latency in
-      Hls_sim.equivalent g tr.Transform.graph ~trials:25
+      Hls_fuzz.Diff.sampled g tr.Transform.graph ~vectors:25
         ~prng:(Hls_util.Prng.create ~seed:(seed + 3))
       = Ok ())
 

@@ -259,7 +259,7 @@ end
 |}
   in
   match
-    Hls_sim.equivalent built written ~trials:64 ~prng:(Prng.create ~seed:9)
+    Diff.sampled built written ~vectors:64 ~prng:(Prng.create ~seed:9)
   with
   | Ok () -> ()
   | Error m -> Alcotest.fail m

@@ -7,7 +7,7 @@ module Bv = Hls_bitvec
 
 let check_equiv ?(trials = 60) ~seed g =
   let lowered = Extract.run g in
-  (match Sim.equivalent g lowered ~trials ~prng:(Hls_util.Prng.create ~seed) with
+  (match Hls_fuzz.Diff.sampled g lowered ~vectors:trials ~prng:(Hls_util.Prng.create ~seed) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "kernel extraction changed semantics: %s" m);
   Alcotest.(check bool) "kernel form" true (Extract.is_kernel_form lowered);
@@ -161,7 +161,7 @@ let prop_random_dag_preserved =
       let g = B.finish b in
       let lowered = Extract.run g in
       Extract.is_kernel_form lowered
-      && Sim.equivalent g lowered ~trials:25
+      && Hls_fuzz.Diff.sampled g lowered ~vectors:25
            ~prng:(Hls_util.Prng.create ~seed:(seed + 1))
          = Ok ())
 

@@ -144,7 +144,7 @@ let test_normalize_on_kernel_graphs () =
     (fun (name, g) ->
       let kernel = Hls_kernel.Extract.run g in
       let n = Cleanup.normalize kernel in
-      (match Hls_sim.equivalent g n ~trials:30
+      (match Hls_fuzz.Diff.sampled g n ~vectors:30
                ~prng:(Hls_util.Prng.create ~seed:7) with
       | Ok () -> ()
       | Error m -> Alcotest.failf "%s: %s" name m);
@@ -222,7 +222,7 @@ let prop_passes_preserve_semantics =
     (fun seed ->
       let g = Hls_workloads.Random_dfg.generate ~seed () in
       let n = Cleanup.normalize g in
-      Hls_sim.equivalent g n ~trials:20
+      Hls_fuzz.Diff.sampled g n ~vectors:20
         ~prng:(Hls_util.Prng.create ~seed:(seed + 3))
       = Ok ())
 

@@ -102,7 +102,7 @@ let prop_kernel_idempotent =
       let k2 = Hls_kernel.Extract.run k1 in
       Graph.node_count k1 = Graph.node_count k2
       && Graph.behavioural_op_count k1 = Graph.behavioural_op_count k2
-      && Hls_sim.equivalent k1 k2 ~trials:10
+      && Hls_fuzz.Diff.sampled k1 k2 ~vectors:10
            ~prng:(Hls_util.Prng.create ~seed:(seed + 1))
          = Ok ())
 

@@ -152,7 +152,7 @@ let test_equivalent_self () =
   let g = Hls_workloads.Motivational.fig3 () in
   let prng = Hls_util.Prng.create ~seed:1 in
   Alcotest.(check bool) "graph ≡ itself" true
-    (Sim.equivalent g g ~trials:20 ~prng = Ok ())
+    (Hls_fuzz.Diff.sampled g g ~vectors:20 ~prng = Ok ())
 
 let test_equivalent_detects_difference () =
   let mk flip =
@@ -167,7 +167,7 @@ let test_equivalent_detects_difference () =
   in
   let prng = Hls_util.Prng.create ~seed:2 in
   Alcotest.(check bool) "detected" true
-    (match Sim.equivalent (mk false) (mk true) ~trials:50 ~prng with
+    (match Hls_fuzz.Diff.sampled (mk false) (mk true) ~vectors:50 ~prng with
     | Error _ -> true
     | Ok () -> false)
 

@@ -32,7 +32,7 @@ let test_diffeq_spec_file () =
   let g = load "specs/diffeq.spec" in
   let builtin = Hls_workloads.Benchmarks.diffeq () in
   match
-    Hls_sim.equivalent g builtin ~trials:60
+    Hls_fuzz.Diff.sampled g builtin ~vectors:60
       ~prng:(Hls_util.Prng.create ~seed:21)
   with
   | Ok () -> ()
@@ -42,7 +42,7 @@ let test_fir2_spec_file () =
   let g = load "specs/fir2.spec" in
   let builtin = Hls_workloads.Benchmarks.fir2 () in
   match
-    Hls_sim.equivalent g builtin ~trials:60
+    Hls_fuzz.Diff.sampled g builtin ~vectors:60
       ~prng:(Hls_util.Prng.create ~seed:22)
   with
   | Ok () -> ()

@@ -110,7 +110,7 @@ let test_elaborate_chain3_matches_builtin () =
   let builtin = Hls_workloads.Motivational.chain3 () in
   let prng = Hls_util.Prng.create ~seed:5 in
   Alcotest.(check bool) "equivalent to the built-in graph" true
-    (Hls_sim.equivalent g builtin ~trials:50 ~prng = Ok ())
+    (Hls_fuzz.Diff.sampled g builtin ~vectors:50 ~prng = Ok ())
 
 let test_elaborate_fig2a_equivalent_to_fig1a () =
   (* The hand-written transformed spec computes the same function. *)
@@ -118,7 +118,7 @@ let test_elaborate_fig2a_equivalent_to_fig1a () =
   let transformed = Elaborate.from_string fig2a_src in
   let prng = Hls_util.Prng.create ~seed:6 in
   Alcotest.(check bool) "Fig 2a ≡ Fig 1a" true
-    (Hls_sim.equivalent original transformed ~trials:100 ~prng = Ok ())
+    (Hls_fuzz.Diff.sampled original transformed ~vectors:100 ~prng = Ok ())
 
 let test_elaborate_width_rules () =
   let g =
@@ -299,7 +299,7 @@ let test_emit_roundtrip_chain3 () =
   let g2 = Elaborate.from_string src in
   let prng = Hls_util.Prng.create ~seed:7 in
   Alcotest.(check bool) "roundtrip equivalent" true
-    (Hls_sim.equivalent g g2 ~trials:50 ~prng = Ok ())
+    (Hls_fuzz.Diff.sampled g g2 ~vectors:50 ~prng = Ok ())
 
 let test_emit_roundtrip_transformed () =
   (* The transformed (fragmented) chain3 graph survives the round trip:
@@ -310,7 +310,7 @@ let test_emit_roundtrip_transformed () =
   let g2 = Elaborate.from_string src in
   let prng = Hls_util.Prng.create ~seed:8 in
   Alcotest.(check bool) "roundtrip equivalent" true
-    (Hls_sim.equivalent g g2 ~trials:50 ~prng = Ok ())
+    (Hls_fuzz.Diff.sampled g g2 ~vectors:50 ~prng = Ok ())
 
 let test_vhdl_emission_smoke () =
   let g = Hls_workloads.Motivational.chain3 () in
@@ -363,7 +363,7 @@ let prop_emit_roundtrip =
       | src -> (
           match Elaborate.from_string_result src with
           | Ok g2 ->
-              Hls_sim.equivalent g g2 ~trials:20
+              Hls_fuzz.Diff.sampled g g2 ~vectors:20
                 ~prng:(Hls_util.Prng.create ~seed:(seed + 1))
               = Ok ()
           | Error _ -> false)

@@ -137,7 +137,7 @@ let test_random_reproducible () =
   Alcotest.(check int) "same node count" (Hls_dfg.Graph.node_count a)
     (Hls_dfg.Graph.node_count b);
   Alcotest.(check bool) "same function" true
-    (Hls_sim.equivalent a b ~trials:10 ~prng = Ok ())
+    (Hls_fuzz.Diff.sampled a b ~vectors:10 ~prng = Ok ())
 
 let test_chain_parametric () =
   (* The generalized motivational chain scales. *)
