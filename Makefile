@@ -264,7 +264,9 @@ serve-smoke:
 #     set is byte-identical to a one-shot daemon's.
 #  2. The killed backend is respawned by the router.
 #  3. An already-expired deadline_ms is shed as a typed retryable timeout.
-#  4. SIGTERM drains the router and its children, exit 0.
+#  4. A multi-latency explore is answered through the router (it runs
+#     whole on the backend that owns its digest).
+#  5. SIGTERM drains the router and its children, exit 0.
 fleet-smoke:
 	@dune build bin/hlsopt.exe; \
 	hlsopt=_build/default/bin/hlsopt.exe; \
@@ -306,10 +308,15 @@ fleet-smoke:
 	  || { echo "fleet-smoke: deadline probe failed"; kill $$pid; exit 1; }; \
 	grep -q '"class":"timeout"' $$dir/dl.txt && grep -q '"retryable":true' $$dir/dl.txt \
 	  || { echo "fleet-smoke: expired deadline_ms not shed as a retryable timeout"; cat $$dir/dl.txt; kill $$pid; exit 1; }; \
+	echo '{"v":1,"id":"ex","method":"explore","params":{"spec":{"builtin":"chain3"},"latencies":[2,3,4]}}' \
+	  | $$hlsopt call --connect $$dir/r.sock > $$dir/ex.txt \
+	  || { echo "fleet-smoke: routed explore failed"; kill $$pid; exit 1; }; \
+	grep -q '"ok":true' $$dir/ex.txt && grep -q '"kind":"explore"' $$dir/ex.txt \
+	  || { echo "fleet-smoke: routed explore not answered"; head -c 300 $$dir/ex.txt; echo; kill $$pid; exit 1; }; \
 	kill -TERM $$pid; wait $$pid; st=$$?; \
 	test $$st -eq 0 || { echo "fleet-smoke: router exited $$st on SIGTERM"; exit 1; }; \
 	grep -q 'router drained' $$dir/route.log || { echo "fleet-smoke: no drain message"; cat $$dir/route.log; exit 1; }; \
-	echo "fleet-smoke: ok (zero loss under SIGKILL, byte-identical answers, respawn, deadline shed, clean drain)"
+	echo "fleet-smoke: ok (zero loss under SIGKILL, byte-identical answers, respawn, deadline shed, routed explore, clean drain)"
 
 check: build test perfbench-smoke explore-smoke xform-smoke emit-smoke iter-smoke fuzz-smoke bench-smoke fault-smoke trace-smoke serve-smoke fleet-smoke
 

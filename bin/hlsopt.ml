@@ -215,13 +215,8 @@ let verify_doc =
   "Equivalence gate on the recipe's passes: off, sampled or every_pass."
 
 let report_cmd =
-  let run tel connect file builtin latency transform verify cleanup target_ns =
+  let run tel connect file builtin latency transform verify target_ns =
     with_telemetry tel @@ fun () ->
-    let transform =
-      if not cleanup then transform
-      else if transform = "none" then "cleanup"
-      else usage_die "give --transform or the deprecated --cleanup, not both"
-    in
     let req =
       Req.Report
         {
@@ -241,10 +236,6 @@ let report_cmd =
     Arg.(value & opt string "off"
          & info [ "verify" ] ~docv:"POLICY" ~doc:verify_doc)
   in
-  let cleanup_arg =
-    Arg.(value & flag & info [ "cleanup" ]
-           ~doc:"Deprecated alias for --transform cleanup.")
-  in
   let target_arg =
     Arg.(value & opt (some float) None
          & info [ "target-ns" ] ~docv:"NS"
@@ -253,8 +244,7 @@ let report_cmd =
   in
   Cmd.v (Cmd.info "report" ~doc:"Compare the conventional and optimized flows")
     Term.(const run $ telemetry_term $ connect_arg $ file_arg $ builtin_arg
-          $ latency_arg $ transform_arg $ verify_arg $ cleanup_arg
-          $ target_arg)
+          $ latency_arg $ transform_arg $ verify_arg $ target_arg)
 
 let transform_cmd =
   let run tel connect file builtin recipe verify =
@@ -484,7 +474,7 @@ let fuzz_cmd =
 let explore_cmd =
   let module Dse = Hls_dse in
   let run tel connect file builtin latspec policies libs balance recipes
-      iterates verify cleanup jobs timeout cache_path feedback retries backoff
+      iterates verify jobs timeout cache_path feedback retries backoff
       degrade resume json =
     (* The sweep always arms metric recording: its report carries the
        per-phase time breakdown whether or not --metrics was given. *)
@@ -512,18 +502,9 @@ let explore_cmd =
     in
     let balance = or_die (bools ~name:"--balance" balance) in
     (* --recipes is the axis; within one axis value join passes with '+'
-       (commas separate axis values here).  --cleanup survives as a
-       deprecated translation onto the cleanup preset. *)
+       (commas separate axis values here). *)
     let recipes =
-      match (recipes, cleanup) with
-      | "", "off" -> [ "none" ]
-      | "", spec ->
-          List.map
-            (fun on -> if on then "cleanup" else "none")
-            (or_die (bools ~name:"--cleanup" spec))
-      | spec, "off" -> Hls_xform.Recipe.split_specs spec
-      | _, _ ->
-          usage_die "give --recipes or the deprecated --cleanup, not both"
+      if recipes = "" then [ "none" ] else Hls_xform.Recipe.split_specs recipes
     in
     if connect <> None && (cache_path <> None || resume) then
       usage_die "--cache/--resume are daemon-side state; drop them with \
@@ -626,12 +607,6 @@ let explore_cmd =
     Arg.(value & opt string "off"
          & info [ "verify" ] ~docv:"POLICY" ~doc:verify_doc)
   in
-  let cleanup_arg =
-    Arg.(value & opt string "off"
-         & info [ "cleanup" ] ~docv:"C"
-             ~doc:"Deprecated: presynthesis cleanup axis (on, off or both); \
-                   use --recipes none,cleanup instead.")
-  in
   let jobs_arg =
     Arg.(value & opt int 0
          & info [ "jobs"; "j" ] ~docv:"N"
@@ -686,7 +661,7 @@ let explore_cmd =
        ~doc:"Sweep the design space and print its Pareto frontier")
     Term.(const run $ telemetry_term $ connect_arg $ file_arg $ builtin_arg
           $ latency_arg $ policies_arg $ libs_arg $ balance_arg $ recipes_arg
-          $ iterate_arg $ verify_arg $ cleanup_arg $ jobs_arg $ timeout_arg
+          $ iterate_arg $ verify_arg $ jobs_arg $ timeout_arg
           $ cache_arg $ feedback_arg $ retries_arg $ backoff_arg $ degrade_arg
           $ resume_arg $ json_arg)
 
@@ -1067,7 +1042,8 @@ let route_cmd =
   Cmd.v
     (Cmd.info "route"
        ~doc:"Run the sharded serving front end: digest-affinity routing, \
-             health-checked backends, failover, scatter-gathered explores")
+             health-checked backends, failover; every request runs whole \
+             on one backend")
     Term.(const run $ telemetry_term $ socket_arg $ listen_arg $ backends_arg
           $ spawn_arg $ spawn_dir_arg $ queue_arg $ batch_arg $ jobs_arg
           $ max_inflight_arg $ retries_arg $ backoff_arg $ probe_interval_arg

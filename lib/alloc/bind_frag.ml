@@ -454,17 +454,6 @@ let stored_runs (s : Frag_sched.t) =
     g;
   List.rev !runs
 
-(** Is bit [bit] of node [id] stored across the boundary after [cycle]? *)
-let bit_stored_after runs ~id ~bit ~cycle =
-  List.exists
-    (fun r ->
-      r.sr_node = id
-      && bit >= r.sr_lo
-      && bit < r.sr_lo + r.sr_width
-      && cycle + 1 >= r.sr_from
-      && cycle + 1 <= r.sr_to)
-    runs
-
 (** Left-edge-packed registers over the stored runs. *)
 let registers s =
   let g = Frag_sched.graph s in

@@ -26,10 +26,6 @@ type stored_run = {
     every cross-cycle read against this set. *)
 val stored_runs : Hls_sched.Frag_sched.t -> stored_run list
 
-(** Is bit [bit] of node [id] stored across the boundary after [cycle]? *)
-val bit_stored_after :
-  stored_run list -> id:int -> bit:int -> cycle:int -> bool
-
 (** Left-edge-packed registers over the stored runs. *)
 val registers : Hls_sched.Frag_sched.t -> Lifetime.register list
 

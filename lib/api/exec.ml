@@ -602,13 +602,16 @@ let guard f =
   | p -> Ok p
   | exception e -> Error (Response.Failed (Failure.classify_exn e))
 
-let observed req k =
+let api_span req k =
+  Hls_telemetry.with_span ~cat:"api" ("api." ^ Request.method_name req) k
+
+(* The one accounting path under [run] and [run_batch]: every request
+   counts once in api.requests, once more in api.errors when it fails,
+   and does its work under one api.<verb> span — opened here, or, for a
+   pooled suffix ([~spanned:true]), already inside the worker's thunk. *)
+let observed ?(spanned = false) req k =
   Hls_telemetry.count "api.requests";
-  let r =
-    Hls_telemetry.with_span ~cat:"api"
-      ("api." ^ Request.method_name req)
-      k
-  in
+  let r = if spanned then k () else api_span req k in
   (match r with
   | Error _ -> Hls_telemetry.count "api.errors"
   | Ok _ -> ());
@@ -657,35 +660,25 @@ let run_batch ?workers ?timeout_s ?deadlines t reqs =
   let thunks =
     Array.map
       (fun i ->
-        match staged.(i) with Pure f -> f | _ -> assert false)
+        match staged.(i) with
+        | Pure f -> fun () -> api_span reqs.(i) f
+        | _ -> assert false)
       pure_idx
   in
   let outcomes = Hls_pool.run_retry ?workers ?timeout_s thunks in
-  let results =
-    Array.map
-      (function
-        | Ready r -> r
-        | Serial f -> guard f
-        | Pure _ ->
-            (* placeholder; every Pure slot is overwritten from the pool
-               outcomes just below *)
-            Error (Response.Usage "request lost by the pool"))
-      staged
-  in
-  Array.iteri
-    (fun k i ->
-      results.(i) <-
-        (match fst outcomes.(k) with
-        | Hls_pool.Done p -> Ok p
-        | Hls_pool.Failed f -> Error (Response.Failed f)
-        | Hls_pool.Timed_out s ->
-            Error (Response.Failed (Failure.Timeout s))))
-    pure_idx;
-  Array.iteri
-    (fun i _ ->
-      Hls_telemetry.count "api.requests";
-      match results.(i) with
-      | Error _ -> Hls_telemetry.count "api.errors"
-      | Ok _ -> ())
-    results;
-  results
+  let pooled = Array.make (Array.length reqs) None in
+  Array.iteri (fun k i -> pooled.(i) <- Some (fst outcomes.(k))) pure_idx;
+  Array.mapi
+    (fun i staged ->
+      match staged with
+      | Ready r -> observed reqs.(i) (fun () -> r)
+      | Serial f -> observed reqs.(i) (fun () -> guard f)
+      | Pure _ ->
+          observed ~spanned:true reqs.(i) (fun () ->
+              match pooled.(i) with
+              | Some (Hls_pool.Done p) -> Ok p
+              | Some (Hls_pool.Failed f) -> Error (Response.Failed f)
+              | Some (Hls_pool.Timed_out s) ->
+                  Error (Response.Failed (Failure.Timeout s))
+              | None -> assert false))
+    staged

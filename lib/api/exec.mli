@@ -45,7 +45,10 @@ val run :
 (** Execute a batch: [Pure] suffixes fan out over an {!Hls_pool}
     (probing {!Hls_util.Faults.on_job} under the request's batch index,
     so injected faults reach pooled requests), the rest run in the
-    coordinator.  Results are index-aligned with [reqs].
+    coordinator.  Results are index-aligned with [reqs].  Each request
+    is accounted as {!run} accounts it: once in [api.requests] (and
+    [api.errors] on failure) and under one [api.<verb>] span, which a
+    pooled suffix opens on its worker.
 
     [deadlines] (index-aligned, absolute ms since the Unix epoch) sheds
     requests whose deadline has passed — at staging, or at dispatch if

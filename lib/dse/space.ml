@@ -38,9 +38,6 @@ let axis_error_to_string = function
       Printf.sprintf "duplicate value %s on the %s axis" value axis
   | Bad_recipe { spec = _; reason } -> reason
 
-let pp_axis_error ppf e =
-  Format.pp_print_string ppf (axis_error_to_string e)
-
 (* Reject both degenerate axis shapes up front — an empty axis would
    silently produce zero jobs, a duplicated value would run (and cache)
    the same point twice under one key. *)

@@ -35,7 +35,6 @@ type axis_error =
   | Bad_recipe of { spec : string; reason : string }
 
 val axis_error_to_string : axis_error -> string
-val pp_axis_error : Format.formatter -> axis_error -> unit
 
 (** Defaults: latencies 3–6, [`Full] policy, ripple library, balancing on,
     the ["none"] recipe, no iteration. *)

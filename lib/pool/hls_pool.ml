@@ -179,17 +179,12 @@ let run ?workers ?timeout_s jobs =
   end;
   results
 
-let run_list ?workers ?timeout_s jobs =
-  Array.to_list (run ?workers ?timeout_s (Array.of_list jobs))
-
 let outcome_ok = function Done v -> Some v | Failed _ | Timed_out _ -> None
 
 let failure_of_outcome = function
   | Done _ -> None
   | Failed f -> Some f
   | Timed_out s -> Some (Failure.Timeout s)
-
-let outcome_error o = Option.map Failure.to_string (failure_of_outcome o)
 
 (* ------------------------------------------------------------------ *)
 (* Retry with backoff.                                                 *)

@@ -29,17 +29,11 @@ val default_workers : unit -> int
 val run :
   ?workers:int -> ?timeout_s:float -> (unit -> 'a) array -> 'a outcome array
 
-val run_list :
-  ?workers:int -> ?timeout_s:float -> (unit -> 'a) list -> 'a outcome list
-
 val outcome_ok : 'a outcome -> 'a option
 
 (** The taxonomy view of a non-[Done] outcome ([Timed_out] becomes
     {!Hls_util.Failure.Timeout}). *)
 val failure_of_outcome : 'a outcome -> Hls_util.Failure.t option
-
-(** Human-readable reason for a non-[Done] outcome. *)
-val outcome_error : 'a outcome -> string option
 
 (** When and how to re-dispatch failed jobs. *)
 module Retry_policy : sig

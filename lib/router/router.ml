@@ -23,9 +23,10 @@
      clockwise (all verbs are pure queries, so replays are safe) under a
      Retry_policy backoff; when the budget is spent the client gets a
      retryable Unavailable;
-   - explore requests with several latencies scatter their latency axis
-     over the routable backends and the shard frontiers merge through
-     Merge (feedback sweeps don't scatter: refinement is global);
+   - every routed verb goes whole to the backend that owns its key: a
+     multi-latency sweep runs on one backend's domain pool rather than
+     holding every backend's single coordinator at once, and the router
+     never re-derives an answer;
    - router-owned backends ([spawn]) are reaped with waitpid and
      respawned when they die.
 
@@ -148,14 +149,6 @@ type backend = {
 (* ------------------------------------------------------------------ *)
 (* In-flight requests.                                                 *)
 
-type gather = {
-  g_client : Loop.conn;
-  g_id : string option;
-  g_total : int;
-  mutable g_parts : (int * Hls_dse.Explore.t) list;
-  mutable g_done : bool;  (** answered (merged or failed); drop stragglers *)
-}
-
 type inflight = {
   i_seq : int;
   i_client : Loop.conn;
@@ -167,7 +160,6 @@ type inflight = {
   mutable i_attempt : int;  (** dispatches so far *)
   mutable i_excluded : string list;
   mutable i_backend : string option;  (** where it is right now *)
-  i_gather : (gather * int) option;  (** parent, shard index *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -296,12 +288,7 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
   in
   let give_up fl reason =
     Hashtbl.remove inflight_tbl fl.i_seq;
-    match fl.i_gather with
-    | Some (g, _) when g.g_done -> ()
-    | Some (g, _) ->
-        g.g_done <- true;
-        shed g.g_client ?id:g.g_id (Resp.Unavailable reason)
-    | None -> shed fl.i_client ?id:fl.i_id (Resp.Unavailable reason)
+    shed fl.i_client ?id:fl.i_id (Resp.Unavailable reason)
   in
   let reroute now fl reason =
     (* Back into the waiting queue only: leaving the entry in
@@ -361,13 +348,8 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
         Hashtbl.remove inflight_tbl fl.i_seq;
         Atomic.incr stats.shed;
         Hls_telemetry.count "router.deadline_shed";
-        let err = Resp.Failed (Exec.deadline_failure d) in
-        (match fl.i_gather with
-        | Some (g, _) when g.g_done -> ()
-        | Some (g, _) ->
-            g.g_done <- true;
-            respond_client g.g_client (Resp.fail ?id:g.g_id err)
-        | None -> respond_client fl.i_client (Resp.fail ?id:fl.i_id err))
+        respond_client fl.i_client
+          (Resp.fail ?id:fl.i_id (Resp.Failed (Exec.deadline_failure d)))
     | _ ->
         let rec pick exclude =
           match Ring.lookup ~exclude ring fl.i_key with
@@ -400,74 +382,8 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
               Queue.add (fl, now +. 0.1) waiting
             end)
   in
-  (* ---- scatter-gather explore ------------------------------------ *)
   let routable_count () =
     List.length (List.filter (fun b -> Health.is_routable b.b_health) backends)
-  in
-  let enqueue now fl = dispatch now fl in
-  let admit_explore now conn id deadline req spec
-      (params : R.explore_params) =
-    let shards = min (routable_count ()) (List.length params.R.latencies) in
-    if shards < 2 || params.R.feedback > 0 then
-      (* Route whole: nothing to split, or the feedback loop needs the
-         global frontier between rounds. *)
-      None
-    else begin
-      (* Round-robin the latency axis so each shard gets a spread, not a
-         contiguous band of the cheap or expensive end. *)
-      let chunks = Array.make shards [] in
-      List.iteri
-        (fun i l -> chunks.(i mod shards) <- l :: chunks.(i mod shards))
-        params.R.latencies;
-      let g =
-        { g_client = conn; g_id = id; g_total = shards; g_parts = [];
-          g_done = false }
-      in
-      let key = affinity_key req in
-      Some
-        (List.init shards (fun k ->
-             incr seq;
-             let shard_req =
-               R.Explore
-                 { spec;
-                   params = { params with R.latencies = List.rev chunks.(k) } }
-             in
-             let fl =
-               {
-                 i_seq = !seq;
-                 i_client = conn;
-                 i_id = id;
-                 i_deadline = deadline;
-                 i_req = shard_req;
-                 (* per-shard keys spread the scatter over the ring
-                    instead of piling every shard on the digest's owner *)
-                 i_key = Printf.sprintf "%s#shard%d" key k;
-                 i_enqueued = now;
-                 i_attempt = 0;
-                 i_excluded = [];
-                 i_backend = None;
-                 i_gather = Some (g, k);
-               }
-             in
-             fl))
-    end
-  in
-  let finish_gather g =
-    let parts =
-      List.sort (fun (a, _) (b, _) -> compare a b) g.g_parts
-      |> List.map snd
-    in
-    match Merge.merge parts with
-    | merged ->
-        g.g_done <- true;
-        respond_client g.g_client
-          { Resp.id = g.g_id; result = Ok (Resp.Explored merged) }
-    | exception Invalid_argument m ->
-        g.g_done <- true;
-        respond_client g.g_client
-          (Resp.fail ?id:g.g_id
-             (Resp.Failed
-                (Hls_util.Failure.Internal (Hls_util.Failure.Remote m))))
   in
   (* ---- backend responses ------------------------------------------ *)
   let settle_response b resp =
@@ -482,32 +398,9 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
         | Some n -> (
             match Hashtbl.find_opt inflight_tbl n with
             | None -> ()  (* straggler after failover answered elsewhere *)
-            | Some fl -> (
+            | Some fl ->
                 Hashtbl.remove inflight_tbl n;
-                match fl.i_gather with
-                | None ->
-                    respond_client fl.i_client
-                      { resp with Resp.id = fl.i_id }
-                | Some (g, k) ->
-                    if not g.g_done then (
-                      match resp.Resp.result with
-                      | Ok (Resp.Explored shard) ->
-                          g.g_parts <- (k, shard) :: g.g_parts;
-                          if List.length g.g_parts = g.g_total then
-                            finish_gather g
-                      | Ok _ ->
-                          g.g_done <- true;
-                          respond_client g.g_client
-                            (Resp.fail ?id:g.g_id
-                               (Resp.Failed
-                                  (Hls_util.Failure.Internal
-                                     (Hls_util.Failure.Remote
-                                        "explore shard answered with a \
-                                         non-explore payload"))))
-                      | Error e ->
-                          g.g_done <- true;
-                          respond_client g.g_client
-                            (Resp.fail ?id:g.g_id e)))))
+                respond_client fl.i_client { resp with Resp.id = fl.i_id }))
     | _ -> ()
   in
   let handle_backend_line b line =
@@ -566,32 +459,22 @@ let serve ?(stop = Atomic.make false) ?(handle_signals = false)
                            queued = inflight_load ();
                            capacity = cfg.max_inflight;
                          })
-                  else
-                    let scatter =
-                      match env_req with
-                      | R.Explore { spec; params } ->
-                          admit_explore now conn id deadline env_req spec
-                            params
-                      | _ -> None
-                    in
-                    (match scatter with
-                    | Some shards -> List.iter (enqueue now) shards
-                    | None ->
-                        incr seq;
-                        enqueue now
-                          {
-                            i_seq = !seq;
-                            i_client = conn;
-                            i_id = id;
-                            i_deadline = deadline;
-                            i_req = env_req;
-                            i_key = affinity_key env_req;
-                            i_enqueued = now;
-                            i_attempt = 0;
-                            i_excluded = [];
-                            i_backend = None;
-                            i_gather = None;
-                          })))
+                  else begin
+                    incr seq;
+                    dispatch now
+                      {
+                        i_seq = !seq;
+                        i_client = conn;
+                        i_id = id;
+                        i_deadline = deadline;
+                        i_req = env_req;
+                        i_key = affinity_key env_req;
+                        i_enqueued = now;
+                        i_attempt = 0;
+                        i_excluded = [];
+                        i_backend = None;
+                      }
+                  end))
   in
   (* ---- health probes ---------------------------------------------- *)
   let backend_busy b =

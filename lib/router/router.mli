@@ -1,9 +1,9 @@
 (** The sharded serving front end: accepts the same NDJSON protocol as
     the daemon, consistent-hashes each request by graph digest onto a
-    backend ({!Ring}), health-checks the fleet ({!Health}), fails
-    in-flight work over to replicas under a retry budget, and
-    scatter-gathers multi-latency explores across the routable backends,
-    merging shard frontiers ({!Merge}).
+    backend ({!Ring}), health-checks the fleet ({!Health}) and fails
+    in-flight work over to replicas under a retry budget.  Every verb but
+    [Ping] and [Stats] (answered locally) is forwarded whole: a
+    multi-latency explore runs on the one backend that owns its digest.
 
     Responses are re-encoded under the client's original id with the
     exact wire codec, so a routed answer is byte-identical to a one-shot

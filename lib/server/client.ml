@@ -20,10 +20,6 @@ let parse_address s =
       | _ -> Unix_socket s)
   | _ -> Unix_socket s
 
-let address_to_string = function
-  | Unix_socket p -> p
-  | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-
 let resolve_host host =
   match Unix.inet_addr_of_string host with
   | a -> Ok a

@@ -8,8 +8,6 @@ type address = Unix_socket of string | Tcp of string * int
     is a Unix-socket path. *)
 val parse_address : string -> address
 
-val address_to_string : address -> string
-
 (** Dotted-quad parse with a gethostbyname fallback. *)
 val resolve_host : string -> (Unix.inet_addr, string) result
 

@@ -25,20 +25,13 @@ type ev = {
 
 let mu = Mutex.create ()
 let events : ev list ref = ref []  (* newest first *)
-let event_count_ = ref 0
-let dropped_ = ref 0
-let cap = ref max_int
 let counters : (string, int) Hashtbl.t = Hashtbl.create 32
 let gauges : (string, float * float) Hashtbl.t = Hashtbl.create 32
 let spans : (string, int * float) Hashtbl.t = Hashtbl.create 32
 let open_count = ref 0
 let epoch = ref (Unix.gettimeofday ())
 
-let arm ?(trace = false) ?(metrics = true) ?event_cap () =
-  (match event_cap with
-  | Some c when c >= 0 -> cap := c
-  | Some c -> invalid_arg (Printf.sprintf "Hls_telemetry.arm: negative event_cap %d" c)
-  | None -> ());
+let arm ?(trace = false) ?(metrics = true) () =
   mode := { m_trace = trace; m_metrics = metrics }
 
 let disarm () = mode := inert
@@ -46,8 +39,6 @@ let disarm () = mode := inert
 let reset () =
   Mutex.lock mu;
   events := [];
-  event_count_ := 0;
-  dropped_ := 0;
   Hashtbl.reset counters;
   Hashtbl.reset gauges;
   Hashtbl.reset spans;
@@ -59,22 +50,14 @@ let armed () =
   let m = !mode in
   m.m_trace || m.m_metrics
 
-let trace_armed () = !mode.m_trace
-
 let tid () = (Domain.self () :> int)
 let now () = Unix.gettimeofday ()
 let us_of t = (t -. !epoch) *. 1e6
 
-(* Callers hold [mu].  The buffer is bounded so a long-running traced
-   process (the request server) cannot grow without limit: past the cap,
-   aggregates (spans/counters/gauges) keep accumulating but raw trace
-   events are dropped and counted instead of stored. *)
-let push_locked e =
-  if !event_count_ >= !cap then incr dropped_
-  else begin
-    events := e :: !events;
-    incr event_count_
-  end
+(* Callers hold [mu].  The buffer is unbounded: a traced long-running
+   process (the request server) keeps every raw event until it exports,
+   so its trace memory grows with the requests it serves. *)
+let push_locked e = events := e :: !events
 
 let set_gauge_locked name v =
   let _, mx = Option.value (Hashtbl.find_opt gauges name) ~default:(v, v) in
@@ -226,20 +209,7 @@ let gauge_find name =
   v
 
 let gauge_last name = Option.map fst (gauge_find name)
-let gauge_max name = Option.map snd (gauge_find name)
 let gauge_bindings () = sorted_bindings gauges
-
-let event_count () =
-  Mutex.lock mu;
-  let n = !event_count_ in
-  Mutex.unlock mu;
-  n
-
-let dropped_events () =
-  Mutex.lock mu;
-  let n = !dropped_ in
-  Mutex.unlock mu;
-  n
 
 let recorded_events () =
   Mutex.lock mu;
@@ -378,8 +348,6 @@ module Stats = struct
         a.(max 0 (min (n - 1) (rank - 1)))
 
   let p50 samples = percentile samples 50.
-  let p95 samples = percentile samples 95.
-  let p99 samples = percentile samples 99.
 
   let mean = function
     | [] -> nan

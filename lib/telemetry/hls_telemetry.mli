@@ -31,14 +31,12 @@
     trace event's [args] object. *)
 type value = Int of int | Float of float | Str of string | Bool of bool
 
-(** [arm ?trace ?metrics ?event_cap ()] turns the sink on (defaults:
-    metrics only).  Arming is idempotent and does not clear previously
-    recorded data; use {!reset} for that.  [event_cap] bounds the raw
-    trace-event buffer (default: unbounded): a long-running traced
-    process — the request server — keeps accumulating aggregates past the
-    cap, but raw events are dropped and counted in {!dropped_events}
-    instead of growing without limit. *)
-val arm : ?trace:bool -> ?metrics:bool -> ?event_cap:int -> unit -> unit
+(** [arm ?trace ?metrics ()] turns the sink on (defaults: metrics
+    only).  Arming is idempotent and does not clear previously recorded
+    data; use {!reset} for that.  The raw trace-event buffer is
+    unbounded: a traced long-running process (the request server) grows
+    it until it exports. *)
+val arm : ?trace:bool -> ?metrics:bool -> unit -> unit
 
 (** Turn the sink fully off.  Recorded data is kept (a run typically
     disarms, then exports). *)
@@ -49,7 +47,6 @@ val disarm : unit -> unit
 val reset : unit -> unit
 
 val armed : unit -> bool
-val trace_armed : unit -> bool
 
 (** [with_span ?cat ?attrs name f] runs [f] inside a span.  The span is
     closed (and its duration accounted) whether [f] returns or raises
@@ -87,7 +84,6 @@ val counter_total : string -> int
 val counter_totals : unit -> (string * int) list
 
 val gauge_last : string -> float option
-val gauge_max : string -> float option
 
 (** All gauges as (name, (last, max)), sorted by name. *)
 val gauge_bindings : unit -> (string * (float * float)) list
@@ -95,12 +91,6 @@ val gauge_bindings : unit -> (string * (float * float)) list
 (** Recorded trace events (all kinds), oldest first: (name, track id).
     For tests; the JSON export is the real consumer surface. *)
 val recorded_events : unit -> (string * int) list
-
-(** Trace events currently buffered. *)
-val event_count : unit -> int
-
-(** Trace events dropped because the {!arm} [event_cap] was reached. *)
-val dropped_events : unit -> int
 
 (** The Chrome trace-event document as a JSON string:
     [{"traceEvents": [...], "displayTimeUnit": "ms"}]. *)
@@ -120,7 +110,5 @@ module Stats : sig
   val percentile : float list -> float -> float
 
   val p50 : float list -> float
-  val p95 : float list -> float
-  val p99 : float list -> float
   val mean : float list -> float
 end

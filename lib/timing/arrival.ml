@@ -129,9 +129,6 @@ let compute_reference graph =
 (** Arrival slot of one node bit. *)
 let slot t ~id ~bit = t.slots.(t.bit_base.(id) + bit)
 
-(** Arrival slot of an operand bit position (before extension). *)
-let operand_slot t (o : operand) ~bit = source_slot t o.src (o.lo + bit)
-
 (** The flat [bit_base]-indexed slot array — a read-only view shared with
     the deadline pass for word-blocked feasibility scans. *)
 let flat_slots t = t.slots

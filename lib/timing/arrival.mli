@@ -39,9 +39,6 @@ val compute_reference : Hls_dfg.Graph.t -> t
 (** Arrival slot of one node bit (0 = stable at start). *)
 val slot : t -> id:Hls_dfg.Types.node_id -> bit:int -> int
 
-(** Arrival slot of an operand bit position (before extension). *)
-val operand_slot : t -> Hls_dfg.Types.operand -> bit:int -> int
-
 (** The flat [bit_base]-indexed slot array backing [t] — a read-only
     view (do not mutate) used by the deadline pass for word-blocked
     feasibility scans. *)

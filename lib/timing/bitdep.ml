@@ -129,10 +129,3 @@ let bit_deps _graph (n : node) pos =
       in
       (0, find 0 n.operands)
   | Reduce_or -> (0, all_operand_bits (op 0))
-
-(** True when this node kind contributes δ cost (is implemented on the
-    adder datapath rather than as routing / random logic). *)
-let is_timed (n : node) =
-  match n.kind with
-  | Add | Sub | Neg | Mul | Lt | Le | Gt | Ge | Eq | Neq | Max | Min -> true
-  | Not | And | Or | Xor | Gate | Mux | Concat | Reduce_or | Wire -> false

@@ -22,6 +22,3 @@ val all_operand_bits : operand -> dep list
 (** [bit_deps graph node pos] returns [(cost_delta, deps)] for result bit
     [pos] of [node]. *)
 val bit_deps : Hls_dfg.Graph.t -> node -> int -> int * dep list
-
-(** True when this node kind contributes δ cost. *)
-val is_timed : node -> bool

@@ -500,12 +500,3 @@ let fold_deps t ~id ~bit ~init ~f =
   done;
   !acc
 
-(** Decode the packed deps of one bit back to the list form of
-    {!Bitdep.dep} (minus the omitted [Input]/[Const] bits) — for tests and
-    debugging, not for hot paths. *)
-let deps_list t ~id ~bit =
-  List.rev
-    (fold_deps t ~id ~bit ~init:[] ~f:(fun acc d ->
-         (if dep_is_self d then Bitdep.Self (dep_self_bit d)
-          else Bitdep.Bit (Node (dep_node_id d), dep_node_bit d))
-         :: acc))

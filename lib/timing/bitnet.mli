@@ -102,7 +102,3 @@ val node_of_slot : t -> int -> Hls_dfg.Types.node_id
 val fold_deps :
   t -> id:Hls_dfg.Types.node_id -> bit:int -> init:'a ->
   f:('a -> int -> 'a) -> 'a
-
-(** Decode one bit's deps back to {!Bitdep.dep} list form (minus the
-    omitted [Input]/[Const] bits) — for tests, not hot paths. *)
-val deps_list : t -> id:Hls_dfg.Types.node_id -> bit:int -> Bitdep.dep list

@@ -65,6 +65,3 @@ let fig3 () =
   B.output b "outE" op_e;
   B.output b "outH" op_h;
   B.finish b
-
-(** Node labels of {!fig3} in creation order, for test lookups. *)
-let fig3_labels = [ "A"; "B"; "C"; "D"; "E"; "F"; "G"; "H" ]

@@ -11,6 +11,3 @@ val chain3 : unit -> Hls_dfg.Graph.t
 (** Fig. 3a: additions A(5), B,C,D,E(6), F,G,H(8) with B→C→E, D→E, F→H,
     G→H; critical path 9 δ. *)
 val fig3 : unit -> Hls_dfg.Graph.t
-
-(** Node labels of {!fig3} in creation order. *)
-val fig3_labels : string list

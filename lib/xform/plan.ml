@@ -55,9 +55,3 @@ let pp ppf t =
     (List.length t.sites)
     (if List.length t.sites = 1 then "" else "s")
     t.nodes_before t.nodes_after t.depth_before t.depth_after
-
-let pp_verbose ppf t =
-  pp ppf t;
-  List.iter
-    (fun s -> Format.fprintf ppf "@.  @@%d %s" s.at s.note)
-    t.sites

@@ -33,6 +33,3 @@ val make :
 val fired : t -> bool
 
 val pp : Format.formatter -> t -> unit
-
-(** [pp] plus one line per site. *)
-val pp_verbose : Format.formatter -> t -> unit

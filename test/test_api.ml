@@ -918,6 +918,45 @@ let test_exec_batch_faults () =
   | Ok _, Ok _ -> ()
   | _ -> Alcotest.fail "faults must not leak onto other batch slots"
 
+(* A daemon executes every request through run_batch, so a batched
+   request must show up under its api.<verb> span and counters exactly
+   as a run request does, pooled or not. *)
+let test_exec_batch_spans () =
+  let module Tm = Hls_telemetry in
+  let exec = Exec.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tm.disarm ();
+      Tm.reset ();
+      Exec.close exec)
+  @@ fun () ->
+  Tm.reset ();
+  Tm.arm ();
+  let rs =
+    Exec.run_batch ~workers:2 exec
+      [|
+        Req.Report
+          {
+            spec = Req.Builtin "fir2";
+            latency = 3;
+            config = Req.default_config;
+            target_ns = None;
+          };
+        Req.Parse { spec = Req.Builtin "chain3" };
+      |]
+  in
+  check_bool "both requests served" true
+    (Array.for_all Result.is_ok rs);
+  let calls name =
+    match List.assoc_opt name (Tm.span_totals ()) with
+    | Some (c, _) -> c
+    | None -> 0
+  in
+  check_int "one api.report span" 1 (calls "api.report");
+  check_int "one api.parse span" 1 (calls "api.parse");
+  check_int "two requests counted" 2 (Tm.counter_total "api.requests");
+  check_int "no errors counted" 0 (Tm.counter_total "api.errors")
+
 (* ------------------------------------------------------------------ *)
 (* In-process server smoke: several client domains against one daemon,
    responses matched on id; shedding on a full queue; injected faults
@@ -1181,6 +1220,8 @@ let suite =
     Alcotest.test_case "exec batch alignment" `Quick test_exec_batch;
     Alcotest.test_case "exec batch fault injection" `Quick
       test_exec_batch_faults;
+    Alcotest.test_case "exec batch opens one api span per request" `Quick
+      test_exec_batch_spans;
     Alcotest.test_case "server: concurrent clients" `Quick
       test_server_concurrent;
     Alcotest.test_case "server: bounded queue sheds" `Quick

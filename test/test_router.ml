@@ -1,8 +1,8 @@
 (* The sharded serving tier: consistent-hash stability, the health
-   state machine (driven sleep-free through ~now), shard merging
-   equivalence against a single-process sweep, client-side retry, and a
-   chaos case — real backend daemons, one SIGKILLed mid-burst, with
-   zero lost requests and responses byte-identical to direct calls. *)
+   state machine (driven sleep-free through ~now), client-side retry, a
+   multi-latency explore routed whole to one backend, and a chaos case —
+   real backend daemons, one SIGKILLed mid-burst, with zero lost
+   requests and responses byte-identical to direct calls. *)
 
 module J = Hls_dse.Dse_json
 module Req = Hls_api.Request
@@ -11,7 +11,6 @@ module Exec = Hls_api.Exec
 module Client = Hls_server.Client
 module Ring = Hls_router.Ring
 module Health = Hls_router.Health
-module Merge = Hls_router.Merge
 module Router = Hls_router.Router
 module Space = Hls_dse.Space
 module Retry = Hls_pool.Retry_policy
@@ -100,57 +99,6 @@ let test_health_machine () =
     (Health.trial_due ~now:5.1 h);
   Health.record_success h;
   check_bool "successful trial readmits" true (Health.is_routable h)
-
-(* ------------------------------------------------------------------ *)
-(* Shard merging: scattering the latency axis and merging must equal
-   the single-process sweep over the union.                            *)
-
-let run_explore latencies =
-  let exec = Exec.create () in
-  Fun.protect
-    ~finally:(fun () -> Exec.close exec)
-    (fun () ->
-      match
-        Exec.run exec
-          (Req.Explore
-             {
-               spec = Req.Builtin "elliptic";
-               params = { Req.default_explore_params with latencies };
-             })
-      with
-      | Ok (Resp.Explored t) -> t
-      | Ok _ -> Alcotest.fail "explore returned a non-explore payload"
-      | Error e -> Alcotest.failf "explore failed: %s" (Resp.error_message e))
-
-let point_fingerprint (p : Hls_dse.Explore.point) =
-  Space.job_key p.Hls_dse.Explore.job
-  ^ "→"
-  ^ J.to_string (Hls_dse.Cache.metrics_to_json p.Hls_dse.Explore.metrics)
-
-let test_merge_matches_single_sweep () =
-  let whole = run_explore [ 17; 19; 21; 23 ] in
-  let merged =
-    Merge.merge [ run_explore [ 17; 21 ]; run_explore [ 19; 23 ] ]
-  in
-  check "digest" whole.Hls_dse.Explore.digest merged.Hls_dse.Explore.digest;
-  Alcotest.(check (list string))
-    "points (jobs and metrics)"
-    (List.map point_fingerprint whole.Hls_dse.Explore.points)
-    (List.map point_fingerprint merged.Hls_dse.Explore.points);
-  Alcotest.(check (list string))
-    "recomputed frontier"
-    (List.map point_fingerprint whole.Hls_dse.Explore.frontier)
-    (List.map point_fingerprint merged.Hls_dse.Explore.frontier);
-  check_int "failures"
-    (List.length whole.Hls_dse.Explore.failures)
-    (List.length merged.Hls_dse.Explore.failures)
-
-let test_merge_rejects_mixed_digests () =
-  let a = run_explore [ 17 ] in
-  let b = { a with Hls_dse.Explore.digest = "not-the-same-design" } in
-  match Merge.merge [ a; b ] with
-  | _ -> Alcotest.fail "merging different designs must be refused"
-  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Deadlines through Exec: expired work is shed as a retryable,
@@ -363,6 +311,61 @@ let test_busy_backend_not_ejected () =
         (t.Hls_dse.Explore.points <> []);
       check_int "no spurious failover" 0 (Atomic.get stats.Router.failovers)
   | Ok _ -> Alcotest.fail "explore answered with a non-explore payload"
+
+let point_fingerprint (p : Hls_dse.Explore.point) =
+  Space.job_key p.Hls_dse.Explore.job
+  ^ "→"
+  ^ J.to_string (Hls_dse.Cache.metrics_to_json p.Hls_dse.Explore.metrics)
+
+let sweep_explore ~socket =
+  match
+    Client.call ~socket
+      (Req.Explore
+         {
+           spec = Req.Builtin "elliptic";
+           params =
+             { Req.default_explore_params with latencies = [ 17; 19; 21; 23 ] };
+         })
+  with
+  | Ok { Resp.result = Ok (Resp.Explored t); _ } -> t
+  | Ok { Resp.result = Error e; _ } ->
+      Alcotest.failf "explore on %s failed: %s" socket (Resp.error_message e)
+  | Ok _ -> Alcotest.failf "explore on %s answered a non-explore payload" socket
+  | Error m -> Alcotest.failf "transport to %s: %s" socket m
+
+(* A multi-latency explore through a two-backend router runs whole on
+   the backend that owns its digest.  Asked again directly, that
+   backend answers every point from its sweep cache and the other
+   backend computes every point afresh; the routed points and frontier
+   are the single-process sweep's.  The per-point [from_cache] flag is
+   read, not the sweep's cache counters: those count the daemon's
+   shared cache across requests. *)
+let test_explore_routes_whole () =
+  with_fleet 2 @@ fun ~router_sock ~socks ~pids:_ ~stats:_ ->
+  let routed = sweep_explore ~socket:router_sock in
+  let direct = List.map (fun socket -> sweep_explore ~socket) socks in
+  let all_cached cached (t : Hls_dse.Explore.t) =
+    t.Hls_dse.Explore.points <> []
+    && List.for_all
+         (fun p -> p.Hls_dse.Explore.from_cache = cached)
+         t.Hls_dse.Explore.points
+  in
+  check_int "exactly one backend ran the sweep" 1
+    (List.length (List.filter (all_cached true) direct));
+  check_int "the other backend never saw it" 1
+    (List.length (List.filter (all_cached false) direct));
+  let prints f (t : Hls_dse.Explore.t) = List.map point_fingerprint (f t) in
+  List.iter
+    (fun d ->
+      Alcotest.(check (list string))
+        "points (jobs and metrics)"
+        (prints (fun t -> t.Hls_dse.Explore.points) d)
+        (prints (fun t -> t.Hls_dse.Explore.points) routed);
+      Alcotest.(check (list string))
+        "frontier"
+        (prints (fun t -> t.Hls_dse.Explore.frontier) d)
+        (prints (fun t -> t.Hls_dse.Explore.frontier) routed))
+    direct
 
 let test_router_unavailable_when_fleet_dead () =
   (* every backend address points at nothing: requests are held for
@@ -667,10 +670,6 @@ let suite =
     Alcotest.test_case "affinity keys" `Quick test_affinity_key;
     Alcotest.test_case "health: ejection and half-open recovery" `Quick
       test_health_machine;
-    Alcotest.test_case "merge equals the single-process sweep" `Slow
-      test_merge_matches_single_sweep;
-    Alcotest.test_case "merge refuses mixed digests" `Quick
-      test_merge_rejects_mixed_digests;
     Alcotest.test_case "deadlines shed expired work" `Quick test_deadline_shed;
     Alcotest.test_case "deadline_ms rides the envelope" `Quick
       test_deadline_envelope;
@@ -684,6 +683,8 @@ let suite =
       test_chaos_kill_one_backend;
     Alcotest.test_case "busy backend is not ejected by probe timeouts" `Slow
       test_busy_backend_not_ejected;
+    Alcotest.test_case "multi-latency explore routes whole to one backend"
+      `Slow test_explore_routes_whole;
     Alcotest.test_case "dead fleet sheds unavailable" `Slow
       test_router_unavailable_when_fleet_dead;
     Alcotest.test_case "framing: only the fragment counts against max_line"
