@@ -61,7 +61,9 @@ emit-smoke:
 # Feedback-iteration smoke: `hlsopt iterate` on three registry workloads
 # at a latency with slack inside its clock tier.  The loop must never
 # end worse than the one-shot schedule, and must strictly improve on at
-# least two of the three — the subsystem's acceptance bar.
+# least two of the three — the subsystem's acceptance bar.  Then the
+# iterate text of every registry workload at λ 8, 14 and 16 must match
+# test/golden/iterate.txt byte for byte.
 iter-smoke:
 	@dune build bin/hlsopt.exe; \
 	hlsopt=_build/default/bin/hlsopt.exe; \
@@ -81,7 +83,16 @@ iter-smoke:
 	done; \
 	test $$improved -ge 2 \
 	  || { echo "iter-smoke: improvement on $$improved workload(s), need >= 2"; exit 1; }; \
-	echo "iter-smoke: ok (never worse, improved $$improved/3 workloads)"
+	out=_build/iter_smoke_golden.txt; \
+	for w in $$($$hlsopt list | awk '{print $$1}'); do \
+	  for l in 8 14 16; do \
+	    echo "# iterate -b $$w -l $$l"; \
+	    $$hlsopt iterate -b $$w -l $$l || echo "exit $$?"; \
+	  done; \
+	done > $$out; \
+	diff -u test/golden/iterate.txt $$out \
+	  || { echo "iter-smoke: iterate answers differ from test/golden/iterate.txt"; exit 1; }; \
+	echo "iter-smoke: ok (never worse, improved $$improved/3 workloads, golden iterate answers)"
 
 # Tiny-iteration run of the timing bench (reference vs Bitnet pairs) and a
 # sanity check of the JSON it emits.  --assert additionally times the

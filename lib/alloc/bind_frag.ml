@@ -417,7 +417,7 @@ let stored_runs (s : Frag_sched.t) =
   Graph.iter_nodes
     (fun (n : node) ->
       if n.kind = Add then begin
-        let bt = s.Frag_sched.bit_time.(n.id) and b0 = base.(n.id) in
+        let b0 = base.(n.id) in
         (* One pass over the bits: emit a run at every change of storage
            interval [from_, to_]; [from_ = min_int] marks a bit that never
            crosses a cycle boundary. *)
@@ -435,7 +435,7 @@ let stored_runs (s : Frag_sched.t) =
               :: !runs
         in
         for pos = 0 to n.width - 1 do
-          let def = bt.(pos).Frag_sched.bt_cycle and u = lu.(b0 + pos) in
+          let def = s.Frag_sched.bit_cycle.(b0 + pos) and u = lu.(b0 + pos) in
           let from_ = if u > def then def + 1 else min_int in
           let to_ = if u > def then u else 0 in
           if pos = 0 then begin

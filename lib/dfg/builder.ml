@@ -10,18 +10,30 @@ type t = {
   graph_name : string;
   mutable inputs : port list;  (* reversed *)
   mutable outputs : (string * operand) list;  (* reversed *)
+  port_names : (string, unit) Hashtbl.t;
+      (* declared input names, so a duplicate is found in one lookup *)
+  output_names : (string, unit) Hashtbl.t;  (* likewise for outputs *)
   mutable rev_nodes : node list;
   mutable next_id : int;
 }
 
 let create ~name =
-  { graph_name = name; inputs = []; outputs = []; rev_nodes = []; next_id = 0 }
+  {
+    graph_name = name;
+    inputs = [];
+    outputs = [];
+    port_names = Hashtbl.create 16;
+    output_names = Hashtbl.create 16;
+    rev_nodes = [];
+    next_id = 0;
+  }
 
 (** Declare a primary input port and return a full-range operand over it. *)
 let input ?(signed = Unsigned) t name ~width =
   if width < 1 then invalid_arg "Builder.input: width must be >= 1";
-  if List.exists (fun p -> String.equal p.port_name name) t.inputs then
+  if Hashtbl.mem t.port_names name then
     invalid_arg (Printf.sprintf "Builder.input: duplicate port %s" name);
+  Hashtbl.add t.port_names name ();
   let p = { port_name = name; port_width = width; port_signed = signed } in
   t.inputs <- p :: t.inputs;
   Operand.of_input ?ext:(if signed = Signed then Some Sext else None) p
@@ -43,8 +55,9 @@ let node ?(signedness = Unsigned) ?(label = "") ?origin t kind ~width operands
 
 (** Bind an output port to an operand. *)
 let output t name operand =
-  if List.mem_assoc name t.outputs then
+  if Hashtbl.mem t.output_names name then
     invalid_arg (Printf.sprintf "Builder.output: duplicate port %s" name);
+  Hashtbl.add t.output_names name ();
   t.outputs <- (name, operand) :: t.outputs
 
 (** The id an operand refers to; raises on inputs/constants. *)

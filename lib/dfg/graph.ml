@@ -113,7 +113,17 @@ exception Invalid of string
 
 let invalid fmt = Format.kasprintf (fun s -> raise (Invalid s)) fmt
 
-let check_operand t ~consumer (o : operand) =
+(* Width of an operand source, with input ports looked up in [ports]
+   (name -> width, built once per validation); a name missing there
+   falls through to {!source_width} and its error. *)
+let indexed_width t ports = function
+  | Input n as src -> (
+      match Hashtbl.find_opt ports n with
+      | Some w -> w
+      | None -> source_width t src)
+  | src -> source_width t src
+
+let check_operand t ports ~consumer (o : operand) =
   if o.lo < 0 || o.hi < o.lo then
     invalid "node %d: operand %a has a bad bit range" consumer.id Operand.pp o;
   (match o.src with
@@ -124,10 +134,10 @@ let check_operand t ~consumer (o : operand) =
         invalid "node %d reads node %d, breaking topological order"
           consumer.id id
   | Input n ->
-      if find_input t n = None then
+      if not (Hashtbl.mem ports n) then
         invalid "node %d reads undefined input %s" consumer.id n
   | Const _ -> ());
-  let sw = source_width t o.src in
+  let sw = indexed_width t ports o.src in
   if o.hi >= sw then
     invalid "node %d: operand %a exceeds source width %d" consumer.id
       Operand.pp o sw
@@ -138,9 +148,9 @@ let check_arity n ~expected =
     invalid "node %d (%s): arity %d not allowed" n.id (kind_to_string n.kind)
       got
 
-let check_node t n =
+let check_node t ports n =
   if n.width < 1 then invalid "node %d: width must be >= 1" n.id;
-  List.iter (check_operand t ~consumer:n) n.operands;
+  List.iter (check_operand t ports ~consumer:n) n.operands;
   let operand_width i = Operand.width (List.nth n.operands i) in
   (match n.kind with
   | Add ->
@@ -179,18 +189,19 @@ let check_node t n =
 (** Structural validation: ids dense and ordered, operand references legal,
     arities and widths consistent.  Raises [Invalid]. *)
 let validate t =
-  let seen = Hashtbl.create 16 in
+  (* Input port name -> width: every [Input] operand is one lookup. *)
+  let ports = Hashtbl.create 16 in
   List.iter
     (fun p ->
       if p.port_width < 1 then invalid "input %s: width must be >= 1" p.port_name;
-      if Hashtbl.mem seen p.port_name then
+      if Hashtbl.mem ports p.port_name then
         invalid "duplicate input port %s" p.port_name;
-      Hashtbl.add seen p.port_name ())
+      Hashtbl.add ports p.port_name p.port_width)
     t.inputs;
   Array.iteri
     (fun i n -> if n.id <> i then invalid "node %d stored at index %d" n.id i)
     t.nodes;
-  Array.iter (check_node t) t.nodes;
+  Array.iter (check_node t ports) t.nodes;
   let out_seen = Hashtbl.create 16 in
   List.iter
     (fun (name, o) ->
@@ -198,7 +209,7 @@ let validate t =
       Hashtbl.add out_seen name ();
       if o.lo < 0 || o.hi < o.lo then
         invalid "output %s has a bad bit range" name;
-      let sw = source_width t o.src in
+      let sw = indexed_width t ports o.src in
       if o.hi >= sw then
         invalid "output %s exceeds source width %d" name sw)
     t.outputs
@@ -229,3 +240,6 @@ let pp ppf t =
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
        (fun ppf (name, o) -> Format.fprintf ppf "%s <- %a" name Operand.pp o))
     t.outputs
+
+let digest t =
+  Digest.to_hex (Digest.string (t.name ^ "\n" ^ Format.asprintf "%a" pp t))

@@ -75,3 +75,7 @@ val validate : t -> unit
 val validate_result : t -> (unit, string) result
 val pp_node : t -> Format.formatter -> node -> unit
 val pp : Format.formatter -> t -> unit
+
+(** Hex MD5 of the graph's name and printed form: any edit to the graph
+    changes it. *)
+val digest : t -> string

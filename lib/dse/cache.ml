@@ -121,9 +121,9 @@ type t = {
 }
 
 let graph_digest g =
-  Digest.to_hex
-    (Digest.string
-       (Hls_dfg.Graph.name g ^ "\n" ^ Format.asprintf "%a" Hls_dfg.Graph.pp g))
+  match Hls_workloads.Catalog.built_digest g with
+  | Some d -> d
+  | None -> Hls_dfg.Graph.digest g
 
 let key ~graph_digest ~job_key =
   Digest.to_hex (Digest.string (graph_digest ^ "|" ^ job_key))

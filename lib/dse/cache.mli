@@ -55,8 +55,10 @@ exception Locked of string
     failing the sweep. *)
 val create : ?path:string -> unit -> t
 
-(** MD5 of the graph's full printed form: any edit to the specification
-    changes the digest and invalidates its entries. *)
+(** MD5 of the graph's full printed form ({!Hls_dfg.Graph.digest}): any
+    edit to the specification changes the digest and invalidates its
+    entries.  A graph returned by {!Hls_workloads.Catalog.find_graph}
+    answers from the digest kept beside it. *)
 val graph_digest : Hls_dfg.Graph.t -> string
 
 val key : graph_digest:string -> job_key:string -> string

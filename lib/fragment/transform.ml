@@ -53,7 +53,7 @@ let free_window plan = (1, plan.Mobility.latency)
 (* Build the fragment chain for one multi-fragment addition and return the
    operand over its reassembled full value. *)
 let build_fragments ctx windows plan (n : node) ~mapped_operands frags =
-  let op_name = if n.label = "" then Printf.sprintf "op%d" n.id else n.label in
+  let op_name = if n.label = "" then "op" ^ string_of_int n.id else n.label in
   let a, bop, cin0 =
     match mapped_operands with
     | [ a; b ] -> (a, b, None)
@@ -85,7 +85,10 @@ let build_fragments ctx windows plan (n : node) ~mapped_operands frags =
         let y = Option.value ob ~default:(zeros 1) in
         let cin = if f.f_lo = 0 then cin0 else carry in
         let operands = match cin with None -> [ x; y ] | Some c -> [ x; y; c ] in
-        let label = Printf.sprintf "%s[%d:%d]" op_name f.f_hi f.f_lo in
+        let label =
+          String.concat ""
+            [ op_name; "["; string_of_int f.f_hi; ":"; string_of_int f.f_lo; "]" ]
+        in
         let origin =
           { orig_op = op_name; orig_lo = f.f_lo; orig_hi = f.f_hi }
         in
@@ -124,7 +127,7 @@ let apply graph (plan : Mobility.plan) =
               | _ -> free_window plan
             in
             let op_name =
-              if n.label = "" then Printf.sprintf "op%d" n.id else n.label
+              if n.label = "" then "op" ^ string_of_int n.id else n.label
             in
             mk ctx windows ~label:op_name
               ~origin:{ orig_op = op_name; orig_lo = 0; orig_hi = n.width - 1 }

@@ -34,8 +34,6 @@ type round = {
   r_accepted : bool;
   r_latency : int;  (** best latency after the round *)
   r_delta : int;  (** best achieved chain after the round (δ) *)
-  r_slack_hist : (int * int) list;
-      (** of the schedule the round started from, against [r_target] *)
 }
 
 type stop =
@@ -74,19 +72,23 @@ let improve ?(balance = true) ?(verify = false) ?(max_rounds = 8) ?policy
   let n_bits = s0.Frag_sched.n_bits in
   let initial_latency = s0.Frag_sched.latency in
   let initial_delta = Frag_sched.used_delta s0 in
-  (* Re-plan the source kernel at [target] cycles, same chaining budget.
+  (* Re-plan the source kernel at [target] cycles, same chaining budget,
+     and build the re-planned graph's net once for both attempts.
      [net]/[arrival] belong to the source kernel and are latency-
      independent, so one pair serves every round. *)
   let replan target =
     match Transform.run ~n_bits ?policy ?net ?arrival source ~latency:target with
-    | tr -> Some tr
+    | tr -> Some (tr, Hls_timing.Bitnet.build tr.Transform.graph)
     | exception e -> (
         match Hls_fragment.Mobility.infeasibility_of_exn e with
         | Some _ -> None
         | None -> raise e)
   in
-  let attempt ~cap ~pin tr =
-    match Frag_sched.schedule ~balance ~chain_cap:cap ?pin tr with
+  let attempt ~cap ~pin (tr, net) =
+    match
+      T.with_span "iter.schedule" (fun () ->
+          Frag_sched.schedule ~balance ~chain_cap:cap ?pin ~net tr)
+    with
     | s ->
         (* The independent from-scratch checker stays in the loop as the
            oracle: a schedule it rejects is a greedy failure, never an
@@ -111,54 +113,61 @@ let improve ?(balance = true) ?(verify = false) ?(max_rounds = 8) ?policy
     T.gauge "iter.saved_pct" (saved_pct o);
     o
   in
+  (* One round from [best] at [target]: [Ok (s', round)] when a strictly
+     shorter schedule was found, [Error (round, stop)] otherwise. *)
+  let round best ~target idx =
+    let cap = max 1 (Frag_sched.used_delta best) in
+    let sg =
+      T.with_span "iter.extract" (fun () -> Subgraph.extract best ~target)
+    in
+    T.gauge "iter.region_nodes" (float_of_int (Subgraph.size sg));
+    let record ~pinned ~accepted after =
+      {
+        r_index = idx;
+        r_target = target;
+        r_cap = cap;
+        r_region = Subgraph.size sg;
+        r_region_adds = sg.Subgraph.region_adds;
+        r_pinned = pinned;
+        r_accepted = accepted;
+        r_latency = after.Frag_sched.latency;
+        r_delta = Frag_sched.used_delta after;
+      }
+    in
+    let reject stop =
+      T.count "iter.rejected";
+      Error (record ~pinned:false ~accepted:false best, stop)
+    in
+    match
+      T.with_span "iter.witness" (fun () -> Subgraph.infeasible_witness sg)
+    with
+    | Some _ -> reject Certified
+    | None -> (
+        match T.with_span "iter.replan" (fun () -> replan target) with
+        | None -> reject Greedy_stuck
+        | Some ((tr, _) as planned) -> (
+            let pin = Subgraph.pin_for sg tr.Transform.graph in
+            let pinned, result =
+              match attempt ~cap ~pin:(Some pin) planned with
+              | Some s -> (true, Some s)
+              | None -> (false, attempt ~cap ~pin:None planned)
+            in
+            match result with
+            | Some s' ->
+                T.count "iter.accepted";
+                Ok (s', record ~pinned ~accepted:true s')
+            | None -> reject Greedy_stuck))
+  in
+  (* Each round's span closes before the next round opens. *)
   let rec loop best rounds idx =
     if idx > max_rounds then finish best rounds Budget
     else
       let target = best.Frag_sched.latency - 1 in
       if target < 1 then finish best rounds Floor
       else
-        T.with_span "iter.round" (fun () ->
-            let cap = max 1 (Frag_sched.used_delta best) in
-            let sg = Subgraph.extract best ~target in
-            T.gauge "iter.region_nodes" (float_of_int (Subgraph.size sg));
-            let record ~pinned ~accepted after =
-              {
-                r_index = idx;
-                r_target = target;
-                r_cap = cap;
-                r_region = Subgraph.size sg;
-                r_region_adds = sg.Subgraph.region_adds;
-                r_pinned = pinned;
-                r_accepted = accepted;
-                r_latency = after.Frag_sched.latency;
-                r_delta = Frag_sched.used_delta after;
-                r_slack_hist = sg.Subgraph.slack_hist;
-              }
-            in
-            let reject stop =
-              T.count "iter.rejected";
-              finish best (record ~pinned:false ~accepted:false best :: rounds)
-                stop
-            in
-            match Subgraph.infeasible_witness best ~target with
-            | Some _ -> reject Certified
-            | None -> (
-                match replan target with
-                | None -> reject Greedy_stuck
-                | Some tr -> (
-                    let pin = Subgraph.pin_for sg tr.Transform.graph in
-                    let pinned, result =
-                      match attempt ~cap ~pin:(Some pin) tr with
-                      | Some s -> (true, Some s)
-                      | None -> (false, attempt ~cap ~pin:None tr)
-                    in
-                    match result with
-                    | Some s' ->
-                        T.count "iter.accepted";
-                        loop s'
-                          (record ~pinned ~accepted:true s' :: rounds)
-                          (idx + 1)
-                    | None -> reject Greedy_stuck)))
+        match T.with_span "iter.round" (fun () -> round best ~target idx) with
+        | Ok (s', r) -> loop s' (r :: rounds) (idx + 1)
+        | Error (r, stop) -> finish best (r :: rounds) stop
   in
   loop s0 [] 1
 

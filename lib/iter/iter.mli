@@ -19,8 +19,6 @@ type round = {
   r_accepted : bool;
   r_latency : int;  (** best latency after the round *)
   r_delta : int;  (** best achieved chain after the round (δ) *)
-  r_slack_hist : (int * int) list;
-      (** of the schedule the round started from, against [r_target] *)
 }
 
 type stop =
@@ -53,7 +51,11 @@ val saved_pct : outcome -> float
     accepted rounds (default 8).  [policy] is the fragmentation policy
     of the re-planning rounds; [net]/[arrival] are the *source kernel's*
     dependency net and arrival analysis (latency-independent, so one
-    pair serves every round — a sweep passes its prepared state). *)
+    pair serves every round — a sweep passes its prepared state).  Each
+    round builds its re-planned graph's net once, for both attempts, and
+    runs as one [iter.round] telemetry span with the children
+    [iter.extract], [iter.witness], [iter.replan] and one
+    [iter.schedule] per attempt. *)
 val improve :
   ?balance:bool ->
   ?verify:bool ->

@@ -8,10 +8,11 @@
     everything feeding them combinationally in the same cycle along
     *tight* chains (a bit forced earlier drags its whole chain with it).
     This module walks the schedule's prebuilt {!Hls_timing.Bitnet}
-    backwards along tight dependencies to collect that region, its
-    boundary, one witness chain, a per-bit slack histogram for the audit
-    log, and the placement map that lets untouched original operations be
-    pinned when the region is re-scheduled. *)
+    backwards along tight dependencies to collect that region, one
+    witness chain and the placement map that lets untouched original
+    operations be pinned when the region is re-scheduled.  The region's
+    boundary and a per-bit slack histogram are computed on demand: the
+    iteration loop reads neither. *)
 
 open Hls_dfg.Types
 module Graph = Hls_dfg.Graph
@@ -21,22 +22,16 @@ module Frag_sched = Hls_sched.Frag_sched
 type t = {
   schedule : Frag_sched.t;
   target : int;  (** the reduced latency the extraction aimed at *)
+  deadline : Hls_timing.Deadline.t;
+      (** the schedule's net under the reduced budget [target * n_bits] *)
   member : bool array;  (** per node id: inside the critical region *)
   nodes : node_id list;  (** region members, ascending *)
   region_adds : int;  (** Add fragments inside the region *)
-  boundary_in : node_id list;
-      (** non-region nodes feeding some region node *)
-  boundary_out : node_id list;
-      (** region nodes consumed outside the region (or at outputs) *)
   witness : (node_id * int) list;
       (** one maximal-violation chain, producer first: consecutive
           (node, bit) pairs each settling exactly its δ cost after its
           predecessor, ending at the bit that misses its reduced deadline
           the hardest *)
-  slack_hist : (int * int) list;
-      (** (slack in δ, bit count) over δ-costly Add bits, ascending;
-          slack = reduced deadline - current settle slot, so negative
-          buckets are the bits that must move *)
   dirty_ops : string list;
       (** original operations owning some region fragment — the ops whose
           fragments must stay free when re-scheduling *)
@@ -49,95 +44,95 @@ type t = {
 let mem t id = id >= 0 && id < Array.length t.member && t.member.(id)
 let size t = List.length t.nodes
 
-(* Tight predecessors of bit [bit] of node [id] in schedule [s]:
-   dependencies that settle in the same cycle exactly [cost] before the
-   bit — the chains its settle slot is measured along. *)
-let iter_tight (s : Frag_sched.t) id bit f =
+(* Tight predecessors of flat bit [b] in schedule [s]: dependencies that
+   settle in the same cycle exactly [cost] before the bit — the chains
+   its settle slot is measured along.  [f] receives the predecessor's
+   flat index. *)
+let iter_tight (s : Frag_sched.t) b f =
   let net = s.Frag_sched.net in
-  let bit_time = s.Frag_sched.bit_time in
-  let b = net.Bitnet.bit_base.(id) + bit in
-  let t = bit_time.(id).(bit) in
-  if t.Frag_sched.bt_slot > 0 then begin
-    let want = t.Frag_sched.bt_slot - net.Bitnet.cost.(b) in
+  let slot = s.Frag_sched.bit_slot.(b) in
+  if slot > 0 then begin
+    let want = slot - net.Bitnet.cost.(b) in
+    let cycle = s.Frag_sched.bit_cycle.(b) in
     for k = net.Bitnet.dep_off.(b) to net.Bitnet.dep_off.(b + 1) - 1 do
-      let d = net.Bitnet.deps.(k) in
-      let did, dbit =
-        if Bitnet.dep_is_self d then (id, Bitnet.dep_self_bit d)
-        else (Bitnet.dep_node_id d, Bitnet.dep_node_bit d)
-      in
-      let dt = bit_time.(did).(dbit) in
-      if
-        dt.Frag_sched.bt_cycle = t.Frag_sched.bt_cycle
-        && dt.Frag_sched.bt_slot = want
-      then f did dbit
+      let d = net.Bitnet.flat_deps.(k) in
+      if s.Frag_sched.bit_cycle.(d) = cycle && s.Frag_sched.bit_slot.(d) = want
+      then f d
     done
   end
+
+(* Reduced-budget slack of bit [bit] of node [id]: its deadline minus its
+   current settle slot, both absolute. *)
+let slack (s : Frag_sched.t) deadline ~id ~bit =
+  let b = s.Frag_sched.net.Bitnet.bit_base.(id) + bit in
+  Hls_timing.Deadline.slot deadline ~id ~bit
+  - (((s.Frag_sched.bit_cycle.(b) - 1) * s.Frag_sched.n_bits)
+    + s.Frag_sched.bit_slot.(b))
 
 let extract (s : Frag_sched.t) ~target =
   if target < 1 then invalid_arg "Subgraph.extract: target < 1";
   let g = Frag_sched.graph s in
   let net = s.Frag_sched.net in
-  let n_bits = s.Frag_sched.n_bits in
+  let bit_base = net.Bitnet.bit_base in
   let n_nodes = Graph.node_count g in
-  let bit_time = s.Frag_sched.bit_time in
   (* Deadlines under the reduced budget; the extraction is meaningful
      when the relaxation is feasible ({!infeasible_witness} = None), but
      the walk itself is total either way. *)
   let deadline =
-    Hls_timing.Deadline.of_net net ~total_slots:(target * n_bits)
-  in
-  let settle id bit =
-    let t = bit_time.(id).(bit) in
-    ((t.Frag_sched.bt_cycle - 1) * n_bits) + t.Frag_sched.bt_slot
+    Hls_timing.Deadline.of_net net ~total_slots:(target * s.Frag_sched.n_bits)
   in
   let member = Array.make (max n_nodes 1) false in
   let total_bits = Bitnet.total_bits net in
-  let visited = Array.make (max total_bits 1) false in
   (* Seeds: bits whose current settle time misses the reduced deadline —
      they must move earlier, so their whole tight fan-in cone is in
-     play.  Track the hardest violator as the witness seed. *)
-  let stack = Stack.create () in
-  let witness_seed = ref None in
-  let worst = ref 0 in
-  Graph.iter_nodes
-    (fun (n : node) ->
-      for bit = 0 to n.width - 1 do
-        let slack =
-          Hls_timing.Deadline.slot deadline ~id:n.id ~bit - settle n.id bit
-        in
-        if slack < 0 then begin
-          Stack.push (n.id, bit) stack;
-          if slack < !worst then begin
-            worst := slack;
-            witness_seed := Some (n.id, bit)
-          end
-        end
-      done)
-    g;
-  while not (Stack.is_empty stack) do
-    let id, bit = Stack.pop stack in
-    let b = net.Bitnet.bit_base.(id) + bit in
+     play.  Track the hardest violator as the witness seed.  A bit is
+     marked when pushed, so the stack holds each bit at most once. *)
+  let visited = Array.make (max total_bits 1) false in
+  let stack = Array.make (max total_bits 1) 0 and top = ref 0 in
+  let push b =
     if not visited.(b) then begin
       visited.(b) <- true;
-      member.(id) <- true;
-      iter_tight s id bit (fun did dbit -> Stack.push (did, dbit) stack)
+      stack.(!top) <- b;
+      incr top
     end
+  in
+  let witness_seed = ref (-1) in
+  let worst = ref 0 in
+  for id = 0 to n_nodes - 1 do
+    for bit = 0 to bit_base.(id + 1) - bit_base.(id) - 1 do
+      let sl = slack s deadline ~id ~bit in
+      if sl < 0 then begin
+        push (bit_base.(id) + bit);
+        if sl < !worst then begin
+          worst := sl;
+          witness_seed := bit_base.(id) + bit
+        end
+      end
+    done
   done;
-  (* One witness chain: greedily follow any tight predecessor from the
-     hardest violator down to a registered (slot-0) bit; producer first. *)
+  while !top > 0 do
+    decr top;
+    iter_tight s stack.(!top) push
+  done;
+  for id = 0 to n_nodes - 1 do
+    let b = ref bit_base.(id) in
+    while !b < bit_base.(id + 1) && not visited.(!b) do
+      incr b
+    done;
+    if !b < bit_base.(id + 1) then member.(id) <- true
+  done;
+  (* One witness chain: greedily follow the first tight predecessor from
+     the hardest violator down to a registered (slot-0) bit; producer
+     first. *)
   let witness =
-    match !witness_seed with
-    | None -> []
-    | Some seed ->
-        let rec walk (id, bit) acc =
-          let pred = ref None in
-          iter_tight s id bit (fun did dbit ->
-              if !pred = None then pred := Some (did, dbit));
-          match !pred with
-          | Some p -> walk p ((id, bit) :: acc)
-          | None -> (id, bit) :: acc
-        in
-        walk seed []
+    let rec walk b acc =
+      let pred = ref (-1) in
+      iter_tight s b (fun d -> if !pred < 0 then pred := d);
+      let id = Bitnet.node_of_slot net b in
+      let acc = (id, b - bit_base.(id)) :: acc in
+      if !pred < 0 then acc else walk !pred acc
+    in
+    if !witness_seed < 0 then [] else walk !witness_seed []
   in
   let nodes = ref [] and region_adds = ref 0 in
   for id = n_nodes - 1 downto 0 do
@@ -146,53 +141,6 @@ let extract (s : Frag_sched.t) ~target =
       if (Graph.node g id).kind = Add then incr region_adds
     end
   done;
-  (* Boundary: producers outside feeding inside, members consumed
-     outside (or driving a primary output). *)
-  let bin = Array.make (max n_nodes 1) false in
-  let bout = Array.make (max n_nodes 1) false in
-  Graph.iter_nodes
-    (fun (n : node) ->
-      List.iter
-        (fun (o : operand) ->
-          match o.src with
-          | Node src when member.(n.id) && not member.(src) ->
-              bin.(src) <- true
-          | Node src when (not member.(n.id)) && member.(src) ->
-              bout.(src) <- true
-          | _ -> ())
-        n.operands)
-    g;
-  List.iter
-    (fun id -> if Graph.output_consumers g id <> [] then bout.(id) <- true)
-    !nodes;
-  let collect mark =
-    let acc = ref [] in
-    for id = n_nodes - 1 downto 0 do
-      if mark.(id) then acc := id :: !acc
-    done;
-    !acc
-  in
-  (* Slack histogram over δ-costly Add bits: negative buckets are the
-     bits the reduced budget forces to move. *)
-  let hist = Hashtbl.create 16 in
-  Graph.iter_nodes
-    (fun (n : node) ->
-      if n.kind = Add then
-        for bit = 0 to n.width - 1 do
-          if Bitnet.cost_of net ~id:n.id ~bit > 0 then begin
-            let slack =
-              Hls_timing.Deadline.slot deadline ~id:n.id ~bit
-              - settle n.id bit
-            in
-            Hashtbl.replace hist slack
-              (1 + Option.value (Hashtbl.find_opt hist slack) ~default:0)
-          end
-        done)
-    g;
-  let slack_hist =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) hist []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   (* Dirty original ops (own a region fragment) and the incumbent
      placement of every clean op's fragments, keyed by origin. *)
   let dirty = Hashtbl.create 16 in
@@ -225,16 +173,60 @@ let extract (s : Frag_sched.t) ~target =
   {
     schedule = s;
     target;
+    deadline;
     member;
     nodes = !nodes;
     region_adds = !region_adds;
-    boundary_in = collect bin;
-    boundary_out = collect bout;
     witness;
-    slack_hist;
     dirty_ops;
     pin_map;
   }
+
+(* Boundary: producers outside feeding inside ([inward]), or members
+   consumed outside or driving a primary output (not [inward]). *)
+let boundary t ~inward =
+  let g = Frag_sched.graph t.schedule in
+  let n_nodes = Graph.node_count g in
+  let mark = Array.make (max n_nodes 1) false in
+  Graph.iter_nodes
+    (fun (n : node) ->
+      List.iter
+        (fun (o : operand) ->
+          match o.src with
+          | Node src
+            when t.member.(n.id) = inward && t.member.(src) <> inward ->
+              mark.(src) <- true
+          | _ -> ())
+        n.operands)
+    g;
+  if not inward then
+    List.iter
+      (fun id -> if Graph.output_consumers g id <> [] then mark.(id) <- true)
+      t.nodes;
+  List.filter (fun id -> mark.(id)) (List.init n_nodes Fun.id)
+
+let boundary_in t = boundary t ~inward:true
+let boundary_out t = boundary t ~inward:false
+
+(* Slack histogram over δ-costly Add bits: negative buckets are the bits
+   the reduced budget forces to move. *)
+let slack_hist t =
+  let s = t.schedule in
+  let net = s.Frag_sched.net in
+  let hist = Hashtbl.create 16 in
+  Graph.iter_nodes
+    (fun (n : node) ->
+      if n.kind = Add then
+        for bit = 0 to n.width - 1 do
+          if Bitnet.cost_of net ~id:n.id ~bit > 0 then begin
+            let sl = slack s t.deadline ~id:n.id ~bit in
+            Hashtbl.replace hist sl
+              (1 + Option.value (Hashtbl.find_opt hist sl) ~default:0)
+          end
+        done)
+    (Frag_sched.graph s);
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) hist []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* Pin function for a re-planned graph [g'] (typically fragmented at the
    reduced latency, so its node ids differ from the incumbent's): an Add
@@ -271,25 +263,19 @@ let pin_for t g' =
    bit's pure-dataflow arrival already past its deadline?  [Some _]
    proves no schedule of this transformed graph fits [target] cycles, so
    iteration may stop with a certificate instead of a greedy failure. *)
-let infeasible_witness (s : Frag_sched.t) ~target =
-  if target < 1 then invalid_arg "Subgraph.infeasible_witness: target < 1";
-  let net = s.Frag_sched.net in
-  let arrival = Hls_timing.Arrival.of_net net in
-  let deadline =
-    Hls_timing.Deadline.of_net net
-      ~total_slots:(target * s.Frag_sched.n_bits)
-  in
-  Hls_timing.Deadline.feasible_witness arrival deadline
+let infeasible_witness t =
+  let arrival = Hls_timing.Arrival.of_net t.schedule.Frag_sched.net in
+  Hls_timing.Deadline.feasible_witness arrival t.deadline
 
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>critical region for %d cycles: %d nodes (%d adds)@ in: %s@ out: \
      %s@ dirty ops: %s@ witness: %s@ slack:%s@]"
     t.target (size t) t.region_adds
-    (String.concat "," (List.map string_of_int t.boundary_in))
-    (String.concat "," (List.map string_of_int t.boundary_out))
+    (String.concat "," (List.map string_of_int (boundary_in t)))
+    (String.concat "," (List.map string_of_int (boundary_out t)))
     (String.concat "," t.dirty_ops)
     (String.concat "->"
        (List.map (fun (id, b) -> Printf.sprintf "n%d.%d" id b) t.witness))
     (String.concat ""
-       (List.map (fun (s, n) -> Printf.sprintf " %d:%d" s n) t.slack_hist))
+       (List.map (fun (s, n) -> Printf.sprintf " %d:%d" s n) (slack_hist t)))

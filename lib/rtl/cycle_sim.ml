@@ -55,7 +55,7 @@ let run_fragment (s : Frag_sched.t) ~inputs =
         let n = Graph.node g id in
         match n.kind with
         | Add ->
-            let produced = s.Frag_sched.bit_time.(id).(i).Frag_sched.bt_cycle in
+            let produced = (Frag_sched.bit_time s id i).Frag_sched.bt_cycle in
             if check then begin
               if produced > cycle then
                 violation "bit %d of %s read in cycle %d before cycle %d" i

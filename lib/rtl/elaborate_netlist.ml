@@ -73,7 +73,7 @@ let rec value_net ctx (src, i) ~at =
       match n.kind with
       | Add ->
           let produced =
-            ctx.s.Frag_sched.bit_time.(id).(i).Frag_sched.bt_cycle
+            (Frag_sched.bit_time ctx.s id i).Frag_sched.bt_cycle
           in
           if produced = at then begin
             match Hashtbl.find_opt ctx.site_of id with
@@ -340,7 +340,7 @@ let elaborate (s : Frag_sched.t) =
                   | Some (r, qs) -> qs.(i - r.Bind_frag.sr_lo)
                   | None ->
                       let produced =
-                        ctx.s.Frag_sched.bit_time.(id).(i).Frag_sched.bt_cycle
+                        (Frag_sched.bit_time ctx.s id i).Frag_sched.bt_cycle
                       in
                       let d = value_net ctx (Node id, i) ~at:produced in
                       N.dff ctx.nl ~en:(state_net ctx produced) ~d ()

@@ -19,8 +19,10 @@
 
     The per-candidate-cycle feasibility probe is the innermost loop of the
     whole flow, so it runs on a prebuilt {!Hls_timing.Bitnet} (flat packed
-    deps, no per-bit allocation); the net is kept in the result for the
-    binder's costly-bit and lifetime queries.
+    deps); the net is kept in the result for the binder's costly-bit and
+    lifetime queries.  Bit times live in two flat [int] arrays in the
+    net's layout, and a candidate cycle writes its bit times there in
+    place, so probing a cycle allocates nothing.
 
     Glue is not scheduled: each glue *bit* simply inherits the time of the
     bits it forwards. *)
@@ -39,7 +41,9 @@ type t = {
   latency : int;
   n_bits : int;
   cycle_of : int array;  (** cycle of each Add node; 0 for glue *)
-  bit_time : bit_time array array;
+  bit_cycle : int array;
+      (** per flat bit ([net.bit_base.(id) + bit]): settle cycle *)
+  bit_slot : int array;  (** per flat bit: settle δ slot *)
   net : Bitnet.t;  (** dependency net of the transformed graph *)
 }
 
@@ -47,15 +51,26 @@ exception Infeasible of string
 
 let graph t = t.transformed.Transform.graph
 
+let bit_time t id bit =
+  let b = t.net.Bitnet.bit_base.(id) + bit in
+  { bt_cycle = t.bit_cycle.(b); bt_slot = t.bit_slot.(b) }
+
 (* Absolute δ slot of a bit time (for deadline comparison). *)
 let absolute ~n_bits { bt_cycle; bt_slot } = ((bt_cycle - 1) * n_bits) + bt_slot
 
-let window_caps (tr : Transform.t) ~latency ~n_bits g id _bit =
-  match (Graph.node g id).kind with
-  | Add ->
-      let _, w_alap = tr.Transform.windows.(id) in
-      w_alap * n_bits
-  | _ -> latency * n_bits
+let window_caps (tr : Transform.t) ~latency ~n_bits g =
+  let caps =
+    Array.init (Graph.node_count g) (fun id ->
+        match (Graph.node g id).kind with
+        | Add -> snd tr.Transform.windows.(id) * n_bits
+        | _ -> latency * n_bits)
+  in
+  fun id _bit -> caps.(id)
+
+let infeasible (n : node) w_asap w_alap =
+  Infeasible
+    (Printf.sprintf "fragment %d (%s) has no feasible cycle in [%d,%d]" n.id
+       n.label w_asap w_alap)
 
 let schedule ?(balance = true) ?chain_cap ?pin ?net (tr : Transform.t) =
   let g = tr.Transform.graph in
@@ -73,8 +88,16 @@ let schedule ?(balance = true) ?chain_cap ?pin ?net (tr : Transform.t) =
   in
   let n_nodes = Graph.node_count g in
   let net = match net with Some n -> n | None -> Bitnet.build g in
+  let bit_base = net.Bitnet.bit_base
+  and dep_off = net.Bitnet.dep_off
+  and flat_deps = net.Bitnet.flat_deps
+  and cost = net.Bitnet.cost in
+  let total_bits = Bitnet.total_bits net in
   let cycle_of = Array.make n_nodes 0 in
-  let bit_time = Array.make n_nodes [||] in
+  (* Bits not yet placed read as {cycle 0, slot 0}, the folds' base case
+     (Input/Const bits are not in the net at all). *)
+  let bit_cycle = Array.make total_bits 0 in
+  let bit_slot = Array.make total_bits 0 in
   (* Deadlines honour each fragment's window: a bit of a fragment whose
      window ends at cycle k must settle by slot k·n_bits even if the pure
      dataflow ALAP would allow later — this is what makes window-tightening
@@ -85,55 +108,53 @@ let schedule ?(balance = true) ?chain_cap ?pin ?net (tr : Transform.t) =
       ~caps:(window_caps tr ~latency ~n_bits g)
   in
   let usage = Array.make latency 0 in
-  (* Bit times of node [n] placed in [cycle] (glue: cycle ignored, bits
-     inherit dependency times).  None if some dependency is not available
-     or the ripple overflows the budget.  Omitted Input/Const bits settle
-     at {cycle 0, slot 0} — exactly the folds' base case. *)
-  let try_place (n : node) ~is_add ~cycle =
-    let times = Array.make n.width { bt_cycle = 0; bt_slot = 0 } in
-    let ok = ref true in
-    let base = net.Bitnet.bit_base.(n.id) in
-    for pos = 0 to n.width - 1 do
-      let b = base + pos in
-      if is_add then begin
-        let ready = ref 0 in
-        for k = net.Bitnet.dep_off.(b) to net.Bitnet.dep_off.(b + 1) - 1 do
-          let d = net.Bitnet.deps.(k) in
-          let t =
-            if Bitnet.dep_is_self d then times.(Bitnet.dep_self_bit d)
-            else bit_time.(Bitnet.dep_node_id d).(Bitnet.dep_node_bit d)
-          in
-          if t.bt_cycle > cycle then ok := false
-          else if t.bt_cycle = cycle && t.bt_slot > !ready then
-            ready := t.bt_slot
-        done;
-        let slot = !ready + net.Bitnet.cost.(b) in
-        if slot > cap then ok := false;
-        times.(pos) <- { bt_cycle = cycle; bt_slot = slot };
-        if
-          absolute ~n_bits times.(pos)
-          > Hls_timing.Deadline.slot deadline ~id:n.id ~bit:pos
-        then ok := false
-      end
-      else begin
-        (* Glue: the bit settles exactly when its latest dependency does. *)
-        let latest = ref { bt_cycle = 0; bt_slot = 0 } in
-        for k = net.Bitnet.dep_off.(b) to net.Bitnet.dep_off.(b + 1) - 1 do
-          let d = net.Bitnet.deps.(k) in
-          let t =
-            if Bitnet.dep_is_self d then times.(Bitnet.dep_self_bit d)
-            else bit_time.(Bitnet.dep_node_id d).(Bitnet.dep_node_bit d)
-          in
-          let l = !latest in
-          if
-            t.bt_cycle > l.bt_cycle
-            || (t.bt_cycle = l.bt_cycle && t.bt_slot > l.bt_slot)
-          then latest := t
-        done;
-        times.(pos) <- !latest
-      end
+  (* Slots of the best candidate so far, reused by every fragment. *)
+  let max_width = Graph.fold_nodes (fun acc (n : node) -> max acc n.width) 1 g in
+  let best_slot = Array.make max_width 0 in
+  (* Try Add node [n] in [cycle]: writes the candidate's bit times in
+     place (nothing reads [n]'s bits but its own carry chain until it is
+     placed) and says whether every bit has its operands, fits the cap and
+     meets its deadline.  Stops at the first failing bit. *)
+  let try_add (n : node) ~cycle =
+    let base = bit_base.(n.id) in
+    let cycle_start = (cycle - 1) * n_bits in
+    let ok = ref true and pos = ref 0 in
+    while !ok && !pos < n.width do
+      let b = base + !pos in
+      let ready = ref 0 in
+      for k = dep_off.(b) to dep_off.(b + 1) - 1 do
+        let d = flat_deps.(k) in
+        let c = bit_cycle.(d) in
+        if c > cycle then ok := false
+        else if c = cycle && bit_slot.(d) > !ready then ready := bit_slot.(d)
+      done;
+      let slot = !ready + cost.(b) in
+      bit_cycle.(b) <- cycle;
+      bit_slot.(b) <- slot;
+      if
+        slot > cap
+        || cycle_start + slot
+           > Hls_timing.Deadline.slot deadline ~id:n.id ~bit:!pos
+      then ok := false;
+      incr pos
     done;
-    if !ok then Some times else None
+    !ok
+  in
+  (* Glue: each bit settles exactly when its latest dependency does. *)
+  let place_glue (n : node) =
+    for b = bit_base.(n.id) to bit_base.(n.id + 1) - 1 do
+      let lc = ref 0 and ls = ref 0 in
+      for k = dep_off.(b) to dep_off.(b + 1) - 1 do
+        let d = flat_deps.(k) in
+        let c = bit_cycle.(d) and s = bit_slot.(d) in
+        if c > !lc || (c = !lc && s > !ls) then begin
+          lc := c;
+          ls := s
+        end
+      done;
+      bit_cycle.(b) <- !lc;
+      bit_slot.(b) <- !ls
+    done
   in
   Graph.iter_nodes
     (fun (n : node) ->
@@ -151,36 +172,30 @@ let schedule ?(balance = true) ?chain_cap ?pin ?net (tr : Transform.t) =
                 | Some c when c >= w_asap && c <= w_alap -> (c, c)
                 | Some _ | None -> (w_asap, w_alap))
           in
-          (* δ-costly bits claim adder area; pure carry columns do not. *)
-          let weight = Bitnet.costly_width net ~id:n.id in
-          let best = ref None in
-          for cycle = w_asap to w_alap do
-            match try_place n ~is_add:true ~cycle with
-            | Some times -> (
-                let u = usage.(cycle - 1) in
-                match !best with
-                | Some _ when not balance -> ()  (* keep the earliest *)
-                | Some (_, _, bu) when bu <= u -> ()
-                | _ -> best := Some (cycle, times, u))
-            | None -> ()
+          (* The usage-lightest feasible cycle, earliest on ties (or the
+             earliest feasible one without balancing).  A cycle no lighter
+             than the incumbent cannot win, so it is not tried. *)
+          let best = ref 0 and best_u = ref max_int in
+          let cycle = ref w_asap in
+          while !cycle <= w_alap && (balance || !best = 0) do
+            let u = usage.(!cycle - 1) in
+            if u < !best_u && try_add n ~cycle:!cycle then begin
+              best := !cycle;
+              best_u := u;
+              Array.blit bit_slot bit_base.(n.id) best_slot 0 n.width
+            end;
+            incr cycle
           done;
-          (match !best with
-          | None ->
-              raise
-                (Infeasible
-                   (Printf.sprintf
-                      "fragment %d (%s) has no feasible cycle in [%d,%d]" n.id
-                      n.label w_asap w_alap))
-          | Some (cycle, times, _) ->
-              cycle_of.(n.id) <- cycle;
-              bit_time.(n.id) <- times;
-              usage.(cycle - 1) <- usage.(cycle - 1) + weight)
-      | _ -> (
-          match try_place n ~is_add:false ~cycle:0 with
-          | Some times -> bit_time.(n.id) <- times
-          | None -> assert false))
+          if !best = 0 then raise (infeasible n w_asap w_alap);
+          let base = bit_base.(n.id) in
+          Array.fill bit_cycle base n.width !best;
+          Array.blit best_slot 0 bit_slot base n.width;
+          cycle_of.(n.id) <- !best;
+          (* δ-costly bits claim adder area; pure carry columns do not. *)
+          usage.(!best - 1) <- !best_u + Bitnet.costly_width net ~id:n.id
+      | _ -> place_glue n)
     g;
-  { transformed = tr; latency; n_bits; cycle_of; bit_time; net }
+  { transformed = tr; latency; n_bits; cycle_of; bit_cycle; bit_slot; net }
 
 (** Per-query {!Hls_timing.Bitdep.bit_deps} scheduler: the executable
     reference for property tests and benchmark baselines.  Produces the
@@ -274,12 +289,7 @@ let schedule_reference ?(balance = true) (tr : Transform.t) =
             | None -> ()
           done;
           (match !best with
-          | None ->
-              raise
-                (Infeasible
-                   (Printf.sprintf
-                      "fragment %d (%s) has no feasible cycle in [%d,%d]" n.id
-                      n.label w_asap w_alap))
+          | None -> raise (infeasible n w_asap w_alap)
           | Some (cycle, times, _) ->
               cycle_of.(n.id) <- cycle;
               bit_time.(n.id) <- times;
@@ -289,16 +299,18 @@ let schedule_reference ?(balance = true) (tr : Transform.t) =
           | Some times -> bit_time.(n.id) <- times
           | None -> assert false))
     g;
-  { transformed = tr; latency; n_bits; cycle_of; bit_time;
-    net = Bitnet.build g }
+  (* Flattened into the net's layout only here, once, so the placement
+     above stays the independent per-node derivation. *)
+  let net = Bitnet.build g in
+  let flat f = Array.concat (Array.to_list (Array.map (Array.map f) bit_time)) in
+  { transformed = tr; latency; n_bits; cycle_of;
+    bit_cycle = flat (fun bt -> bt.bt_cycle);
+    bit_slot = flat (fun bt -> bt.bt_slot); net }
 
 (** Longest chain actually used in any cycle — the achieved cycle length
     in δ (at most the budget). *)
 let used_delta t =
-  Array.fold_left
-    (fun acc times ->
-      Array.fold_left (fun acc bt -> max acc bt.bt_slot) acc times)
-    0 t.bit_time
+  Array.fold_left (fun acc s -> if s > acc then s else acc) 0 t.bit_slot
 
 (** Add nodes placed in [cycle]. *)
 let adds_in_cycle t cycle =
@@ -324,10 +336,12 @@ let profile t =
       let used =
         List.fold_left
           (fun acc (n : node) ->
-            Array.fold_left
-              (fun acc bt ->
+            List.fold_left
+              (fun acc bit ->
+                let bt = bit_time t n.id bit in
                 if bt.bt_cycle = cycle then max acc bt.bt_slot else acc)
-              acc t.bit_time.(n.id))
+              acc
+              (Hls_util.List_ext.range 0 n.width))
           0 fragments
       in
       let bits =
@@ -350,40 +364,54 @@ let verify t =
   let g = graph t in
   let errs = ref [] in
   let fail fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
-  Graph.iter_nodes
-    (fun (n : node) ->
-      let times = t.bit_time.(n.id) in
-      if Array.length times <> n.width then fail "node %d missing times" n.id;
-      (if n.kind = Add then begin
-         let cy = t.cycle_of.(n.id) in
-         let w_asap, w_alap = t.transformed.Transform.windows.(n.id) in
-         if cy < w_asap || cy > w_alap then
-           fail "node %d placed at %d outside window [%d,%d]" n.id cy w_asap
-             w_alap
-       end);
-      Array.iteri
-        (fun pos bt ->
-          if bt.bt_slot > t.n_bits then
-            fail "node %d bit %d overflows the cycle" n.id pos;
-          let cost, deps = Hls_timing.Bitdep.bit_deps g n pos in
-          List.iter
-            (fun d ->
-              let dt =
-                match d with
-                | Hls_timing.Bitdep.Self j -> times.(j)
-                | Hls_timing.Bitdep.Bit (Input _, _)
-                | Hls_timing.Bitdep.Bit (Const _, _) ->
-                    { bt_cycle = 0; bt_slot = 0 }
-                | Hls_timing.Bitdep.Bit (Node id, i) -> t.bit_time.(id).(i)
-              in
-              if dt.bt_cycle > bt.bt_cycle then
-                fail "node %d bit %d consumes a later cycle" n.id pos
-              else if
-                dt.bt_cycle = bt.bt_cycle && dt.bt_slot > bt.bt_slot - cost
-              then fail "node %d bit %d chains too early" n.id pos)
-            deps)
-        times)
-    g;
+  (* The flat bit times must cover exactly the graph's bits before any
+     of them can be read. *)
+  let layout_ok =
+    Array.length t.net.Bitnet.bit_base = Graph.node_count g + 1
+    && Array.length t.bit_cycle = Bitnet.total_bits t.net
+    && Array.length t.bit_slot = Bitnet.total_bits t.net
+  in
+  if layout_ok then
+    Graph.iter_nodes
+      (fun (n : node) ->
+        if Bitnet.width t.net ~id:n.id <> n.width then
+          fail "node %d missing times" n.id)
+      g
+  else fail "bit times do not cover the graph";
+  if !errs = [] then
+    Graph.iter_nodes
+      (fun (n : node) ->
+        let times = Array.init n.width (bit_time t n.id) in
+        (if n.kind = Add then begin
+           let cy = t.cycle_of.(n.id) in
+           let w_asap, w_alap = t.transformed.Transform.windows.(n.id) in
+           if cy < w_asap || cy > w_alap then
+             fail "node %d placed at %d outside window [%d,%d]" n.id cy w_asap
+               w_alap
+         end);
+        Array.iteri
+          (fun pos bt ->
+            if bt.bt_slot > t.n_bits then
+              fail "node %d bit %d overflows the cycle" n.id pos;
+            let cost, deps = Hls_timing.Bitdep.bit_deps g n pos in
+            List.iter
+              (fun d ->
+                let dt =
+                  match d with
+                  | Hls_timing.Bitdep.Self j -> times.(j)
+                  | Hls_timing.Bitdep.Bit (Input _, _)
+                  | Hls_timing.Bitdep.Bit (Const _, _) ->
+                      { bt_cycle = 0; bt_slot = 0 }
+                  | Hls_timing.Bitdep.Bit (Node id, i) -> bit_time t id i
+                in
+                if dt.bt_cycle > bt.bt_cycle then
+                  fail "node %d bit %d consumes a later cycle" n.id pos
+                else if
+                  dt.bt_cycle = bt.bt_cycle && dt.bt_slot > bt.bt_slot - cost
+                then fail "node %d bit %d chains too early" n.id pos)
+              deps)
+          times)
+      g;
   match !errs with [] -> Ok () | e -> Error (String.concat "; " e)
 
 (** True when some original operation executes in non-consecutive cycles —

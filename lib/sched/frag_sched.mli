@@ -12,12 +12,21 @@ type bit_time = { bt_cycle : int; bt_slot : int }
 (** When a bit settles: δ slot [bt_slot] (1-based) of cycle [bt_cycle];
     slot 0 means "stable at cycle start". *)
 
+(** A placed schedule.  Bit times are stored flat, in the layout of
+    [net]: bit [bit] of node [id] lives at index
+    [net.bit_base.(id) + bit] of both [bit_cycle] and [bit_slot], so the
+    scheduler, {!used_delta}, the binder's storage runs and the critical
+    region walk of the iteration driver read plain [int] arrays.  Other
+    readers go through {!bit_time}. *)
 type t = {
   transformed : Hls_fragment.Transform.t;
   latency : int;
   n_bits : int;
   cycle_of : int array;  (** cycle of each Add node; 0 for glue *)
-  bit_time : bit_time array array;
+  bit_cycle : int array;  (** per flat bit: the cycle it settles in *)
+  bit_slot : int array;
+      (** per flat bit: the δ slot it settles at; 0 = stable at cycle
+          start *)
   net : Hls_timing.Bitnet.t;
       (** dependency net of the transformed graph, shared with the binder *)
 }
@@ -25,6 +34,9 @@ type t = {
 exception Infeasible of string
 
 val graph : t -> Hls_dfg.Graph.t
+
+(** [bit_time t id bit] — when bit [bit] of node [id] settles. *)
+val bit_time : t -> Hls_dfg.Types.node_id -> int -> bit_time
 
 (** Schedule a transformed specification; raises {!Infeasible} when some
     fragment has no feasible cycle in its window.  The feasibility probe

@@ -92,7 +92,29 @@ let all () =
 let names () = List.map (fun e -> e.name) (all ())
 let find name = List.find_opt (fun e -> e.name = name) (all ())
 let graph e = e.build ()
-let find_graph name = Option.map graph (find name)
+
+(* Graphs of the static registry, built and digested once per process:
+   (name, (graph, digest)), at most one per registry entry.  The lock
+   lets concurrent domains share the first build. *)
+let built : (string * (Hls_dfg.Graph.t * string)) list ref = ref []
+let built_lock = Mutex.create ()
+
+let find_graph name =
+  Option.map
+    (fun e ->
+      Mutex.protect built_lock (fun () ->
+          match List.assoc_opt name !built with
+          | Some (g, _) -> g
+          | None ->
+              let g = graph e in
+              built := (name, (g, Hls_dfg.Graph.digest g)) :: !built;
+              g))
+    (find name)
+
+let built_digest g =
+  Mutex.protect built_lock (fun () ->
+      List.find_map (fun (_, (g', d)) -> if g' == g then Some d else None) !built)
+
 let with_tag tag = List.filter (fun e -> List.mem tag e.tags) (all ())
 
 let tags () =

@@ -32,7 +32,13 @@ val graph : entry -> Hls_dfg.Graph.t
 (** Build (elaborate / generate) the entry's graph. *)
 
 val find_graph : string -> Hls_dfg.Graph.t option
-(** [find] composed with {!graph} — the common lookup. *)
+(** [find] composed with {!graph} — the common lookup.  Each registry
+    entry is built once per process: every later call returns the same
+    (immutable) graph, with its {!Hls_dfg.Graph.digest} kept beside it. *)
+
+val built_digest : Hls_dfg.Graph.t -> string option
+(** The digest kept beside a graph {!find_graph} returned (matched by
+    physical equality); [None] for any other graph. *)
 
 val with_tag : string -> entry list
 (** Entries carrying the given tag. *)

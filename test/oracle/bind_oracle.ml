@@ -336,7 +336,7 @@ let stored_runs_with dm (s : Frag_sched.t) =
     (fun (n : node) ->
       if n.kind = Add then begin
         let bit_interval pos =
-          let def = s.Frag_sched.bit_time.(n.id).(pos).Frag_sched.bt_cycle in
+          let def = (Frag_sched.bit_time s n.id pos).Frag_sched.bt_cycle in
           Lifetime.storage_interval ~def ~last_use:last_use.(n.id).(pos)
         in
         (* One pass over the bits: emit a run at every interval change. *)

@@ -918,6 +918,50 @@ let test_exec_batch_faults () =
   | Ok _, Ok _ -> ()
   | _ -> Alcotest.fail "faults must not leak onto other batch slots"
 
+(* Builtin graphs are built once per process and shared: a batch whose
+   pooled suffixes run on two domains over the same graphs answers byte
+   for byte what one-at-a-time runs on a fresh executor answer. *)
+let test_exec_batch_shared_builtins () =
+  let reqs =
+    Array.of_list
+      (List.concat_map
+         (fun name ->
+           [
+             Req.Iterate
+               { spec = Req.Builtin name; latency = 14; rounds = 8;
+                 config = Req.default_config };
+             Req.Report
+               { spec = Req.Builtin name; latency = 8;
+                 config = Req.default_config; target_ns = None };
+             Req.Schedule
+               { spec = Req.Builtin name; latency = 6; flow = Req.Blc;
+                 config = Req.default_config };
+             Req.Parse { spec = Req.Builtin name };
+           ])
+         [ "fir8"; "dct8"; "fir8"; "elliptic"; "dct8" ])
+  in
+  let render r =
+    match r with
+    | Ok p -> Resp.to_string (Resp.ok p)
+    | Error e -> Resp.to_string (Resp.fail e)
+  in
+  let with_exec f =
+    let exec = Exec.create () in
+    Fun.protect ~finally:(fun () -> Exec.close exec) (fun () -> f exec)
+  in
+  let batched =
+    with_exec (fun exec -> Array.map render (Exec.run_batch ~workers:2 exec reqs))
+  in
+  let sequential =
+    with_exec (fun exec -> Array.map (fun r -> render (Exec.run exec r)) reqs)
+  in
+  Array.iteri
+    (fun i want ->
+      Alcotest.(check string) (Printf.sprintf "request %d" i) want batched.(i))
+    sequential;
+  check_bool "every request answered" true
+    (Array.for_all (fun s -> not (contains ~affix:"\"error\"" s)) sequential)
+
 (* A daemon executes every request through run_batch, so a batched
    request must show up under its api.<verb> span and counters exactly
    as a run request does, pooled or not. *)
@@ -1218,6 +1262,8 @@ let suite =
     Alcotest.test_case "exec memoizes the prepared prefix" `Quick
       test_exec_memoization;
     Alcotest.test_case "exec batch alignment" `Quick test_exec_batch;
+    Alcotest.test_case "exec batch shares builtin graphs" `Quick
+      test_exec_batch_shared_builtins;
     Alcotest.test_case "exec batch fault injection" `Quick
       test_exec_batch_faults;
     Alcotest.test_case "exec batch opens one api span per request" `Quick

@@ -138,18 +138,37 @@ let sched_workloads () =
   in
   builtins @ randoms
 
+(* At the tightest latency and with three cycles of slack, where the
+   balancing choice between feasible cycles decides the placement. *)
 let test_schedule_identity () =
   List.iter
     (fun (name, g) ->
       let kernel = P.prepare_kernel g in
-      let tr = first_feasible kernel 1 in
-      let s = Hls_sched.Frag_sched.schedule tr
-      and r = Hls_sched.Frag_sched.schedule_reference tr in
-      Alcotest.(check (array int))
-        (name ^ ": cycle_of") r.Hls_sched.Frag_sched.cycle_of
-        s.Hls_sched.Frag_sched.cycle_of;
-      if s.Hls_sched.Frag_sched.bit_time <> r.Hls_sched.Frag_sched.bit_time
-      then Alcotest.failf "%s: bit_time mismatch" name)
+      let tight = first_feasible kernel 1 in
+      let slack =
+        Hls_fragment.Transform.run kernel
+          ~latency:
+            (tight.Hls_fragment.Transform.plan.Hls_fragment.Mobility.latency
+           + 3)
+      in
+      List.iter
+        (fun (tr : Hls_fragment.Transform.t) ->
+          let name =
+            Printf.sprintf "%s@%d" name
+              tr.Hls_fragment.Transform.plan.Hls_fragment.Mobility.latency
+          in
+          let s = Hls_sched.Frag_sched.schedule tr
+          and r = Hls_sched.Frag_sched.schedule_reference tr in
+          Alcotest.(check (array int))
+            (name ^ ": cycle_of") r.Hls_sched.Frag_sched.cycle_of
+            s.Hls_sched.Frag_sched.cycle_of;
+          Alcotest.(check (array int))
+            (name ^ ": bit_cycle") r.Hls_sched.Frag_sched.bit_cycle
+            s.Hls_sched.Frag_sched.bit_cycle;
+          Alcotest.(check (array int))
+            (name ^ ": bit_slot") r.Hls_sched.Frag_sched.bit_slot
+            s.Hls_sched.Frag_sched.bit_slot)
+        [ tight; slack ])
     (sched_workloads ())
 
 let test_bind_identity () =

@@ -33,6 +33,39 @@ let test_validate_rejects_bad_range () =
     | _ -> false
     | exception Graph.Invalid _ -> true)
 
+(* Input ports are indexed once per validation: a 400-input graph
+   validates, and the undefined-input and over-wide-slice errors keep
+   their messages. *)
+let test_validate_many_inputs () =
+  let b = B.create ~name:"wide" in
+  let ins = List.init 400 (fun i -> B.input b (Printf.sprintf "x%d" i) ~width:8) in
+  let acc =
+    List.fold_left (fun acc x -> B.add b ~width:8 acc x) (List.hd ins) (List.tl ins)
+  in
+  B.output b "o" acc;
+  let g = B.finish b in
+  Alcotest.(check int) "400 inputs" 400 (List.length g.Graph.inputs);
+  Graph.validate g;
+  let message nodes =
+    match Graph.validate { g with Graph.nodes } with
+    | () -> "validated"
+    | exception Graph.Invalid m -> m
+  in
+  let with_operand o =
+    let nodes = Array.copy g.Graph.nodes in
+    nodes.(0) <- { (nodes.(0)) with operands = [ o; o ] };
+    nodes
+  in
+  let x0 = List.hd ins in
+  Alcotest.(check string) "undefined input"
+    "node 0 reads undefined input ghost"
+    (message (with_operand { x0 with src = Input "ghost" }));
+  let too_wide = { x0 with hi = 12 } in
+  Alcotest.(check string) "over-wide slice"
+    (Format.asprintf "node 0: operand %a exceeds source width 8" Operand.pp
+       too_wide)
+    (message (with_operand too_wide))
+
 let test_validate_rejects_bad_arity () =
   let b = B.create ~name:"bad_arity" in
   let a = B.input b "a" ~width:4 in
@@ -117,6 +150,7 @@ let suite =
     Alcotest.test_case "builder basic" `Quick test_builder_basic;
     Alcotest.test_case "validate: bad range" `Quick test_validate_rejects_bad_range;
     Alcotest.test_case "validate: bad arity" `Quick test_validate_rejects_bad_arity;
+    Alcotest.test_case "validate: 400 inputs" `Quick test_validate_many_inputs;
     Alcotest.test_case "validate: wide carry" `Quick test_validate_rejects_wide_carry;
     Alcotest.test_case "validate: concat width" `Quick
       test_validate_rejects_concat_width_mismatch;

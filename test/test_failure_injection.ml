@@ -17,8 +17,19 @@ let copy_frag (s : Frag_sched.t) =
   {
     s with
     Frag_sched.cycle_of = Array.copy s.Frag_sched.cycle_of;
-    bit_time = Array.map Array.copy s.Frag_sched.bit_time;
+    bit_cycle = Array.copy s.Frag_sched.bit_cycle;
+    bit_slot = Array.copy s.Frag_sched.bit_slot;
   }
+
+(* Flat index of bit [bit] of node [id] in the schedule's bit times. *)
+let flat (s : Frag_sched.t) id bit =
+  s.Frag_sched.net.Hls_timing.Bitnet.bit_base.(id) + bit
+
+(* Claim every bit of node [id] settles in [cycle]. *)
+let move_bits (s : Frag_sched.t) id ~cycle =
+  for bit = 0 to Hls_timing.Bitnet.width s.Frag_sched.net ~id - 1 do
+    s.Frag_sched.bit_cycle.(flat s id bit) <- cycle
+  done
 
 (* Find an Add node that reads another Add's bits across a cycle
    boundary. *)
@@ -44,11 +55,7 @@ let test_frag_verify_catches_moved_fragment () =
   | Some n ->
       let id = n.Hls_dfg.Types.id in
       s.Frag_sched.cycle_of.(id) <- 1;
-      Array.iteri
-        (fun bit bt ->
-          s.Frag_sched.bit_time.(id).(bit) <-
-            { bt with Frag_sched.bt_cycle = 1 })
-        s.Frag_sched.bit_time.(id));
+      move_bits s id ~cycle:1);
   match Frag_sched.verify s with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "checker accepted a corrupted schedule"
@@ -61,8 +68,7 @@ let test_frag_verify_catches_slot_overflow () =
     | Some n -> n.Hls_dfg.Types.id
     | None -> Alcotest.fail "no candidate"
   in
-  s.Frag_sched.bit_time.(id).(0) <-
-    { (s.Frag_sched.bit_time.(id).(0)) with Frag_sched.bt_slot = 999 };
+  s.Frag_sched.bit_slot.(flat s id 0) <- 999;
   match Frag_sched.verify s with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "checker accepted an overflowing slot"
@@ -76,9 +82,8 @@ let test_frag_verify_catches_early_chain () =
     | Some n -> n.Hls_dfg.Types.id
     | None -> Alcotest.fail "no candidate"
   in
-  let w = Array.length s.Frag_sched.bit_time.(id) in
-  s.Frag_sched.bit_time.(id).(w - 1) <-
-    { (s.Frag_sched.bit_time.(id).(w - 1)) with Frag_sched.bt_slot = 0 };
+  let w = Hls_timing.Bitnet.width s.Frag_sched.net ~id in
+  s.Frag_sched.bit_slot.(flat s id (w - 1)) <- 0;
   match Frag_sched.verify s with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "checker accepted an impossible settle time"
@@ -107,11 +112,7 @@ let test_cycle_sim_catches_unregistered_read () =
   | None -> Alcotest.fail "no victim"
   | Some id ->
       s.Frag_sched.cycle_of.(id) <- 3;
-      Array.iteri
-        (fun bit bt ->
-          s.Frag_sched.bit_time.(id).(bit) <-
-            { bt with Frag_sched.bt_cycle = 3 })
-        s.Frag_sched.bit_time.(id));
+      move_bits s id ~cycle:3);
   let inputs =
     List.map
       (fun (p : Hls_dfg.Types.port) ->
@@ -181,11 +182,7 @@ let test_netlist_rejects_unregistered_schedule () =
          now read the future. *)
       let id = n.Hls_dfg.Types.id in
       s.Frag_sched.cycle_of.(id) <- 3;
-      Array.iteri
-        (fun bit bt ->
-          s.Frag_sched.bit_time.(id).(bit) <-
-            { bt with Frag_sched.bt_cycle = 3 })
-        s.Frag_sched.bit_time.(id));
+      move_bits s id ~cycle:3);
   match Hls_rtl.Elaborate_netlist.elaborate s with
   | _ -> Alcotest.fail "elaborator accepted a time-travelling schedule"
   | exception Hls_rtl.Elaborate_netlist.Error _ -> ()

@@ -217,18 +217,18 @@ let test_extraction_invariants () =
         (fun id ->
           Alcotest.(check bool) "boundary-in is outside" false
             (Subgraph.mem sg id))
-        sg.Subgraph.boundary_in;
+        (Subgraph.boundary_in sg);
       List.iter
         (fun id ->
           Alcotest.(check bool) "boundary-out is inside" true
             (Subgraph.mem sg id))
-        sg.Subgraph.boundary_out;
+        (Subgraph.boundary_out sg);
       (* The witness chain is a real tight chain: settle times ascend by
          exactly the δ cost of each link, within one cycle. *)
       let rec check_chain = function
         | (a_id, a_bit) :: ((b_id, b_bit) :: _ as tl) ->
-            let ta = s.Frag_sched.bit_time.(a_id).(a_bit) in
-            let tb = s.Frag_sched.bit_time.(b_id).(b_bit) in
+            let ta = Frag_sched.bit_time s a_id a_bit in
+            let tb = Frag_sched.bit_time s b_id b_bit in
             let cost =
               Bitnet.cost_of s.Frag_sched.net ~id:b_id ~bit:b_bit
             in
@@ -251,6 +251,82 @@ let test_extraction_invariants () =
           | _ -> ())
         (Frag_sched.graph s)
 
+(* --- one net per round: sharing it changes no schedule --- *)
+
+let rec first_feasible kernel latency =
+  if latency > 64 then None
+  else
+    match Hls_fragment.Transform.run kernel ~latency with
+    | tr -> Some tr
+    | exception Invalid_argument _ -> first_feasible kernel (latency + 1)
+
+(* As the iteration driver uses it: one prebuilt net handed to a pinned
+   attempt and then to an unpinned one, each answering exactly what the
+   same call building its own net answers (placement or Infeasible
+   message). *)
+let prop_schedule_shared_net =
+  QCheck.Test.make ~name:"schedule ~net == schedule building its net"
+    ~count:40
+    QCheck.(quad (int_range 0 10_000) (int_range 0 3) (int_range 0 12)
+              (int_range 0 1_000))
+    (fun (seed, slack, cap, pin_seed) ->
+      match first_feasible (kernel_of_seed seed) 1 with
+      | None -> true
+      | Some tr0 ->
+          let latency = tr0.Hls_fragment.Transform.plan.Hls_fragment.Mobility.latency + slack in
+          let tr = Hls_fragment.Transform.run (kernel_of_seed seed) ~latency in
+          let chain_cap = if cap = 0 then None else Some cap in
+          let pin id =
+            let h = Hashtbl.hash (pin_seed, id) in
+            if h mod 3 = 0 then None else Some (1 + (h mod (latency + 1)))
+          in
+          let run ?net ?pin () =
+            match Frag_sched.schedule ?chain_cap ?pin ?net tr with
+            | s ->
+                Ok
+                  ( s.Frag_sched.cycle_of,
+                    s.Frag_sched.bit_cycle,
+                    s.Frag_sched.bit_slot )
+            | exception Frag_sched.Infeasible m -> Error m
+          in
+          let net = Bitnet.build tr.Hls_fragment.Transform.graph in
+          let pinned = run ~net ~pin () in
+          let unpinned = run ~net () in
+          pinned = run ~pin () && unpinned = run ())
+
+(* An armed iterate names the insides of each round: one iter.extract
+   and one iter.witness per round, one iter.replan per round that got
+   past the witness, and at least one iter.schedule per re-plan. *)
+let test_round_spans () =
+  let module Tm = Hls_telemetry in
+  let g = Option.get (Hls_workloads.Catalog.find_graph "fir8") in
+  let p = P.prepare g in
+  let calls name =
+    match List.assoc_opt name (Tm.span_totals ()) with
+    | Some (c, _) -> c
+    | None -> 0
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Tm.disarm ();
+      Tm.reset ())
+  @@ fun () ->
+  Tm.reset ();
+  Tm.arm ();
+  match P.run_iterated (P.make_config ~iterate:8 ()) p ~latency:14 with
+  | Error f -> Alcotest.fail (Hls_util.Failure.to_string f)
+  | Ok (_, o) ->
+      let rounds = List.length o.Iter.o_rounds in
+      let certified = if o.Iter.o_stop = Iter.Certified then 1 else 0 in
+      Alcotest.(check bool) "some rounds" true (rounds >= 2);
+      Alcotest.(check int) "iter.round" rounds (calls "iter.round");
+      Alcotest.(check int) "iter.extract" rounds (calls "iter.extract");
+      Alcotest.(check int) "iter.witness" rounds (calls "iter.witness");
+      Alcotest.(check int) "iter.replan" (rounds - certified)
+        (calls "iter.replan");
+      Alcotest.(check bool) "iter.schedule" true
+        (calls "iter.schedule" >= rounds - certified)
+
 let suite =
   [
     Alcotest.test_case "rebuild_dirty edge cases" `Quick
@@ -261,10 +337,12 @@ let suite =
       test_iterate_improves_somewhere;
     Alcotest.test_case "extraction invariants" `Quick
       test_extraction_invariants;
+    Alcotest.test_case "round spans" `Quick test_round_spans;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_rebuild_dirty_identity;
         prop_update_of_net_identity;
         prop_iterate_random_monotone;
+        prop_schedule_shared_net;
       ]

@@ -201,10 +201,9 @@ let test_fig2c_bit_times () =
   in
   let times label =
     let n = find label in
-    Array.to_list
-      (Array.map
-         (fun bt -> (bt.Frag_sched.bt_cycle, bt.Frag_sched.bt_slot))
-         s.Frag_sched.bit_time.(n.id))
+    List.init n.width (fun bit ->
+        let bt = Frag_sched.bit_time s n.id bit in
+        (bt.Frag_sched.bt_cycle, bt.Frag_sched.bt_slot))
   in
   (* C[5:0] is 7 bits (6 sum + carry); the carry settles with bit 5. *)
   Alcotest.(check (list (pair int int))) "C[5:0]"
