@@ -693,27 +693,46 @@ let api_bench () =
 (* Bit-level timing core: per-query Bitdep reference vs the packed     *)
 (* Bitnet, on each analysis alone and on the full optimized pipeline.  *)
 
+(* Wall time of [reps] back-to-back calls of [f], in seconds. *)
+let batch_s f reps =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  Unix.gettimeofday () -. t0
+
+(* After one warm-up call: the smallest power-of-two repetition count
+   whose batch lasts at least [min_s]. *)
+let calibrate ~min_s f =
+  ignore (Sys.opaque_identity (f ()));
+  let reps = ref 1 in
+  while batch_s f !reps < min_s do
+    reps := !reps * 2
+  done;
+  !reps
+
 (* Best-of-[rounds] wall time of [f] in ns per call, over batches grown
    until one lasts at least 0.3 ms. *)
 let best_ns ?(rounds = 7) f =
-  ignore (Sys.opaque_identity (f ()));
-  let batch reps =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let reps = ref 1 in
-  while batch !reps < 3e-4 do
-    reps := !reps * 2
-  done;
+  let reps = calibrate ~min_s:3e-4 f in
   let best = ref infinity in
   for _ = 1 to rounds do
-    let dt = batch !reps in
-    if dt < !best then best := dt
+    best := Float.min !best (batch_s f reps)
   done;
-  !best *. 1e9 /. float_of_int !reps
+  !best *. 1e9 /. float_of_int reps
+
+(* [best_ns] of a reference [a] and a candidate [b] for a gate comparing
+   the two: the rounds interleave one batch of each, so drift on a shared
+   host (another tenant, frequency scaling) lands on both sides, and every
+   batch lasts at least 2 ms, well above timer and scheduler jitter. *)
+let best_ns_ab ?(rounds = 7) a b =
+  let ra = calibrate ~min_s:2e-3 a and rb = calibrate ~min_s:2e-3 b in
+  let best_a = ref infinity and best_b = ref infinity in
+  for _ = 1 to rounds do
+    best_a := Float.min !best_a (batch_s a ra);
+    best_b := Float.min !best_b (batch_s b rb)
+  done;
+  (!best_a *. 1e9 /. float_of_int ra, !best_b *. 1e9 /. float_of_int rb)
 
 (* The end-to-end equivalence check of every catalog workload's optimized
    flow at its default latency ([Pipeline.check_optimized_equivalence]'s
@@ -1127,7 +1146,8 @@ let timing () =
         end)
       rows;
     (* Sweep every registry workload, not just the benched ones: best-of-
-       batches wall timing of the amortized kernels (prebuilt net, the
+       batches wall timing, reference and candidate interleaved
+       ([best_ns_ab]), of the amortized kernels (prebuilt net, the
        serving-path configuration) against the per-query references, and
        of the flat-array binder against the list-based binder it replaced
        (both on the net) at the workload's default latency. *)
@@ -1139,7 +1159,7 @@ let timing () =
           Hls_timing.Arrival.critical_delta (Hls_timing.Arrival.of_net net)
         in
         let check analysis ref_fn net_fn =
-          let r = best_ns ref_fn and n = best_ns net_fn in
+          let r, n = best_ns_ab ref_fn net_fn in
           let s = if n > 0. then r /. n else infinity in
           Printf.printf "bench-assert: %-16s %-8s %8.0f ns -> %8.0f ns \
                          (%5.2fx)\n" w analysis r n s;
@@ -1249,26 +1269,6 @@ let iter_bench () =
     match Hls_workloads.Catalog.find_graph w with
     | Some g -> g
     | None -> failwith (w ^ " missing from the workload catalog")
-  in
-  let best_ns f =
-    ignore (Sys.opaque_identity (f ()));
-    let batch reps =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do
-        ignore (Sys.opaque_identity (f ()))
-      done;
-      Unix.gettimeofday () -. t0
-    in
-    let reps = ref 1 in
-    while batch !reps < 3e-4 do
-      reps := !reps * 2
-    done;
-    let best = ref infinity in
-    for _ = 1 to 7 do
-      let dt = batch !reps in
-      if dt < !best then best := dt
-    done;
-    !best *. 1e9 /. float_of_int !reps
   in
   (* One-shot vs iterated at a slack latency (one step inside the
      14-cycle clock tier on all three workloads). *)

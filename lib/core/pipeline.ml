@@ -166,12 +166,20 @@ let make_config ?(lib = Hls_techlib.default) ?(policy = `Full)
     ?(verify = Hls_xform.Verify.Off) ?(iterate = 0) () =
   { lib; policy; balance; transform; verify; iterate }
 
+(* The last fragmented graph and its net, for the next point on the same
+   prepared kernel.  Immutable values behind one [Atomic] cell: a worker
+   may read a neighbour's entry or overwrite it, but never a torn one. *)
+type frag_memo =
+  (Hls_fragment.Transform.t * Hls_timing.Bitnet.t) option Atomic.t
+
+let frag_memo () = Atomic.make None
+
 (** The per-point suffix of the optimized flow on prepared timing state:
     cycle estimation + fragmentation ([policy]), fragment scheduling
     ([balance]), dedicated-adder binding.  The kernel's net and arrival are
     reused, so a latency sweep pays for them once. *)
 let optimized_of_prepared ?(lib = Hls_techlib.default) ?policy ?balance
-    ?(iterate = 0) p ~latency =
+    ?(iterate = 0) ?memo p ~latency =
   (* Transform.run = Mobility.compute + Transform.apply; split here so the
      two phases span separately. *)
   let plan =
@@ -179,13 +187,26 @@ let optimized_of_prepared ?(lib = Hls_techlib.default) ?policy ?balance
         Hls_fragment.Mobility.compute ?policy ~net:p.p_net
           ~arrival:p.p_arrival p.p_kernel ~latency)
   in
+  let like = Option.bind memo Atomic.get in
   let transformed =
-    span "fragment" (fun () -> Hls_fragment.Transform.apply p.p_kernel plan)
+    span "fragment" (fun () ->
+        Hls_fragment.Transform.apply ?like:(Option.map fst like) p.p_kernel
+          plan)
+  in
+  let net =
+    match like with
+    | Some (l, net) when l.Hls_fragment.Transform.graph == transformed.graph ->
+        Some net
+    | _ -> None
   in
   let schedule =
     span "schedule" (fun () ->
-        Hls_sched.Frag_sched.schedule ?balance transformed)
+        Hls_sched.Frag_sched.schedule ?balance ?net transformed)
   in
+  Option.iter
+    (fun m ->
+      Atomic.set m (Some (transformed, schedule.Hls_sched.Frag_sched.net)))
+    memo;
   (* The feedback loop only ever drops cycles at a chain no longer than
      the one-shot's, so binding the iterated schedule is never worse than
      binding the one-shot.  The kernel's net and arrival serve every
@@ -217,10 +238,10 @@ let optimized_of_prepared ?(lib = Hls_techlib.default) ?policy ?balance
 (** The single supported per-point entry: the optimized-flow suffix under
     one [config], with the {!Hls_util.Failure} taxonomy instead of an
     escaping exception. *)
-let run config p ~latency =
+let run ?memo config p ~latency =
   match
     optimized_of_prepared ~lib:config.lib ~policy:config.policy
-      ~balance:config.balance ~iterate:config.iterate p ~latency
+      ~balance:config.balance ~iterate:config.iterate ?memo p ~latency
   with
   | r -> Ok r
   | exception e -> Error (classify_exn e)

@@ -94,6 +94,17 @@ val make_config :
   ?balance:bool -> ?transform:Hls_xform.Recipe.t ->
   ?verify:Hls_xform.Verify.policy -> ?iterate:int -> unit -> config
 
+(** The last fragmented graph and its {!Hls_timing.Bitnet} seen by
+    {!run} on one prepared kernel.  Points whose plans cut every addition
+    alike (at a fixed chaining budget, neighbouring latencies usually do)
+    reuse both instead of rebuilding them ({!Hls_fragment.Transform.apply}
+    [~like]).  One [Atomic] cell: safe to share between worker domains,
+    and answers never depend on what it holds. *)
+type frag_memo
+
+(** An empty memo; give each prepared kernel its own. *)
+val frag_memo : unit -> frag_memo
+
 (** The single supported per-point entry of the optimized flow: cycle
     estimation → fragmentation → fragment scheduling → binding on
     prepared timing state, under one [config], returning the
@@ -102,9 +113,11 @@ val make_config :
     witnessed budget violation, a fragment schedule with no legal
     placement), [Error (Resource _ | Internal _)] for faults a caller may
     retry.  Reuses the prepared net and arrival, so a latency sweep pays
-    for them once per graph. *)
+    for them once per graph.  With [memo] it also reuses the previous
+    point's fragmented graph and net when they were built from this
+    kernel with the same cuts, and stores its own. *)
 val run :
-  config -> prepared -> latency:int ->
+  ?memo:frag_memo -> config -> prepared -> latency:int ->
   (optimized_result, Hls_util.Failure.t) result
 
 (** Like {!run} with iteration forced on (at least one round even when

@@ -108,8 +108,8 @@ let degrade_point ~graph (job : Space.job) =
 (* One batch of jobs: cache hits become points immediately, the rest run
    on the pool (with the retry policy).  Returns points and failures in
    job order. *)
-let run_round ~cache ~digest ~graph ~kernels ~workers ~timeout_s ~retry
-    ~degrade jobs =
+let run_round ~cache ~digest ~graph ~kernels ~memos ~workers ~timeout_s
+    ~retry ~degrade jobs =
   let lookups =
     List.map
       (fun (job : Space.job) ->
@@ -143,8 +143,9 @@ let run_round ~cache ~digest ~graph ~kernels ~workers ~timeout_s ~retry
                 ~policy:job.Space.policy ~balance:job.Space.balance
                 ~iterate:job.Space.iterate ()
             in
+            let memo = List.assoc (job.Space.recipe, job.Space.policy) memos in
             match
-              Pipeline.run config prepared ~latency:job.Space.latency
+              Pipeline.run ~memo config prepared ~latency:job.Space.latency
             with
             | Ok r -> Cache.metrics_of_report r.Pipeline.opt_report
             | Error f -> raise (Failure.Flow_failure f)))
@@ -310,6 +311,16 @@ let run ?workers ?timeout_s ?cache ?(feedback = 0)
   let transforms =
     List.filter_map (fun (spec, p) -> summarize_transform spec p) kernels
   in
+  (* One fragment memo per kernel and policy: the jobs alternate policies
+     within a latency, and the two policies cut differently. *)
+  let memos =
+    List.concat_map
+      (fun (spec, _) ->
+        List.map
+          (fun policy -> ((spec, policy), Pipeline.frag_memo ()))
+          space.Space.policies)
+      kernels
+  in
   let attempted = Hashtbl.create 64 in
   let points = ref [] and failures = ref [] and rounds = ref 0 in
   let execute jobs =
@@ -322,8 +333,8 @@ let run ?workers ?timeout_s ?cache ?(feedback = 0)
     if jobs <> [] then begin
       incr rounds;
       let pts, fls =
-        run_round ~cache ~digest ~graph ~kernels ~workers ~timeout_s ~retry
-          ~degrade jobs
+        run_round ~cache ~digest ~graph ~kernels ~memos ~workers ~timeout_s
+          ~retry ~degrade jobs
       in
       points := !points @ pts;
       failures := !failures @ fls;

@@ -13,14 +13,21 @@
     Each transformed node carries a scheduling window: fragments inherit
     their (ASAP, ALAP) cycle mobility; glue is unconstrained.  Because a
     fragment's bits all share one (ASAP, ALAP) pair, any placement within
-    the window is bit-level consistent. *)
+    the window is bit-level consistent.
+
+    The rebuilt graph depends on the plan only through its cuts (each
+    addition's fragment [f_lo]/[f_hi] runs); the (ASAP, ALAP) pairs and
+    the latency only set windows.  So {!apply} [~like] hands back the
+    earlier graph itself, windows recomputed, when the new plan cuts every
+    node alike. *)
 
 open Hls_dfg.Types
 module Graph = Hls_dfg.Graph
 module B = Hls_dfg.Builder
 module Rewrite = Hls_dfg.Rewrite
 module Operand = Hls_dfg.Operand
-module Bv = Hls_bitvec
+
+type window_src = Free | Frag of { src : node_id; index : int }
 
 type t = {
   graph : Graph.t;
@@ -28,9 +35,9 @@ type t = {
   source : Graph.t;  (** the kernel-form graph the transform started from *)
   windows : (int * int) array;
       (** per transformed-node id: (ASAP, ALAP) cycle window *)
+  window_srcs : window_src array;
+      (** per transformed-node id: the plan fragment that sets its window *)
 }
-
-let zeros k = Operand.of_const (Bv.zero k)
 
 (* The bits of extended operand [o] at computation positions [lo..hi]:
    [None] when the positions are pure zero padding. *)
@@ -42,17 +49,28 @@ let slice_positions (o : operand) ~lo ~hi =
     | Zext -> None
     | Sext -> Some { o with lo = o.hi; ext = Sext }
 
-(* Create a node and record its scheduling window; windows accumulate in
-   node-creation order, i.e. by transformed-node id. *)
-let mk ctx windows ?label ?origin ~window kind ~width operands =
-  windows := window :: !windows;
+(* Create a node and record where its scheduling window comes from;
+   sources accumulate in node-creation order, i.e. by transformed-node
+   id. *)
+let mk ctx srcs ?label ?origin ~src kind ~width operands =
+  srcs := src :: !srcs;
   B.node ctx.Rewrite.b kind ~width ?label ?origin operands
 
 let free_window plan = (1, plan.Mobility.latency)
 
+(* O(nodes): each fragment's window is its (ASAP, ALAP) pair in [plan]. *)
+let windows_of plan srcs =
+  Array.map
+    (function
+      | Free -> free_window plan
+      | Frag { src; index } ->
+          let f = List.nth plan.Mobility.per_node.(src) index in
+          (f.Mobility.f_asap, f.Mobility.f_alap))
+    srcs
+
 (* Build the fragment chain for one multi-fragment addition and return the
    operand over its reassembled full value. *)
-let build_fragments ctx windows plan (n : node) ~mapped_operands frags =
+let build_fragments ctx srcs (n : node) ~mapped_operands frags =
   let op_name = if n.label = "" then "op" ^ string_of_int n.id else n.label in
   let a, bop, cin0 =
     match mapped_operands with
@@ -60,9 +78,9 @@ let build_fragments ctx windows plan (n : node) ~mapped_operands frags =
     | [ a; b; c ] -> (a, b, Some c)
     | _ -> invalid_arg "Transform.build_fragments: malformed add"
   in
-  let pieces, _ =
+  let pieces, _, _ =
     List.fold_left
-      (fun (pieces, carry) (f : Mobility.frag) ->
+      (fun (pieces, carry, index) (f : Mobility.frag) ->
         let fw = Mobility.frag_width f in
         let has_carry_out = f.f_hi < n.width - 1 in
         let node_w = if has_carry_out then fw + 1 else fw in
@@ -75,14 +93,13 @@ let build_fragments ctx windows plan (n : node) ~mapped_operands frags =
               if Operand.width o >= fw then Some { o with ext = Zext }
               else if o.ext = Sext then
                 Some
-                  (mk ctx windows ~window:(free_window plan) Wire ~width:fw
-                     [ o ])
+                  (mk ctx srcs ~src:Free Wire ~width:fw [ o ])
               else Some o
         in
         let oa = fit (slice_positions a ~lo:f.f_lo ~hi:f.f_hi) in
         let ob = fit (slice_positions bop ~lo:f.f_lo ~hi:f.f_hi) in
-        let x = Option.value oa ~default:(zeros 1) in
-        let y = Option.value ob ~default:(zeros 1) in
+        let x = Option.value oa ~default:Operand.zero_bit in
+        let y = Option.value ob ~default:Operand.zero_bit in
         let cin = if f.f_lo = 0 then cin0 else carry in
         let operands = match cin with None -> [ x; y ] | Some c -> [ x; y; c ] in
         let label =
@@ -93,7 +110,7 @@ let build_fragments ctx windows plan (n : node) ~mapped_operands frags =
           { orig_op = op_name; orig_lo = f.f_lo; orig_hi = f.f_hi }
         in
         let value =
-          mk ctx windows ~label ~origin ~window:(f.f_asap, f.f_alap) Add
+          mk ctx srcs ~label ~origin ~src:(Frag { src = n.id; index }) Add
             ~width:node_w operands
         in
         let sum_slice = Operand.reslice value ~hi:(fw - 1) ~lo:0 in
@@ -101,51 +118,67 @@ let build_fragments ctx windows plan (n : node) ~mapped_operands frags =
           if has_carry_out then Some (Operand.reslice value ~hi:fw ~lo:fw)
           else None
         in
-        (sum_slice :: pieces, carry_out))
-      ([], None) frags
+        (sum_slice :: pieces, carry_out, index + 1))
+      ([], None, 0) frags
   in
   let pieces = List.rev pieces in
   match pieces with
   | [ single ] -> single
   | _ ->
-      mk ctx windows ~window:(free_window plan)
-        ~label:(op_name ^ ".val")
+      mk ctx srcs ~src:Free ~label:(op_name ^ ".val")
         Concat ~width:n.width pieces
 
-(** Apply the fragmentation plan to a kernel-form graph. *)
-let apply graph (plan : Mobility.plan) =
-  let windows = ref [] in
+let build graph (plan : Mobility.plan) =
+  let srcs = ref [] in
   let g =
     Rewrite.run ~name:(Graph.name graph ^ "_frag") graph ~f:(fun ctx n ->
         let mapped_operands = List.map (Rewrite.map_operand ctx) n.operands in
         match (n.kind, plan.per_node.(n.id)) with
         | Add, ([] | [ _ ]) ->
             (* Unfragmented addition: copy, carrying its window. *)
-            let window =
+            let src =
               match plan.per_node.(n.id) with
-              | [ f ] -> (f.Mobility.f_asap, f.Mobility.f_alap)
-              | _ -> free_window plan
+              | [ _ ] -> Frag { src = n.id; index = 0 }
+              | _ -> Free
             in
             let op_name =
               if n.label = "" then "op" ^ string_of_int n.id else n.label
             in
-            mk ctx windows ~label:op_name
+            mk ctx srcs ~label:op_name
               ~origin:{ orig_op = op_name; orig_lo = 0; orig_hi = n.width - 1 }
-              ~window Add ~width:n.width mapped_operands
-        | Add, frags ->
-            build_fragments ctx windows plan n ~mapped_operands frags
+              ~src Add ~width:n.width mapped_operands
+        | Add, frags -> build_fragments ctx srcs n ~mapped_operands frags
         | _ ->
-            mk ctx windows ~label:n.label ?origin:n.origin
-              ~window:(free_window plan) n.kind ~width:n.width mapped_operands)
+            mk ctx srcs ~label:n.label ?origin:n.origin ~src:Free n.kind
+              ~width:n.width mapped_operands)
   in
-  let windows = Array.of_list (List.rev !windows) in
-  assert (Array.length windows = Graph.node_count g);
-  { graph = g; plan; source = graph; windows }
+  let window_srcs = Array.of_list (List.rev !srcs) in
+  assert (Array.length window_srcs = Graph.node_count g);
+  { graph = g; plan; source = graph; windows = windows_of plan window_srcs;
+    window_srcs }
+
+(* Every node cut at the same [f_lo]/[f_hi] runs ([[]] and [[f]] differ:
+   the first copies an addition with a free window). *)
+let same_cuts (a : Mobility.plan) (b : Mobility.plan) =
+  let cut (x : Mobility.frag) (y : Mobility.frag) =
+    x.f_lo = y.f_lo && x.f_hi = y.f_hi
+  in
+  Array.length a.per_node = Array.length b.per_node
+  && Array.for_all2 (List.equal cut) a.per_node b.per_node
+
+(** Apply the fragmentation plan to a kernel-form graph, reusing [like]'s
+    graph when it was built from this very graph with the same cuts. *)
+let apply ?like graph plan =
+  match like with
+  | Some l when l.source == graph && same_cuts l.plan plan ->
+      { l with plan; windows = windows_of plan l.window_srcs }
+  | _ -> build graph plan
 
 (** Convenience: plan + apply in one step.  [net]/[arrival] are forwarded
     to {!Mobility.compute} so sweeps can share them across latencies. *)
-let run ?n_bits ?policy ?net ?arrival graph ~latency =
-  apply graph (Mobility.compute ?n_bits ?policy ?net ?arrival graph ~latency)
+let run ?like ?n_bits ?policy ?net ?arrival graph ~latency =
+  apply ?like graph
+    (Mobility.compute ?n_bits ?policy ?net ?arrival graph ~latency)
 
 (** Number of additive operations in the transformed specification (the
     paper's "+34 % operations" metric numerator). *)

@@ -75,10 +75,21 @@ let improve ?(balance = true) ?(verify = false) ?(max_rounds = 8) ?policy
   (* Re-plan the source kernel at [target] cycles, same chaining budget,
      and build the re-planned graph's net once for both attempts.
      [net]/[arrival] belong to the source kernel and are latency-
-     independent, so one pair serves every round. *)
-  let replan target =
-    match Transform.run ~n_bits ?policy ?net ?arrival source ~latency:target with
-    | tr -> Some (tr, Hls_timing.Bitnet.build tr.Transform.graph)
+     independent, so one pair serves every round.  At a fixed [n_bits] a
+     shorter latency moves every ALAP earlier but usually no cut, so the
+     incumbent's graph and net come back unchanged (see
+     {!Transform.apply}). *)
+  let replan (best : Frag_sched.t) target =
+    let like = best.Frag_sched.transformed in
+    match
+      Transform.run ~like ~n_bits ?policy ?net ?arrival source ~latency:target
+    with
+    | tr ->
+        let net =
+          if tr.Transform.graph == like.Transform.graph then best.Frag_sched.net
+          else Hls_timing.Bitnet.build tr.Transform.graph
+        in
+        Some (tr, net)
     | exception e -> (
         match Hls_fragment.Mobility.infeasibility_of_exn e with
         | Some _ -> None
@@ -143,7 +154,7 @@ let improve ?(balance = true) ?(verify = false) ?(max_rounds = 8) ?policy
     with
     | Some _ -> reject Certified
     | None -> (
-        match T.with_span "iter.replan" (fun () -> replan target) with
+        match T.with_span "iter.replan" (fun () -> replan best target) with
         | None -> reject Greedy_stuck
         | Some ((tr, _) as planned) -> (
             let pin = Subgraph.pin_for sg tr.Transform.graph in

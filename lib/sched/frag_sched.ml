@@ -87,7 +87,13 @@ let schedule ?(balance = true) ?chain_cap ?pin ?net (tr : Transform.t) =
     | Some c -> raise (Infeasible (Printf.sprintf "chain cap %d below 1 δ" c))
   in
   let n_nodes = Graph.node_count g in
-  let net = match net with Some n -> n | None -> Bitnet.build g in
+  let net =
+    match net with
+    | Some n when n.Bitnet.graph != g ->
+        invalid_arg "Frag_sched.schedule: net of another graph"
+    | Some n -> n
+    | None -> Bitnet.build g
+  in
   let bit_base = net.Bitnet.bit_base
   and dep_off = net.Bitnet.dep_off
   and flat_deps = net.Bitnet.flat_deps

@@ -41,7 +41,8 @@ val bit_time : t -> Hls_dfg.Types.node_id -> int -> bit_time
 (** Schedule a transformed specification; raises {!Infeasible} when some
     fragment has no feasible cycle in its window.  The feasibility probe
     runs on a prebuilt {!Hls_timing.Bitnet} ([net] when given, else built
-    here).
+    here); raises [Invalid_argument] when [net] was built from another
+    graph than [tr.graph] (physical equality).
 
     [chain_cap] tightens the per-cycle chaining budget below the clock
     period: no bit may settle later than δ slot [min chain_cap n_bits] of

@@ -74,6 +74,10 @@ let dep_self_bit d = d lsr 1
 let dep_node_id d = d lsr (bit_shift + 1)
 let dep_node_bit d = (d lsr 1) land bit_mask
 
+(* Int-typed [max]: [Stdlib.max] is polymorphic and compares through the
+   runtime. *)
+let imax (a : int) b = if a >= b then a else b
+
 let pack_self j = j lsl 1
 let pack_node id i = (((id lsl bit_shift) lor i) lsl 1) lor 1
 
@@ -143,7 +147,7 @@ let emit_node deps cost dep_off ~base (n : node) =
       let max_operand_width () =
         let w = ref 1 in
         for i = 0 to n_ops - 1 do
-          w := max !w (Operand.width ops.(i))
+          w := imax !w (Operand.width ops.(i))
         done;
         !w
       in
@@ -179,25 +183,39 @@ let emit_node deps cost dep_off ~base (n : node) =
         in
         emit sorted
       in
-      let two_op_adder ~cin operands pos =
-        let cover =
-          List.fold_left
-            (fun acc (o : operand) ->
-              match o.ext with
-              | Sext -> max_int
-              | Zext -> max acc (Operand.width o))
-            0 operands
-        in
+      (* Adders ripple over their first [summands] operands; an [Add]'s
+         optional third operand is a carry in, read at bit 0 only.  The
+         summands cover the positions below [cover] (all of them once one
+         sign-extends); above it only the carry ripples on. *)
+      let summands =
+        match n.kind with
+        | Add ->
+            if n_ops = 2 || n_ops = 3 then 2
+            else invalid_arg "Bitnet: malformed add"
+        | Sub | Neg -> n_ops
+        | _ -> 0
+      in
+      let cover =
+        let c = ref 0 in
+        for i = 0 to summands - 1 do
+          let o = ops.(i) in
+          c :=
+            match o.ext with
+            | Sext -> max_int
+            | Zext -> imax !c (Operand.width o)
+        done;
+        !c
+      in
+      let adder_bit pos =
         if pos < cover then begin
-          List.iter (fun o -> push_operand_bit o pos) operands;
+          for i = 0 to summands - 1 do
+            push_operand_bit ops.(i) pos
+          done;
           push_carry pos;
-          (if pos = 0 then
-             match cin with
-             | Some (c : operand) -> (
-                 match c.src with
-                 | Node id -> ivec_push deps (pack_node id c.lo)
-                 | Input _ | Const _ -> ())
-             | None -> ());
+          (if pos = 0 && summands < n_ops then
+             match ops.(summands).src with
+             | Node id -> ivec_push deps (pack_node id ops.(summands).lo)
+             | Input _ | Const _ -> ());
           1
         end
         else begin
@@ -208,12 +226,7 @@ let emit_node deps cost dep_off ~base (n : node) =
       for pos = 0 to n.width - 1 do
         let c =
           match n.kind with
-          | Add -> (
-              match n.operands with
-              | [ a; b ] -> two_op_adder ~cin:None [ a; b ] pos
-              | [ a; b; c ] -> two_op_adder ~cin:(Some c) [ a; b ] pos
-              | _ -> invalid_arg "Bitnet: malformed add")
-          | Sub | Neg -> two_op_adder ~cin:None n.operands pos
+          | Add | Sub | Neg -> adder_bit pos
           | Mul ->
               push_mul_intervals pos;
               push_carry pos;
@@ -319,13 +332,19 @@ let derive graph ~bit_base ~cost ~dep_off ~deps =
     for k = dep_off.(bit_base.(id)) to dep_off.(bit_base.(id + 1)) - 1 do
       let d = deps.(k) in
       if not (dep_is_self d) then
-        lvl := max !lvl (node_level.(dep_node_id d) + 1)
+        lvl := imax !lvl (node_level.(dep_node_id d) + 1)
     done;
     node_level.(id) <- !lvl
   done;
   let n_levels =
     if n_nodes = 0 then 0
-    else 1 + Array.fold_left max 0 (Array.sub node_level 0 n_nodes)
+    else begin
+      let top = ref 0 in
+      for id = 0 to n_nodes - 1 do
+        top := imax !top node_level.(id)
+      done;
+      1 + !top
+    end
   in
   let level_off = Array.make (n_levels + 1) 0 in
   for id = 0 to n_nodes - 1 do

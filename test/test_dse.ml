@@ -441,6 +441,76 @@ let test_explore_matches_serial () =
         (Json.to_string ~indent:true (strip_wall (Explore.to_json r))))
     [ 1; 4 ]
 
+(* The per-kernel fragment memo changes no answer: an explore over a
+   window that crosses a chaining-budget change (elliptic: 5 δ at λ 5,
+   4 δ at λ 6 and 7, 3 δ at λ 8), both policies, one and two workers,
+   against memo-less [Pipeline.run] per point.  Coalesced is infeasible
+   at some of these points, so failures are compared too. *)
+let test_explore_memo_matches_per_point () =
+  let g = Hls_workloads.Benchmarks.elliptic () in
+  let latencies = [ 5; 6; 7; 8 ] in
+  let space = make_space ~latencies ~policies:[ `Full; `Coalesced ] () in
+  let p = P.prepare g in
+  let plan latency =
+    Hls_fragment.Mobility.compute ~net:p.P.p_net ~arrival:p.P.p_arrival
+      p.P.p_kernel ~latency
+  in
+  Alcotest.(check (list int)) "chaining budgets" [ 5; 4; 4; 3 ]
+    (List.map (fun l -> (plan l).Hls_fragment.Mobility.n_bits) latencies);
+  (* The window does hold a reuse: λ 7 cuts as λ 6 does. *)
+  let t6 = Hls_fragment.Transform.apply p.P.p_kernel (plan 6) in
+  Alcotest.(check bool) "λ 6 and 7 share a graph" true
+    ((Hls_fragment.Transform.apply ~like:t6 p.P.p_kernel (plan 7)).graph
+    == t6.graph);
+  let outcome (job : Space.job) =
+    let config =
+      P.make_config ~lib:job.Space.lib ~policy:job.Space.policy
+        ~balance:job.Space.balance ~iterate:job.Space.iterate ()
+    in
+    match P.run config p ~latency:job.Space.latency with
+    | Ok r -> Ok (Cache.metrics_of_report r.P.opt_report)
+    | Error f -> Error (Hls_util.Failure.to_string f)
+  in
+  let jobs = Space.jobs space in
+  let serial = List.map (fun j -> (Space.job_key j, outcome j)) jobs in
+  let serial_frontier =
+    List.filter_map
+      (fun (j : Space.job) ->
+        match outcome j with
+        | Ok metrics ->
+            Some
+              { Explore.job = j; metrics; from_cache = false; degraded = false;
+                attempts = 1; wall_s = 0. }
+        | Error _ -> None)
+      jobs
+    |> Pareto.frontier ~objectives:Explore.objectives
+    |> List.map (fun pt -> (Space.job_key pt.Explore.job, pt.Explore.metrics))
+  in
+  Alcotest.(check bool) "some points fail" true
+    (List.exists (fun (_, o) -> Result.is_error o) serial);
+  List.iter
+    (fun workers ->
+      let r = Explore.run ~workers g space in
+      let tag = Printf.sprintf "workers=%d" workers in
+      let got =
+        List.map
+          (fun pt -> (Space.job_key pt.Explore.job, Ok pt.Explore.metrics))
+          r.Explore.points
+        @ List.map
+            (fun f ->
+              ( Space.job_key f.Explore.f_job,
+                Error (Hls_util.Failure.to_string f.Explore.f_class) ))
+            r.Explore.failures
+      in
+      Alcotest.(check bool) (tag ^ " points and failures") true
+        (List.sort compare got = List.sort compare serial);
+      Alcotest.(check bool) (tag ^ " frontier") true
+        (List.map
+           (fun pt -> (Space.job_key pt.Explore.job, pt.Explore.metrics))
+           r.Explore.frontier
+        = serial_frontier))
+    [ 1; 2 ]
+
 let test_explore_survives_infeasible () =
   (* The coalesced policy is infeasible at some elliptic latencies: the
      sweep must record those failures and keep the feasible points. *)
@@ -519,6 +589,8 @@ let suite =
     Alcotest.test_case "pool per-job timeout" `Quick test_pool_timeout;
     Alcotest.test_case "explore = serial pipeline" `Quick
       test_explore_matches_serial;
+    Alcotest.test_case "explore memo = per-point run" `Quick
+      test_explore_memo_matches_per_point;
     Alcotest.test_case "explore survives infeasible" `Quick
       test_explore_survives_infeasible;
     Alcotest.test_case "feedback refines latency" `Quick

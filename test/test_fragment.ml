@@ -351,6 +351,57 @@ let prop_lowered_behavioural_graphs_fragment =
         ~prng:(Hls_util.Prng.create ~seed:(seed + 3))
       = Ok ())
 
+(* Re-planning against the previous latency's transform: [apply ~like]
+   answers exactly what a fresh [apply] answers (graph digest, windows,
+   plan), and hands back the earlier graph itself exactly when every node
+   is cut at the same bits.  Every catalog workload, λ 2–22, both
+   policies; each reuse is the [like] of the next latency. *)
+let test_apply_like_matches_fresh () =
+  let module Catalog = Hls_workloads.Catalog in
+  let cuts (p : Mobility.plan) =
+    Array.map
+      (List.map (fun (f : Mobility.frag) -> (f.f_lo, f.f_hi)))
+      p.Mobility.per_node
+  in
+  let shared = ref 0 and rebuilt = ref 0 in
+  List.iter
+    (fun e ->
+      let kernel = Extract.run (Catalog.graph e) in
+      let net = Hls_timing.Bitnet.build kernel in
+      let arrival = Hls_timing.Arrival.of_net net in
+      List.iter
+        (fun policy ->
+          let prev = ref None in
+          for latency = 2 to 22 do
+            match Mobility.compute ~policy ~net ~arrival kernel ~latency with
+            | exception Invalid_argument _ -> prev := None
+            | plan ->
+                let fresh = Transform.apply kernel plan in
+                let tag =
+                  Printf.sprintf "%s λ%d %s" e.Catalog.name latency
+                    (Hls_dse.Space.policy_name policy)
+                in
+                (match !prev with
+                | None -> prev := Some fresh
+                | Some (like : Transform.t) ->
+                    let tr = Transform.apply ~like kernel plan in
+                    Alcotest.(check string) (tag ^ " digest")
+                      (Graph.digest fresh.graph) (Graph.digest tr.graph);
+                    Alcotest.(check bool) (tag ^ " windows") true
+                      (fresh.windows = tr.windows);
+                    Alcotest.(check bool) (tag ^ " plan") true
+                      (tr.plan == plan);
+                    let same = cuts like.plan = cuts plan in
+                    Alcotest.(check bool) (tag ^ " shared iff same cuts") same
+                      (tr.graph == like.graph);
+                    incr (if same then shared else rebuilt);
+                    prev := Some tr)
+          done)
+        [ `Full; `Coalesced ])
+    (Catalog.all ());
+  Alcotest.(check bool) "some graphs shared" true (!shared > 0);
+  Alcotest.(check bool) "some graphs rebuilt" true (!rebuilt > 0)
+
 let suite =
   [
     Alcotest.test_case "fig3 fragments (paper)" `Quick test_fig3_fragments;
@@ -371,6 +422,8 @@ let suite =
       test_transform_carry_chain_shape;
     Alcotest.test_case "windows cover fragments" `Quick
       test_transform_windows_cover_fragments;
+    Alcotest.test_case "apply ~like = fresh apply" `Slow
+      test_apply_like_matches_fresh;
     Alcotest.test_case "paper pseudocode: uniform window" `Quick
       test_paper_pseudocode_uniform_window;
     Alcotest.test_case "paper pseudocode: Fig 3 A" `Quick

@@ -294,6 +294,24 @@ let prop_schedule_shared_net =
           let unpinned = run ~net () in
           pinned = run ~pin () && unpinned = run ())
 
+(* A net is only ever read as the net of the graph being scheduled: one
+   built from another graph — even a structurally identical rebuild — is
+   refused rather than silently misread. *)
+let test_schedule_rejects_foreign_net () =
+  let g = Option.get (Hls_workloads.Catalog.find_graph "fir8") in
+  let kernel = (P.prepare g).P.p_kernel in
+  let module Transform = Hls_fragment.Transform in
+  let tr = Transform.run kernel ~latency:8 in
+  let rebuilt = Transform.apply kernel tr.Transform.plan in
+  let other = Transform.run kernel ~latency:4 in
+  List.iter
+    (fun (what, (donor : Transform.t)) ->
+      match Frag_sched.schedule ~net:(Bitnet.build donor.graph) tr with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "net of %s accepted" what)
+    [ ("another latency's graph", other); ("a rebuilt graph", rebuilt) ];
+  ignore (Frag_sched.schedule ~net:(Bitnet.build tr.graph) tr)
+
 (* An armed iterate names the insides of each round: one iter.extract
    and one iter.witness per round, one iter.replan per round that got
    past the witness, and at least one iter.schedule per re-plan. *)
@@ -338,6 +356,8 @@ let suite =
     Alcotest.test_case "extraction invariants" `Quick
       test_extraction_invariants;
     Alcotest.test_case "round spans" `Quick test_round_spans;
+    Alcotest.test_case "schedule rejects a foreign net" `Quick
+      test_schedule_rejects_foreign_net;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
