@@ -422,8 +422,6 @@ let suite =
       test_transform_carry_chain_shape;
     Alcotest.test_case "windows cover fragments" `Quick
       test_transform_windows_cover_fragments;
-    Alcotest.test_case "apply ~like = fresh apply" `Slow
-      test_apply_like_matches_fresh;
     Alcotest.test_case "paper pseudocode: uniform window" `Quick
       test_paper_pseudocode_uniform_window;
     Alcotest.test_case "paper pseudocode: Fig 3 A" `Quick
@@ -432,6 +430,8 @@ let suite =
       test_paper_pseudocode_standalone_16;
     Alcotest.test_case "paper pseudocode: rejects" `Quick
       test_paper_pseudocode_rejects;
+    Alcotest.test_case "apply ~like = fresh apply" `Slow
+      test_apply_like_matches_fresh;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
