@@ -97,8 +97,10 @@ iter-smoke:
 # Tiny-iteration run of the timing bench (reference vs Bitnet pairs) and a
 # sanity check of the JSON it emits.  --assert additionally times the
 # arrival/deadline kernels and the binder against their references on
-# every registry workload, and the equivalence checker against its
-# oracle on every non-stress one, and fails loudly if any is slower — a
+# every registry workload, the equivalence checker against its oracle on
+# every non-stress one, and the Verilog printer against its pre-rewrite
+# oracle on dct8, random240 and one generated design, and fails loudly
+# if any is slower — a
 # perf regression gate, not just a smoke test.  Then a random480 report
 # (whose equivalence check took 25 s with the per-vector checker) must
 # finish within 10 s.  The full-quota run that regenerates the

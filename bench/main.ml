@@ -903,6 +903,55 @@ let timing () =
                 latencies))
       workloads
   in
+  (* RTL printing: the buffer-writing Verilog printer against the
+     pre-rewrite Printf printer it replaced ([Hls_oracle.Rtl_oracle]), on
+     one elaborated netlist each — dct8 and random240 at λ 14 and the
+     first generated design of the cold benchmark's shape (standard
+     recipe, λ 4) that the flow accepts. *)
+  let emit_designs =
+    let rec cold prng =
+      let profile =
+        { Hls_fuzz.Gen.default_profile with
+          n_inputs = 5; n_stmts = 14; n_outputs = 3; depth = 3;
+          max_width = 16 }
+      in
+      match
+        Hls_speclang.Elaborate.from_string_result
+          (Hls_fuzz.Gen.source prng profile)
+      with
+      | Ok g when Hls_dfg.Graph.behavioural_op_count g >= 20 -> (
+          match
+            P.run_graph
+              (P.make_config
+                 ~transform:(Hls_xform.Recipe.of_string_exn "standard") ())
+              g ~latency:4
+          with
+          | Ok r -> r.P.schedule
+          | Error _ -> cold prng)
+      | _ -> cold prng
+    in
+    [
+      ("dct8", (optimized (registry "dct8") ~latency:14).P.schedule);
+      ("random240", (optimized (registry "random240") ~latency:14).P.schedule);
+      ("cold", cold (Hls_util.Prng.create ~seed:1));
+    ]
+  in
+  let tests =
+    tests
+    @ List.concat_map
+        (fun (wname, s) ->
+          let nl = Hls_rtl.Elaborate_netlist.elaborate s in
+          let name side = Printf.sprintf "%s/emit/%s" wname side in
+          pairs := (wname, "emit", name "ref", name "net") :: !pairs;
+          [
+            Test.make ~name:(name "ref")
+              (Staged.stage (fun () ->
+                   ignore (Hls_oracle.Rtl_oracle.Verilog.emit nl)));
+            Test.make ~name:(name "net")
+              (Staged.stage (fun () -> ignore (Hls_rtl.Verilog.emit nl)));
+          ])
+        emit_designs
+  in
   (* Telemetry overhead: the same prepared-pipeline sweep with the sink
      disarmed vs armed (metrics mode).  Disarmed it is byte-for-byte the
      adpcm/pipeline_sweep/net computation — its delta from that row is
@@ -1120,8 +1169,9 @@ let timing () =
   if json then
     write_ledger out [ ("equivalence", equivalence_json ~quick equivalence) ];
   if assert_mode then begin
-    (* A timing kernel, the binder or the equivalence checker slower than
-       its retained reference is a regression, not a tradeoff — fail the
+    (* A timing kernel, the binder, the Verilog printer or the
+       equivalence checker slower than its retained reference is a
+       regression, not a tradeoff — fail the
        build loudly.  So is a checker verdict the oracle disagrees with. *)
     let failed = ref false in
     List.iter
@@ -1139,7 +1189,10 @@ let timing () =
       equivalence;
     List.iter
       (fun (w, a, _, _, s) ->
-        if (a = "arrival" || a = "deadline" || a = "bind") && s < 1.0 then begin
+        if
+          (a = "arrival" || a = "deadline" || a = "bind" || a = "emit")
+          && s < 1.0
+        then begin
           failed := true;
           Printf.eprintf "bench-assert: %s/%s at %.2fx, slower than its \
                           reference\n" w a s
@@ -1249,8 +1302,9 @@ let timing () =
              | _ -> Printf.printf "bench-assert: fuzz section within bounds\n")));
     if !failed then exit 1;
     print_endline
-      "bench-assert: ok (arrival and deadline kernels, the binder and the \
-       equivalence checker at or above their references on every workload)"
+      "bench-assert: ok (arrival and deadline kernels, the binder, the \
+       Verilog printer and the equivalence checker at or above their \
+       references on every workload)"
   end
 
 (* ------------------------------------------------------------------ *)

@@ -189,8 +189,11 @@ let intern_ops (s : Frag_sched.t) =
    cycle-compatible adders the packer prefers the one whose already-bound
    fragments read the most of the candidate's operand configurations —
    interconnect-aware binding that cuts the steering multiplexers the
-   fragmented datapath otherwise pays — then the least width growth.
-   Candidates are scanned newest adder first and the first maximum wins.
+   fragmented datapath otherwise pays — and among equal votes the newest
+   adder.  No width tie-break is needed: operations arrive widest first,
+   so every adder that exists when one is placed is already at least as
+   wide as it and hosting it grows none.  The choice therefore reduces to
+   the newest fitting adder (zero votes) against the voted ones.
 
    An adder's active cycles are an int bitmask, or a {!Wordset} when the
    latency does not fit one word.  Votes go through the inverted
@@ -225,12 +228,16 @@ let pack (s : Frag_sched.t) t =
   let cfg_held = Array.make t.n_cfgs (-1) in
   let mine = Array.make t.n_cfgs 0 in
   let n_fu = ref 0 in
+  (* The adders that received a vote this generation, in [voted]. *)
+  let voted = Array.make n_ops 0 and n_voted = ref 0 in
   let rec vote gen = function
     | [] -> ()
     | a :: rest ->
         if fu_gen.(a) <> gen then begin
           fu_gen.(a) <- gen;
-          fu_votes.(a) <- 1
+          fu_votes.(a) <- 1;
+          voted.(!n_voted) <- a;
+          incr n_voted
         end
         else fu_votes.(a) <- fu_votes.(a) + 1;
         vote gen rest
@@ -270,23 +277,24 @@ let pack (s : Frag_sched.t) t =
       while !first >= 0 && not (fits !first) do
         decr first
       done;
-      let best = ref (-1) and best_votes = ref 0 and best_growth = ref 0 in
+      let best = ref !first in
       if !first >= 0 then begin
+        n_voted := 0;
         for i = 0 to m - 1 do
           vote gen cfg_fus.(mine.(i))
         done;
-        for a = !first downto 0 do
-          if fits a then begin
-            let votes = if fu_gen.(a) = gen then fu_votes.(a) else 0 in
-            let growth = -max 0 (w - fu_width.(a)) in
-            if
-              !best < 0 || votes > !best_votes
-              || (votes = !best_votes && growth > !best_growth)
-            then begin
-              best := a;
-              best_votes := votes;
-              best_growth := growth
-            end
+        let best_votes =
+          ref (if fu_gen.(!first) = gen then fu_votes.(!first) else 0)
+        in
+        for j = 0 to !n_voted - 1 do
+          let a = voted.(j) in
+          let votes = fu_votes.(a) in
+          if
+            (votes > !best_votes || (votes = !best_votes && a > !best))
+            && fits a
+          then begin
+            best := a;
+            best_votes := votes
           end
         done
       end;

@@ -104,6 +104,12 @@ let run_or_raise cfg p ~latency =
   | Ok r -> r
   | Error f -> raise (Failure.Flow_failure f)
 
+(* The verbs that read only the schedule skip binding. *)
+let schedule_or_raise cfg p ~latency =
+  match P.run_schedule cfg p ~latency with
+  | Ok r -> r
+  | Error f -> raise (Failure.Flow_failure f)
+
 let emitted_spec tg =
   match Hls_speclang.Emit.emit tg with
   | src -> src
@@ -372,8 +378,7 @@ let stage t req =
           with_config config (fun cfg p ->
               Pure
                 (fun () ->
-                  let r = run_or_raise cfg p ~latency in
-                  let s = r.P.schedule in
+                  let s, _ = schedule_or_raise cfg p ~latency in
                   let rows =
                     List.init latency (fun i ->
                         {
@@ -499,13 +504,11 @@ let stage t req =
           with_config config (fun cfg p ->
               Pure
                 (fun () ->
-                  let r = run_or_raise cfg p ~latency in
+                  let s, _ = schedule_or_raise cfg p ~latency in
                   let prng = Hls_util.Prng.create ~seed in
                   let inputs = Hls_sim.random_inputs g prng in
                   let reference = Hls_sim.outputs g ~inputs in
-                  let netlist =
-                    Hls_rtl.Elaborate_netlist.elaborate r.P.schedule
-                  in
+                  let netlist = Hls_rtl.Elaborate_netlist.elaborate s in
                   let gates =
                     Hls_rtl.Netlist.run netlist ~cycles:latency ~inputs
                   in
@@ -539,14 +542,19 @@ let stage t req =
           with_config config (fun cfg p ->
               Pure
                 (fun () ->
-                  let r = run_or_raise cfg p ~latency in
+                  let s, _ = schedule_or_raise cfg p ~latency in
                   let name = Hls_speclang.Names.sanitize (Graph.name g) in
-                  let nl = Hls_rtl.Elaborate_netlist.elaborate r.P.schedule in
+                  let nl = Hls_rtl.Elaborate_netlist.elaborate s in
+                  let print f =
+                    Hls_telemetry.with_span ~cat:"rtl" "rtl.emit" f
+                  in
                   let text =
                     match format with
                     | Request.Vhdl -> assert false (* handled above *)
-                    | Request.Vhdl_netlist -> Hls_rtl.Vhdl_netlist.emit ~name nl
-                    | Request.Verilog -> Hls_rtl.Verilog.emit ~name nl
+                    | Request.Vhdl_netlist ->
+                        print (fun () -> Hls_rtl.Vhdl_netlist.emit ~name nl)
+                    | Request.Verilog ->
+                        print (fun () -> Hls_rtl.Verilog.emit ~name nl)
                     | Request.Verilog_tb ->
                         let prng = Hls_util.Prng.create ~seed:7 in
                         let vectors =
@@ -554,9 +562,10 @@ let stage t req =
                               let inputs = Hls_sim.random_inputs g prng in
                               (inputs, Hls_sim.outputs g ~inputs))
                         in
-                        Hls_rtl.Verilog.emit ~name nl ^ "\n"
-                        ^ Hls_rtl.Verilog.testbench ~name nl ~cycles:latency
-                            ~vectors
+                        print (fun () ->
+                            Hls_rtl.Verilog.emit ~name nl ^ "\n"
+                            ^ Hls_rtl.Verilog.testbench ~name nl
+                                ~cycles:latency ~vectors)
                   in
                   Response.Emitted { format; text }))
       | Request.Iterate { latency; rounds; config; _ } ->
@@ -564,9 +573,9 @@ let stage t req =
               let cfg = { cfg with P.iterate = max 1 rounds } in
               Pure
                 (fun () ->
-                  match P.run_iterated cfg p ~latency with
-                  | Error f -> raise (Failure.Flow_failure f)
-                  | Ok (_, o) ->
+                  match schedule_or_raise cfg p ~latency with
+                  | _, None -> assert false (* cfg.iterate >= 1 *)
+                  | _, Some o ->
                       let round (r : Hls_iter.Iter.round) =
                         {
                           Response.ir_index = r.Hls_iter.Iter.r_index;

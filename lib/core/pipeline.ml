@@ -174,12 +174,12 @@ type frag_memo =
 
 let frag_memo () = Atomic.make None
 
-(** The per-point suffix of the optimized flow on prepared timing state:
-    cycle estimation + fragmentation ([policy]), fragment scheduling
-    ([balance]), dedicated-adder binding.  The kernel's net and arrival are
-    reused, so a latency sweep pays for them once. *)
-let optimized_of_prepared ?(lib = Hls_techlib.default) ?policy ?balance
-    ?(iterate = 0) ?memo p ~latency =
+(* The scheduling half of the per-point suffix on prepared timing state:
+   cycle estimation + fragmentation ([policy]), fragment scheduling
+   ([balance]), then [iterate] rounds of the feedback loop when asked.
+   The kernel's net and arrival are reused, so a latency sweep pays for
+   them once. *)
+let schedule_of_prepared ?policy ?balance ?(iterate = 0) ?memo p ~latency =
   (* Transform.run = Mobility.compute + Transform.apply; split here so the
      two phases span separately. *)
   let plan =
@@ -211,16 +211,22 @@ let optimized_of_prepared ?(lib = Hls_techlib.default) ?policy ?balance
      the one-shot's, so binding the iterated schedule is never worse than
      binding the one-shot.  The kernel's net and arrival serve every
      re-planning round. *)
-  let schedule, iteration =
-    if iterate > 0 then begin
-      let o =
-        span "iterate" (fun () ->
-            Hls_iter.Iter.improve ?balance ?policy ~net:p.p_net
-              ~arrival:p.p_arrival ~max_rounds:iterate schedule)
-      in
-      (o.Hls_iter.Iter.o_schedule, Some o)
-    end
-    else (schedule, None)
+  if iterate > 0 then begin
+    let o =
+      span "iterate" (fun () ->
+          Hls_iter.Iter.improve ?balance ?policy ~net:p.p_net
+            ~arrival:p.p_arrival ~max_rounds:iterate schedule)
+    in
+    (transformed, o.Hls_iter.Iter.o_schedule, Some o)
+  end
+  else (transformed, schedule, None)
+
+(** The per-point suffix of the optimized flow: {!schedule_of_prepared},
+    then dedicated-adder binding and the report. *)
+let optimized_of_prepared ?(lib = Hls_techlib.default) ?policy ?balance
+    ?iterate ?memo p ~latency =
+  let transformed, schedule, iteration =
+    schedule_of_prepared ?policy ?balance ?iterate ?memo p ~latency
   in
   let dp = span "bind" (fun () -> Hls_alloc.Bind_frag.bind schedule) in
   {
@@ -244,6 +250,15 @@ let run ?memo config p ~latency =
       ~balance:config.balance ~iterate:config.iterate ?memo p ~latency
   with
   | r -> Ok r
+  | exception e -> Error (classify_exn e)
+
+(** {!run} without binding, for callers that only read the schedule. *)
+let run_schedule config p ~latency =
+  match
+    schedule_of_prepared ~policy:config.policy ~balance:config.balance
+      ~iterate:config.iterate p ~latency
+  with
+  | _, schedule, iteration -> Ok (schedule, iteration)
   | exception e -> Error (classify_exn e)
 
 (** Like {!run} with iteration forced on (at least one round), returning

@@ -120,9 +120,22 @@ val run :
   ?memo:frag_memo -> config -> prepared -> latency:int ->
   (optimized_result, Hls_util.Failure.t) result
 
+(** {!run} without the binding step: cycle estimation → fragmentation →
+    fragment scheduling, then [config.iterate] rounds of the feedback
+    loop, returning the final schedule and the loop's audit ([None] when
+    [config.iterate = 0]).  For the verbs that read only the schedule
+    (schedule, emit, simulate, iterate): they never pay for a datapath
+    they would throw away.  Same failures as {!run}. *)
+val run_schedule :
+  config -> prepared -> latency:int ->
+  ( Hls_sched.Frag_sched.t * Hls_iter.Iter.outcome option,
+    Hls_util.Failure.t )
+  result
+
 (** Like {!run} with iteration forced on (at least one round even when
     [config.iterate = 0]), returning the per-round audit alongside the
-    result — the [iterate] verb's entry point. *)
+    bound result.  The [iterate] verb reads only the audit and calls
+    {!run_schedule} instead. *)
 val run_iterated :
   config -> prepared -> latency:int ->
   (optimized_result * Hls_iter.Iter.outcome, Hls_util.Failure.t) result

@@ -33,7 +33,14 @@ type frag_run = {
 
 let run_fragment (s : Frag_sched.t) ~inputs =
   let g = Frag_sched.graph s in
-  let runs = Bind_frag.stored_runs s in
+  (* Stored runs indexed by node, so a cross-cycle read scans only the
+     runs of the node it reads. *)
+  let runs_of = Array.make (Graph.node_count g) [] in
+  List.iter
+    (fun (r : Bind_frag.stored_run) ->
+      runs_of.(r.Bind_frag.sr_node) <- r :: runs_of.(r.Bind_frag.sr_node))
+    (Bind_frag.stored_runs s);
+  let bit_base = s.Frag_sched.net.Hls_timing.Bitnet.bit_base in
   let values = Array.init (Graph.node_count g) (fun id ->
       Array.make (Graph.node g id).width false)
   in
@@ -55,7 +62,7 @@ let run_fragment (s : Frag_sched.t) ~inputs =
         let n = Graph.node g id in
         match n.kind with
         | Add ->
-            let produced = (Frag_sched.bit_time s id i).Frag_sched.bt_cycle in
+            let produced = s.Frag_sched.bit_cycle.(bit_base.(id) + i) in
             if check then begin
               if produced > cycle then
                 violation "bit %d of %s read in cycle %d before cycle %d" i
@@ -65,11 +72,10 @@ let run_fragment (s : Frag_sched.t) ~inputs =
                 let stored =
                   List.exists
                     (fun (r : Bind_frag.stored_run) ->
-                      r.Bind_frag.sr_node = id
-                      && i >= r.Bind_frag.sr_lo
+                      i >= r.Bind_frag.sr_lo
                       && i < r.Bind_frag.sr_lo + r.Bind_frag.sr_width
                       && r.Bind_frag.sr_to >= cycle)
-                    runs
+                    runs_of.(id)
                 in
                 if not stored then
                   violation

@@ -31,93 +31,73 @@ exception Error of string
 
 let error fmt = Format.kasprintf (fun m -> raise (Error m)) fmt
 
-type fu_site = { site_fu : int; site_offset : int }
-
+(* Every memo is an int array over the flat bit layout of the schedule's
+   dependency net: bit [i] of node [id] is slot [bit_base.(id) + i], so a
+   lookup is one load, with no tuple key to allocate or hash. *)
 type context = {
   nl : N.t;
   s : Frag_sched.t;
   g : Graph.t;
+  bit_base : int array;  (** the schedule net's flat bit index *)
   zero : N.net;
   one : N.net;
   state_q : N.net array;  (** one-hot state nets, index = cycle - 1 *)
-  site_of : (node_id, fu_site) Hashtbl.t;
+  site_fu : int array;  (** per node id: its FU, -1 for none *)
+  site_offset : int array;  (** per node id: its FA position on the FU *)
   sum_nets : N.net array array;  (** per fu, per position *)
   cout_nets : N.net array array;
-  runs : Bind_frag.stored_run list;
-  run_q : (Bind_frag.stored_run * N.net array) list;
-  input_nets : (string * int, N.net) Hashtbl.t;
-  glue_memo : (node_id * int * int, N.net) Hashtbl.t;
-  capture_memo : (node_id * int, N.net) Hashtbl.t;
-      (** port-capture flops for output bits not otherwise registered *)
+  runs_of : (Bind_frag.stored_run * N.net array) list array;
+      (** per node id: its stored runs and their capture nets, in
+          {!Bind_frag.stored_runs} order *)
+  input_nets : (string, N.net array) Hashtbl.t;
+      (** per input port, per bit: its pin, -1 until first read *)
+  glue_memo : N.net array;
+      (** per flat bit and read cycle: [(slot * (latency + 1)) + at], with
+          [at = 0] for the output glue rebuilt over captured nets *)
+  capture_memo : N.net array;
+      (** per flat bit: the port-capture net for an output bit not
+          otherwise registered *)
 }
 
 let input_net ctx ~port ~bit =
-  match Hashtbl.find_opt ctx.input_nets (port, bit) with
-  | Some n -> n
-  | None ->
-      let n = N.input_pin ctx.nl ~port ~bit in
-      Hashtbl.replace ctx.input_nets (port, bit) n;
-      n
+  let pins =
+    match Hashtbl.find_opt ctx.input_nets port with
+    | Some pins -> pins
+    | None ->
+        let width = (Graph.input_exn ctx.g port).port_width in
+        let pins = Array.make width (-1) in
+        Hashtbl.replace ctx.input_nets port pins;
+        pins
+  in
+  if pins.(bit) >= 0 then pins.(bit)
+  else begin
+    let n = N.input_pin ctx.nl ~port ~bit in
+    pins.(bit) <- n;
+    n
+  end
 
 let state_net ctx cycle = ctx.state_q.(cycle - 1)
+let produced ctx id i = ctx.s.Frag_sched.bit_cycle.(ctx.bit_base.(id) + i)
 
-(* The net carrying bit [i] of [src] during cycle [at]: combinational sum
-   wires in the production cycle, capture flip-flops afterwards, gates for
-   glue, pins for inputs. *)
-let rec value_net ctx (src, i) ~at =
-  match src with
-  | Input port -> input_net ctx ~port ~bit:i
-  | Const bv -> if Hls_bitvec.get bv i then ctx.one else ctx.zero
-  | Node id -> (
-      let n = Graph.node ctx.g id in
-      match n.kind with
-      | Add ->
-          let produced =
-            (Frag_sched.bit_time ctx.s id i).Frag_sched.bt_cycle
-          in
-          if produced = at then begin
-            match Hashtbl.find_opt ctx.site_of id with
-            | Some site -> ctx.sum_nets.(site.site_fu).(site.site_offset + i)
-            | None -> error "fragment %s has no FU site" n.label
-          end
-          else if produced < at then begin
-            match
-              List.find_opt
-                (fun ((r : Bind_frag.stored_run), _) ->
-                  r.Bind_frag.sr_node = id
-                  && i >= r.Bind_frag.sr_lo
-                  && i < r.Bind_frag.sr_lo + r.Bind_frag.sr_width
-                  && r.Bind_frag.sr_to >= at)
-                ctx.run_q
-            with
-            | Some (r, qs) -> qs.(i - r.Bind_frag.sr_lo)
-            | None ->
-                error "bit %d of %s read in cycle %d but never registered" i
-                  n.label at
-          end
-          else
-            error "bit %d of %s read in cycle %d before cycle %d" i n.label at
-              produced
-      | _ -> glue_net ctx n i ~at)
+(* The capture net of bit [i] of node [id] in the first of its stored
+   runs that holds the bit through cycle [upto]. *)
+let stored_net ctx id i ~upto =
+  let rec find = function
+    | [] -> None
+    | ((r : Bind_frag.stored_run), qs) :: rest ->
+        if
+          i >= r.Bind_frag.sr_lo
+          && i < r.Bind_frag.sr_lo + r.Bind_frag.sr_width
+          && r.Bind_frag.sr_to >= upto
+        then Some qs.(i - r.Bind_frag.sr_lo)
+        else find rest
+  in
+  find ctx.runs_of.(id)
 
-and glue_net ctx (n : node) i ~at =
-  match Hashtbl.find_opt ctx.glue_memo (n.id, i, at) with
-  | Some net -> net
-  | None ->
-      let net = build_glue ctx n i ~at in
-      Hashtbl.replace ctx.glue_memo (n.id, i, at) net;
-      net
-
-and operand_bit ctx (o : operand) pos ~at =
-  if pos < Operand.width o then value_net ctx (o.src, o.lo + pos) ~at
-  else
-    match o.ext with
-    | Zext -> ctx.zero
-    | Sext -> value_net ctx (o.src, o.hi) ~at
-
-and build_glue ctx (n : node) i ~at =
+(* One glue cell for bit [i] of [n], its operand bits read through
+   [bit]. *)
+let build_glue ctx (n : node) i ~bit =
   let op k = List.nth n.operands k in
-  let bit o pos = operand_bit ctx o pos ~at in
   match n.kind with
   | Not -> N.not_net ctx.nl (bit (op 0) i)
   | Wire -> bit (op 0) i
@@ -144,6 +124,61 @@ and build_glue ctx (n : node) i ~at =
         ctx.zero
         (Hls_util.List_ext.range 0 (Operand.width o))
   | k -> error "unexpected %s in a scheduled graph" (kind_to_string k)
+
+(* Bit [pos] of operand [o] through [value], extended per [o.ext]. *)
+let extend ctx (o : operand) pos ~value =
+  if pos < Operand.width o then value (o.src, o.lo + pos)
+  else
+    match o.ext with
+    | Zext -> ctx.zero
+    | Sext -> value (o.src, o.hi)
+
+(* The memoized net of bit [i] of glue node [n] read in cycle [at] (0 for
+   the output glue over captured nets), built through [bit] on a miss. *)
+let memo_glue ctx (n : node) i ~at ~bit =
+  let k =
+    ((ctx.bit_base.(n.id) + i) * (ctx.s.Frag_sched.latency + 1)) + at
+  in
+  let net = ctx.glue_memo.(k) in
+  if net >= 0 then net
+  else begin
+    let net = build_glue ctx n i ~bit in
+    ctx.glue_memo.(k) <- net;
+    net
+  end
+
+(* The net carrying bit [i] of [src] during cycle [at]: combinational sum
+   wires in the production cycle, capture flip-flops afterwards, gates for
+   glue, pins for inputs. *)
+let rec value_net ctx (src, i) ~at =
+  match src with
+  | Input port -> input_net ctx ~port ~bit:i
+  | Const bv -> if Hls_bitvec.get bv i then ctx.one else ctx.zero
+  | Node id -> (
+      let n = Graph.node ctx.g id in
+      match n.kind with
+      | Add ->
+          let produced = produced ctx id i in
+          if produced = at then begin
+            let fu = ctx.site_fu.(id) in
+            if fu >= 0 then ctx.sum_nets.(fu).(ctx.site_offset.(id) + i)
+            else error "fragment %s has no FU site" n.label
+          end
+          else if produced < at then begin
+            match stored_net ctx id i ~upto:at with
+            | Some q -> q
+            | None ->
+                error "bit %d of %s read in cycle %d but never registered" i
+                  n.label at
+          end
+          else
+            error "bit %d of %s read in cycle %d before cycle %d" i n.label at
+              produced
+      | _ ->
+          memo_glue ctx n i ~at ~bit:(fun o pos -> operand_bit ctx o pos ~at))
+
+and operand_bit ctx o pos ~at =
+  extend ctx o pos ~value:(fun b -> value_net ctx b ~at)
 
 (* Fragments bound to one FU, laid out per cycle: node-id order within a
    cycle keeps a lower fragment (the carry producer) below its upper
@@ -184,7 +219,9 @@ let elaborate (s : Frag_sched.t) =
     state_q;
   (* FU sites and result nets. *)
   let fus = Bind_frag.dedicated_fus s in
-  let site_of = Hashtbl.create 64 in
+  let n_nodes = Graph.node_count g in
+  let site_fu = Array.make n_nodes (-1) in
+  let site_offset = Array.make n_nodes 0 in
   let layouts =
     List.mapi
       (fun fu_idx (_, frags) ->
@@ -193,8 +230,8 @@ let elaborate (s : Frag_sched.t) =
           (fun (_, placed) ->
             List.iter
               (fun ((n : node), offset) ->
-                Hashtbl.replace site_of n.id
-                  { site_fu = fu_idx; site_offset = offset })
+                site_fu.(n.id) <- fu_idx;
+                site_offset.(n.id) <- offset)
               placed)
           per_cycle;
         per_cycle)
@@ -223,20 +260,26 @@ let elaborate (s : Frag_sched.t) =
          layouts)
   in
   (* Capture flip-flop nets for every stored run. *)
-  let runs = Bind_frag.stored_runs s in
   let run_q =
     List.map
       (fun (r : Bind_frag.stored_run) ->
         (r, Array.init r.Bind_frag.sr_width (fun _ -> N.fresh_net nl)))
-      runs
+      (Bind_frag.stored_runs s)
   in
+  let runs_of = Array.make n_nodes [] in
+  List.iter
+    (fun ((r : Bind_frag.stored_run), _ as run) ->
+      runs_of.(r.Bind_frag.sr_node) <- run :: runs_of.(r.Bind_frag.sr_node))
+    (List.rev run_q);
+  let bit_base = s.Frag_sched.net.Hls_timing.Bitnet.bit_base in
+  let total_bits = bit_base.(n_nodes) in
   let ctx =
     {
-      nl; s; g; zero; one; state_q; site_of; sum_nets; cout_nets; runs;
-      run_q;
-      input_nets = Hashtbl.create 64;
-      glue_memo = Hashtbl.create 256;
-      capture_memo = Hashtbl.create 64;
+      nl; s; g; bit_base; zero; one; state_q; site_fu; site_offset; sum_nets;
+      cout_nets; runs_of;
+      input_nets = Hashtbl.create 8;
+      glue_memo = Array.make (total_bits * (latency + 1)) (-1);
+      capture_memo = Array.make total_bits (-1);
     }
   in
   (* Steering and FA chains per FU. *)
@@ -322,74 +365,27 @@ let elaborate (s : Frag_sched.t) =
     | Node id -> (
         let n = Graph.node g id in
         match n.kind with
-        | Add -> (
-            match Hashtbl.find_opt ctx.capture_memo (id, i) with
-            | Some q -> q
-            | None ->
-                let q =
-                  (* A stored run's register already holds the bit from its
-                     production cycle onward. *)
-                  match
-                    List.find_opt
-                      (fun ((r : Bind_frag.stored_run), _) ->
-                        r.Bind_frag.sr_node = id
-                        && i >= r.Bind_frag.sr_lo
-                        && i < r.Bind_frag.sr_lo + r.Bind_frag.sr_width)
-                      ctx.run_q
-                  with
-                  | Some (r, qs) -> qs.(i - r.Bind_frag.sr_lo)
-                  | None ->
-                      let produced =
-                        (Frag_sched.bit_time ctx.s id i).Frag_sched.bt_cycle
-                      in
-                      let d = value_net ctx (Node id, i) ~at:produced in
-                      N.dff ctx.nl ~en:(state_net ctx produced) ~d ()
-                in
-                Hashtbl.replace ctx.capture_memo (id, i) q;
-                q)
-        | _ -> captured_glue n i)
-  and captured_glue (n : node) i =
-    match Hashtbl.find_opt ctx.glue_memo (n.id, i, -1) with
-    | Some q -> q
-    | None ->
-        let op k = List.nth n.operands k in
-        let bit (o : operand) pos =
-          if pos < Operand.width o then captured_net (o.src, o.lo + pos)
-          else
-            match o.ext with
-            | Zext -> ctx.zero
-            | Sext -> captured_net (o.src, o.hi)
-        in
-        let q =
-          match n.kind with
-          | Not -> N.not_net ctx.nl (bit (op 0) i)
-          | Wire -> bit (op 0) i
-          | And -> N.and_net ctx.nl (bit (op 0) i) (bit (op 1) i)
-          | Or -> N.or_net ctx.nl (bit (op 0) i) (bit (op 1) i)
-          | Xor -> N.xor_net ctx.nl (bit (op 0) i) (bit (op 1) i)
-          | Gate -> N.and_net ctx.nl (bit (op 0) i) (bit (op 1) 0)
-          | Mux ->
-              N.mux_net ctx.nl ~sel:(bit (op 0) 0) ~a:(bit (op 1) i)
-                ~b:(bit (op 2) i)
-          | Concat ->
-              let rec find offset = function
-                | [] -> ctx.zero
-                | o :: tl ->
-                    let w = Operand.width o in
-                    if i < offset + w then bit o (i - offset)
-                    else find (offset + w) tl
+        | Add ->
+            let k = bit_base.(id) + i in
+            if ctx.capture_memo.(k) >= 0 then ctx.capture_memo.(k)
+            else begin
+              let q =
+                (* A stored run's register already holds the bit from its
+                   production cycle onward ([upto:0]: any run, every
+                   [sr_to] is a cycle >= 1). *)
+                match stored_net ctx id i ~upto:0 with
+                | Some q -> q
+                | None ->
+                    let produced = produced ctx id i in
+                    let d = value_net ctx (Node id, i) ~at:produced in
+                    N.dff ctx.nl ~en:(state_net ctx produced) ~d ()
               in
-              find 0 n.operands
-          | Reduce_or ->
-              let o = op 0 in
-              List.fold_left
-                (fun acc pos -> N.or_net ctx.nl acc (bit o pos))
-                ctx.zero
-                (Hls_util.List_ext.range 0 (Operand.width o))
-          | k -> error "unexpected %s in a scheduled graph" (kind_to_string k)
-        in
-        Hashtbl.replace ctx.glue_memo (n.id, i, -1) q;
-        q
+              ctx.capture_memo.(k) <- q;
+              q
+            end
+        | _ ->
+            memo_glue ctx n i ~at:0 ~bit:(fun o pos ->
+                extend ctx o pos ~value:captured_net))
   in
   List.iter
     (fun (port, (o : operand)) ->

@@ -7,74 +7,156 @@
     executed — any external Verilog simulator replays the same hardware.
     {!testbench} wraps a design with golden vectors captured from the
     behavioural reference, giving a push-button cross-check in a standard
-    toolchain. *)
+    toolchain.
+
+    Both printers write straight into one [Buffer]: strings and
+    {!Rtl_text.add_int}'s digits, no format interpretation per line and
+    no intermediate string per net reference. *)
 
 module N = Netlist
 
 let emit ?(name = "design") (nl : N.t) =
-  let buf = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let buf = Rtl_text.create nl in
+  let s = Buffer.add_string buf and c = Buffer.add_char buf in
+  let d = Rtl_text.add_int buf in
+  let w k =
+    s "n[";
+    d k;
+    c ']'
+  in
+  let assign y =
+    s "  assign ";
+    w y;
+    s " = "
+  in
+  let binary y a op b =
+    assign y;
+    w a;
+    s op;
+    w b;
+    s ";\n"
+  in
   let cells = N.cells nl in
   let inputs = N.by_name (N.input_ports nl) in
   let outputs = N.by_name (N.output_ports nl) in
-  add "module %s (\n  input wire clk" name;
-  List.iter
-    (fun (p : N.port) -> add ",\n  input wire [%d:0] %s" (p.width - 1) p.port)
-    inputs;
-  List.iter
-    (fun (p : N.port) -> add ",\n  output wire [%d:0] %s" (p.width - 1) p.port)
-    outputs;
-  add "\n);\n\n";
+  s "module ";
+  s name;
+  s " (\n  input wire clk";
+  let declare dir (p : N.port) =
+    s dir;
+    d (p.width - 1);
+    s ":0] ";
+    s p.port
+  in
+  List.iter (declare ",\n  input wire [") inputs;
+  List.iter (declare ",\n  output wire [") outputs;
+  s "\n);\n\n";
   (* One wire per net. *)
-  add "  wire [%d:0] n; // net bundle\n" (N.net_count nl - 1);
-  let w k = Printf.sprintf "n[%d]" k in
+  s "  wire [";
+  d (N.net_count nl - 1);
+  s ":0] n; // net bundle\n";
   (* Input pins. *)
   List.iter
     (fun (p : N.port) ->
       List.iter
-        (fun (bit, net) -> add "  assign %s = %s[%d];\n" (w net) p.port bit)
+        (fun (bit, net) ->
+          assign net;
+          s p.port;
+          c '[';
+          d bit;
+          s "];\n")
         p.bits)
     inputs;
   (* Cells. *)
-  let regs = ref [] in
   List.iter
-    (fun cell ->
-      match cell with
+    (function
       | N.Const_cell { value; y } ->
-          add "  assign %s = 1'b%d;\n" (w y) (if value then 1 else 0)
-      | N.Not_cell { a; y } -> add "  assign %s = ~%s;\n" (w y) (w a)
-      | N.And_cell { a; b; y } ->
-          add "  assign %s = %s & %s;\n" (w y) (w a) (w b)
-      | N.Or_cell { a; b; y } ->
-          add "  assign %s = %s | %s;\n" (w y) (w a) (w b)
-      | N.Xor_cell { a; b; y } ->
-          add "  assign %s = %s ^ %s;\n" (w y) (w a) (w b)
+          assign y;
+          s (if value then "1'b1;\n" else "1'b0;\n")
+      | N.Not_cell { a; y } ->
+          assign y;
+          c '~';
+          w a;
+          s ";\n"
+      | N.And_cell { a; b; y } -> binary y a " & " b
+      | N.Or_cell { a; b; y } -> binary y a " | " b
+      | N.Xor_cell { a; b; y } -> binary y a " ^ " b
       | N.Mux_cell { sel; a; b; y } ->
-          add "  assign %s = %s ? %s : %s;\n" (w y) (w sel) (w a) (w b)
+          assign y;
+          w sel;
+          s " ? ";
+          w a;
+          s " : ";
+          w b;
+          s ";\n"
       | N.Fa_cell { a; b; cin; sum; cout } ->
-          add "  assign %s = %s ^ %s ^ %s;\n" (w sum) (w a) (w b) (w cin);
-          add "  assign %s = (%s & %s) | (%s & %s) | (%s & %s);\n" (w cout)
-            (w a) (w b) (w a) (w cin) (w b) (w cin)
-      | N.Dff_cell { d; en; q; init } -> regs := (d, en, q, init) :: !regs)
+          assign sum;
+          w a;
+          s " ^ ";
+          w b;
+          s " ^ ";
+          w cin;
+          s ";\n";
+          assign cout;
+          let pair x y =
+            c '(';
+            w x;
+            s " & ";
+            w y;
+            c ')'
+          in
+          pair a b;
+          s " | ";
+          pair a cin;
+          s " | ";
+          pair b cin;
+          s ";\n"
+      | N.Dff_cell _ -> ())
     cells;
-  (* Flip-flops: the net is driven by a reg shadow. *)
-  List.iteri
-    (fun k (d, en, q, init) ->
-      add "  reg r%d = 1'b%d;\n" k (if init then 1 else 0);
-      add "  assign %s = r%d;\n" (w q) k;
-      (match en with
-      | None -> add "  always @(posedge clk) r%d <= %s;\n" k (w d)
-      | Some e ->
-          add "  always @(posedge clk) if (%s) r%d <= %s;\n" (w e) k (w d)))
-    (List.rev !regs);
+  (* Flip-flops, numbered in cell order: the net is driven by a reg
+     shadow. *)
+  let k = ref 0 in
+  List.iter
+    (function
+      | N.Dff_cell { d = dn; en; q; init } ->
+          let r () =
+            c 'r';
+            d !k
+          in
+          s "  reg ";
+          r ();
+          s (if init then " = 1'b1;\n" else " = 1'b0;\n");
+          assign q;
+          r ();
+          s ";\n  always @(posedge clk) ";
+          (match en with
+          | None -> ()
+          | Some e ->
+              s "if (";
+              w e;
+              s ") ");
+          r ();
+          s " <= ";
+          w dn;
+          s ";\n";
+          incr k
+      | _ -> ())
+    cells;
   (* Output pins. *)
   List.iter
     (fun (p : N.port) ->
       List.iter
-        (fun (bit, net) -> add "  assign %s[%d] = %s;\n" p.port bit (w net))
+        (fun (bit, net) ->
+          s "  assign ";
+          s p.port;
+          c '[';
+          d bit;
+          s "] = ";
+          w net;
+          s ";\n")
         p.bits)
     outputs;
-  add "\nendmodule\n";
+  s "\nendmodule\n";
   Buffer.contents buf
 
 (** A self-checking testbench: drives [vectors] (input valuation +
@@ -84,41 +166,70 @@ let testbench ?(name = "design") (nl : N.t) ~cycles
     ~(vectors :
        ((string * Hls_bitvec.t) list * (string * Hls_bitvec.t) list) list) =
   let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let s = Buffer.add_string buf in
+  let d = Rtl_text.add_int buf in
   let literal bv =
-    Printf.sprintf "%d'b%s" (Hls_bitvec.width bv) (Hls_bitvec.to_string bv)
+    d (Hls_bitvec.width bv);
+    s "'b";
+    s (Hls_bitvec.to_string bv)
   in
   let in_ports = N.input_ports nl and out_ports = N.output_ports nl in
-  add "`timescale 1ns/1ps\nmodule %s_tb;\n" name;
-  add "  reg clk = 0;\n  always #5 clk = ~clk;\n";
-  List.iter
-    (fun (p : N.port) -> add "  reg [%d:0] %s;\n" (p.width - 1) p.port)
-    in_ports;
-  List.iter
-    (fun (p : N.port) -> add "  wire [%d:0] %s;\n" (p.width - 1) p.port)
-    out_ports;
-  let connect (p : N.port) = Printf.sprintf ", .%s(%s)" p.port p.port in
-  add "  %s dut (.clk(clk)%s%s);\n" name
-    (String.concat "" (List.map connect in_ports))
-    (String.concat "" (List.map connect out_ports));
-  add "  integer errors = 0;\n";
-  add "  initial begin\n";
+  s "`timescale 1ns/1ps\nmodule ";
+  s name;
+  s "_tb;\n";
+  s "  reg clk = 0;\n  always #5 clk = ~clk;\n";
+  let declare kind (p : N.port) =
+    s kind;
+    d (p.width - 1);
+    s ":0] ";
+    s p.port;
+    s ";\n"
+  in
+  List.iter (declare "  reg [") in_ports;
+  List.iter (declare "  wire [") out_ports;
+  let connect (p : N.port) =
+    s ", .";
+    s p.port;
+    s "(";
+    s p.port;
+    s ")"
+  in
+  s "  ";
+  s name;
+  s " dut (.clk(clk)";
+  List.iter connect in_ports;
+  List.iter connect out_ports;
+  s ");\n";
+  s "  integer errors = 0;\n";
+  s "  initial begin\n";
   List.iter
     (fun (inputs, expected) ->
       List.iter
-        (fun (p, v) -> add "    %s = %s;\n" p (literal v))
+        (fun (p, v) ->
+          s "    ";
+          s p;
+          s " = ";
+          literal v;
+          s ";\n")
         inputs;
-      add "    repeat (%d) @(posedge clk);\n    #1;\n" cycles;
+      s "    repeat (";
+      d cycles;
+      s ") @(posedge clk);\n    #1;\n";
       List.iter
         (fun (p, v) ->
-          add
-            "    if (%s !== %s) begin errors = errors + 1; $display(\"FAIL \
-             %s: %%b\", %s); end\n"
-            p (literal v) p p)
+          s "    if (";
+          s p;
+          s " !== ";
+          literal v;
+          s ") begin errors = errors + 1; $display(\"FAIL ";
+          s p;
+          s ": %b\", ";
+          s p;
+          s "); end\n")
         expected)
     vectors;
-  add
-    "    if (errors == 0) $display(\"PASS\"); else $display(\"%%0d \
+  s
+    "    if (errors == 0) $display(\"PASS\"); else $display(\"%0d \
      FAILURES\", errors);\n";
-  add "    $finish;\n  end\nendmodule\n";
+  s "    $finish;\n  end\nendmodule\n";
   Buffer.contents buf

@@ -1001,6 +1001,56 @@ let test_exec_batch_spans () =
   check_int "two requests counted" 2 (Tm.counter_total "api.requests");
   check_int "no errors counted" 0 (Tm.counter_total "api.errors")
 
+(* The verbs that read only the schedule (optimized schedule, emit,
+   simulate, iterate) bind no datapath; report still does, so a [bind]
+   span is recorded when binding runs.  Emit prints under [rtl.emit]. *)
+let test_exec_skips_unused_bind () =
+  let module Tm = Hls_telemetry in
+  let exec = Exec.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tm.disarm ();
+      Tm.reset ();
+      Exec.close exec)
+  @@ fun () ->
+  let spec = Req.Builtin "fir2" and config = Req.default_config in
+  let calls name =
+    match List.assoc_opt name (Tm.span_totals ()) with
+    | Some (c, _) -> c
+    | None -> 0
+  in
+  let spans what req =
+    Tm.reset ();
+    Tm.arm ();
+    ignore (run_payload exec req);
+    Tm.disarm ();
+    check_bool (what ^ " scheduled") true (calls "schedule" >= 1);
+    (calls "bind", calls "rtl.emit")
+  in
+  List.iter
+    (fun (what, req, emits) ->
+      let binds, printed = spans what req in
+      check_int (what ^ ": no bind span") 0 binds;
+      check_int (what ^ ": rtl.emit spans") emits printed)
+    [
+      ( "schedule",
+        Req.Schedule { spec; latency = 3; flow = Req.Optimized; config },
+        0 );
+      ("emit", Req.Emit { spec; latency = 3; format = Req.Verilog; config }, 1);
+      ( "emit testbench",
+        Req.Emit { spec; latency = 3; format = Req.Verilog_tb; config },
+        1 );
+      ( "simulate",
+        Req.Simulate { spec; latency = 3; seed = 5; config; vcd = false },
+        0 );
+      ("iterate", Req.Iterate { spec; latency = 6; rounds = 4; config }, 0);
+    ];
+  let binds, _ =
+    spans "report"
+      (Req.Report { spec; latency = 3; config; target_ns = None })
+  in
+  check_int "report binds once" 1 binds
+
 (* ------------------------------------------------------------------ *)
 (* In-process server smoke: several client domains against one daemon,
    responses matched on id; shedding on a full queue; injected faults
@@ -1278,4 +1328,6 @@ let suite =
       test_server_ping_overtakes_queue;
     Alcotest.test_case "server: drain sheds queued explores" `Slow
       test_server_drain_sheds_explore;
+    Alcotest.test_case "exec: schedule-only verbs bind nothing" `Quick
+      test_exec_skips_unused_bind;
   ]
