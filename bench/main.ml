@@ -1,11 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (experiment ids E1-E8, see DESIGN.md) and times each
-   experiment driver with Bechamel.
+   evaluation (experiment ids E1-E8, see DESIGN.md), plus the timing-core,
+   iteration, fuzzing and transformation benches.  Throughput of the
+   served flow is measured by the repository benchmark (perfbench/).
 
    Usage:
-     dune exec bench/main.exe              # all reproductions + timings
-     dune exec bench/main.exe -- tables    # reproductions only
-     dune exec bench/main.exe -- speed     # Bechamel timings only
+     dune exec bench/main.exe              # all reproductions (= tables)
      dune exec bench/main.exe -- table2    # one experiment
      dune exec bench/main.exe -- timing --json
                                            # timing-core bench -> BENCH_timing.json
@@ -471,223 +470,6 @@ let ablations () =
         opt.P.opt_report.P.cycle_ns
         opt.P.opt_report.P.area.Datapath.total_gates)
     [ ("ripple (default)", Hls_techlib.default); ("carry-lookahead", Hls_techlib.fast_cla) ]
-
-(* ------------------------------------------------------------------ *)
-(* Design-space exploration: serial vs parallel sweep wall-time.       *)
-
-let dse () =
-  section "Design-space exploration — serial vs parallel sweep (lib/dse)";
-  let g =
-    match Hls_workloads.Catalog.find_graph "elliptic" with
-    | Some g -> g
-    | None -> failwith "elliptic missing from the workload catalog"
-  in
-  let space =
-    match
-      Hls_dse.Space.make
-        ~latencies:(List.init 12 (fun i -> 3 + i))
-        ~policies:[ `Full; `Coalesced ]
-        ~balance:[ true; false ] ()
-    with
-    | Ok s -> s
-    | Error e -> failwith (Hls_dse.Space.axis_error_to_string e)
-  in
-  let sweep workers = Hls_dse.Explore.run ~workers g space in
-  let serial = sweep 1 in
-  let workers = max 2 (Hls_pool.default_workers ()) in
-  let parallel = sweep workers in
-  Printf.printf "space: %d jobs (elliptic, latency 3-14, both policies, \
-                 balance on/off)\n" (Hls_dse.Space.size space);
-  Printf.printf "cores (Domain.recommended_domain_count): %d\n"
-    (Domain.recommended_domain_count ());
-  Printf.printf "serial   (1 worker):  %6.3f s, %d points, %d failures\n"
-    serial.Hls_dse.Explore.wall_s
-    (List.length serial.Hls_dse.Explore.points)
-    (List.length serial.Hls_dse.Explore.failures);
-  Printf.printf "parallel (%d workers): %6.3f s, %d points, %d failures\n"
-    workers parallel.Hls_dse.Explore.wall_s
-    (List.length parallel.Hls_dse.Explore.points)
-    (List.length parallel.Hls_dse.Explore.failures);
-  Printf.printf "speedup: %.2fx\n"
-    (serial.Hls_dse.Explore.wall_s /. parallel.Hls_dse.Explore.wall_s);
-  if Domain.recommended_domain_count () < 2 then
-    print_endline
-      "note: single-core host — the parallel run here measures multi-domain \
-       overhead,\nnot speedup; on >= 2 cores the sweep scales with the \
-       worker count.";
-  let strip r =
-    List.map
-      (fun (p : Hls_dse.Explore.point) -> (p.Hls_dse.Explore.job, p.Hls_dse.Explore.metrics))
-      r.Hls_dse.Explore.frontier
-  in
-  Printf.printf "frontier: %d points, serial == parallel: %b\n"
-    (List.length serial.Hls_dse.Explore.frontier)
-    (strip serial = strip parallel);
-  (* Resilience overhead: the retry machinery wraps every job even when
-     nothing fails, so a fault-free sweep under a retry policy measures
-     its fixed cost.  Elliptic has genuinely infeasible coalesced points;
-     they fail fast, so no backoff is paid either way. *)
-  let retry = Hls_pool.Retry_policy.make () in
-  let resilient = Hls_dse.Explore.run ~workers:1 ~retry g space in
-  Printf.printf
-    "retry-armed (1 worker, no faults): %6.3f s, overhead vs serial: %+.1f%%\n"
-    resilient.Hls_dse.Explore.wall_s
-    ((resilient.Hls_dse.Explore.wall_s /. serial.Hls_dse.Explore.wall_s -. 1.0)
-    *. 100.0);
-  Printf.printf "retry-armed frontier == serial frontier: %b\n"
-    (strip resilient = strip serial)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel timing suite: one Test per table/figure driver.            *)
-
-let speed () =
-  section "Bechamel timings of the experiment drivers";
-  let open Bechamel in
-  let tests =
-    [
-      Test.make ~name:"table1" (Staged.stage (fun () -> ignore (E.table1 ())));
-      Test.make ~name:"fig3" (Staged.stage (fun () -> ignore (E.fig3 ())));
-      Test.make ~name:"table2_elliptic_l6"
-        (Staged.stage (fun () ->
-             ignore
-               (E.bench_row ~check_equivalence:false ~name:"elliptic"
-                  (Hls_workloads.Benchmarks.elliptic ())
-                  ~latency:6)));
-      Test.make ~name:"table2_diffeq_l5"
-        (Staged.stage (fun () ->
-             ignore
-               (E.bench_row ~check_equivalence:false ~name:"diffeq"
-                  (Hls_workloads.Benchmarks.diffeq ())
-                  ~latency:5)));
-      Test.make ~name:"table3_adpcm"
-        (Staged.stage (fun () -> ignore (E.table3 ())));
-      Test.make ~name:"fig4_sweep"
-        (Staged.stage (fun () ->
-             ignore
-               (E.fig4
-                  ~latencies:[ 3; 7; 11; 15 ]
-                  (Hls_workloads.Benchmarks.elliptic ()))));
-      (* Scalability: the full flow on random graphs of growing size. *)
-      (let stress ops =
-         let g =
-           Hls_workloads.Random_dfg.generate
-             ~profile:
-               { Hls_workloads.Random_dfg.default_profile with
-                 ops; mul_ratio = 10 }
-             ~seed:2024 ()
-         in
-         fun () -> ignore (optimized g ~latency:8)
-       in
-       Test.make ~name:"stress_50_ops" (Staged.stage (stress 50)));
-      (let g =
-         Hls_workloads.Random_dfg.generate
-           ~profile:
-             { Hls_workloads.Random_dfg.default_profile with
-               ops = 150; mul_ratio = 15 }
-           ~seed:2025 ()
-       in
-       Test.make ~name:"stress_150_ops"
-         (Staged.stage (fun () -> ignore (optimized g ~latency:10))));
-      (* Micro-benchmarks of the flow's phases on the largest benchmark. *)
-      Test.make ~name:"phase1_kernel_extraction"
-        (Staged.stage (fun () ->
-             ignore (Hls_kernel.Extract.run (Hls_workloads.Benchmarks.elliptic ()))));
-      (let kernel = Hls_kernel.Extract.run (Hls_workloads.Benchmarks.elliptic ()) in
-       Test.make ~name:"phase2_3_fragmentation"
-         (Staged.stage (fun () ->
-              ignore (Hls_fragment.Transform.run kernel ~latency:6))));
-      (let kernel = Hls_kernel.Extract.run (Hls_workloads.Benchmarks.elliptic ()) in
-       let tr = Hls_fragment.Transform.run kernel ~latency:6 in
-       Test.make ~name:"fragment_scheduling"
-         (Staged.stage (fun () -> ignore (Hls_sched.Frag_sched.schedule tr))));
-    ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 10) ()
-  in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"hls" ~fmt:"%s %s" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false
-      ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-28s %12.1f ns/run\n" name est
-      | _ -> Printf.printf "%-28s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
-(* The request/response surface: what the api layer costs on top of    *)
-(* calling the pipeline directly — codec round-trips and Exec dispatch *)
-(* with a warm prepared-prefix memo.                                   *)
-
-let api_bench () =
-  section "API layer overhead (codec round-trips, Exec dispatch)";
-  let open Bechamel in
-  let module Req = Hls_api.Request in
-  let module Resp = Hls_api.Response in
-  let report_req =
-    Req.Report
-      {
-        spec = Req.Builtin "elliptic";
-        latency = 6;
-        config = Req.default_config;
-        target_ns = None;
-      }
-  in
-  let req_line = Hls_dse.Dse_json.to_string (Req.to_json ~id:"1" report_req) in
-  let exec = Hls_api.Exec.create () in
-  let resp_line =
-    match Hls_api.Exec.run exec report_req with
-    | Ok p -> Resp.to_string (Resp.ok ~id:"1" p)
-    | Error e -> failwith (Resp.error_message e)
-  in
-  let tests =
-    [
-      Test.make ~name:"request_codec_roundtrip"
-        (Staged.stage (fun () ->
-             match Req.of_string req_line with
-             | Ok (id, r) -> ignore (Req.to_json ?id r)
-             | Error _ -> assert false));
-      Test.make ~name:"response_codec_roundtrip"
-        (Staged.stage (fun () ->
-             match Resp.of_string resp_line with
-             | Ok r -> ignore (Resp.to_string r)
-             | Error _ -> assert false));
-      Test.make ~name:"exec_report_warm_memo"
-        (Staged.stage (fun () -> ignore (Hls_api.Exec.run exec report_req)));
-      (let g = Hls_workloads.Benchmarks.elliptic () in
-       let p = P.prepare g in
-       Test.make ~name:"pipeline_run_direct"
-         (Staged.stage (fun () ->
-              ignore (P.run P.default_config p ~latency:6))));
-    ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 10) ()
-  in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"api" ~fmt:"%s %s" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-32s %12.1f ns/run\n" name est
-      | _ -> Printf.printf "%-32s (no estimate)\n" name)
-    results;
-  Hls_api.Exec.close exec
 
 (* ------------------------------------------------------------------ *)
 (* Bit-level timing core: per-query Bitdep reference vs the packed     *)
@@ -1531,15 +1313,8 @@ let all_tables () =
 
 let () =
   match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
-  | "all" ->
-      all_tables ();
-      dse ();
-      speed ()
-  | "tables" -> all_tables ()
-  | "dse" -> dse ()
-  | "speed" -> speed ()
+  | "all" | "tables" -> all_tables ()
   | "timing" -> timing ()
-  | "api" -> api_bench ()
   | "xform" -> xform_bench ()
   | "iter" -> iter_bench ()
   | "fuzz" -> fuzz_bench ()
@@ -1555,6 +1330,6 @@ let () =
   | other ->
       prerr_endline
         ("unknown experiment " ^ other
-       ^ " (try: all, tables, speed, timing, api, xform, iter, fuzz, \
-          dse, fig1, table1, fig3, table2, table3, fig4)");
+       ^ " (try: tables, timing, xform, iter, fuzz, fig1, table1, fig3, \
+          table2, table3, extra, resource, fig4, ablations)");
       exit 1

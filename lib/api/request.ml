@@ -63,11 +63,8 @@ let flow_name = function
   | Blc -> "blc"
   | Optimized -> "optimized"
 
-let flow_of_name = function
-  | "conventional" -> Some Conventional
-  | "blc" -> Some Blc
-  | "optimized" -> Some Optimized
-  | _ -> None
+let flows = [ Conventional; Blc; Optimized ]
+let flow_of_name s = List.find_opt (fun f -> String.equal (flow_name f) s) flows
 
 type emit_format = Vhdl | Vhdl_netlist | Verilog | Verilog_tb
 
@@ -76,13 +73,6 @@ let format_name = function
   | Vhdl_netlist -> "vhdl-netlist"
   | Verilog -> "verilog"
   | Verilog_tb -> "verilog-tb"
-
-let format_of_name = function
-  | "vhdl" -> Some Vhdl
-  | "vhdl-netlist" -> Some Vhdl_netlist
-  | "verilog" -> Some Verilog
-  | "verilog-tb" -> Some Verilog_tb
-  | _ -> None
 
 type explore_params = {
   latencies : int list;
@@ -207,12 +197,12 @@ let config_codec =
     |> finish ~what:"config")
 
 let flow_codec =
-  C.enum ~expected:{|"conventional", "blc" or "optimized"|} flow_name
-    flow_of_name
+  C.enum ~expected:{|"conventional", "blc" or "optimized"|} flow_name flows
 
 let format_codec =
   C.enum ~expected:"one of vhdl, vhdl-netlist, verilog, verilog-tb"
-    format_name format_of_name
+    format_name
+    [ Vhdl; Vhdl_netlist; Verilog; Verilog_tb ]
 
 (* Fields most verbs share. *)
 let spec_field get = C.req "spec" spec_codec get
@@ -415,6 +405,11 @@ let envelope_of_string line =
   match J.of_string line with
   | Error m -> Error (`Usage ("bad JSON: " ^ m))
   | Ok j -> envelope_of_json j
+
+let gen_envelope p =
+  let env_id, env_deadline_ms = C.gen transport p in
+  let env_req = C.gen_case verbs p in
+  { env_id; env_deadline_ms; env_req }
 
 let of_string line =
   match J.of_string line with

@@ -60,7 +60,6 @@ val flow_codec : flow Hls_dse.Codec.t
 type emit_format = Vhdl | Vhdl_netlist | Verilog | Verilog_tb
 
 val format_name : emit_format -> string
-val format_of_name : string -> emit_format option
 
 (** An emit format on the wire, by name. *)
 val format_codec : emit_format Hls_dse.Codec.t
@@ -154,6 +153,11 @@ val envelope_of_json :
 
 (** {!envelope_of_json} over a raw line. *)
 val envelope_of_string : string -> (envelope, decode_error) result
+
+(** A random envelope drawn from the descriptors ({!Hls_dse.Codec.gen}):
+    any verb of the table, any transport fields.  Structurally valid, not
+    necessarily executable (specs and names are arbitrary strings). *)
+val gen_envelope : Hls_util.Prng.t -> envelope
 
 (** {!envelope_of_json}, dropping the deadline — for callers that only
     need the id and the request. *)

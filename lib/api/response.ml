@@ -486,6 +486,7 @@ let payload_codec =
       ])
 
 let payload_to_json = C.encode payload_codec
+let gen_payload = C.gen payload_codec
 
 let error_to_json e =
   let head =

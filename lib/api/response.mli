@@ -185,6 +185,10 @@ val retryable : error -> bool
 val payload_to_json : payload -> Hls_dse.Dse_json.t
 (** The ["result"] object alone — what [--json] subcommands print. *)
 
+(** A random payload of any kind, drawn from its descriptor
+    ({!Hls_dse.Codec.gen}). *)
+val gen_payload : Hls_util.Prng.t -> payload
+
 val to_json : t -> Hls_dse.Dse_json.t
 val to_string : t -> string
 

@@ -1,5 +1,6 @@
 (* Bidirectional JSON codecs: a record's wire shape is written once, as a
-   value, and both directions are read off it.
+   value, and both directions are read off it, plus a random generator of
+   the values it carries.
 
    Decoders report structured errors so a field can phrase them with its
    own name: a scalar says what it expected ("an integer"), a list that a
@@ -8,13 +9,18 @@
    \"policies\"").  A nested object's error is already final. *)
 
 module J = Dse_json
+module Prng = Hls_util.Prng
 
 type error =
   | Expected of string  (** completes "<field> must be ..." *)
   | Bad_element  (** a list element failed with [Expected] *)
   | Message of string  (** final text *)
 
-type 'a t = { enc : 'a -> J.t; dec : J.t -> ('a, error) result }
+type 'a t = {
+  enc : 'a -> J.t;
+  dec : J.t -> ('a, error) result;
+  gen : Prng.t -> 'a;
+}
 
 let render = function
   | Expected what -> "expected " ^ what
@@ -23,6 +29,7 @@ let render = function
 
 let encode c v = c.enc v
 let decode c j = Result.map_error render (c.dec j)
+let gen c p = c.gen p
 let fail fmt = Printf.ksprintf (fun m -> Error (Message m)) fmt
 let quote = Printf.sprintf "%S"
 
@@ -44,19 +51,41 @@ let all dec items =
   in
   go [] items
 
-let scalar what enc dec =
+let scalar what enc dec gen =
   let expected = Error (Expected what) in
-  { enc; dec = (fun j -> match dec j with Some v -> Ok v | None -> expected) }
+  {
+    enc;
+    dec = (fun j -> match dec j with Some v -> Ok v | None -> expected);
+    gen;
+  }
 
-let int = scalar "an integer" (fun i -> J.Int i) J.to_int
-let float = scalar "a number" (fun f -> J.Float f) J.to_float
-let bool = scalar "a boolean" (fun b -> J.Bool b) J.to_bool
-let string = scalar "a string" (fun s -> J.String s) J.to_str
+(* Draws are small: floats are quarters, so every value has a short exact
+   decimal spelling, and strings are short identifiers, so repro lines
+   stay readable. *)
+let int =
+  scalar "an integer" (fun i -> J.Int i) J.to_int (fun p -> Prng.int p 100)
 
-let enum ~expected name of_name =
+let float =
+  scalar "a number" (fun f -> J.Float f) J.to_float (fun p ->
+      float_of_int (Prng.int p 400) /. 4.)
+
+let bool = scalar "a boolean" (fun b -> J.Bool b) J.to_bool Prng.bool
+
+let ident p =
+  String.init (1 + Prng.int p 8) (fun _ ->
+      "abcdefghijklmnopqrstuvwxyz0123456789_-".[Prng.int p 38])
+
+let string = scalar "a string" (fun s -> J.String s) J.to_str ident
+
+let enum ~expected name values =
+  let of_name s = List.find_opt (fun v -> String.equal (name v) s) values in
   scalar expected
     (fun v -> J.String (name v))
     (fun j -> Option.bind (J.to_str j) of_name)
+    (fun p -> Prng.pick p values)
+
+(* Zero to three elements. *)
+let draw_list p draw = List.init (Prng.int p 4) (fun _ -> draw p)
 
 let list c =
   let elt x =
@@ -67,6 +96,7 @@ let list c =
     dec =
       (function
       | J.List items -> all elt items | _ -> Error (Expected "an array"));
+    gen = (fun p -> draw_list p c.gen);
   }
 
 let assoc c =
@@ -76,27 +106,44 @@ let assoc c =
     dec =
       (function
       | J.Obj fields -> all entry fields | _ -> Error (Expected "an object"));
+    gen =
+      (fun p ->
+        draw_list p (fun p ->
+            let k = ident p in
+            let v = c.gen p in
+            (k, v)));
   }
 
 let map f g c =
-  { enc = (fun v -> c.enc (g v)); dec = (fun j -> Result.map f (c.dec j)) }
+  {
+    enc = (fun v -> c.enc (g v));
+    dec = (fun j -> Result.map f (c.dec j));
+    gen = (fun p -> f (c.gen p));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Objects.  [enc_fields] puts the fields so far in front of the ones a
    later field has already encoded; [dec_fields] applies the constructor
    to the fields so far, in declaration order, [what] naming the object
-   for the missing-field error.                                         *)
+   for the missing-field error; [gen_fields] does the same with draws.  *)
 
 type ('o, 'k) obj = {
   enc_fields : 'o -> (string * J.t) list -> (string * J.t) list;
   dec_fields : string -> J.t -> ('k, error) result;
+  gen_fields : Prng.t -> 'k;
 }
 
-let obj k = { enc_fields = (fun _ rest -> rest); dec_fields = (fun _ _ -> Ok k) }
+let obj k =
+  {
+    enc_fields = (fun _ rest -> rest);
+    dec_fields = (fun _ _ -> Ok k);
+    gen_fields = (fun _ -> k);
+  }
 
 (* One more field: [emit] encodes it (or not), [read] decodes it from the
-   enclosing object. *)
-let field emit read o =
+   enclosing object, [draw] draws it.  The [let]s fix the draw order,
+   which OCaml leaves open for the arguments of an application. *)
+let field emit read draw o =
   {
     enc_fields = (fun v rest -> o.enc_fields v (emit v rest));
     dec_fields =
@@ -105,6 +152,11 @@ let field emit read o =
         | Error e -> Error e
         | Ok k -> (
             match read what j with Ok a -> Ok (k a) | Error e -> Error e));
+    gen_fields =
+      (fun p ->
+        let k = o.gen_fields p in
+        let a = draw p in
+        k a);
   }
 
 (* Labels are quoted once, when the descriptor is built. *)
@@ -116,6 +168,7 @@ let req name c get =
       match J.member name j with
       | Some x -> decode_in label c x
       | None -> fail "%s without a %s field" what label)
+    c.gen
 
 let dft ?label ?alias name c ~default get =
   let label = Option.value label ~default:(quote name) in
@@ -130,6 +183,7 @@ let dft ?label ?alias name c ~default get =
           | Some x -> decode_in old_label c' x
           | None -> Ok default)
       | None, None -> Ok default)
+    c.gen
 
 let optional name c =
   let label = quote name in
@@ -138,20 +192,24 @@ let optional name c =
     | None | Some J.Null -> Ok None
     | Some x -> Result.map Option.some (decode_in label c x)
 
+let draw_option c p = if Prng.bool p then Some (c.gen p) else None
+
 let opt name c get =
   field
     (fun v rest ->
       match get v with None -> rest | Some a -> (name, c.enc a) :: rest)
-    (optional name c)
+    (optional name c) (draw_option c)
 
 let nullable name c get =
   field
     (fun v rest ->
       (name, match get v with None -> J.Null | Some a -> c.enc a) :: rest)
-    (optional name c)
+    (optional name c) (draw_option c)
 
 let enc_obj o v = J.Obj (o.enc_fields v [])
-let finish ?(what = "object") o = { enc = enc_obj o; dec = o.dec_fields what }
+
+let finish ?(what = "object") o =
+  { enc = enc_obj o; dec = o.dec_fields what; gen = o.gen_fields }
 
 let fields c v =
   match c.enc v with
@@ -159,23 +217,37 @@ let fields c v =
   | _ -> invalid_arg "Codec.fields: not an object codec"
 
 (* ------------------------------------------------------------------ *)
-(* Variants.  A case keeps its decoder already composed with the
-   injection, so an object case can decode straight into the variant.  *)
+(* Variants.  A case keeps its decoder and its generator already
+   composed with the injection, so an object case can decode (and draw)
+   straight into the variant.                                           *)
 
 type 'a case =
   | Case : {
       name : string;
       enc : 'p -> J.t;
       dec : J.t -> ('a, error) result;
+      gen : Prng.t -> 'a;
       proj : 'a -> 'p option;
     }
       -> 'a case
 
 let case name c inj proj =
-  Case { name; enc = c.enc; dec = (fun j -> Result.map inj (c.dec j)); proj }
+  Case
+    {
+      name;
+      enc = c.enc;
+      dec = (fun j -> Result.map inj (c.dec j));
+      gen = (fun p -> inj (c.gen p));
+      proj;
+    }
 
 let obj_case ?(what = "object") name proj o =
-  Case { name; enc = enc_obj o; dec = o.dec_fields what; proj }
+  Case
+    { name; enc = enc_obj o; dec = o.dec_fields what; gen = o.gen_fields; proj }
+
+let gen_case cases p =
+  let (Case c) = Prng.pick p cases in
+  c.gen p
 
 let encode_case cases v =
   match
@@ -215,6 +287,7 @@ let tagged tag cases =
             match find_case cases name j with
             | Some r -> r
             | None -> fail "unknown %s %S" tag name));
+    gen = gen_case cases;
   }
 
 let keyed ~what cases =
@@ -238,6 +311,7 @@ let keyed ~what cases =
         | [], _ -> fail "%s needs exactly one of %s" what (List.hd names)
         | _ ->
             fail "%s has more than one of %s" what (String.concat ", " names));
+    gen = gen_case cases;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,6 @@
 (** Bidirectional JSON codecs: one value describes a wire record, and its
-    encoder and decoder are both read off it, so they cannot drift apart.
+    encoder, its decoder and a random generator of its values are all
+    read off it, so they cannot drift apart.
 
     {[
       let stats =
@@ -12,12 +13,25 @@
     Fields encode and decode in declaration order; the first bad field
     gives the error, which names it (["latency" must be an integer],
     [bad element in "policies"], [params without a "spec" field]).
-    Unknown keys are ignored, and a non-object decodes like [{}]. *)
+    Unknown keys are ignored, and a non-object decodes like [{}].
+
+    {!gen} draws a value the codec carries, for round-trip fuzzing.
+    Scalars draw small values: integers below 100, floats in quarters
+    below 100 (short exact decimals), booleans, and identifiers of one to
+    eight characters from [a-z0-9_-]; an enum draws one of its values;
+    lists and maps draw zero to three elements; an option is [None] or
+    [Some] with even odds.  An object draws its fields in declaration
+    order and hands them to its constructor, so a constructor that drops
+    a field also drops it from every draw: round trips of drawn values
+    cannot catch that, only a comparison with an independently written
+    value can.  A variant picks a case uniformly.  A legacy [alias] is
+    never drawn.  The same seed draws the same values. *)
 
 type 'a t
 
 val encode : 'a t -> 'a -> Dse_json.t
 val decode : 'a t -> Dse_json.t -> ('a, string) result
+val gen : 'a t -> Hls_util.Prng.t -> 'a
 
 val int : int t
 
@@ -28,8 +42,9 @@ val bool : bool t
 val string : string t
 val list : 'a t -> 'a list t
 
-(** Names; [expected] completes ["<field> must be <expected>"]. *)
-val enum : expected:string -> ('a -> string) -> (string -> 'a option) -> 'a t
+(** [enum ~expected name values]: each of [values] by its [name];
+    [expected] completes ["<field> must be <expected>"]. *)
+val enum : expected:string -> ('a -> string) -> 'a list -> 'a t
 
 (** A string-keyed map, as an object. *)
 val assoc : 'a t -> (string * 'a) list t
@@ -85,6 +100,7 @@ val obj_case :
 (** A case table used with the name kept outside the payload (the
     request envelope's ["method"] beside ["params"]). *)
 val case_name : 'a case list -> 'a -> string
+val gen_case : 'a case list -> Hls_util.Prng.t -> 'a
 val encode_case : 'a case list -> 'a -> string * Dse_json.t
 
 (** [None] when no case has the name. *)

@@ -412,10 +412,7 @@ let run ?workers ?timeout_s ?cache ?(feedback = 0)
    library object does not round-trip, which the api documents. *)
 
 let job_codec =
-  let lib =
-    Codec.enum ~expected:"a known library" fst (fun name ->
-        Option.map (fun lib -> (name, lib)) (Space.lib_of_name name))
-  in
+  let lib = Codec.enum ~expected:"a known library" fst Space.known_libs in
   Codec.(
     obj (fun latency policy (lib_name, lib) balance recipe iterate ->
         { Space.latency; policy; lib_name; lib; balance; recipe; iterate })

@@ -108,13 +108,13 @@ let jobs (s : t) =
 
 let policy_name = function `Full -> "full" | `Coalesced -> "coalesced"
 
-let policy_of_name = function
-  | "full" -> Some `Full
-  | "coalesced" -> Some `Coalesced
-  | _ -> None
+let all_policies = [ `Full; `Coalesced ]
+
+let policy_of_name s =
+  List.find_opt (fun p -> String.equal (policy_name p) s) all_policies
 
 let policy_codec =
-  Codec.enum ~expected:{|"full" or "coalesced"|} policy_name policy_of_name
+  Codec.enum ~expected:{|"full" or "coalesced"|} policy_name all_policies
 
 let known_libs =
   [ ("ripple", Hls_techlib.default); ("cla", Hls_techlib.fast_cla) ]

@@ -86,10 +86,30 @@ let test_response_golden () =
     {|{"v":1,"ok":false,"error":{"class":"unavailable","message":"no healthy backend","exit_code":8,"retryable":true}}|}
     (Resp.to_string (Resp.fail (Resp.Unavailable "no healthy backend")))
 
+(* A golden line checked both ways: the hand-written value encodes to
+   it, and it decodes back to that value.  The fuzzer's codec lane draws
+   its values from the same descriptors it checks, so these hand-written
+   values are what catches a constructor that drops a field. *)
+let two_way ~decode name golden (v, line) =
+  check name golden line;
+  match decode golden with
+  | Ok v' -> check_bool (name ^ ", decoded") true (v' = v)
+  | Error m -> Alcotest.failf "%s: golden line rejected: %s" name m
+
+let decode_envelope line =
+  Result.map_error
+    (function
+      | `Usage m -> m | `Unsupported_version n -> Printf.sprintf "version %d" n)
+    (Req.envelope_of_string line)
+
 (* One golden request per verb the strings above leave out, with both
    spellings of every optional field. *)
 let test_request_golden_verbs () =
-  let req ?id r = J.to_string (Req.to_json ?id r) in
+  let check = two_way ~decode:decode_envelope in
+  let req ?id r =
+    ( { Req.env_id = id; env_deadline_ms = None; env_req = r },
+      J.to_string (Req.to_json ?id r) )
+  in
   let config =
     { Req.lib_name = "cla4"; policy = `Coalesced; balance = false;
       transform = "cleanup"; verify = "sampled"; iterate = 2 }
@@ -245,7 +265,9 @@ let golden_sweep =
 (* One golden response per payload kind besides pong, with both the
    [null] and the present spelling of every optional field. *)
 let test_response_golden_payloads () =
-  let resp p = Resp.to_string (Resp.ok p) in
+  let check = two_way ~decode:Resp.of_string in
+  let line r = (r, Resp.to_string r) in
+  let resp p = line (Resp.ok p) in
   let stats =
     {
       Resp.gs_name = "chain3";
@@ -450,10 +472,10 @@ let test_response_golden_payloads () =
           }));
   check "resource flow failure"
     {|{"v":1,"ok":false,"error":{"class":"resource","message":"out of memory","exit_code":5,"retryable":true}}|}
-    (Resp.to_string (Resp.fail (Resp.Failed (F.Resource "out of memory"))));
+    (line (Resp.fail (Resp.Failed (F.Resource "out of memory"))));
   check "internal flow failure"
     {|{"v":1,"ok":false,"error":{"class":"internal","message":"boom","exit_code":7,"retryable":true}}|}
-    (Resp.to_string (Resp.fail (Resp.Failed (F.Internal (F.Remote "boom")))))
+    (line (Resp.fail (Resp.Failed (F.Internal (F.Remote "boom")))))
 
 (* ------------------------------------------------------------------ *)
 (* Request decoding: versioning, defaults, forward compatibility.      *)
@@ -1289,6 +1311,48 @@ let test_server_drain_sheds_explore () =
               Alcotest.fail
                 "the queued explore must be shed Unavailable at drain"))
 
+(* The fuzzer's codec lane over a fixed seed: every verb, payload kind
+   and error class is drawn, and every round trip holds.  The names are
+   written out here, apart from the tables they are drawn from. *)
+let test_codec_lane_coverage () =
+  let module Lane = Hls_api.Fuzz_codec in
+  let field k j = Option.get (Option.bind (J.member k j) J.to_str) in
+  let inner k j = Option.get (J.member k j) in
+  let prng = Hls_util.Prng.create ~seed:7 in
+  let seen = Hashtbl.create 64 in
+  for _ = 1 to 2000 do
+    let d = Lane.draw prng in
+    let drawn =
+      match d with
+      | Lane.Req e -> "verb " ^ Req.method_name e.Req.env_req
+      | Lane.Resp ({ result = Ok _; _ } as r) ->
+          "kind " ^ field "kind" (inner "result" (Resp.to_json r))
+      | Lane.Resp ({ result = Error _; _ } as r) ->
+          "class " ^ field "class" (inner "error" (Resp.to_json r))
+    in
+    Hashtbl.replace seen drawn ();
+    match Lane.trip d with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "codec lane: %s" m
+  done;
+  let expect prefix names =
+    List.iter
+      (fun n -> check_bool (prefix ^ n ^ " drawn") true
+                  (Hashtbl.mem seen (prefix ^ n)))
+      names
+  in
+  expect "verb "
+    [ "ping"; "parse"; "optimize"; "report"; "schedule"; "explore";
+      "transform"; "simulate"; "emit"; "iterate"; "stats"; "workloads";
+      "fuzz" ];
+  expect "kind "
+    [ "pong"; "parse"; "optimize"; "report"; "schedule"; "explore";
+      "transform"; "simulate"; "emit"; "iterate"; "stats"; "workloads";
+      "fuzz" ];
+  expect "class "
+    [ "usage"; "unsupported-version"; "overloaded"; "unavailable";
+      "infeasible"; "timeout"; "resource"; "internal" ]
+
 let suite =
   [
     Alcotest.test_case "golden v1 request strings" `Quick test_request_golden;
@@ -1330,4 +1394,6 @@ let suite =
       test_server_drain_sheds_explore;
     Alcotest.test_case "exec: schedule-only verbs bind nothing" `Quick
       test_exec_skips_unused_bind;
+    Alcotest.test_case "codec lane draws every verb, kind and class" `Quick
+      test_codec_lane_coverage;
   ]

@@ -219,6 +219,15 @@ let test_cache_journal_golden () =
   Alcotest.(check string) "compacted store"
     "{\n  \"k1\": {\n    \"flow\": \"optimized\",\n    \"latency\": 3,\n    \"cycle_delta\": 4,\n    \"cycle_ns\": 0.10000000000000001,\n    \"execution_ns\": 7.5,\n    \"op_count\": 6,\n    \"fragment_count\": 9,\n    \"fu_gates\": 120,\n    \"register_gates\": 48,\n    \"mux_gates\": 16,\n    \"controller_gates\": 10,\n    \"total_gates\": 194\n  }\n}\n"
     (read_file path);
+  (* Both ways: the golden bytes decode to the hand-written record. *)
+  Alcotest.(check bool) "golden metrics decode" true
+    (Option.bind (Result.to_option (Json.of_string golden_metrics_json))
+       Cache.metrics_of_json
+    = Some golden_metrics);
+  let c = Cache.create ~path () in
+  Alcotest.(check bool) "compacted store reads back" true
+    (Cache.find c "k1" = Some golden_metrics);
+  Cache.release c;
   Sys.remove path
 
 (* A hand-built sweep document: every field of [Explore.to_json], with a
@@ -306,7 +315,9 @@ let test_explore_json_golden () =
   | Error m -> Alcotest.failf "golden document did not decode: %s" m
   | Ok back ->
       Alcotest.(check string) "decodes back" golden
-        (Json.to_string (Explore.to_json back))
+        (Json.to_string (Explore.to_json back));
+      Alcotest.(check bool) "decodes to the hand-built sweep" true
+        (back = sweep)
 
 (* ------------------------------------------------------------------ *)
 (* Pareto.                                                             *)
