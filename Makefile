@@ -212,7 +212,7 @@ trace-smoke:
 	dune exec bin/hlsopt.exe -- explore --builtin adpcm-decoder --latency 4:6 --jobs 2 --trace $$dir/sweep.json >/dev/null 2>&1 \
 	  || { echo "trace-smoke: traced explore failed"; exit 1; }; \
 	dune exec bin/hlsopt.exe -- trace-validate $$dir/sweep.json \
-	  --expect kernel,bitnet,arrival,mobility,fragment,schedule,bind,bind.pack,bind.registers,job --min-tracks 3 >/dev/null \
+	  --expect kernel,bitnet,arrival,mobility,fragment,schedule,bind,bind.view,bind.pack,bind.storage,job --min-tracks 3 >/dev/null \
 	  || { echo "trace-smoke: sweep trace failed validation"; exit 1; }; \
 	dune exec bin/hlsopt.exe -- emit-vhdl --builtin chain3 --netlist --trace $$dir/emit.json >/dev/null 2>&1 \
 	  || { echo "trace-smoke: traced emit-vhdl failed"; exit 1; }; \

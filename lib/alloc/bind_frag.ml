@@ -17,15 +17,16 @@
     — five 1-bit registers after sharing.
 
     Binding runs once per design point of a latency sweep, so it works on
-    flat int arrays: one pass over the schedule's Add nodes interns the
-    original operations and the operand-port configurations to dense ints,
-    and the packer, the mux count and the storage pass only compare ints. *)
+    flat int arrays.  What depends only on the fragmented graph — the
+    original operations, their fragments and the interned operand-port
+    configurations — is a {!view}, built once per graph and shared by
+    every schedule of it; the packer, the mux count and the storage pass
+    only compare ints. *)
 
 open Hls_dfg.Types
 module Graph = Hls_dfg.Graph
 module Frag_sched = Hls_sched.Frag_sched
 module Bitnet = Hls_timing.Bitnet
-module Wordset = Hls_bitvec.Wordset
 
 let op_key (n : node) =
   match n.origin with
@@ -36,79 +37,61 @@ let op_key (n : node) =
    the carry-in (port 2). *)
 let n_ports = 3
 
-(* Open-addressing intern table over int triples, sized once for at most
-   [cap] keys (load at most 3/4): one flat array of 4-int slots (three key
-   words, then id + 1, 0 marking an empty slot), linear probing.
-   Interning allocates nothing per key. *)
-type interner = { slots : int array; mask : int; mutable count : int }
-
-let interner cap =
-  let size = ref 16 in
-  while 3 * !size < 4 * cap do
-    size := 2 * !size
-  done;
-  { slots = Array.make (4 * !size) 0; mask = !size - 1; count = 0 }
-
-let intern t a b c =
-  let h = (a * 0x2545F491) + (b * 0x9E3779B1) + c in
-  let rec probe i =
-    let o = 4 * i in
-    let id = t.slots.(o + 3) in
-    if id = 0 then begin
-      t.slots.(o) <- a;
-      t.slots.(o + 1) <- b;
-      t.slots.(o + 2) <- c;
-      t.count <- t.count + 1;
-      t.slots.(o + 3) <- t.count;
-      t.count - 1
-    end
-    else if t.slots.(o) = a && t.slots.(o + 1) = b && t.slots.(o + 2) = c
-    then id - 1
-    else probe ((i + 1) land t.mask)
-  in
-  probe ((h lxor (h lsr 17)) land t.mask)
-
-(* The binding view of one schedule, from one pass over its Add nodes.
-   Operations are the original operations ([op_key]); a configuration is
-   the (source, hi, lo) slice a fragment presents on one operand port, an
-   absent port reading the 1-bit constant zero. *)
-type ops = {
+(* The binding view of one fragmented graph.  Operations are the original
+   operations ([op_key]); a configuration is the (source, hi, lo) slice a
+   fragment presents on one operand port, an absent port reading the
+   1-bit constant zero.  Fragment [i] is [frags.(i)]; operation [op] owns
+   [frags.(frag_off.(op)) .. frags.(frag_off.(op + 1) - 1)], in descending
+   node id. *)
+type view = {
+  v_graph : Graph.t;
+  op_of : int array;  (** per node id: its operation, -1 for glue *)
   op_keys : string array;
-  op_frags : node list array;  (** descending node id *)
-  op_cycles : int list array;  (** distinct cycles the operation runs in *)
-  op_width : int array;  (** widest merged per-cycle addition, at least 1 *)
-  node_cfg : int array;
-      (** [id * n_ports + port]: interned configuration of an Add node's
-          port *)
+  by_key : int array;  (** operations in ascending key order *)
+  frag_off : int array;
+  frags : int array;
+  frag_cfg : int array;
+      (** [i * n_ports + port]: interned configuration of fragment [i] *)
   n_cfgs : int;
+  cfg_hub : int array;  (** per configuration: its hub bit, or -1 *)
+  n_ordinary : int;
+      (** fragment ports reading a configuration that is not a hub *)
 }
 
-let intern_ops (s : Frag_sched.t) =
-  let g = Frag_sched.graph s in
-  let net = s.Frag_sched.net in
+let span name f = Hls_telemetry.with_span ~cat:"alloc" name f
+
+(* The first 7 bytes of [key] as a non-negative int, zero-padded: ints
+   order as [String.compare] orders keys that differ in those bytes. *)
+let key_prefix key =
+  let p = ref 0 in
+  for i = 0 to 6 do
+    p := (!p lsl 8) lor if i < String.length key then Char.code key.[i] else 0
+  done;
+  !p
+
+(* Hubs: the configurations most fragments read — in practice the
+   zero carry-in of the lowest fragments and a few widely read slices.
+   Up to 62 configurations (one int of bits) read at least [hub_reads]
+   times, most read first, each numbered by its bit; -1 for the others. *)
+let hub_reads = 32
+
+let hubs reads n_cfgs =
+  let hot = ref [] in
+  for k = n_cfgs - 1 downto 0 do
+    if reads.(k) >= hub_reads then hot := k :: !hot
+  done;
+  let hot =
+    List.stable_sort (fun a b -> Int.compare reads.(b) reads.(a)) !hot
+  in
+  let hub = Array.make n_cfgs (-1) in
+  List.iteri (fun h k -> if h < Sys.int_size - 1 then hub.(k) <- h) hot;
+  hub
+
+let view_of_graph g =
   let n_nodes = Graph.node_count g in
-  let n_adds =
-    Graph.fold_nodes (fun c (n : node) -> if n.kind = Add then c + 1 else c) 0 g
-  in
+  let op_of = Array.make n_nodes (-1) in
   let op_ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let keys = ref [] and n_ops = ref 0 in
-  let frags = Array.make n_adds [] in
-  let node_cfg = Array.make (n_nodes * n_ports) (-1) in
-  (* A [Node] source keys on its id; [Input]/[Const] sources go through a
-     small structural side table, numbered after the nodes. *)
-  let side : (source, int) Hashtbl.t = Hashtbl.create 16 in
-  let src_key = function
-    | Node id -> id
-    | (Input _ | Const _) as src -> (
-        match Hashtbl.find_opt side src with
-        | Some k -> k
-        | None ->
-            let k = n_nodes + Hashtbl.length side in
-            Hashtbl.add side src k;
-            k)
-  in
-  let absent = src_key (Const (Hls_bitvec.zero 1)) in
-  let cfgs = interner (n_adds * n_ports) in
+  let keys = ref [] and n_ops = ref 0 and n_adds = ref 0 in
   (* Consecutive fragments mostly belong to one operation and share its
      key string: a physical-equality memo skips the string hash. *)
   let last_key = ref "" and last_op = ref (-1) in
@@ -130,56 +113,169 @@ let intern_ops (s : Frag_sched.t) =
         in
         last_key := key;
         last_op := op;
-        frags.(op) <- n :: frags.(op);
-        let rec ports p = function
-          | _ when p = n_ports -> ()
-          | [] ->
-              node_cfg.((n.id * n_ports) + p) <-
-                intern cfgs ((absent * n_ports) + p) 0 0;
-              ports (p + 1) []
-          | (o : operand) :: rest ->
-              node_cfg.((n.id * n_ports) + p) <-
-                intern cfgs ((src_key o.src * n_ports) + p) o.hi o.lo;
-              ports (p + 1) rest
-        in
-        ports 0 n.operands
+        op_of.(n.id) <- op;
+        incr n_adds
       end)
     g;
-  let n_ops = !n_ops in
-  let op_frags = Array.sub frags 0 n_ops in
-  (* Per operation: its active cycles and the δ-costly width it adds in
-     each (fragments sharing a cycle chain into one wider addition). *)
+  let n_ops = !n_ops and n_adds = !n_adds in
+  let op_keys = Array.of_list (List.rev !keys) in
+  let frag_off = Array.make (n_ops + 1) 0 in
+  Array.iter
+    (fun op -> if op >= 0 then frag_off.(op + 1) <- frag_off.(op + 1) + 1)
+    op_of;
+  for op = 1 to n_ops do
+    frag_off.(op) <- frag_off.(op) + frag_off.(op - 1)
+  done;
+  (* Configurations are interned per source: [head.(src)] chains the
+     distinct (port, hi, lo) triples read from it, the port folded into
+     [lo_of] as [lo * n_ports + port].  A [Node]
+     source keys on its id; [Input]/[Const] sources go through a small
+     structural side table, numbered after the nodes, behind a
+     physical-equality memo of the last one read on each port (the
+     fragments of one operation share their source values). *)
+  let side : (source, int) Hashtbl.t = Hashtbl.create 16 in
+  let last_src = Array.make n_ports (Node 0) in
+  let last_side = Array.make n_ports 0 in
+  let src_key p = function
+    | Node id -> id
+    | src when src == last_src.(p) -> last_side.(p)
+    | (Input _ | Const _) as src ->
+        let k =
+          match Hashtbl.find_opt side src with
+          | Some k -> k
+          | None ->
+              let k = n_nodes + Hashtbl.length side in
+              Hashtbl.add side src k;
+              k
+        in
+        last_src.(p) <- src;
+        last_side.(p) <- k;
+        k
+  in
+  let absent = src_key 0 (Const (Hls_bitvec.zero 1)) in
+  let cap = n_adds * n_ports in
+  let head = ref (Array.make (n_nodes + 16) (-1)) in
+  let next = Array.make cap 0 and hi_of = Array.make cap 0 in
+  let lo_of = Array.make cap 0 and reads = Array.make cap 0 in
+  let n_cfgs = ref 0 in
+  let intern slot port hi lo =
+    let lo = (lo * n_ports) + port in
+    if slot >= Array.length !head then begin
+      let h = Array.make (2 * slot) (-1) in
+      Array.blit !head 0 h 0 (Array.length !head);
+      head := h
+    end;
+    let e = ref !head.(slot) in
+    while !e >= 0 && not (hi_of.(!e) = hi && lo_of.(!e) = lo) do
+      e := next.(!e)
+    done;
+    if !e < 0 then begin
+      e := !n_cfgs;
+      incr n_cfgs;
+      next.(!e) <- !head.(slot);
+      hi_of.(!e) <- hi;
+      lo_of.(!e) <- lo;
+      !head.(slot) <- !e
+    end;
+    reads.(!e) <- reads.(!e) + 1;
+    !e
+  in
+  (* Fragments fill their operation's range in descending id, and their
+     ports are interned on the way. *)
+  let fill = Array.sub frag_off 0 (max 1 n_ops) in
+  let frags = Array.make n_adds 0 and frag_cfg = Array.make cap 0 in
+  for id = n_nodes - 1 downto 0 do
+    let op = op_of.(id) in
+    if op >= 0 then begin
+      let i = fill.(op) in
+      fill.(op) <- i + 1;
+      frags.(i) <- id;
+      let ops = ref (Graph.node g id).operands in
+      for p = 0 to n_ports - 1 do
+        let j = (i * n_ports) + p in
+        match !ops with
+        | [] -> frag_cfg.(j) <- intern absent p 0 0
+        | (o : operand) :: rest ->
+            frag_cfg.(j) <- intern (src_key p o.src) p o.hi o.lo;
+            ops := rest
+      done
+    end
+  done;
+  let prefix = Array.map key_prefix op_keys in
+  let by_key = Array.init n_ops Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      match Int.compare prefix.(a) prefix.(b) with
+      | 0 -> String.compare op_keys.(a) op_keys.(b)
+      | c -> c)
+    by_key;
+  let n_cfgs = !n_cfgs in
+  let cfg_hub = hubs reads n_cfgs in
+  let n_ordinary = ref 0 in
+  Array.iter (fun k -> if cfg_hub.(k) < 0 then incr n_ordinary) frag_cfg;
+  { v_graph = g; op_of; op_keys; by_key; frag_off; frags; frag_cfg; n_cfgs;
+    cfg_hub; n_ordinary = !n_ordinary }
+
+(** The binding view of a schedule's fragmented graph. *)
+let view (s : Frag_sched.t) =
+  span "bind.view" (fun () -> view_of_graph (Frag_sched.graph s))
+
+let view_for ?view:v (s : Frag_sched.t) =
+  match v with
+  | None -> view s
+  | Some v when v.v_graph == Frag_sched.graph s -> v
+  | Some _ ->
+      invalid_arg "Bind_frag: view built from another graph than the schedule"
+
+(* Bits per cycle-set word: cycle [c] is bit [c mod 63] of word [c / 63]. *)
+let word_bits = Sys.int_size
+
+(* The schedule-dependent half, per operation: the δ-costly width it adds
+   in its widest cycle (fragments sharing a cycle chain into one wider
+   addition; at least 1) and its active cycles as [words] ints each. *)
+let op_cycles v (s : Frag_sched.t) ~words =
+  let net = s.Frag_sched.net and cycle_of = s.Frag_sched.cycle_of in
+  let n_ops = Array.length v.op_keys in
   let cyc_w = Array.make (s.Frag_sched.latency + 1) 0 in
   let cyc_stamp = Array.make (s.Frag_sched.latency + 1) (-1) in
-  let op_cycles = Array.make n_ops [] and op_width = Array.make n_ops 1 in
+  let op_width = Array.make n_ops 1 in
+  let op_bits = Array.make (n_ops * words) 0 in
   for op = 0 to n_ops - 1 do
-    let cycles =
-      List.fold_left
-        (fun cycles (n : node) ->
-          let c = s.Frag_sched.cycle_of.(n.id) in
-          let cw = Bitnet.costly_width net ~id:n.id in
-          if cyc_stamp.(c) = op then begin
-            cyc_w.(c) <- cyc_w.(c) + cw;
-            cycles
-          end
-          else begin
-            cyc_stamp.(c) <- op;
-            cyc_w.(c) <- cw;
-            c :: cycles
-          end)
-        [] op_frags.(op)
-    in
-    op_cycles.(op) <- cycles;
-    op_width.(op) <- List.fold_left (fun w c -> max w cyc_w.(c)) 1 cycles
+    let w = ref 1 in
+    for i = v.frag_off.(op) to v.frag_off.(op + 1) - 1 do
+      let id = v.frags.(i) in
+      let c = cycle_of.(id) in
+      let cw = Bitnet.costly_width net ~id in
+      let cw =
+        if cyc_stamp.(c) = op then cyc_w.(c) + cw
+        else begin
+          cyc_stamp.(c) <- op;
+          let o = (op * words) + (c / word_bits) in
+          op_bits.(o) <- op_bits.(o) lor (1 lsl (c mod word_bits));
+          cw
+        end
+      in
+      cyc_w.(c) <- cw;
+      if cw > !w then w := cw
+    done;
+    op_width.(op) <- !w
   done;
-  {
-    op_keys = Array.of_list (List.rev !keys);
-    op_frags;
-    op_cycles;
-    op_width;
-    node_cfg;
-    n_cfgs = cfgs.count;
-  }
+  (op_width, op_bits)
+
+(* A packing: [n_fu] adders, each with its first operation's key, its
+   width, its fragment count and its operations as a chain ([fu_ops] the
+   newest, [op_next] the next older, -1 ending it).  [cfg_stamp] is the
+   packer's per-configuration scratch, every stamp below the operation
+   count, handed on to the mux count. *)
+type packing = {
+  n_fu : int;
+  fu_label : string array;
+  fu_width : int array;
+  fu_nfrags : int array;
+  fu_ops : int array;
+  op_next : int array;
+  cfg_stamp : int array;
+}
 
 (* Pack operations onto adders: two operations may share one adder when
    they are never active in the same cycle (the conventional allocator's
@@ -192,181 +288,217 @@ let intern_ops (s : Frag_sched.t) =
    fragmented datapath otherwise pays — and among equal votes the newest
    adder.  No width tie-break is needed: operations arrive widest first,
    so every adder that exists when one is placed is already at least as
-   wide as it and hosting it grows none.  The choice therefore reduces to
-   the newest fitting adder (zero votes) against the voted ones.
+   wide as it and hosting it grows none.
 
-   An adder's active cycles are an int bitmask, or a {!Wordset} when the
-   latency does not fit one word.  Votes go through the inverted
-   configuration→adder index with a generation stamp, so a probe touches
-   only the adders that read one of the candidate's configurations. *)
-let pack (s : Frag_sched.t) t =
-  let latency = s.Frag_sched.latency in
-  let n_ops = Array.length t.op_keys in
-  let order = Array.init n_ops Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      match compare t.op_width.(b) t.op_width.(a) with
-      | 0 -> String.compare t.op_keys.(a) t.op_keys.(b)
-      | c -> c)
-    order;
-  let narrow = latency < Sys.int_size in
-  let op_mask =
-    if narrow then
-      Array.map (List.fold_left (fun m c -> m lor (1 lsl c)) 0) t.op_cycles
-    else [||]
-  in
+   An adder's active cycles are [words] ints.  Votes of ordinary
+   configurations go through the inverted configuration→adder index,
+   chained in one flat array ([cfg_head.(k)] the first entry [e] of
+   configuration [k], [ent.(e)] its adder and [ent.(e + 1)] the next
+   entry, -1 ending the chain), so a probe touches only the adders that
+   read one of them; [fu_vote.(a)] is [gen lsl 32 + votes], the count
+   restarting whenever the generation (the candidate's rank) moves on.
+   A hub configuration (see [hubs]) would chain nearly every adder, so
+   each adder keeps the hubs it reads as bits of [fu_hubs.(a)] instead.
+   An adder's votes are then its ordinary votes plus the candidate's hubs
+   it reads.  The best fitting adder is the better of two: the best voted
+   one, and the best among the rest, found scanning from the newest adder
+   down, which stops once an adder reads every hub the candidate reads. *)
+let pack v (s : Frag_sched.t) =
+  let words = (s.Frag_sched.latency / word_bits) + 1 in
+  let op_width, op_bits = op_cycles v s ~words in
+  let n_ops = Array.length v.op_keys in
+  (* Widest first, ties by key. *)
+  let order = Lifetime.stable_order (fun op -> lnot op_width.(op)) v.by_key in
   let fu_label = Array.make n_ops "" and fu_width = Array.make n_ops 0 in
-  let fu_frags = Array.make n_ops [] in
-  let fu_mask = Array.make n_ops 0 in
-  let fu_set = if narrow then [||] else Array.make n_ops (Wordset.create 0) in
-  let fu_votes = Array.make n_ops 0 and fu_gen = Array.make n_ops (-1) in
-  (* Per adder, the configurations its bound fragments read; per
-     configuration, the adders that read it (the inverted index). *)
-  let fu_cfgs = Array.make n_ops [] in
-  let cfg_fus = Array.make t.n_cfgs [] in
-  let cfg_stamp = Array.make t.n_cfgs (-1) in
-  let cfg_held = Array.make t.n_cfgs (-1) in
-  let mine = Array.make t.n_cfgs 0 in
+  let fu_nfrags = Array.make n_ops 0 and fu_ops = Array.make n_ops (-1) in
+  let op_next = Array.make n_ops (-1) in
+  let fu_bits = Array.make (n_ops * words) 0 in
+  let fu_vote = Array.make n_ops (-1) and fu_hubs = Array.make n_ops 0 in
+  let cfg_head = Array.make v.n_cfgs (-1) in
+  let ent = Array.make (2 * v.n_ordinary) 0 in
+  let n_ent = ref 0 in
+  let cfg_stamp = Array.make v.n_cfgs (-1) in
+  let max_frags = ref 0 in
+  for op = 0 to n_ops - 1 do
+    max_frags := Int.max !max_frags (v.frag_off.(op + 1) - v.frag_off.(op))
+  done;
+  let mine = Array.make (!max_frags * n_ports) 0 in
+  let voted = Array.make n_ops 0 in
   let n_fu = ref 0 in
-  (* The adders that received a vote this generation, in [voted]. *)
-  let voted = Array.make n_ops 0 and n_voted = ref 0 in
-  let rec vote gen = function
-    | [] -> ()
-    | a :: rest ->
-        if fu_gen.(a) <> gen then begin
-          fu_gen.(a) <- gen;
-          fu_votes.(a) <- 1;
-          voted.(!n_voted) <- a;
-          incr n_voted
-        end
-        else fu_votes.(a) <- fu_votes.(a) + 1;
-        vote gen rest
+  let fits a op =
+    let fa = a * words and oa = op * words in
+    let w = ref 0 in
+    while !w < words && fu_bits.(fa + !w) land op_bits.(oa + !w) = 0 do
+      incr w
+    done;
+    !w = words
   in
-  let rec mark_held gen = function
-    | [] -> ()
-    | k :: rest ->
-        if cfg_stamp.(k) = gen then cfg_held.(k) <- gen;
-        mark_held gen rest
+  (* Does adder [a] already read configuration [k]? *)
+  let rec reads a e = e >= 0 && (ent.(e) = a || reads a ent.(e + 1)) in
+  let votes_in gen a =
+    if fu_vote.(a) lsr 32 = gen then fu_vote.(a) land 0xFFFF_FFFF else 0
+  in
+  (* How many of the hub bits [h] are set in [hubs]. *)
+  let rec hub_votes hubs = function
+    | 0 -> 0
+    | h ->
+        (if hubs land h land -h <> 0 then 1 else 0)
+        + hub_votes hubs (h land (h - 1))
   in
   Array.iteri
     (fun gen op ->
-      (* The candidate's distinct configurations. *)
-      let m = ref 0 in
-      List.iter
-        (fun (n : node) ->
-          for p = 0 to n_ports - 1 do
-            let k = t.node_cfg.((n.id * n_ports) + p) in
-            if cfg_stamp.(k) <> gen then begin
-              cfg_stamp.(k) <- gen;
-              mine.(!m) <- k;
-              incr m
-            end
-          done)
-        t.op_frags.(op);
-      let m = !m in
-      let w = t.op_width.(op) and om = if narrow then op_mask.(op) else 0 in
-      let fits a =
-        if narrow then fu_mask.(a) land om = 0
-        else
-          List.for_all
-            (fun c -> not (Wordset.mem fu_set.(a) c))
-            t.op_cycles.(op)
-      in
-      (* Vote only when some adder can host the operation at all. *)
-      let first = ref (!n_fu - 1) in
-      while !first >= 0 && not (fits !first) do
-        decr first
+      let lo = v.frag_off.(op) and hi = v.frag_off.(op + 1) in
+      (* The candidate's distinct ordinary configurations, and its hubs. *)
+      let m = ref 0 and op_hubs = ref 0 in
+      for j = lo * n_ports to (hi * n_ports) - 1 do
+        let k = v.frag_cfg.(j) in
+        let h = v.cfg_hub.(k) in
+        if h >= 0 then op_hubs := !op_hubs lor (1 lsl h)
+        else if cfg_stamp.(k) <> gen then begin
+          cfg_stamp.(k) <- gen;
+          mine.(!m) <- k;
+          incr m
+        end
       done;
-      let best = ref !first in
-      if !first >= 0 then begin
-        n_voted := 0;
-        for i = 0 to m - 1 do
-          vote gen cfg_fus.(mine.(i))
-        done;
-        let best_votes =
-          ref (if fu_gen.(!first) = gen then fu_votes.(!first) else 0)
-        in
-        for j = 0 to !n_voted - 1 do
-          let a = voted.(j) in
-          let votes = fu_votes.(a) in
-          if
-            (votes > !best_votes || (votes = !best_votes && a > !best))
-            && fits a
-          then begin
-            best := a;
+      let m = !m and op_hubs = !op_hubs in
+      let n_hubs = hub_votes op_hubs op_hubs in
+      let n_voted = ref 0 in
+      for i = 0 to m - 1 do
+        let e = ref cfg_head.(mine.(i)) in
+        while !e >= 0 do
+          let a = ent.(!e) in
+          let c = fu_vote.(a) in
+          if c lsr 32 = gen then fu_vote.(a) <- c + 1
+          else begin
+            fu_vote.(a) <- (gen lsl 32) + 1;
+            voted.(!n_voted) <- a;
+            incr n_voted
+          end;
+          e := ent.(!e + 1)
+        done
+      done;
+      (* The best unvoted fitting adder: most hubs read, newest first. *)
+      let best = ref (-1) and best_votes = ref (-1) in
+      let a = ref (!n_fu - 1) in
+      while !a >= 0 && !best_votes < n_hubs do
+        if votes_in gen !a = 0 && fits !a op then begin
+          let votes = hub_votes fu_hubs.(!a) op_hubs in
+          if votes > !best_votes then begin
+            best := !a;
             best_votes := votes
           end
-        done
-      end;
+        end;
+        decr a
+      done;
+      for j = 0 to !n_voted - 1 do
+        let a = voted.(j) in
+        let votes = votes_in gen a + hub_votes fu_hubs.(a) op_hubs in
+        if
+          (votes > !best_votes || (votes = !best_votes && a > !best))
+          && fits a op
+        then begin
+          best := a;
+          best_votes := votes
+        end
+      done;
       let a =
         if !best >= 0 then !best
         else begin
           let a = !n_fu in
           incr n_fu;
-          fu_label.(a) <- t.op_keys.(op);
-          if not narrow then fu_set.(a) <- Wordset.create (latency + 1);
+          fu_label.(a) <- v.op_keys.(op);
           a
         end
       in
-      fu_width.(a) <- max fu_width.(a) w;
-      fu_frags.(a) <- t.op_frags.(op) @ fu_frags.(a);
-      if narrow then fu_mask.(a) <- fu_mask.(a) lor op_mask.(op)
-      else List.iter (Wordset.add fu_set.(a)) t.op_cycles.(op);
-      (* Record the configurations new to the adder.  Without a vote it
-         reads none of them yet. *)
-      if fu_gen.(a) = gen then mark_held gen fu_cfgs.(a);
+      if op_width.(op) > fu_width.(a) then fu_width.(a) <- op_width.(op);
+      fu_nfrags.(a) <- fu_nfrags.(a) + hi - lo;
+      op_next.(op) <- fu_ops.(a);
+      fu_ops.(a) <- op;
+      fu_hubs.(a) <- fu_hubs.(a) lor op_hubs;
+      for w = 0 to words - 1 do
+        let fw = (a * words) + w in
+        fu_bits.(fw) <- fu_bits.(fw) lor op_bits.((op * words) + w)
+      done;
+      (* Record the ordinary configurations new to the adder.  Without an
+         ordinary vote it reads none of them yet. *)
+      let voted_for = votes_in gen a > 0 in
       for i = 0 to m - 1 do
         let k = mine.(i) in
-        if cfg_held.(k) <> gen then begin
-          cfg_fus.(k) <- a :: cfg_fus.(k);
-          fu_cfgs.(a) <- k :: fu_cfgs.(a)
+        if not (voted_for && reads a cfg_head.(k)) then begin
+          let e = !n_ent in
+          n_ent := e + 2;
+          ent.(e) <- a;
+          ent.(e + 1) <- cfg_head.(k);
+          cfg_head.(k) <- e
         end
       done)
     order;
-  Array.init !n_fu (fun a ->
-      ( {
-          Datapath.fu_label = fu_label.(a);
-          fu_class = Datapath.Adder;
-          fu_width = fu_width.(a);
-          fu_width2 = fu_width.(a);
-        },
-        fu_frags.(a) ))
+  { n_fu = !n_fu; fu_label; fu_width; fu_nfrags; fu_ops; op_next; cfg_stamp }
 
-(* Operand-steering muxes of the dedicated adders: per adder, a carry-in
-   mux when the carry source changes across its fragments, then one per
-   data port whose fragments read distinct source slices.  Distinct
-   configurations are counted with a stamp per (adder, port). *)
-let fu_muxes t fus =
-  let stamp = Array.make t.n_cfgs (-1) in
-  let gen = ref 0 in
-  let distinct frags p =
+let fu_record p a =
+  {
+    Datapath.fu_label = p.fu_label.(a);
+    fu_class = Datapath.Adder;
+    fu_width = p.fu_width.(a);
+    fu_width2 = p.fu_width.(a);
+  }
+
+(* Operand-steering muxes of the dedicated adders: per adder with more
+   than one fragment, a carry-in mux when the carry source changes across
+   its fragments, then one per data port whose fragments read distinct
+   source slices.  Distinct configurations are counted with a stamp per
+   (adder, port), numbered past the packer's. *)
+let fu_muxes v p =
+  let stamp = p.cfg_stamp in
+  let gen = ref (Array.length v.op_keys) in
+  let distinct a port =
     incr gen;
-    List.fold_left
-      (fun d (n : node) ->
-        let k = t.node_cfg.((n.id * n_ports) + p) in
-        if stamp.(k) = !gen then d
-        else begin
+    let d = ref 0 and op = ref p.fu_ops.(a) in
+    while !op >= 0 do
+      for i = v.frag_off.(!op) to v.frag_off.(!op + 1) - 1 do
+        let k = v.frag_cfg.((i * n_ports) + port) in
+        if stamp.(k) <> !gen then begin
           stamp.(k) <- !gen;
-          d + 1
-        end)
-      0 frags
+          incr d
+        end
+      done;
+      op := p.op_next.(!op)
+    done;
+    !d
   in
-  Array.fold_right
-    (fun ((fu : Datapath.fu), frags) acc ->
-      match frags with
-      | [] | [ _ ] -> acc
-      | _ ->
-          let mux p width acc =
-            let d = distinct frags p in
-            if d > 1 then { Datapath.mux_inputs = d; mux_width = width } :: acc
-            else acc
-          in
-          mux 2 1 [] @ mux 0 fu.fu_width (mux 1 fu.fu_width acc))
-    fus []
+  let acc = ref [] in
+  for a = p.n_fu - 1 downto 0 do
+    if p.fu_nfrags.(a) > 1 then begin
+      let mux port width =
+        let d = distinct a port in
+        if d > 1 then
+          acc := { Datapath.mux_inputs = d; mux_width = width } :: !acc
+      in
+      mux 1 p.fu_width.(a);
+      mux 0 p.fu_width.(a);
+      mux 2 1
+    end
+  done;
+  !acc
 
 (** The packed adders with the fragment nodes bound to each — the physical
-    sharing structure the netlist elaborator realizes. *)
-let dedicated_fus s = Array.to_list (pack s (intern_ops s))
+    sharing structure the netlist elaborator realizes.  An adder's nodes
+    are its operations' fragments, newest operation first. *)
+let dedicated_fus ?view (s : Frag_sched.t) =
+  let v = view_for ?view s in
+  let p = pack v s in
+  let g = v.v_graph in
+  let rec nodes op =
+    if op < 0 then []
+    else begin
+      let acc = ref (nodes p.op_next.(op)) in
+      for i = v.frag_off.(op + 1) - 1 downto v.frag_off.(op) do
+        acc := Graph.node g v.frags.(i) :: !acc
+      done;
+      !acc
+    end
+  in
+  List.init p.n_fu (fun a -> (fu_record p a, nodes p.fu_ops.(a)))
 
 (* Bit-granular storage: last cycle each net bit is read in, looking
    through glue (wiring adds no cycle).  Reads the net's CSR arrays
@@ -386,18 +518,18 @@ let last_use (s : Frag_sched.t) =
     done
   in
   (* Direct uses by additions, at the addition's cycle. *)
-  Graph.iter_nodes
-    (fun (n : node) ->
-      if n.kind = Add then begin
-        let cycle = s.Frag_sched.cycle_of.(n.id) in
-        for b = base.(n.id) to base.(n.id + 1) - 1 do
-          record b cycle
-        done
-      end)
-    g;
+  let n_nodes = Graph.node_count g in
+  for id = 0 to n_nodes - 1 do
+    if (Graph.node g id).kind = Add then begin
+      let cycle = s.Frag_sched.cycle_of.(id) in
+      for b = base.(id) to base.(id + 1) - 1 do
+        record b cycle
+      done
+    end
+  done;
   (* Glue transparency: a use of a glue bit is a use of the bits it
      forwards, at the same cycle. *)
-  for id = Graph.node_count g - 1 downto 0 do
+  for id = n_nodes - 1 downto 0 do
     if (Graph.node g id).kind <> Add then
       for b = base.(id) to base.(id + 1) - 1 do
         let u = lu.(b) in
@@ -405,6 +537,38 @@ let last_use (s : Frag_sched.t) =
       done
   done;
   lu
+
+(* Per-bit storage decisions: [f id lo width from_ to_] for every maximal
+   run of consecutive result bits of an addition with one storage
+   interval.  A bit is stored from the cycle after it settles to its last
+   read, and never when it is only read in its own cycle.  Runs come in
+   descending (node, lowest bit) order, so consing them up gives the
+   ascending list. *)
+let iter_runs_rev (s : Frag_sched.t) lu f =
+  let g = Frag_sched.graph s in
+  let base = s.Frag_sched.net.Bitnet.bit_base in
+  let bit_cycle = s.Frag_sched.bit_cycle in
+  for id = Graph.node_count g - 1 downto 0 do
+    if (Graph.node g id).kind = Add then begin
+      let b0 = base.(id) and width = base.(id + 1) - base.(id) in
+      (* Bits [pos + 1, hi) share the interval [cur_from, cur_to];
+         [cur_from = min_int] marks bits that never cross a cycle. *)
+      let hi = ref width and cur_from = ref min_int and cur_to = ref 0 in
+      for pos = width - 1 downto 0 do
+        let def = bit_cycle.(b0 + pos) and u = lu.(b0 + pos) in
+        let from_ = if u > def then def + 1 else min_int in
+        let to_ = if u > def then u else 0 in
+        if pos < width - 1 && (from_ <> !cur_from || to_ <> !cur_to) then begin
+          if !cur_from <> min_int then
+            f id (pos + 1) (!hi - pos - 1) !cur_from !cur_to;
+          hi := pos + 1
+        end;
+        cur_from := from_;
+        cur_to := to_
+      done;
+      if !cur_from <> min_int then f id 0 !hi !cur_from !cur_to
+    end
+  done
 
 type stored_run = {
   sr_node : int;  (** node id *)
@@ -418,90 +582,77 @@ type stored_run = {
     identical storage intervals.  The cycle-accurate RTL simulator checks
     every cross-cycle read against this set. *)
 let stored_runs (s : Frag_sched.t) =
-  let g = Frag_sched.graph s in
-  let base = s.Frag_sched.net.Bitnet.bit_base in
-  let lu = last_use s in
   let runs = ref [] in
-  Graph.iter_nodes
-    (fun (n : node) ->
-      if n.kind = Add then begin
-        let b0 = base.(n.id) in
-        (* One pass over the bits: emit a run at every change of storage
-           interval [from_, to_]; [from_ = min_int] marks a bit that never
-           crosses a cycle boundary. *)
-        let lo = ref 0 and cur_from = ref min_int and cur_to = ref 0 in
-        let flush hi =
-          if !cur_from <> min_int then
-            runs :=
-              {
-                sr_node = n.id;
-                sr_lo = !lo;
-                sr_width = hi - !lo;
-                sr_from = !cur_from;
-                sr_to = !cur_to;
-              }
-              :: !runs
-        in
-        for pos = 0 to n.width - 1 do
-          let def = s.Frag_sched.bit_cycle.(b0 + pos) and u = lu.(b0 + pos) in
-          let from_ = if u > def then def + 1 else min_int in
-          let to_ = if u > def then u else 0 in
-          if pos = 0 then begin
-            cur_from := from_;
-            cur_to := to_
-          end
-          else if from_ <> !cur_from || to_ <> !cur_to then begin
-            flush pos;
-            lo := pos;
-            cur_from := from_;
-            cur_to := to_
-          end
-        done;
-        flush n.width
-      end)
-    g;
-  List.rev !runs
+  iter_runs_rev s (last_use s) (fun sr_node sr_lo sr_width sr_from sr_to ->
+      runs := { sr_node; sr_lo; sr_width; sr_from; sr_to } :: !runs);
+  !runs
+
+(* Decimal digits of a non-negative int. *)
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+let put_int b pos len n =
+  let n = ref n in
+  for i = pos + len - 1 downto pos do
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10
+  done
+
+(* ["key[lo+width]"] in one allocation. *)
+let run_label key lo width =
+  let kl = String.length key in
+  let dl = digits lo and dw = digits width in
+  let b = Bytes.create (kl + dl + dw + 3) in
+  Bytes.blit_string key 0 b 0 kl;
+  Bytes.set b kl '[';
+  put_int b (kl + 1) dl lo;
+  Bytes.set b (kl + 1 + dl) '+';
+  put_int b (kl + 2 + dl) dw width;
+  Bytes.set b (kl + 2 + dl + dw) ']';
+  Bytes.unsafe_to_string b
 
 (** Left-edge-packed registers over the stored runs. *)
-let registers s =
-  let g = Frag_sched.graph s in
-  Lifetime.left_edge
-    (List.map
-       (fun r ->
-         {
-           Lifetime.iv_label =
-             String.concat ""
-               [
-                 op_key (Graph.node g r.sr_node);
-                 "[";
-                 string_of_int r.sr_lo;
-                 "+";
-                 string_of_int r.sr_width;
-                 "]";
-               ];
-           iv_width = r.sr_width;
-           iv_from = r.sr_from;
-           iv_to = r.sr_to;
-         })
-       (stored_runs s))
-
-let span name f = Hls_telemetry.with_span ~cat:"alloc" name f
+let registers ?view (s : Frag_sched.t) =
+  let v = view_for ?view s in
+  let lu = last_use s in
+  (* The runs into arrays sized by their count, in ascending order. *)
+  let n = ref 0 in
+  iter_runs_rev s lu (fun _ _ _ _ _ -> incr n);
+  let n = !n in
+  let node = Array.make n 0 and lo = Array.make n 0 in
+  let width = Array.make n 0 and from = Array.make n 0 in
+  let to_ = Array.make n 0 in
+  let k = ref n in
+  iter_runs_rev s lu (fun id l w f t ->
+      decr k;
+      node.(!k) <- id;
+      lo.(!k) <- l;
+      width.(!k) <- w;
+      from.(!k) <- f;
+      to_.(!k) <- t);
+  Lifetime.left_edge_flat ~from ~to_ ~width (fun i ->
+      {
+        Lifetime.iv_label =
+          run_label v.op_keys.(v.op_of.(node.(i))) lo.(i) width.(i);
+        iv_width = width.(i);
+        iv_from = from.(i);
+        iv_to = to_.(i);
+      })
 
 (** Build the optimized datapath summary from a fragment schedule. *)
-let bind (s : Frag_sched.t) =
+let bind ?view (s : Frag_sched.t) =
+  let v = view_for ?view s in
   let fus, muxes =
     span "bind.pack" (fun () ->
-        let t = intern_ops s in
-        let fus = pack s t in
-        (fus, fu_muxes t fus))
+        let p = pack v s in
+        (List.init p.n_fu (fu_record p), fu_muxes v p))
   in
-  let registers = span "bind.registers" (fun () -> registers s) in
+  let registers = span "bind.storage" (fun () -> registers ~view:v s) in
   {
-    Datapath.name = Graph.name (Frag_sched.graph s) ^ "_optimized";
+    Datapath.name = Graph.name v.v_graph ^ "_optimized";
     latency = s.Frag_sched.latency;
     chain_delta = Frag_sched.used_delta s;
     mux_levels = (if muxes = [] then 0 else 1);
-    fus = Array.fold_right (fun (fu, _) acc -> fu :: acc) fus [];
+    fus;
     registers;
     muxes;
     ctrl_states = s.Frag_sched.latency;

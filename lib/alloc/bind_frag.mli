@@ -13,6 +13,18 @@ open Hls_dfg.Types
 (** Key identifying the original operation a fragment belongs to. *)
 val op_key : node -> string
 
+(** The part of binding that depends only on the fragmented graph: its
+    original operations, their fragments and the interned operand-port
+    configurations.  Build it once per fragmented graph and pass it to
+    every binding of a schedule of that graph; it is read-only, so
+    domains may share it.  Without [?view] each call builds its own.
+    Passing a view built from another graph than the schedule's
+    (physical equality) raises [Invalid_argument]. *)
+type view
+
+(** The view of the schedule's fragmented graph (span [bind.view]). *)
+val view : Hls_sched.Frag_sched.t -> view
+
 type stored_run = {
   sr_node : int;  (** node id *)
   sr_lo : int;  (** lowest stored bit *)
@@ -27,11 +39,14 @@ type stored_run = {
 val stored_runs : Hls_sched.Frag_sched.t -> stored_run list
 
 (** Left-edge-packed registers over the stored runs. *)
-val registers : Hls_sched.Frag_sched.t -> Lifetime.register list
+val registers : ?view:view -> Hls_sched.Frag_sched.t -> Lifetime.register list
 
 (** The packed adders with the fragment nodes bound to each — the physical
     sharing structure the netlist elaborator realizes. *)
-val dedicated_fus : Hls_sched.Frag_sched.t -> (Datapath.fu * node list) list
+val dedicated_fus :
+  ?view:view -> Hls_sched.Frag_sched.t -> (Datapath.fu * node list) list
 
-(** Build the optimized datapath summary from a fragment schedule. *)
-val bind : Hls_sched.Frag_sched.t -> Datapath.t
+(** Build the optimized datapath summary from a fragment schedule:
+    {!view} when none is given, then the packer (span [bind.pack]) and
+    the storage pass (span [bind.storage]). *)
+val bind : ?view:view -> Hls_sched.Frag_sched.t -> Datapath.t

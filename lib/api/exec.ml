@@ -23,17 +23,24 @@ module Dse = Hls_dse
 
 type t = {
   cache : Dse.Cache.t;  (** shared by every explore request *)
-  prepared : (string * string * string, P.prepared) Hashtbl.t;
+  prepared : (string * string * string, P.prepared * int ref) Hashtbl.t;
       (** latency-independent prefix, keyed (graph digest, canonical
-          recipe spec, verify policy) *)
+          recipe spec, verify policy), with the tick of its last use *)
+  mutable prepared_tick : int;
   mutable prepared_hits : int;
+  mutable prepared_evictions : int;
 }
+
+(* A daemon serving unseen designs would otherwise keep every prefix it
+   ever prepared. *)
+let prepared_cap = 64
 
 let create ?cache ?timing_workers:_ () =
   let cache =
     match cache with Some c -> c | None -> Dse.Cache.create ()
   in
-  { cache; prepared = Hashtbl.create 8; prepared_hits = 0 }
+  { cache; prepared = Hashtbl.create 8; prepared_tick = 0; prepared_hits = 0;
+    prepared_evictions = 0 }
 
 let close t = Dse.Cache.close t.cache
 
@@ -68,13 +75,32 @@ let prepare_memo t g ~transform ~verify =
       Hls_xform.Recipe.to_string transform,
       Hls_xform.Verify.to_string verify )
   in
+  t.prepared_tick <- t.prepared_tick + 1;
   match Hashtbl.find_opt t.prepared key with
-  | Some p ->
+  | Some (p, used) ->
       t.prepared_hits <- t.prepared_hits + 1;
+      used := t.prepared_tick;
       p
   | None ->
       let p = P.prepare ~transform ~verify g in
-      Hashtbl.replace t.prepared key p;
+      (* Least recently used out: a linear scan over at most
+         [prepared_cap] entries, next to a preparation. *)
+      if Hashtbl.length t.prepared >= prepared_cap then begin
+        let oldest =
+          Hashtbl.fold
+            (fun k (_, used) acc ->
+              match acc with
+              | Some (_, u) when u <= !used -> acc
+              | _ -> Some (k, !used))
+            t.prepared None
+        in
+        Option.iter
+          (fun (k, _) ->
+            Hashtbl.remove t.prepared k;
+            t.prepared_evictions <- t.prepared_evictions + 1)
+          oldest
+      end;
+      Hashtbl.replace t.prepared key (p, ref t.prepared_tick);
       p
 
 let graph_stats g =
@@ -181,6 +207,7 @@ let stage t req =
                     ("pid", Unix.getpid ());
                     ("prepared_entries", Hashtbl.length t.prepared);
                     ("prepared_hits", t.prepared_hits);
+                    ("prepared_evictions", t.prepared_evictions);
                   ];
               }))
   | Request.Workloads { tag } ->

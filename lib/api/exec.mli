@@ -13,7 +13,8 @@
 type t
 
 (** [create ?cache ()] — the executor's shared state: the sweep cache
-    (memory-only unless one is passed in) and the prepared-prefix memo.
+    (memory-only unless one is passed in) and the prepared-prefix memo
+    (least recently used out beyond {!prepared_cap} entries).
     [timing_workers] is ignored; it is kept only so that existing
     callers still compile. *)
 val create : ?cache:Hls_dse.Cache.t -> ?timing_workers:int -> unit -> t
@@ -23,6 +24,11 @@ val close : t -> unit
 
 (** How many requests were served a memoized prepared prefix (tests). *)
 val prepared_hits : t -> int
+
+(** The prepared-prefix memo keeps at most this many prefixes; preparing
+    one more evicts the least recently used (counted in the [stats]
+    verb's [prepared_evictions]). *)
+val prepared_cap : int
 
 type staged =
   | Ready of (Response.payload, Response.error) result

@@ -72,10 +72,17 @@ let popcount w =
 
 let count t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
-(* Index of the lowest set bit of a non-zero word. *)
+(* Index of the lowest set bit of a non-zero word: isolate it, then
+   halve the search range six times. *)
 let lowest_bit w =
-  let rec go i = if w land (1 lsl i) <> 0 then i else go (i + 1) in
-  go 0
+  let w = ref (w land -w) and n = ref 0 in
+  if !w land 0xFFFFFFFF = 0 then begin n := 32; w := !w lsr 32 end;
+  if !w land 0xFFFF = 0 then begin n := !n + 16; w := !w lsr 16 end;
+  if !w land 0xFF = 0 then begin n := !n + 8; w := !w lsr 8 end;
+  if !w land 0xF = 0 then begin n := !n + 4; w := !w lsr 4 end;
+  if !w land 0x3 = 0 then begin n := !n + 2; w := !w lsr 2 end;
+  if !w land 0x1 = 0 then incr n;
+  !n
 
 (* [next_set t i] / [next_unset t i]: smallest member (resp. non-member)
    index >= [i], or [-1] when none remains.  Both first mask off the bits

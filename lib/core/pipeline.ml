@@ -166,11 +166,17 @@ let make_config ?(lib = Hls_techlib.default) ?(policy = `Full)
     ?(verify = Hls_xform.Verify.Off) ?(iterate = 0) () =
   { lib; policy; balance; transform; verify; iterate }
 
-(* The last fragmented graph and its net, for the next point on the same
+(* The last fragmented graph, its net and (once a point has bound a
+   schedule of it) its binding view, for the next point on the same
    prepared kernel.  Immutable values behind one [Atomic] cell: a worker
    may read a neighbour's entry or overwrite it, but never a torn one. *)
-type frag_memo =
-  (Hls_fragment.Transform.t * Hls_timing.Bitnet.t) option Atomic.t
+type memo_entry = {
+  m_transformed : Hls_fragment.Transform.t;
+  m_net : Hls_timing.Bitnet.t;
+  m_view : Hls_alloc.Bind_frag.view option;
+}
+
+type frag_memo = memo_entry option Atomic.t
 
 let frag_memo () = Atomic.make None
 
@@ -178,8 +184,9 @@ let frag_memo () = Atomic.make None
    cycle estimation + fragmentation ([policy]), fragment scheduling
    ([balance]), then [iterate] rounds of the feedback loop when asked.
    The kernel's net and arrival are reused, so a latency sweep pays for
-   them once. *)
-let schedule_of_prepared ?policy ?balance ?(iterate = 0) ?memo p ~latency =
+   them once.  [like] is the memo entry the fragmentation may reuse; the
+   entry comes back when it was. *)
+let schedule_with ?policy ?balance ?(iterate = 0) ?like p ~latency =
   (* Transform.run = Mobility.compute + Transform.apply; split here so the
      two phases span separately. *)
   let plan =
@@ -187,26 +194,23 @@ let schedule_of_prepared ?policy ?balance ?(iterate = 0) ?memo p ~latency =
         Hls_fragment.Mobility.compute ?policy ~net:p.p_net
           ~arrival:p.p_arrival p.p_kernel ~latency)
   in
-  let like = Option.bind memo Atomic.get in
   let transformed =
     span "fragment" (fun () ->
-        Hls_fragment.Transform.apply ?like:(Option.map fst like) p.p_kernel
-          plan)
+        Hls_fragment.Transform.apply
+          ?like:(Option.map (fun e -> e.m_transformed) like)
+          p.p_kernel plan)
   in
-  let net =
+  let reused =
     match like with
-    | Some (l, net) when l.Hls_fragment.Transform.graph == transformed.graph ->
-        Some net
+    | Some e when e.m_transformed.graph == transformed.graph -> like
     | _ -> None
   in
   let schedule =
     span "schedule" (fun () ->
-        Hls_sched.Frag_sched.schedule ?balance ?net transformed)
+        Hls_sched.Frag_sched.schedule ?balance
+          ?net:(Option.map (fun e -> e.m_net) reused)
+          transformed)
   in
-  Option.iter
-    (fun m ->
-      Atomic.set m (Some (transformed, schedule.Hls_sched.Frag_sched.net)))
-    memo;
   (* The feedback loop only ever drops cycles at a chain no longer than
      the one-shot's, so binding the iterated schedule is never worse than
      binding the one-shot.  The kernel's net and arrival serve every
@@ -217,18 +221,51 @@ let schedule_of_prepared ?policy ?balance ?(iterate = 0) ?memo p ~latency =
           Hls_iter.Iter.improve ?balance ?policy ~net:p.p_net
             ~arrival:p.p_arrival ~max_rounds:iterate schedule)
     in
-    (transformed, o.Hls_iter.Iter.o_schedule, Some o)
+    (transformed, schedule, o.Hls_iter.Iter.o_schedule, Some o, reused)
   end
-  else (transformed, schedule, None)
+  else (transformed, schedule, schedule, None, reused)
 
-(** The per-point suffix of the optimized flow: {!schedule_of_prepared},
-    then dedicated-adder binding and the report. *)
+(** The per-point suffix of the optimized flow: {!schedule_with}, then
+    dedicated-adder binding and the report.  With [memo], the binding
+    view of a reused fragmented graph is reused too, and the memo keeps
+    this point's graph, net and view. *)
 let optimized_of_prepared ?(lib = Hls_techlib.default) ?policy ?balance
     ?iterate ?memo p ~latency =
-  let transformed, schedule, iteration =
-    schedule_of_prepared ?policy ?balance ?iterate ?memo p ~latency
+  let like = Option.bind memo Atomic.get in
+  let transformed, one_shot, schedule, iteration, reused =
+    schedule_with ?policy ?balance ?iterate ?like p ~latency
   in
-  let dp = span "bind" (fun () -> Hls_alloc.Bind_frag.bind schedule) in
+  let graph = Hls_sched.Frag_sched.graph schedule in
+  let reusable =
+    match reused with
+    | Some { m_view = Some v; m_transformed; _ }
+      when m_transformed.graph == graph ->
+        Some v
+    | _ -> None
+  in
+  let view, dp =
+    span "bind" (fun () ->
+        let view =
+          match reusable with
+          | Some v ->
+              Hls_telemetry.count "bind.view_reused";
+              v
+          | None -> Hls_alloc.Bind_frag.view schedule
+        in
+        (view, Hls_alloc.Bind_frag.bind ~view schedule))
+  in
+  Option.iter
+    (fun m ->
+      Atomic.set m
+        (Some
+           {
+             m_transformed = transformed;
+             m_net = one_shot.Hls_sched.Frag_sched.net;
+             m_view =
+               (if transformed.graph == graph then Some view
+                else Option.bind reused (fun e -> e.m_view));
+           }))
+    memo;
   {
     opt_report =
       report ~flow:"optimized" ~lib
@@ -255,10 +292,10 @@ let run ?memo config p ~latency =
 (** {!run} without binding, for callers that only read the schedule. *)
 let run_schedule config p ~latency =
   match
-    schedule_of_prepared ~policy:config.policy ~balance:config.balance
+    schedule_with ~policy:config.policy ~balance:config.balance
       ~iterate:config.iterate p ~latency
   with
-  | _, schedule, iteration -> Ok (schedule, iteration)
+  | _, _, schedule, iteration, _ -> Ok (schedule, iteration)
   | exception e -> Error (classify_exn e)
 
 (** Like {!run} with iteration forced on (at least one round), returning

@@ -94,12 +94,14 @@ val make_config :
   ?balance:bool -> ?transform:Hls_xform.Recipe.t ->
   ?verify:Hls_xform.Verify.policy -> ?iterate:int -> unit -> config
 
-(** The last fragmented graph and its {!Hls_timing.Bitnet} seen by
-    {!run} on one prepared kernel.  Points whose plans cut every addition
-    alike (at a fixed chaining budget, neighbouring latencies usually do)
-    reuse both instead of rebuilding them ({!Hls_fragment.Transform.apply}
-    [~like]).  One [Atomic] cell: safe to share between worker domains,
-    and answers never depend on what it holds. *)
+(** The last fragmented graph, its {!Hls_timing.Bitnet} and its
+    {!Hls_alloc.Bind_frag.view} seen by {!run} on one prepared kernel.
+    Points whose plans cut every addition alike (at a fixed chaining
+    budget, neighbouring latencies usually do) reuse all three instead of
+    rebuilding them ({!Hls_fragment.Transform.apply} [~like]); each reuse
+    of the view counts [bind.view_reused].  One [Atomic] cell over
+    read-only values: safe to share between worker domains, and answers
+    never depend on what it holds. *)
 type frag_memo
 
 (** An empty memo; give each prepared kernel its own. *)
@@ -114,8 +116,8 @@ val frag_memo : unit -> frag_memo
     placement), [Error (Resource _ | Internal _)] for faults a caller may
     retry.  Reuses the prepared net and arrival, so a latency sweep pays
     for them once per graph.  With [memo] it also reuses the previous
-    point's fragmented graph and net when they were built from this
-    kernel with the same cuts, and stores its own. *)
+    point's fragmented graph, net and binding view when they were built
+    from this kernel with the same cuts, and stores its own. *)
 val run :
   ?memo:frag_memo -> config -> prepared -> latency:int ->
   (optimized_result, Hls_util.Failure.t) result

@@ -316,7 +316,11 @@ let schedule_reference ?(balance = true) (tr : Transform.t) =
 (** Longest chain actually used in any cycle — the achieved cycle length
     in δ (at most the budget). *)
 let used_delta t =
-  Array.fold_left (fun acc s -> if s > acc then s else acc) 0 t.bit_slot
+  let m = ref 0 in
+  for b = 0 to Array.length t.bit_slot - 1 do
+    if t.bit_slot.(b) > !m then m := t.bit_slot.(b)
+  done;
+  !m
 
 (** Add nodes placed in [cycle]. *)
 let adds_in_cycle t cycle =

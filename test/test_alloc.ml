@@ -294,6 +294,123 @@ let test_bind_matches_oracle () =
         (Datapath.area P.default_config.P.lib dp).Datapath.total_gates)
     sweep_points
 
+(* Every comparison of [test_bind_matches_oracle], on one schedule. *)
+let check_against_oracle what ?view s =
+  if Bind_frag.dedicated_fus ?view s <> Oracle.dedicated_fus s then
+    Alcotest.failf "%s: dedicated_fus differ" what;
+  if Bind_frag.stored_runs s <> Oracle.stored_runs s then
+    Alcotest.failf "%s: stored_runs differ" what;
+  if Bind_frag.registers ?view s <> Oracle.registers s then
+    Alcotest.failf "%s: registers differ" what;
+  let dp = Bind_frag.bind ?view s in
+  if dp <> Oracle.bind s then Alcotest.failf "%s: datapath differs" what;
+  dp
+
+(* The sweep points again under the coalesced fragmentation policy,
+   where it schedules at all (it rarely does at the sweep latencies: the
+   random graphs never), plus points where it does, each of which must
+   bind. *)
+let coalesced_points =
+  [ ("fir8", 6); ("fir8", 9); ("fir8", 12); ("adpcm-decoder", 4);
+    ("adpcm-decoder", 6); ("elliptic", 3); ("elliptic", 22); ("dct8", 3);
+    ("dct8", 6); ("dct8", 20) ]
+
+let test_bind_matches_oracle_coalesced () =
+  let config = { P.default_config with P.policy = `Coalesced } in
+  let prepared = Hashtbl.create 8 in
+  let bind (name, latency) =
+    let p =
+      match Hashtbl.find_opt prepared name with
+      | Some p -> p
+      | None ->
+          let g = Option.get (Hls_workloads.Catalog.find_graph name) in
+          let p = P.prepare g in
+          Hashtbl.add prepared name p;
+          p
+    in
+    match P.run config p ~latency with
+    | Error _ -> false
+    | Ok r ->
+        let what = Printf.sprintf "%s@%d coalesced" name latency in
+        let dp = check_against_oracle what r.P.schedule in
+        if dp <> r.P.opt_report.P.datapath then
+          Alcotest.failf "%s: pipeline datapath differs" what;
+        true
+  in
+  List.iter
+    (fun (name, latency, _) -> ignore (bind (name, latency)))
+    sweep_points;
+  List.iter
+    (fun (name, latency) ->
+      if not (bind (name, latency)) then
+        Alcotest.failf "%s@%d: no coalesced schedule" name latency)
+    coalesced_points
+
+(* Latency walks through one shared [Pipeline.frag_memo], where points
+   that cut every addition alike reuse the fragmented graph and its
+   binding view: each datapath equals a memo-less run's and the oracle's,
+   and the view is reused at least once. *)
+let test_bind_with_shared_memo () =
+  let module Tm = Hls_telemetry in
+  Fun.protect ~finally:(fun () -> Tm.disarm (); Tm.reset ()) @@ fun () ->
+  Tm.reset ();
+  Tm.arm ();
+  List.iter
+    (fun (name, lats) ->
+      let p = P.prepare (Option.get (Hls_workloads.Catalog.find_graph name)) in
+      let memo = P.frag_memo () in
+      List.iter
+        (fun latency ->
+          let what = Printf.sprintf "%s@%d memo" name latency in
+          match
+            (P.run ~memo P.default_config p ~latency,
+             P.run P.default_config p ~latency)
+          with
+          | Ok r, Ok fresh ->
+              if r.P.opt_report.P.datapath <> fresh.P.opt_report.P.datapath
+              then Alcotest.failf "%s: datapath differs without the memo" what;
+              let view = Bind_frag.view r.P.schedule in
+              ignore (check_against_oracle what ~view r.P.schedule)
+          | Error _, Error _ -> ()
+          | _ -> Alcotest.failf "%s: memo changed feasibility" what)
+        lats)
+    [ ("fir8", [ 5; 6; 7; 8 ]); ("dct8", [ 7; 8; 9; 10 ]);
+      ("random240", [ 13; 14; 15 ]); ("adpcm-decoder", [ 13; 14; 15; 16 ]) ];
+  Alcotest.(check bool) "a binding view was reused" true
+    (Tm.counter_total "bind.view_reused" > 0)
+
+(* 50 generated designs of the cold benchmark's shape (the standard
+   recipe, λ 3–4, as in [test emit]); designs the flow rejects are
+   skipped, not counted. *)
+let test_bind_matches_oracle_generated () =
+  let profile =
+    { Hls_fuzz.Gen.default_profile with
+      n_inputs = 5; n_stmts = 14; n_outputs = 3; depth = 3; max_width = 16 }
+  in
+  let cfg =
+    P.make_config ~transform:(Hls_xform.Recipe.of_string_exn "standard") ()
+  in
+  let prng = Hls_util.Prng.create ~seed:23 in
+  let checked = ref 0 and drawn = ref 0 in
+  while !checked < 50 do
+    incr drawn;
+    if !drawn > 500 then
+      Alcotest.failf "only %d of %d generated designs ran" !checked !drawn;
+    let src = Hls_fuzz.Gen.source prng profile in
+    let latency = 3 + Hls_util.Prng.int prng 2 in
+    match Hls_speclang.Elaborate.from_string_result src with
+    | Error _ -> ()
+    | Ok g -> (
+        match P.run_graph cfg g ~latency with
+        | Error _ -> ()
+        | Ok r ->
+            ignore
+              (check_against_oracle
+                 (Printf.sprintf "design %d" !drawn)
+                 r.P.schedule);
+            incr checked)
+  done
+
 (* The production left-edge against the pre-rewrite first-fit scan, on
    lists drawn to collide: few start cycles (equal [iv_from]), few widths
    (equal widths, width 1), zero-length lives (single-cycle intervals),
@@ -307,6 +424,41 @@ let prop_left_edge_matches_oracle =
         List.mapi
           (fun i (w, from_, len) ->
             iv ~label:(string_of_int i) ~w ~from_ ~to_:(from_ + len) ())
+          specs
+      in
+      Lifetime.left_edge intervals = Oracle.left_edge intervals)
+
+(* Starts up to 70 cycles and lists up to 200 long, so the free-register
+   set spans several words. *)
+let prop_left_edge_matches_oracle_long =
+  QCheck.Test.make ~name:"left-edge == pre-rewrite first-fit, long lives"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 200)
+              (triple (int_range 1 4) (int_range 0 70) (int_range 0 12)))
+    (fun specs ->
+      let intervals =
+        List.mapi
+          (fun i (w, from_, len) ->
+            iv ~label:(string_of_int i) ~w ~from_ ~to_:(from_ + len) ())
+          specs
+      in
+      Lifetime.left_edge intervals = Oracle.left_edge intervals)
+
+(* Widths far apart make the width span too wide for the counting
+   pass: the comparison-sort fallback must order alike.  Lives may also
+   end before they start. *)
+let prop_left_edge_matches_oracle_wide =
+  QCheck.Test.make ~name:"left-edge == pre-rewrite first-fit, wide spans"
+    ~count:200
+    QCheck.(list_of_size Gen.(0 -- 40)
+              (triple (int_range 1 100_000) (int_range (-5) 6)
+                 (int_range (-2) 3)))
+    (fun specs ->
+      let intervals =
+        List.mapi
+          (fun i (w, from_, len) ->
+            iv ~label:(string_of_int i) ~w:(1 + (w mod 3 * 40_000)) ~from_
+              ~to_:(from_ + len) ())
           specs
       in
       Lifetime.left_edge intervals = Oracle.left_edge intervals)
@@ -341,3 +493,13 @@ let suite =
         prop_shared_registers_cover_reads;
         prop_left_edge_matches_oracle;
       ]
+  @ [
+      Alcotest.test_case "bind == oracle, coalesced policy" `Slow
+        test_bind_matches_oracle_coalesced;
+      Alcotest.test_case "bind == oracle through a shared frag memo" `Slow
+        test_bind_with_shared_memo;
+      Alcotest.test_case "bind == oracle on generated designs" `Quick
+        test_bind_matches_oracle_generated;
+    ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_left_edge_matches_oracle_long; prop_left_edge_matches_oracle_wide ]

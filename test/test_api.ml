@@ -888,6 +888,53 @@ let test_exec_memoization () =
   check_bool "prepared prefix memoized across requests" true
     (Exec.prepared_hits exec >= before + 2)
 
+(* A daemon's prepared-prefix memo stays bounded: cap + 16 distinct
+   generated designs through one executor keep at most [prepared_cap]
+   entries, evict the rest least recently used first, and every answer
+   equals a fresh executor's. *)
+let test_exec_memo_bounded () =
+  let exec = Exec.create () in
+  Fun.protect ~finally:(fun () -> Exec.close exec) @@ fun () ->
+  let profile =
+    { Hls_fuzz.Gen.default_profile with
+      n_inputs = 5; n_stmts = 14; n_outputs = 3; depth = 3; max_width = 16 }
+  in
+  let prng = Hls_util.Prng.create ~seed:11 in
+  let gauges () =
+    match run_payload exec Req.Stats with
+    | Resp.Stats { st_gauges; _ } -> st_gauges
+    | _ -> Alcotest.fail "stats answered another payload"
+  in
+  let gauge name = List.assoc name (gauges ()) in
+  let n = Exec.prepared_cap + 16 in
+  let sources = Hashtbl.create n in
+  while Hashtbl.length sources < n do
+    let src = Hls_fuzz.Gen.source prng profile in
+    match Hls_speclang.Elaborate.from_string_result src with
+    | Ok g -> Hashtbl.replace sources (Hls_dse.Cache.graph_digest g) src
+    | Error _ -> ()
+  done;
+  Hashtbl.iter
+    (fun _ src ->
+      let req =
+        Req.Report
+          { spec = Req.Source src; latency = 4; config = Req.default_config;
+            target_ns = None }
+      in
+      let fresh = Exec.create () in
+      let expected =
+        Fun.protect ~finally:(fun () -> Exec.close fresh) (fun () ->
+            Exec.run fresh req)
+      in
+      if Exec.run exec req <> expected then
+        Alcotest.fail "memoized executor answered differently";
+      if gauge "prepared_entries" > Exec.prepared_cap then
+        Alcotest.failf "%d prepared entries, cap %d"
+          (gauge "prepared_entries") Exec.prepared_cap)
+    sources;
+  check_int "entries at the cap" Exec.prepared_cap (gauge "prepared_entries");
+  check_int "evictions" 16 (gauge "prepared_evictions")
+
 let test_exec_batch () =
   let exec = Exec.create () in
   Fun.protect ~finally:(fun () -> Exec.close exec) @@ fun () ->
@@ -1396,4 +1443,6 @@ let suite =
       test_exec_skips_unused_bind;
     Alcotest.test_case "codec lane draws every verb, kind and class" `Quick
       test_codec_lane_coverage;
+    Alcotest.test_case "exec prepared memo stays bounded" `Quick
+      test_exec_memo_bounded;
   ]
