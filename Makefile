@@ -96,7 +96,9 @@ iter-smoke:
 
 # Tiny-iteration run of the timing bench (reference vs Bitnet pairs) and a
 # sanity check of the JSON it emits.  --assert additionally times the
-# arrival/deadline kernels and the binder against their references on
+# arrival/deadline kernels, the one-pass fragmentation (graph and net
+# together, against the pre-rewrite rebuild plus a separate net build)
+# and the binder against their references on
 # every registry workload, the equivalence checker against its oracle on
 # every non-stress one, and the Verilog printer against its pre-rewrite
 # oracle on dct8, random240 and one generated design, and fails loudly

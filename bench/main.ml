@@ -631,25 +631,36 @@ let timing () =
           ]
         in
         pair "arrival"
-          (fun () -> ignore (Hls_timing.Arrival.compute_reference kernel))
+          (fun () -> ignore (Hls_oracle.Timing_oracle.arrival kernel))
           (fun () -> ignore (Hls_timing.Arrival.of_net net))
         @ pair "deadline"
             (fun () ->
               ignore
-                (Hls_timing.Deadline.compute_reference kernel
+                (Hls_oracle.Timing_oracle.deadline kernel
                    ~total_slots:total))
             (fun () ->
               ignore (Hls_timing.Deadline.of_net net ~total_slots:total))
         @ pair "mobility"
             (fun () ->
               ignore
-                (Hls_fragment.Mobility.compute_reference kernel
+                (Hls_oracle.Timing_oracle.mobility kernel
                    ~latency:mid_latency))
             (fun () ->
               ignore
                 (Hls_fragment.Mobility.compute kernel ~latency:mid_latency))
+        @ (* A fresh fragmentation (a memo miss), at the workload's
+             longest latency: the pre-rewrite rebuild and the separate
+             net build it needed, against the one-pass build of both. *)
+          (let plan =
+             Hls_fragment.Mobility.compute kernel
+               ~latency:(List.nth latencies (List.length latencies - 1))
+           in
+           pair "fragment"
+             (fun () ->
+               ignore (Hls_oracle.Transform_oracle.build kernel plan))
+             (fun () -> ignore (Hls_fragment.Transform.apply kernel plan)))
         @ pair "frag_sched"
-            (fun () -> ignore (Hls_sched.Frag_sched.schedule_reference tr))
+            (fun () -> ignore (Hls_oracle.Timing_oracle.schedule tr))
             (fun () -> ignore (Hls_sched.Frag_sched.schedule tr))
         @ (let sched = Hls_sched.Frag_sched.schedule tr in
            pair "bind"
@@ -666,10 +677,10 @@ let timing () =
               List.iter
                 (fun latency ->
                   let plan =
-                    Hls_fragment.Mobility.compute_reference kernel ~latency
+                    Hls_oracle.Timing_oracle.mobility kernel ~latency
                   in
-                  let tr = Hls_fragment.Transform.apply kernel plan in
-                  let s = Hls_sched.Frag_sched.schedule_reference tr in
+                  let tr = Hls_oracle.Transform_oracle.build kernel plan in
+                  let s = Hls_oracle.Timing_oracle.schedule tr in
                   let dp = Hls_oracle.Bind_oracle.bind_reference s in
                   ignore (Hls_alloc.Datapath.cycle_ns lib dp);
                   ignore (Hls_alloc.Datapath.execution_ns lib dp);
@@ -808,6 +819,29 @@ let timing () =
       Printf.printf "%-12s %-16s %14.1f %14.1f %8.2fx\n" w a r n s)
     rows;
   if rows = [] then prerr_endline "timing: no estimates collected";
+  (* What a fresh fragmentation allocates on the stress workloads at
+     λ 14: minor-heap words per call of the pre-rewrite rebuild plus its
+     separate net build, against the one-pass build of both. *)
+  let frag_alloc =
+    List.map
+      (fun w ->
+        let kernel = P.prepare_kernel (registry w) in
+        let plan = Hls_fragment.Mobility.compute kernel ~latency:14 in
+        let words f =
+          let before = Gc.minor_words () in
+          ignore (Sys.opaque_identity (f ()));
+          Gc.minor_words () -. before
+        in
+        ( w,
+          words (fun () -> Hls_oracle.Transform_oracle.build kernel plan),
+          words (fun () -> Hls_fragment.Transform.apply kernel plan) ))
+      [ "random240"; "random480" ]
+  in
+  List.iter
+    (fun (w, o, n) ->
+      Printf.printf "%-12s %-16s %11.0f minor words -> %11.0f (%.2fx less)\n"
+        w "fragment alloc" o n (o /. n))
+    frag_alloc;
   let xform_rows =
     let module X = Hls_xform in
     (* the adpcm sweep's tightest latency — where a shallower behaviour
@@ -903,6 +937,18 @@ let timing () =
                      ("speedup", J.Float s);
                    ])
                rows) );
+        ( "fragment_alloc",
+          J.List
+            (List.map
+               (fun (w, o, n) ->
+                 J.Obj
+                   [
+                     ("workload", J.String w);
+                     ("latency", J.Int 14);
+                     ("oracle_minor_words", J.Float o);
+                     ("one_pass_minor_words", J.Float n);
+                   ])
+               frag_alloc) );
         (* Per-recipe deltas on the ADPCM decoder at the sweep's
            tightest latency: what each preset costs (engine alone,
            unverified) and what it buys the finished flow. *)
@@ -951,9 +997,9 @@ let timing () =
   if json then
     write_ledger out [ ("equivalence", equivalence_json ~quick equivalence) ];
   if assert_mode then begin
-    (* A timing kernel, the binder, the Verilog printer or the
-       equivalence checker slower than its retained reference is a
-       regression, not a tradeoff — fail the
+    (* A timing kernel, the one-pass fragmentation, the binder, the
+       Verilog printer or the equivalence checker slower than its
+       retained reference is a regression, not a tradeoff — fail the
        build loudly.  So is a checker verdict the oracle disagrees with. *)
     let failed = ref false in
     List.iter
@@ -972,7 +1018,8 @@ let timing () =
     List.iter
       (fun (w, a, _, _, s) ->
         if
-          (a = "arrival" || a = "deadline" || a = "bind" || a = "emit")
+          (a = "arrival" || a = "deadline" || a = "bind" || a = "emit"
+         || a = "fragment")
           && s < 1.0
         then begin
           failed := true;
@@ -983,9 +1030,11 @@ let timing () =
     (* Sweep every registry workload, not just the benched ones: best-of-
        batches wall timing, reference and candidate interleaved
        ([best_ns_ab]), of the amortized kernels (prebuilt net, the
-       serving-path configuration) against the per-query references, and
-       of the flat-array binder against the list-based binder it replaced
-       (both on the net) at the workload's default latency. *)
+       serving-path configuration) against the per-query references, of
+       the one-pass fragmentation against the pre-rewrite rebuild plus
+       its net build, and of the flat-array binder against the list-based
+       binder it replaced (both on the net) at the workload's default
+       latency. *)
     List.iter
       (fun (w, g, latency) ->
         let kernel = P.prepare_kernel g in
@@ -1005,14 +1054,18 @@ let timing () =
           end
         in
         check "arrival"
-          (fun () -> Hls_timing.Arrival.compute_reference kernel)
+          (fun () -> Hls_oracle.Timing_oracle.arrival kernel)
           (fun () -> Hls_timing.Arrival.of_net net);
         check "deadline"
           (fun () ->
-            Hls_timing.Deadline.compute_reference kernel ~total_slots:total)
+            Hls_oracle.Timing_oracle.deadline kernel ~total_slots:total)
           (fun () -> Hls_timing.Deadline.of_net net ~total_slots:total);
         match P.run P.default_config (P.prepared_of_kernel kernel) ~latency with
         | Ok r ->
+            let plan = r.P.transformed.Hls_fragment.Transform.plan in
+            check "fragment"
+              (fun () -> Hls_oracle.Transform_oracle.build kernel plan)
+              (fun () -> Hls_fragment.Transform.apply kernel plan);
             check "bind"
               (fun () -> Hls_oracle.Bind_oracle.bind r.P.schedule)
               (fun () -> Hls_alloc.Bind_frag.bind r.P.schedule)
@@ -1084,9 +1137,9 @@ let timing () =
              | _ -> Printf.printf "bench-assert: fuzz section within bounds\n")));
     if !failed then exit 1;
     print_endline
-      "bench-assert: ok (arrival and deadline kernels, the binder, the \
-       Verilog printer and the equivalence checker at or above their \
-       references on every workload)"
+      "bench-assert: ok (arrival and deadline kernels, the one-pass \
+       fragmentation, the binder, the Verilog printer and the equivalence \
+       checker at or above their references on every workload)"
   end
 
 (* ------------------------------------------------------------------ *)

@@ -166,13 +166,12 @@ let make_config ?(lib = Hls_techlib.default) ?(policy = `Full)
     ?(verify = Hls_xform.Verify.Off) ?(iterate = 0) () =
   { lib; policy; balance; transform; verify; iterate }
 
-(* The last fragmented graph, its net and (once a point has bound a
-   schedule of it) its binding view, for the next point on the same
+(* The last fragmented graph (with its net) and, once a point has bound
+   a schedule of it, its binding view, for the next point on the same
    prepared kernel.  Immutable values behind one [Atomic] cell: a worker
    may read a neighbour's entry or overwrite it, but never a torn one. *)
 type memo_entry = {
   m_transformed : Hls_fragment.Transform.t;
-  m_net : Hls_timing.Bitnet.t;
   m_view : Hls_alloc.Bind_frag.view option;
 }
 
@@ -207,9 +206,7 @@ let schedule_with ?policy ?balance ?(iterate = 0) ?like p ~latency =
   in
   let schedule =
     span "schedule" (fun () ->
-        Hls_sched.Frag_sched.schedule ?balance
-          ?net:(Option.map (fun e -> e.m_net) reused)
-          transformed)
+        Hls_sched.Frag_sched.schedule ?balance transformed)
   in
   (* The feedback loop only ever drops cycles at a chain no longer than
      the one-shot's, so binding the iterated schedule is never worse than
@@ -221,9 +218,9 @@ let schedule_with ?policy ?balance ?(iterate = 0) ?like p ~latency =
           Hls_iter.Iter.improve ?balance ?policy ~net:p.p_net
             ~arrival:p.p_arrival ~max_rounds:iterate schedule)
     in
-    (transformed, schedule, o.Hls_iter.Iter.o_schedule, Some o, reused)
+    (transformed, o.Hls_iter.Iter.o_schedule, Some o, reused)
   end
-  else (transformed, schedule, schedule, None, reused)
+  else (transformed, schedule, None, reused)
 
 (** The per-point suffix of the optimized flow: {!schedule_with}, then
     dedicated-adder binding and the report.  With [memo], the binding
@@ -232,7 +229,7 @@ let schedule_with ?policy ?balance ?(iterate = 0) ?like p ~latency =
 let optimized_of_prepared ?(lib = Hls_techlib.default) ?policy ?balance
     ?iterate ?memo p ~latency =
   let like = Option.bind memo Atomic.get in
-  let transformed, one_shot, schedule, iteration, reused =
+  let transformed, schedule, iteration, reused =
     schedule_with ?policy ?balance ?iterate ?like p ~latency
   in
   let graph = Hls_sched.Frag_sched.graph schedule in
@@ -260,7 +257,6 @@ let optimized_of_prepared ?(lib = Hls_techlib.default) ?policy ?balance
         (Some
            {
              m_transformed = transformed;
-             m_net = one_shot.Hls_sched.Frag_sched.net;
              m_view =
                (if transformed.graph == graph then Some view
                 else Option.bind reused (fun e -> e.m_view));
@@ -295,7 +291,7 @@ let run_schedule config p ~latency =
     schedule_with ~policy:config.policy ~balance:config.balance
       ~iterate:config.iterate p ~latency
   with
-  | _, _, schedule, iteration, _ -> Ok (schedule, iteration)
+  | _, schedule, iteration, _ -> Ok (schedule, iteration)
   | exception e -> Error (classify_exn e)
 
 (** Like {!run} with iteration forced on (at least one round), returning

@@ -13,20 +13,26 @@ type t = {
   port_names : (string, unit) Hashtbl.t;
       (* declared input names, so a duplicate is found in one lookup *)
   output_names : (string, unit) Hashtbl.t;  (* likewise for outputs *)
-  mutable rev_nodes : node list;
+  mutable nodes : node array;
+      (* growable: the first [next_id] slots are the nodes so far, and a
+         slot once written is never written again *)
   mutable next_id : int;
+  capacity : int;  (* initial [nodes] length *)
 }
 
-let create ~name =
+let create_sized ~capacity ~name =
   {
     graph_name = name;
     inputs = [];
     outputs = [];
     port_names = Hashtbl.create 16;
     output_names = Hashtbl.create 16;
-    rev_nodes = [];
+    nodes = [||];
     next_id = 0;
+    capacity = Int.max 1 capacity;
   }
+
+let create ~name = create_sized ~capacity:16 ~name
 
 (** Declare a primary input port and return a full-range operand over it. *)
 let input ?(signed = Unsigned) t name ~width =
@@ -38,16 +44,29 @@ let input ?(signed = Unsigned) t name ~width =
   t.inputs <- p :: t.inputs;
   Operand.of_input ?ext:(if signed = Signed then Some Sext else None) p
 
+(** Create a node with every field given and return its id: no
+    optional-argument boxes and no result operand. *)
+let append t kind ~signedness ~width ~label ~origin operands =
+  let id = t.next_id in
+  let n = { id; kind; signedness; width; operands; label; origin } in
+  let len = Array.length t.nodes in
+  if id = len then begin
+    (* The old array is never written again, so a finished graph may
+       share it. *)
+    let nodes = Array.make (if len = 0 then t.capacity else 2 * len) n in
+    Array.blit t.nodes 0 nodes 0 len;
+    t.nodes <- nodes
+  end
+  else t.nodes.(id) <- n;
+  t.next_id <- id + 1;
+  id
+
 (** Create a node and return a full-range operand over its result. *)
 let node ?(signedness = Unsigned) ?(label = "") ?origin t kind ~width operands
     =
-  let n =
-    { id = t.next_id; kind; signedness; width; operands; label; origin }
-  in
-  t.rev_nodes <- n :: t.rev_nodes;
-  t.next_id <- t.next_id + 1;
+  let id = append t kind ~signedness ~width ~label ~origin operands in
   {
-    src = Node n.id;
+    src = Node id;
     hi = width - 1;
     lo = 0;
     ext = (if signedness = Signed then Sext else Zext);
@@ -85,7 +104,9 @@ let finish t =
       Graph.name = t.graph_name;
       inputs = List.rev t.inputs;
       outputs = List.rev t.outputs;
-      nodes = Array.of_list (List.rev t.rev_nodes);
+      nodes =
+        (if Array.length t.nodes = t.next_id then t.nodes
+         else Array.sub t.nodes 0 t.next_id);
       cached_index = Atomic.make None;
     }
   in

@@ -10,9 +10,20 @@ type t
 
 val create : name:string -> t
 
+(** [create] for an expected node count: the node array starts
+    [capacity] long (and doubles when full). *)
+val create_sized : capacity:int -> name:string -> t
+
 (** Declare a primary input port and return a full-range operand over it
     (sign-extending when [signed]). *)
 val input : ?signed:signedness -> t -> string -> width:int -> operand
+
+(** Create a node with every field given and return its id — what a
+    rebuild creating many nodes calls, with no optional-argument boxes
+    and no result operand. *)
+val append :
+  t -> kind -> signedness:signedness -> width:int -> label:string ->
+  origin:origin option -> operand list -> node_id
 
 (** Create a node and return a full-range operand over its result. *)
 val node :

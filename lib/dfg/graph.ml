@@ -118,66 +118,84 @@ let invalid fmt = Format.kasprintf (fun s -> raise (Invalid s)) fmt
    falls through to {!source_width} and its error. *)
 let indexed_width t ports = function
   | Input n as src -> (
-      match Hashtbl.find_opt ports n with
-      | Some w -> w
-      | None -> source_width t src)
+      match Hashtbl.find ports n with
+      | w -> w
+      | exception Not_found -> source_width t src)
   | src -> source_width t src
 
-let check_operand t ports ~consumer (o : operand) =
+(* The per-node checks below allocate nothing on a valid graph: no
+   closure per node or operand, no option per port lookup; only a failing
+   check formats its message. *)
+let check_operand t ports (consumer : node) (o : operand) =
   if o.lo < 0 || o.hi < o.lo then
     invalid "node %d: operand %a has a bad bit range" consumer.id Operand.pp o;
-  (match o.src with
-  | Node id ->
-      if id < 0 || id >= Array.length t.nodes then
-        invalid "node %d reads undefined node %d" consumer.id id;
-      if id >= consumer.id then
-        invalid "node %d reads node %d, breaking topological order"
-          consumer.id id
-  | Input n ->
-      if not (Hashtbl.mem ports n) then
-        invalid "node %d reads undefined input %s" consumer.id n
-  | Const _ -> ());
-  let sw = indexed_width t ports o.src in
+  let sw =
+    match o.src with
+    | Node id ->
+        if id < 0 || id >= Array.length t.nodes then
+          invalid "node %d reads undefined node %d" consumer.id id;
+        if id >= consumer.id then
+          invalid "node %d reads node %d, breaking topological order"
+            consumer.id id;
+        t.nodes.(id).width
+    | Input n -> (
+        match Hashtbl.find ports n with
+        | w -> w
+        | exception Not_found ->
+            invalid "node %d reads undefined input %s" consumer.id n)
+    | Const bv -> Hls_bitvec.width bv
+  in
   if o.hi >= sw then
     invalid "node %d: operand %a exceeds source width %d" consumer.id
       Operand.pp o sw
 
-let check_arity n ~expected =
-  let got = List.length n.operands in
-  if not (List.mem got expected) then
+let rec check_operands t ports consumer = function
+  | [] -> ()
+  | o :: tl ->
+      check_operand t ports consumer o;
+      check_operands t ports consumer tl
+
+let check_arity n ~got ok =
+  if not ok then
     invalid "node %d (%s): arity %d not allowed" n.id (kind_to_string n.kind)
       got
 
+let operand_width n i = Operand.width (List.nth n.operands i)
+
+let rec width_sum acc = function
+  | [] -> acc
+  | o :: tl -> width_sum (acc + Operand.width o) tl
+
 let check_node t ports n =
   if n.width < 1 then invalid "node %d: width must be >= 1" n.id;
-  List.iter (check_operand t ports ~consumer:n) n.operands;
-  let operand_width i = Operand.width (List.nth n.operands i) in
+  check_operands t ports n n.operands;
+  let got = List.length n.operands in
   (match n.kind with
   | Add ->
-      check_arity n ~expected:[ 2; 3 ];
-      if List.length n.operands = 3 && operand_width 2 <> 1 then
+      check_arity n ~got (got = 2 || got = 3);
+      if got = 3 && operand_width n 2 <> 1 then
         invalid "node %d: carry-in operand must be 1 bit" n.id
-  | Sub | Mul | Max | Min | And | Or | Xor -> check_arity n ~expected:[ 2 ]
+  | Sub | Mul | Max | Min | And | Or | Xor -> check_arity n ~got (got = 2)
   | Lt | Le | Gt | Ge | Eq | Neq ->
-      check_arity n ~expected:[ 2 ];
+      check_arity n ~got (got = 2);
       if n.width <> 1 then
         invalid "node %d: comparison result must be 1 bit" n.id
-  | Neg | Not | Wire -> check_arity n ~expected:[ 1 ]
+  | Neg | Not | Wire -> check_arity n ~got (got = 1)
   | Reduce_or ->
-      check_arity n ~expected:[ 1 ];
+      check_arity n ~got (got = 1);
       if n.width <> 1 then
         invalid "node %d: reduce_or result must be 1 bit" n.id
   | Gate ->
-      check_arity n ~expected:[ 2 ];
-      if operand_width 1 <> 1 then
+      check_arity n ~got (got = 2);
+      if operand_width n 1 <> 1 then
         invalid "node %d: gate control must be 1 bit" n.id
   | Mux ->
-      check_arity n ~expected:[ 3 ];
-      if operand_width 0 <> 1 then
+      check_arity n ~got (got = 3);
+      if operand_width n 0 <> 1 then
         invalid "node %d: mux select must be 1 bit" n.id
   | Concat ->
       if n.operands = [] then invalid "node %d: empty concat" n.id;
-      let sum = Hls_util.List_ext.sum_by Operand.width n.operands in
+      let sum = width_sum 0 n.operands in
       if sum <> n.width then
         invalid "node %d: concat operand widths sum to %d, width is %d" n.id
           sum n.width);

@@ -20,11 +20,24 @@ let map_operand ctx (o : operand) =
       if base == unset then
         invalid_arg
           (Printf.sprintf "Rewrite.map_operand: node %d not rewritten yet" id);
-      (* [base] covers the old node's full width starting at base.lo. *)
-      { base with hi = base.lo + o.hi; lo = base.lo + o.lo; ext = o.ext }
+      (* [base] covers the old node's full width starting at base.lo; an
+         operand selecting all of it with the same extension is [base]
+         itself (operands are immutable, so sharing one is safe). *)
+      if o.lo = 0 && base.hi = base.lo + o.hi && o.ext = base.ext then base
+      else { base with hi = base.lo + o.hi; lo = base.lo + o.lo; ext = o.ext }
 
-let run ?name g ~f =
-  let b = Builder.create ~name:(Option.value name ~default:(Graph.name g)) in
+let rec map_operands ctx = function
+  | [] -> []
+  | o :: tl ->
+      let o = map_operand ctx o in
+      o :: map_operands ctx tl
+
+let run ?name ?capacity g ~f =
+  let b =
+    Builder.create_sized
+      ~capacity:(Option.value capacity ~default:(Graph.node_count g))
+      ~name:(Option.value name ~default:(Graph.name g))
+  in
   List.iter
     (fun p ->
       ignore
@@ -40,7 +53,7 @@ let run ?name g ~f =
 let copy ctx (n : node) =
   Builder.node ctx.b n.kind ~width:n.width ~signedness:n.signedness
     ~label:n.label ?origin:n.origin
-    (List.map (map_operand ctx) n.operands)
+    (map_operands ctx n.operands)
 
 let prune g =
   let live = Array.make (Graph.node_count g) false in

@@ -17,11 +17,17 @@ type ctx = {
     (or is out of the map's range). *)
 val map_operand : ctx -> operand -> operand
 
+(** [List.map (map_operand ctx)], without the closure. *)
+val map_operands : ctx -> operand list -> operand list
+
 (** Rebuild [g] under [name] (default: [g]'s name), replacing each node
     with [f ctx n] — [n]'s operands are NOT yet remapped; use
     {!map_operand}.  Input and output ports are kept in order.  The
-    result is validated. *)
-val run : ?name:string -> Graph.t -> f:(ctx -> node -> operand) -> Graph.t
+    result is validated.  [capacity] is the expected node count of the
+    result (default: [g]'s). *)
+val run :
+  ?name:string -> ?capacity:int -> Graph.t -> f:(ctx -> node -> operand) ->
+  Graph.t
 
 (** The identity rewrite of one node: copy it with remapped operands. *)
 val copy : ctx -> node -> operand

@@ -18,6 +18,7 @@ module Arrival = Hls_timing.Arrival
 module Deadline = Hls_timing.Deadline
 module Bitnet = Hls_timing.Bitnet
 module Critical_path = Hls_timing.Critical_path
+module Int_math = Hls_util.Int_math
 
 type frag = {
   f_lo : int;  (** lowest original result bit of the fragment *)
@@ -48,26 +49,33 @@ type plan = {
       — the bench quantifies the trade. *)
 type policy = [ `Full | `Coalesced ]
 
+(* The maximal runs of bits sharing one (ASAP, ALAP) cycle pair, in one
+   walk from the top bit down so each run conses on in final order.  The
+   cycle of a slot is [max 1 (ceil (slot / n_bits))], as in
+   {!Arrival.asap_cycle} and {!Deadline.alap_cycle}. *)
 let node_fragments arr dl ~n_bits (n : node) =
-  let pairs =
-    List.map
-      (fun bit ->
-        ( Arrival.asap_cycle arr ~n_bits ~id:n.id ~bit,
-          Deadline.alap_cycle dl ~n_bits ~id:n.id ~bit ))
-      (Hls_util.List_ext.range 0 n.width)
+  let id = n.id in
+  let top = n.width - 1 in
+  let hi = ref top in
+  let asap =
+    ref (Int.max 1 (Int_math.ceil_div (Arrival.slot arr ~id ~bit:top) n_bits))
+  and alap =
+    ref (Int.max 1 (Int_math.ceil_div (Deadline.slot dl ~id ~bit:top) n_bits))
   in
-  let runs = Hls_util.List_ext.group_runs ~eq:( = ) pairs in
-  let _, frags =
-    List.fold_left
-      (fun (lo, acc) run ->
-        let width = List.length run in
-        let asap, alap = List.hd run in
-        ( lo + width,
-          { f_lo = lo; f_hi = lo + width - 1; f_asap = asap; f_alap = alap }
-          :: acc ))
-      (0, []) runs
-  in
-  List.rev frags
+  let frags = ref [] in
+  for bit = top - 1 downto 0 do
+    let a = Int.max 1 (Int_math.ceil_div (Arrival.slot arr ~id ~bit) n_bits)
+    and d = Int.max 1 (Int_math.ceil_div (Deadline.slot dl ~id ~bit) n_bits) in
+    if a <> !asap || d <> !alap then begin
+      frags :=
+        { f_lo = bit + 1; f_hi = !hi; f_asap = !asap; f_alap = !alap }
+        :: !frags;
+      hi := bit;
+      asap := a;
+      alap := d
+    end
+  done;
+  { f_lo = 0; f_hi = !hi; f_asap = !asap; f_alap = !alap } :: !frags
 
 (* Merge adjacent fragments while the windows intersect, the merged
    costly width fits one cycle, and — slot-level check — some cycle of the
@@ -259,80 +267,6 @@ let compute ?n_bits ?(policy = `Full) ?net ?arrival graph ~latency =
             match policy with
             | `Full -> frags
             | `Coalesced -> coalesce arr dl net ~n_bits n frags)
-        | _ -> [])
-  in
-  { latency; n_bits; critical; per_node }
-
-(* List-based δ-costly width of a fragment, for the reference path. *)
-let costly_width_reference graph (n : node) f =
-  List.length
-    (List.filter
-       (fun pos -> fst (Hls_timing.Bitdep.bit_deps graph n pos) > 0)
-       (Hls_util.List_ext.range f.f_lo (f.f_hi + 1)))
-
-let coalesce_reference arr dl graph ~n_bits (n : node) frags =
-  let merge a b =
-    let asap = max a.f_asap b.f_asap and alap = min a.f_alap b.f_alap in
-    if asap > alap then None
-    else
-      let candidate =
-        { f_lo = a.f_lo; f_hi = b.f_hi; f_asap = asap; f_alap = alap }
-      in
-      if costly_width_reference graph n candidate > n_bits then None
-      else
-        let feasible_at c =
-          let ok = ref true in
-          let k = ref 0 in
-          for bit = candidate.f_lo to candidate.f_hi do
-            let cost, _ = Hls_timing.Bitdep.bit_deps graph n bit in
-            if cost > 0 then incr k;
-            let slot = ((c - 1) * n_bits) + max 1 !k in
-            if
-              Arrival.slot arr ~id:n.id ~bit > slot
-              || Deadline.slot dl ~id:n.id ~bit < slot
-            then ok := false
-          done;
-          !ok
-        in
-        if
-          List.exists feasible_at
-            (Hls_util.List_ext.range asap (alap + 1))
-        then Some candidate
-        else None
-  in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | f :: rest -> (
-        match acc with
-        | prev :: acc_tl -> (
-            match merge prev f with
-            | Some m -> go (m :: acc_tl) rest
-            | None -> go (f :: acc) rest)
-        | [] -> go [ f ] rest)
-  in
-  go [] frags
-
-(** Per-query {!Bitdep.bit_deps} evaluation throughout: the executable
-    reference for property tests and benchmark baselines.  Produces the
-    same plan as {!compute}. *)
-let compute_reference ?n_bits ?(policy = `Full) graph ~latency =
-  if latency < 1 then invalid_arg "Mobility.compute: latency must be >= 1";
-  check_kernel_form graph;
-  let arr = Arrival.compute_reference graph in
-  let critical = Arrival.critical_delta arr in
-  let n_bits = resolve_n_bits ~critical ~latency n_bits in
-  let dl = Deadline.compute_reference graph ~total_slots:(latency * n_bits) in
-  if not (Deadline.feasible arr dl) then
-    infeasible_error ~latency ~n_bits ~critical ~witness:None;
-  let per_node =
-    Array.init (Graph.node_count graph) (fun id ->
-        let n = Graph.node graph id in
-        match n.kind with
-        | Add -> (
-            let frags = node_fragments arr dl ~n_bits n in
-            match policy with
-            | `Full -> frags
-            | `Coalesced -> coalesce_reference arr dl graph ~n_bits n frags)
         | _ -> [])
   in
   { latency; n_bits; critical; per_node }

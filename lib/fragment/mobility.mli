@@ -59,12 +59,6 @@ val compute :
     design points as permanent without string-matching at call sites. *)
 val infeasibility_of_exn : exn -> string option
 
-(** Per-query {!Hls_timing.Bitdep.bit_deps} evaluation throughout: the
-    executable reference for property tests and benchmark baselines.
-    Produces the same plan as {!compute}. *)
-val compute_reference :
-  ?n_bits:int -> ?policy:policy -> Hls_dfg.Graph.t -> latency:int -> plan
-
 (** Number of additive operations after fragmentation. *)
 val fragment_count : plan -> int
 

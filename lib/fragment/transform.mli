@@ -1,7 +1,9 @@
 (** Specification transformation: rebuild a kernel-form graph with every
     multi-fragment addition replaced by a chain of smaller additions linked
     through named carry bits (the paper's Fig. 2a idiom), reassembled by
-    pure wiring so the graph's function is unchanged. *)
+    pure wiring so the graph's function is unchanged.  The rebuild writes
+    the new graph's {!Hls_timing.Bitnet} rows as it creates each node, so
+    a transform comes with the net of its graph. *)
 
 (** Where a transformed node's scheduling window comes from. *)
 type window_src =
@@ -18,16 +20,18 @@ type t = {
       (** per transformed-node id: (ASAP, ALAP) cycle window *)
   window_srcs : window_src array;
       (** per transformed-node id: the plan fragment that sets its window *)
+  net : Hls_timing.Bitnet.t;
+      (** dependency net of [graph], built in the same pass *)
 }
 
 (** Apply a fragmentation plan.  The graph depends on the plan only
     through its cuts (each node's fragment [f_lo]/[f_hi] list; [[]] and
     [[f]] differ), so when [like.source] is physically this graph and the
     plan cuts every node as [like.plan] does, the result is
-    [{ like with plan; windows }]: [like.graph] itself, windows recomputed
-    in O(nodes).  Otherwise it builds a fresh graph.  Callers holding
-    [like]'s {!Hls_timing.Bitnet} may reuse it whenever the returned
-    graph is physically [like.graph]. *)
+    [{ like with plan; windows }]: [like.graph] and [like.net] themselves,
+    windows recomputed in O(nodes).  Otherwise it builds a fresh graph
+    and its net in one pass: equal to what a rebuild followed by
+    [Bitnet.build] of the rebuilt graph gives, array for array. *)
 val apply : ?like:t -> Hls_dfg.Graph.t -> Mobility.plan -> t
 
 (** Plan + apply in one step.  [net]/[arrival] are forwarded to

@@ -72,8 +72,8 @@ let improve ?(balance = true) ?(verify = false) ?(max_rounds = 8) ?policy
   let n_bits = s0.Frag_sched.n_bits in
   let initial_latency = s0.Frag_sched.latency in
   let initial_delta = Frag_sched.used_delta s0 in
-  (* Re-plan the source kernel at [target] cycles, same chaining budget,
-     and build the re-planned graph's net once for both attempts.
+  (* Re-plan the source kernel at [target] cycles, same chaining budget;
+     the re-planned graph comes with its net, which both attempts share.
      [net]/[arrival] belong to the source kernel and are latency-
      independent, so one pair serves every round.  At a fixed [n_bits] a
      shorter latency moves every ALAP earlier but usually no cut, so the
@@ -84,21 +84,16 @@ let improve ?(balance = true) ?(verify = false) ?(max_rounds = 8) ?policy
     match
       Transform.run ~like ~n_bits ?policy ?net ?arrival source ~latency:target
     with
-    | tr ->
-        let net =
-          if tr.Transform.graph == like.Transform.graph then best.Frag_sched.net
-          else Hls_timing.Bitnet.build tr.Transform.graph
-        in
-        Some (tr, net)
+    | tr -> Some tr
     | exception e -> (
         match Hls_fragment.Mobility.infeasibility_of_exn e with
         | Some _ -> None
         | None -> raise e)
   in
-  let attempt ~cap ~pin (tr, net) =
+  let attempt ~cap ~pin tr =
     match
       T.with_span "iter.schedule" (fun () ->
-          Frag_sched.schedule ~balance ~chain_cap:cap ?pin ~net tr)
+          Frag_sched.schedule ~balance ~chain_cap:cap ?pin tr)
     with
     | s ->
         (* The independent from-scratch checker stays in the loop as the
@@ -156,12 +151,12 @@ let improve ?(balance = true) ?(verify = false) ?(max_rounds = 8) ?policy
     | None -> (
         match T.with_span "iter.replan" (fun () -> replan best target) with
         | None -> reject Greedy_stuck
-        | Some ((tr, _) as planned) -> (
+        | Some tr -> (
             let pin = Subgraph.pin_for sg tr.Transform.graph in
             let pinned, result =
-              match attempt ~cap ~pin:(Some pin) planned with
+              match attempt ~cap ~pin:(Some pin) tr with
               | Some s -> (true, Some s)
-              | None -> (false, attempt ~cap ~pin:None planned)
+              | None -> (false, attempt ~cap ~pin:None tr)
             in
             match result with
             | Some s' ->

@@ -18,11 +18,12 @@
     paints itself into a corner.
 
     The per-candidate-cycle feasibility probe is the innermost loop of the
-    whole flow, so it runs on a prebuilt {!Hls_timing.Bitnet} (flat packed
-    deps); the net is kept in the result for the binder's costly-bit and
-    lifetime queries.  Bit times live in two flat [int] arrays in the
-    net's layout, and a candidate cycle writes its bit times there in
-    place, so probing a cycle allocates nothing.
+    whole flow, so it runs on the transformed graph's own
+    {!Hls_timing.Bitnet} (flat packed deps, built with the graph by
+    {!Hls_fragment.Transform.apply}); the net is kept in the result for
+    the binder's costly-bit and lifetime queries.  Bit times live in two
+    flat [int] arrays in the net's layout, and a candidate cycle writes
+    its bit times there in place, so probing a cycle allocates nothing.
 
     Glue is not scheduled: each glue *bit* simply inherits the time of the
     bits it forwards. *)
@@ -55,9 +56,6 @@ let bit_time t id bit =
   let b = t.net.Bitnet.bit_base.(id) + bit in
   { bt_cycle = t.bit_cycle.(b); bt_slot = t.bit_slot.(b) }
 
-(* Absolute δ slot of a bit time (for deadline comparison). *)
-let absolute ~n_bits { bt_cycle; bt_slot } = ((bt_cycle - 1) * n_bits) + bt_slot
-
 let window_caps (tr : Transform.t) ~latency ~n_bits g =
   let caps =
     Array.init (Graph.node_count g) (fun id ->
@@ -72,7 +70,7 @@ let infeasible (n : node) w_asap w_alap =
     (Printf.sprintf "fragment %d (%s) has no feasible cycle in [%d,%d]" n.id
        n.label w_asap w_alap)
 
-let schedule ?(balance = true) ?chain_cap ?pin ?net (tr : Transform.t) =
+let schedule ?(balance = true) ?chain_cap ?pin (tr : Transform.t) =
   let g = tr.Transform.graph in
   let plan = tr.Transform.plan in
   let latency = plan.Hls_fragment.Mobility.latency in
@@ -87,13 +85,7 @@ let schedule ?(balance = true) ?chain_cap ?pin ?net (tr : Transform.t) =
     | Some c -> raise (Infeasible (Printf.sprintf "chain cap %d below 1 δ" c))
   in
   let n_nodes = Graph.node_count g in
-  let net =
-    match net with
-    | Some n when n.Bitnet.graph != g ->
-        invalid_arg "Frag_sched.schedule: net of another graph"
-    | Some n -> n
-    | None -> Bitnet.build g
-  in
+  let net = tr.Transform.net in
   let bit_base = net.Bitnet.bit_base
   and dep_off = net.Bitnet.dep_off
   and flat_deps = net.Bitnet.flat_deps
@@ -115,7 +107,11 @@ let schedule ?(balance = true) ?chain_cap ?pin ?net (tr : Transform.t) =
   in
   let usage = Array.make latency 0 in
   (* Slots of the best candidate so far, reused by every fragment. *)
-  let max_width = Graph.fold_nodes (fun acc (n : node) -> max acc n.width) 1 g in
+  let max_width = ref 1 in
+  for id = 0 to n_nodes - 1 do
+    max_width := Int.max !max_width (Graph.node g id).width
+  done;
+  let max_width = !max_width in
   let best_slot = Array.make max_width 0 in
   (* Try Add node [n] in [cycle]: writes the candidate's bit times in
      place (nothing reads [n]'s bits but its own carry chain until it is
@@ -202,116 +198,6 @@ let schedule ?(balance = true) ?chain_cap ?pin ?net (tr : Transform.t) =
       | _ -> place_glue n)
     g;
   { transformed = tr; latency; n_bits; cycle_of; bit_cycle; bit_slot; net }
-
-(** Per-query {!Hls_timing.Bitdep.bit_deps} scheduler: the executable
-    reference for property tests and benchmark baselines.  Produces the
-    same placement as {!schedule}. *)
-let schedule_reference ?(balance = true) (tr : Transform.t) =
-  let g = tr.Transform.graph in
-  let plan = tr.Transform.plan in
-  let latency = plan.Hls_fragment.Mobility.latency in
-  let n_bits = plan.Hls_fragment.Mobility.n_bits in
-  let n_nodes = Graph.node_count g in
-  let cycle_of = Array.make n_nodes 0 in
-  let bit_time = Array.make n_nodes [||] in
-  let deadline =
-    Hls_timing.Deadline.compute_reference g
-      ~total_slots:(latency * n_bits)
-      ~caps:(window_caps tr ~latency ~n_bits g)
-  in
-  let usage = Array.make latency 0 in
-  let time_of_source = function
-    | Input _ | Const _ -> fun _ -> { bt_cycle = 0; bt_slot = 0 }
-    | Node id -> fun bit -> bit_time.(id).(bit)
-  in
-  let try_place (n : node) ~is_add ~cycle =
-    let times = Array.make n.width { bt_cycle = 0; bt_slot = 0 } in
-    let ok = ref true in
-    for pos = 0 to n.width - 1 do
-      let cost, deps = Hls_timing.Bitdep.bit_deps g n pos in
-      let dep_time d =
-        match d with
-        | Hls_timing.Bitdep.Self j -> times.(j)
-        | Hls_timing.Bitdep.Bit (src, i) -> time_of_source src i
-      in
-      if is_add then begin
-        let ready =
-          List.fold_left
-            (fun acc d ->
-              let t = dep_time d in
-              if t.bt_cycle > cycle then begin
-                ok := false;
-                acc
-              end
-              else if t.bt_cycle = cycle then max acc t.bt_slot
-              else acc)
-            0 deps
-        in
-        let slot = ready + cost in
-        if slot > n_bits then ok := false;
-        times.(pos) <- { bt_cycle = cycle; bt_slot = slot };
-        if
-          absolute ~n_bits times.(pos)
-          > Hls_timing.Deadline.slot deadline ~id:n.id ~bit:pos
-        then ok := false
-      end
-      else begin
-        let t =
-          List.fold_left
-            (fun acc d ->
-              let t = dep_time d in
-              if
-                t.bt_cycle > acc.bt_cycle
-                || (t.bt_cycle = acc.bt_cycle && t.bt_slot > acc.bt_slot)
-              then t
-              else acc)
-            { bt_cycle = 0; bt_slot = 0 } deps
-        in
-        times.(pos) <- t
-      end
-    done;
-    if !ok then Some times else None
-  in
-  Graph.iter_nodes
-    (fun (n : node) ->
-      match n.kind with
-      | Add ->
-          let w_asap, w_alap = tr.Transform.windows.(n.id) in
-          let weight =
-            List.length
-              (List.filter
-                 (fun pos -> fst (Hls_timing.Bitdep.bit_deps g n pos) > 0)
-                 (Hls_util.List_ext.range 0 n.width))
-          in
-          let best = ref None in
-          for cycle = w_asap to w_alap do
-            match try_place n ~is_add:true ~cycle with
-            | Some times -> (
-                let u = usage.(cycle - 1) in
-                match !best with
-                | Some _ when not balance -> ()
-                | Some (_, _, bu) when bu <= u -> ()
-                | _ -> best := Some (cycle, times, u))
-            | None -> ()
-          done;
-          (match !best with
-          | None -> raise (infeasible n w_asap w_alap)
-          | Some (cycle, times, _) ->
-              cycle_of.(n.id) <- cycle;
-              bit_time.(n.id) <- times;
-              usage.(cycle - 1) <- usage.(cycle - 1) + weight)
-      | _ -> (
-          match try_place n ~is_add:false ~cycle:0 with
-          | Some times -> bit_time.(n.id) <- times
-          | None -> assert false))
-    g;
-  (* Flattened into the net's layout only here, once, so the placement
-     above stays the independent per-node derivation. *)
-  let net = Bitnet.build g in
-  let flat f = Array.concat (Array.to_list (Array.map (Array.map f) bit_time)) in
-  { transformed = tr; latency; n_bits; cycle_of;
-    bit_cycle = flat (fun bt -> bt.bt_cycle);
-    bit_slot = flat (fun bt -> bt.bt_slot); net }
 
 (** Longest chain actually used in any cycle — the achieved cycle length
     in δ (at most the budget). *)

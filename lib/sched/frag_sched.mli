@@ -28,7 +28,8 @@ type t = {
       (** per flat bit: the δ slot it settles at; 0 = stable at cycle
           start *)
   net : Hls_timing.Bitnet.t;
-      (** dependency net of the transformed graph, shared with the binder *)
+      (** dependency net of the transformed graph ([transformed.net]),
+          shared with the binder *)
 }
 
 exception Infeasible of string
@@ -40,9 +41,8 @@ val bit_time : t -> Hls_dfg.Types.node_id -> int -> bit_time
 
 (** Schedule a transformed specification; raises {!Infeasible} when some
     fragment has no feasible cycle in its window.  The feasibility probe
-    runs on a prebuilt {!Hls_timing.Bitnet} ([net] when given, else built
-    here); raises [Invalid_argument] when [net] was built from another
-    graph than [tr.graph] (physical equality).
+    runs on [tr.net], the dependency net {!Hls_fragment.Transform.apply}
+    built together with [tr.graph], so scheduling builds no net.
 
     [chain_cap] tightens the per-cycle chaining budget below the clock
     period: no bit may settle later than δ slot [min chain_cap n_bits] of
@@ -59,14 +59,8 @@ val schedule :
   ?balance:bool ->
   ?chain_cap:int ->
   ?pin:(Hls_dfg.Types.node_id -> int option) ->
-  ?net:Hls_timing.Bitnet.t ->
   Hls_fragment.Transform.t ->
   t
-
-(** Per-query {!Hls_timing.Bitdep.bit_deps} scheduler: the executable
-    reference for property tests and benchmark baselines.  Produces the
-    same placement as {!schedule}. *)
-val schedule_reference : ?balance:bool -> Hls_fragment.Transform.t -> t
 
 (** Longest chain actually used in any cycle — the achieved cycle length
     in δ (at most the budget). *)

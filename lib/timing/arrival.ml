@@ -15,8 +15,6 @@
     topological levels: every node of a level reads only slots settled by
     earlier levels (or its own carry chain). *)
 
-open Hls_dfg.Types
-module Graph = Hls_dfg.Graph
 
 type t = {
   bit_base : int array;
@@ -24,14 +22,6 @@ type t = {
           {!Bitnet} layout) *)
   slots : int array;  (** per flat bit: arrival slot in δ *)
 }
-
-let source_slot t = function
-  | Input _ | Const _ -> fun _ -> 0
-  | Node id -> fun bit -> t.slots.(t.bit_base.(id) + bit)
-
-let dep_slot t ~base = function
-  | Bitdep.Self j -> t.slots.(base + j)
-  | Bitdep.Bit (src, i) -> source_slot t src i
 
 (* Settle every bit of node [id], LSB to MSB: cross-node sources are
    already final (earlier wavefront level), and the only same-node
@@ -100,32 +90,6 @@ let update_of_net (net : Bitnet.t) told ~dirty =
 
 let compute graph = of_net (Bitnet.build graph)
 
-let bases_of_graph graph =
-  let n_nodes = Graph.node_count graph in
-  let bit_base = Array.make (n_nodes + 1) 0 in
-  for id = 0 to n_nodes - 1 do
-    bit_base.(id + 1) <- bit_base.(id) + (Graph.node graph id).width
-  done;
-  bit_base
-
-(** Direct {!Bitdep.bit_deps} evaluation, kept as the executable reference
-    for property tests and the benchmark baseline. *)
-let compute_reference graph =
-  let bit_base = bases_of_graph graph in
-  let t = { bit_base; slots = Array.make bit_base.(Array.length bit_base - 1) 0 } in
-  Graph.iter_nodes
-    (fun n ->
-      let base = bit_base.(n.id) in
-      for pos = 0 to n.width - 1 do
-        let cost, deps = Bitdep.bit_deps graph n pos in
-        let ready =
-          List.fold_left (fun acc d -> max acc (dep_slot t ~base d)) 0 deps
-        in
-        t.slots.(base + pos) <- ready + cost
-      done)
-    graph;
-  t
-
 (** Arrival slot of one node bit. *)
 let slot t ~id ~bit = t.slots.(t.bit_base.(id) + bit)
 
@@ -135,7 +99,12 @@ let flat_slots t = t.slots
 
 (** Latest arrival over all bits of all nodes: the critical path length in
     δ (chained 1-bit additions). *)
-let critical_delta t = Array.fold_left max 0 t.slots
+let critical_delta t =
+  let m = ref 0 in
+  for b = 0 to Array.length t.slots - 1 do
+    if t.slots.(b) > !m then m := t.slots.(b)
+  done;
+  !m
 
 (** Earliest cycle (1-based) bit [bit] of node [id] can be computed in,
     under a chaining budget of [n_bits] δ per cycle.  Bits arriving at slot

@@ -31,11 +31,6 @@ val update_of_net :
     [of_net (Bitnet.build graph)]. *)
 val compute : Hls_dfg.Graph.t -> t
 
-(** Direct per-query {!Bitdep.bit_deps} evaluation: the executable
-    reference for property tests and benchmark baselines.  Produces
-    bit-identical slots to {!compute}. *)
-val compute_reference : Hls_dfg.Graph.t -> t
-
 (** Arrival slot of one node bit (0 = stable at start). *)
 val slot : t -> id:Hls_dfg.Types.node_id -> bit:int -> int
 

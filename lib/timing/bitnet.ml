@@ -84,7 +84,33 @@ let pack_node id i = (((id lsl bit_shift) lor i) lsl 1) lor 1
 (* Growable int buffer for the deps array. *)
 type ivec = { mutable a : int array; mutable len : int }
 
-let ivec_create () = { a = Array.make 1024 0; len = 0 }
+let ivec_create cap = { a = Array.make (imax cap 16) 0; len = 0 }
+
+(* Each domain keeps one dependency buffer between builds: a build takes
+   it (a nested build finds none and makes its own), copies out its
+   exact-length [deps] and hands it back, so a sweep does not regrow a
+   buffer per graph. *)
+let spare : ivec option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let take_deps cap =
+  let r = Domain.DLS.get spare in
+  match !r with
+  | Some v ->
+      r := None;
+      v.len <- 0;
+      v
+  | None -> ivec_create cap
+
+let release_deps v =
+  let deps = Array.sub v.a 0 v.len in
+  Domain.DLS.get spare := Some v;
+  deps
+
+(* Kernel-form graphs run at under two packed dependencies per bit (at
+   most two summand bits and a carry on adder bits, one source bit on
+   wiring): a fresh buffer this long is rarely regrown. *)
+let deps_estimate total_bits = (3 * total_bits) + 16
 
 let ivec_push v x =
   if v.len = Array.length v.a then begin
@@ -108,194 +134,193 @@ let ivec_blit v src pos len =
   Array.blit src pos v.a v.len len;
   v.len <- v.len + len
 
+(* ---- The dependency model, one node at a time ----
+
+   Top-level functions over the operand list, passed the buffer
+   explicitly: writing a node's rows allocates nothing but buffer growth
+   (multipliers aside, whose merged read intervals go through a sorted
+   list). *)
+
+(* The source bit feeding computation position [pos] through operand [o]
+   (nothing for Input/Const sources or zero padding). *)
+let push_operand_bit deps (o : operand) pos =
+  match o.src with
+  | Node id ->
+      if pos < Operand.width o then ivec_push deps (pack_node id (o.lo + pos))
+      else if o.ext = Sext then ivec_push deps (pack_node id o.hi)
+  | Input _ | Const _ -> ()
+
+(* [push_operand_bit] through the first [k] operands. *)
+let rec push_operands_bit deps ops k pos =
+  match ops with
+  | o :: tl when k > 0 ->
+      push_operand_bit deps o pos;
+      push_operands_bit deps tl (k - 1) pos
+  | _ -> ()
+
+(* Every selected bit of an operand, and of every operand. *)
+let push_all_operand_bits deps (o : operand) =
+  match o.src with
+  | Node id ->
+      for p = 0 to Operand.width o - 1 do
+        ivec_push deps (pack_node id (o.lo + p))
+      done
+  | Input _ | Const _ -> ()
+
+let rec push_all_bits deps = function
+  | [] -> ()
+  | o :: tl ->
+      push_all_operand_bits deps o;
+      push_all_bits deps tl
+
+(* Bit [o.lo] of a one-bit control operand (carry in, gate, select). *)
+let push_low_bit deps (o : operand) =
+  match o.src with
+  | Node id -> ivec_push deps (pack_node id o.lo)
+  | Input _ | Const _ -> ()
+
+let push_carry deps pos = if pos > 0 then ivec_push deps (pack_self (pos - 1))
+
+let rec max_operand_width acc = function
+  | [] -> acc
+  | o :: tl -> max_operand_width (imax acc (Operand.width o)) tl
+
+(* Positions below the cover of the first [k] operands (all of them once
+   one sign-extends) take summand bits; above it only the carry
+   ripples on. *)
+let rec cover_of acc k = function
+  | (o : operand) :: tl when k > 0 -> (
+      match o.ext with
+      | Sext -> max_int
+      | Zext -> cover_of (imax acc (Operand.width o)) (k - 1) tl)
+  | _ -> acc
+
+(* The Concat operand covering position [pos]. *)
+let rec push_concat_bit deps ops offset pos =
+  match ops with
+  | [] -> ()
+  | (o : operand) :: tl ->
+      let w = Operand.width o in
+      if pos < offset + w then (
+        match o.src with
+        | Node id -> ivec_push deps (pack_node id (o.lo + (pos - offset)))
+        | Input _ | Const _ -> ())
+      else push_concat_bit deps tl (offset + w) pos
+
+let rec nth_operand (ops : operand list) i =
+  match ops with
+  | [] -> invalid_arg "index out of bounds"
+  | o :: tl -> if i = 0 then o else nth_operand tl (i - 1)
+
+(* Node-source bit intervals feeding multiplier bit [pos], merged by
+   construction: overlapping reads of one source (e.g. squaring)
+   collapse without the quadratic dedup of the list model. *)
+let push_mul_intervals deps ops pos =
+  let ivs =
+    List.fold_left
+      (fun ivs (o : operand) ->
+        let k = min (pos + 1) (Operand.width o) in
+        if k > 0 then
+          match o.src with
+          | Node id -> (id, o.lo, o.lo + k - 1) :: ivs
+          | Input _ | Const _ -> ivs
+        else ivs)
+      [] ops
+  in
+  let rec emit = function
+    | [] -> ()
+    | [ (id, lo, hi) ] ->
+        for b = lo to hi do
+          ivec_push deps (pack_node id b)
+        done
+    | (id1, lo1, hi1) :: ((id2, lo2, hi2) :: tl as rest) ->
+        if id1 = id2 && lo2 <= hi1 + 1 then
+          emit ((id1, lo1, max hi1 hi2) :: tl)
+        else begin
+          for b = lo1 to hi1 do
+            ivec_push deps (pack_node id1 b)
+          done;
+          emit rest
+        end
+  in
+  emit (List.sort compare ivs)
+
 (* The dependency model of one node: emit the δ cost and packed rows of
    every result bit into the shared [deps] buffer, recording
    [cost.(base + pos)] and [dep_off.(base + pos + 1) = deps.len].  A
    node's rows depend only on its own kind/operands/width — never on the
    rest of the graph — which is what makes [rebuild_dirty] sound: clean
    nodes' spans can be blitted verbatim from the previous net. *)
-let emit_node deps cost dep_off ~base (n : node) =
-  (* Emit the source bit feeding computation position [pos] through
-     operand [o] (nothing for Input/Const sources or zero padding). *)
-  let push_operand_bit (o : operand) pos =
-    if pos < Operand.width o then (
-      match o.src with
-      | Node id -> ivec_push deps (pack_node id (o.lo + pos))
-      | Input _ | Const _ -> ())
-    else
-      match o.ext with
-      | Zext -> ()
-      | Sext -> (
-          match o.src with
-          | Node id -> ivec_push deps (pack_node id o.hi)
-          | Input _ | Const _ -> ())
+let emit_rows deps cost dep_off ~base kind ~width ops =
+  let n_ops = List.length ops in
+  (* Adders ripple over their first [summands] operands; an [Add]'s
+     optional third operand is a carry in, read at bit 0 only. *)
+  let summands =
+    match kind with
+    | Add ->
+        if n_ops = 2 || n_ops = 3 then 2
+        else invalid_arg "Bitnet: malformed add"
+    | Sub | Neg -> n_ops
+    | _ -> 0
   in
-  let push_all_operand_bits (o : operand) =
-    match o.src with
-    | Node id ->
-        for p = 0 to Operand.width o - 1 do
-          ivec_push deps (pack_node id (o.lo + p))
-        done
-    | Input _ | Const _ -> ()
-  in
-  let push_carry pos = if pos > 0 then ivec_push deps (pack_self (pos - 1)) in
-  begin
-      (* One-time operand array: no List.nth walk per bit. *)
-      let ops = Array.of_list n.operands in
-      let op i = ops.(i) in
-      let n_ops = Array.length ops in
-      let max_operand_width () =
-        let w = ref 1 in
-        for i = 0 to n_ops - 1 do
-          w := imax !w (Operand.width ops.(i))
-        done;
-        !w
-      in
-      (* Node-source bit intervals feeding multiplier bit [pos], merged by
-         construction: overlapping reads of one source (e.g. squaring)
-         collapse without the quadratic dedup of the list model. *)
-      let push_mul_intervals pos =
-        let ivs = ref [] in
-        for i = 0 to n_ops - 1 do
-          let o = ops.(i) in
-          let k = min (pos + 1) (Operand.width o) in
-          if k > 0 then
-            match o.src with
-            | Node id -> ivs := (id, o.lo, o.lo + k - 1) :: !ivs
-            | Input _ | Const _ -> ()
-        done;
-        let sorted = List.sort compare !ivs in
-        let rec emit = function
-          | [] -> ()
-          | [ (id, lo, hi) ] ->
-              for b = lo to hi do
-                ivec_push deps (pack_node id b)
-              done
-          | (id1, lo1, hi1) :: ((id2, lo2, hi2) :: tl as rest) ->
-              if id1 = id2 && lo2 <= hi1 + 1 then
-                emit ((id1, lo1, max hi1 hi2) :: tl)
-              else begin
-                for b = lo1 to hi1 do
-                  ivec_push deps (pack_node id1 b)
-                done;
-                emit rest
-              end
-        in
-        emit sorted
-      in
-      (* Adders ripple over their first [summands] operands; an [Add]'s
-         optional third operand is a carry in, read at bit 0 only.  The
-         summands cover the positions below [cover] (all of them once one
-         sign-extends); above it only the carry ripples on. *)
-      let summands =
-        match n.kind with
-        | Add ->
-            if n_ops = 2 || n_ops = 3 then 2
-            else invalid_arg "Bitnet: malformed add"
-        | Sub | Neg -> n_ops
-        | _ -> 0
-      in
-      let cover =
-        let c = ref 0 in
-        for i = 0 to summands - 1 do
-          let o = ops.(i) in
-          c :=
-            match o.ext with
-            | Sext -> max_int
-            | Zext -> imax !c (Operand.width o)
-        done;
-        !c
-      in
-      let adder_bit pos =
-        if pos < cover then begin
-          for i = 0 to summands - 1 do
-            push_operand_bit ops.(i) pos
-          done;
-          push_carry pos;
-          (if pos = 0 && summands < n_ops then
-             match ops.(summands).src with
-             | Node id -> ivec_push deps (pack_node id ops.(summands).lo)
-             | Input _ | Const _ -> ());
+  let cover = cover_of 0 summands ops in
+  for pos = 0 to width - 1 do
+    let c =
+      match kind with
+      | Add | Sub | Neg ->
+          if pos < cover then begin
+            push_operands_bit deps ops summands pos;
+            push_carry deps pos;
+            if pos = 0 && summands < n_ops then
+              push_low_bit deps (nth_operand ops summands);
+            1
+          end
+          else begin
+            push_carry deps pos;
+            0
+          end
+      | Mul ->
+          push_mul_intervals deps ops pos;
+          push_carry deps pos;
           1
-        end
-        else begin
-          push_carry pos;
+      | Lt | Le | Gt | Ge | Eq | Neq ->
+          push_all_bits deps ops;
+          max_operand_width 1 ops
+      | Max | Min ->
+          push_all_bits deps ops;
+          push_operands_bit deps ops n_ops pos;
+          max_operand_width 1 ops
+      | Not | Wire ->
+          push_operand_bit deps (nth_operand ops 0) pos;
           0
-        end
-      in
-      for pos = 0 to n.width - 1 do
-        let c =
-          match n.kind with
-          | Add | Sub | Neg -> adder_bit pos
-          | Mul ->
-              push_mul_intervals pos;
-              push_carry pos;
-              1
-          | Lt | Le | Gt | Ge | Eq | Neq ->
-              Array.iter push_all_operand_bits ops;
-              max_operand_width ()
-          | Max | Min ->
-              Array.iter push_all_operand_bits ops;
-              Array.iter (fun o -> push_operand_bit o pos) ops;
-              max_operand_width ()
-          | Not | Wire ->
-              push_operand_bit (op 0) pos;
-              0
-          | And | Or | Xor ->
-              Array.iter (fun o -> push_operand_bit o pos) ops;
-              0
-          | Gate ->
-              push_operand_bit (op 0) pos;
-              let ctrl = op 1 in
-              (match ctrl.src with
-              | Node id -> ivec_push deps (pack_node id ctrl.lo)
-              | Input _ | Const _ -> ());
-              0
-          | Mux ->
-              let sel = op 0 in
-              (match sel.src with
-              | Node id -> ivec_push deps (pack_node id sel.lo)
-              | Input _ | Const _ -> ());
-              push_operand_bit (op 1) pos;
-              push_operand_bit (op 2) pos;
-              0
-          | Concat ->
-              let rec find offset i =
-                if i >= n_ops then ()
-                else
-                  let o = ops.(i) in
-                  let w = Operand.width o in
-                  if pos < offset + w then (
-                    match o.src with
-                    | Node id -> ivec_push deps (pack_node id (o.lo + (pos - offset)))
-                    | Input _ | Const _ -> ())
-                  else find (offset + w) (i + 1)
-              in
-              find 0 0;
-              0
-          | Reduce_or ->
-              push_all_operand_bits (op 0);
-              0
-        in
-        cost.(base + pos) <- c;
-        dep_off.(base + pos + 1) <- deps.len
-      done
-  end
+      | And | Or | Xor ->
+          push_operands_bit deps ops n_ops pos;
+          0
+      | Gate ->
+          push_operand_bit deps (nth_operand ops 0) pos;
+          push_low_bit deps (nth_operand ops 1);
+          0
+      | Mux ->
+          push_low_bit deps (nth_operand ops 0);
+          push_operand_bit deps (nth_operand ops 1) pos;
+          push_operand_bit deps (nth_operand ops 2) pos;
+          0
+      | Concat ->
+          push_concat_bit deps ops 0 pos;
+          0
+      | Reduce_or ->
+          push_all_operand_bits deps (nth_operand ops 0);
+          0
+    in
+    cost.(base + pos) <- c;
+    dep_off.(base + pos + 1) <- deps.len
+  done
 
-(* Node widths (and a width-bound check) folded into the flat bit
-   layout. *)
-let bases_of graph =
-  let n_nodes = Graph.node_count graph in
-  let bit_base = Array.make (n_nodes + 1) 0 in
-  for id = 0 to n_nodes - 1 do
-    let w = (Graph.node graph id).width in
-    if w >= max_width then
-      invalid_arg
-        (Printf.sprintf "Bitnet.build: node %d width %d exceeds %d" id w
-           max_width);
-    bit_base.(id + 1) <- bit_base.(id) + w
-  done;
-  bit_base
+let check_width id w =
+  if w >= max_width then
+    invalid_arg
+      (Printf.sprintf "Bitnet.build: node %d width %d exceeds %d" id w
+         max_width)
 
 (* Everything downstream of the dependency rows: cheap O(V + E) int
    passes deriving the prefix counts, the flat re-encoding, the
@@ -369,15 +394,19 @@ let derive graph ~bit_base ~cost ~dep_off ~deps =
   for b = 0 to total_bits - 1 do
     rdep_off.(b + 1) <- rdep_off.(b + 1) + rdep_off.(b)
   done;
+  (* Fill each run from its end, consumers descending, using
+     [rdep_off.(src + 1)] as the cursor: it ends at the run's start,
+     one slot to the right, and a shift puts it in place. *)
   let rdeps = Array.make n_deps 0 in
-  let rcursor = Array.copy rdep_off in
-  for b = 0 to total_bits - 1 do
-    for k = dep_off.(b) to dep_off.(b + 1) - 1 do
-      let src = flat_deps.(k) in
-      rdeps.(rcursor.(src)) <- b;
-      rcursor.(src) <- rcursor.(src) + 1
+  for b = total_bits - 1 downto 0 do
+    for k = dep_off.(b + 1) - 1 downto dep_off.(b) do
+      let c = flat_deps.(k) + 1 in
+      rdep_off.(c) <- rdep_off.(c) - 1;
+      rdeps.(rdep_off.(c)) <- b
     done
   done;
+  Array.blit rdep_off 1 rdep_off 0 total_bits;
+  rdep_off.(total_bits) <- n_deps;
   Hls_telemetry.gauge "timing.levels" (float n_levels);
   {
     graph;
@@ -394,18 +423,66 @@ let derive graph ~bit_base ~cost ~dep_off ~deps =
     rdeps;
   }
 
+(* A net written node by node while its graph is built: the rows [build]
+   would emit, into arrays of the final size. *)
+type writer = {
+  w_base : int array;
+  mutable w_nodes : int;
+  w_cost : int array;
+  w_dep_off : int array;
+  w_deps : ivec;
+}
+
+let writer ~nodes ~bits =
+  {
+    w_base = Array.make (nodes + 1) 0;
+    w_nodes = 0;
+    w_cost = Array.make bits 0;
+    w_dep_off = Array.make (bits + 1) 0;
+    w_deps = take_deps (deps_estimate bits);
+  }
+
+let write w kind ~width operands =
+  let id = w.w_nodes in
+  check_width id width;
+  let base = w.w_base.(id) in
+  emit_rows w.w_deps w.w_cost w.w_dep_off ~base kind ~width operands;
+  w.w_base.(id + 1) <- base + width;
+  w.w_nodes <- id + 1
+
+let finish w graph =
+  let n_nodes = w.w_nodes in
+  let ok =
+    ref
+      (n_nodes = Graph.node_count graph
+      && n_nodes + 1 = Array.length w.w_base
+      && w.w_base.(n_nodes) = Array.length w.w_cost)
+  in
+  for id = 0 to (if !ok then n_nodes else 0) - 1 do
+    if (Graph.node graph id).width <> w.w_base.(id + 1) - w.w_base.(id) then
+      ok := false
+  done;
+  if not !ok then
+    invalid_arg "Bitnet.finish: the rows written do not match the graph";
+  derive graph ~bit_base:w.w_base ~cost:w.w_cost ~dep_off:w.w_dep_off
+    ~deps:(release_deps w.w_deps)
+
+(* Every width is checked before any row is written, as the layout
+   depends on all of them. *)
 let build graph =
-  let bit_base = bases_of graph in
   let n_nodes = Graph.node_count graph in
-  let total_bits = bit_base.(n_nodes) in
-  let cost = Array.make total_bits 0 in
-  let dep_off = Array.make (total_bits + 1) 0 in
-  let deps = ivec_create () in
-  Graph.iter_nodes
-    (fun (n : node) -> emit_node deps cost dep_off ~base:bit_base.(n.id) n)
-    graph;
-  let deps = Array.sub deps.a 0 deps.len in
-  derive graph ~bit_base ~cost ~dep_off ~deps
+  let bits = ref 0 in
+  for id = 0 to n_nodes - 1 do
+    let w = (Graph.node graph id).width in
+    check_width id w;
+    bits := !bits + w
+  done;
+  let w = writer ~nodes:n_nodes ~bits:!bits in
+  for id = 0 to n_nodes - 1 do
+    let n = Graph.node graph id in
+    write w n.kind ~width:n.width n.operands
+  done;
+  finish w graph
 
 let rebuild_dirty old graph ~dirty =
   let n_nodes = Graph.node_count graph in
@@ -428,13 +505,14 @@ let rebuild_dirty old graph ~dirty =
         dirty;
       let cost = Array.copy old.cost in
       let dep_off = Array.make (total_bits + 1) 0 in
-      let deps = ivec_create () in
+      let deps = take_deps (Array.length old.deps) in
       let dirty_nodes = ref 0 in
       for id = 0 to n_nodes - 1 do
         if is_dirty.(id) then begin
           incr dirty_nodes;
-          emit_node deps cost dep_off ~base:bit_base.(id)
-            (Graph.node graph id)
+          let n = Graph.node graph id in
+          emit_rows deps cost dep_off ~base:bit_base.(id) n.kind
+            ~width:n.width n.operands
         end
         else begin
           (* Clean rows are untouched by an edit elsewhere: blit the old
@@ -448,7 +526,7 @@ let rebuild_dirty old graph ~dirty =
           done
         end
       done;
-      let deps = Array.sub deps.a 0 deps.len in
+      let deps = release_deps deps in
       Hls_telemetry.count "timing.rebuild_dirty";
       if !dirty_nodes > 0 then
         Hls_telemetry.count ~n:!dirty_nodes "timing.rebuild_dirty_nodes";

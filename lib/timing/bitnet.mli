@@ -42,6 +42,32 @@ type t = {
     node is wider than the packed encoding allows (2^20 - 1 bits). *)
 val build : Hls_dfg.Graph.t -> t
 
+(** {2 Writing a net while its graph is built}
+
+    A graph rebuild that knows every node as it creates it can write the
+    net in the same pass: {!write} each node's kind, width and operands
+    in id order, then {!finish} with the finished graph.  The rows are
+    those {!build} emits (one dependency model), and the result equals
+    [build graph] array for array. *)
+
+type writer
+
+(** A writer for a graph of exactly [nodes] nodes and [bits] result
+    bits. *)
+val writer : nodes:int -> bits:int -> writer
+
+(** Write the rows of the next node (id = nodes written so far).  Raises
+    [Invalid_argument] as {!build} does for an over-wide node or a
+    malformed addition, and past the [nodes] or [bits] given. *)
+val write :
+  writer -> Hls_dfg.Types.kind -> width:int -> Hls_dfg.Types.operand list ->
+  unit
+
+(** The net of [graph], whose nodes must be exactly the ones written, in
+    order; raises [Invalid_argument] when the node count or a width
+    differs. *)
+val finish : writer -> Hls_dfg.Graph.t -> t
+
 (** [rebuild_dirty old graph ~dirty] rebuilds the net of [graph] after an
     edit confined to the [dirty] node ids, reusing [old] (the net of the
     pre-edit graph).  The dependency model of a node reads only its own

@@ -22,8 +22,6 @@
     {!of_net_check} possible: a level's slots are final the moment the
     level is swept. *)
 
-open Hls_dfg.Types
-module Graph = Hls_dfg.Graph
 
 type t = {
   total_slots : int;
@@ -129,42 +127,6 @@ let of_net_check ?caps (net : Bitnet.t) ~total_slots ~arrival =
     e.g. under the coalesced fragmentation policy). *)
 let compute ?caps graph ~total_slots =
   of_net ?caps (Bitnet.build graph) ~total_slots
-
-let bases_of_graph graph =
-  let n_nodes = Graph.node_count graph in
-  let bit_base = Array.make (n_nodes + 1) 0 in
-  for id = 0 to n_nodes - 1 do
-    bit_base.(id + 1) <- bit_base.(id) + (Graph.node graph id).width
-  done;
-  bit_base
-
-(** Direct {!Bitdep.bit_deps} evaluation, kept as the executable reference
-    for property tests and the benchmark baseline. *)
-let compute_reference ?caps graph ~total_slots =
-  let bit_base = bases_of_graph graph in
-  let slots = init_slots ?caps bit_base ~total_slots in
-  let n_nodes = Graph.node_count graph in
-  let tighten src bit bound =
-    match src with
-    | Input _ | Const _ -> ()
-    | Node id ->
-        let b = bit_base.(id) + bit in
-        slots.(b) <- min slots.(b) bound
-  in
-  for id = n_nodes - 1 downto 0 do
-    let n = Graph.node graph id in
-    let base = bit_base.(id) in
-    for pos = n.width - 1 downto 0 do
-      let cost, deps = Bitdep.bit_deps graph n pos in
-      let bound = slots.(base + pos) - cost in
-      List.iter
-        (function
-          | Bitdep.Self j -> slots.(base + j) <- min slots.(base + j) bound
-          | Bitdep.Bit (src, i) -> tighten src i bound)
-        deps
-    done
-  done;
-  { total_slots; bit_base; slots }
 
 let slot t ~id ~bit = t.slots.(t.bit_base.(id) + bit)
 

@@ -36,13 +36,6 @@ val compute :
   ?caps:(Hls_dfg.Types.node_id -> int -> int) -> Hls_dfg.Graph.t ->
   total_slots:int -> t
 
-(** Direct per-query {!Bitdep.bit_deps} evaluation: the executable
-    reference for property tests and benchmark baselines.  Produces
-    bit-identical slots to {!compute}. *)
-val compute_reference :
-  ?caps:(Hls_dfg.Types.node_id -> int -> int) -> Hls_dfg.Graph.t ->
-  total_slots:int -> t
-
 (** Deadline slot of one node bit. *)
 val slot : t -> id:Hls_dfg.Types.node_id -> bit:int -> int
 

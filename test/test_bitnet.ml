@@ -10,6 +10,7 @@ module Arrival = Hls_timing.Arrival
 module Deadline = Hls_timing.Deadline
 module P = Hls_core.Pipeline
 module Rdfg = Hls_workloads.Random_dfg
+module Timing_oracle = Hls_oracle.Timing_oracle
 
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
@@ -26,12 +27,12 @@ let profile_of_seed seed =
   else { Rdfg.additive_profile with ops = 15 + (seed mod 21) }
 
 let check_slots_identical ~what g =
-  let arr = Arrival.compute g and arr_ref = Arrival.compute_reference g in
+  let arr = Arrival.compute g and arr_ref = Timing_oracle.arrival g in
   Graph.iter_nodes
     (fun n ->
       for bit = 0 to n.T.width - 1 do
         let a = Arrival.slot arr ~id:n.T.id ~bit
-        and r = Arrival.slot arr_ref ~id:n.T.id ~bit in
+        and r = Timing_oracle.slot arr_ref ~id:n.T.id ~bit in
         if a <> r then
           Alcotest.failf "%s: arrival mismatch node %d bit %d: net %d ref %d"
             what n.T.id bit a r
@@ -39,12 +40,12 @@ let check_slots_identical ~what g =
     g;
   let total_slots = Arrival.critical_delta arr + 3 in
   let dl = Deadline.compute g ~total_slots
-  and dl_ref = Deadline.compute_reference g ~total_slots in
+  and dl_ref = Timing_oracle.deadline g ~total_slots in
   Graph.iter_nodes
     (fun n ->
       for bit = 0 to n.T.width - 1 do
         let a = Deadline.slot dl ~id:n.T.id ~bit
-        and r = Deadline.slot dl_ref ~id:n.T.id ~bit in
+        and r = Timing_oracle.slot dl_ref ~id:n.T.id ~bit in
         if a <> r then
           Alcotest.failf "%s: deadline mismatch node %d bit %d: net %d ref %d"
             what n.T.id bit a r
@@ -158,7 +159,7 @@ let test_schedule_identity () =
               tr.Hls_fragment.Transform.plan.Hls_fragment.Mobility.latency
           in
           let s = Hls_sched.Frag_sched.schedule tr
-          and r = Hls_sched.Frag_sched.schedule_reference tr in
+          and r = Timing_oracle.schedule tr in
           Alcotest.(check (array int))
             (name ^ ": cycle_of") r.Hls_sched.Frag_sched.cycle_of
             s.Hls_sched.Frag_sched.cycle_of;

@@ -145,6 +145,102 @@ let test_total_add_bits () =
   let g = Hls_workloads.Motivational.chain3 () in
   Alcotest.(check int) "3 x 16" 48 (Graph.total_add_bits g)
 
+(* --- validation messages against the pre-rewrite validator --- *)
+
+(* What validating [g] answers: accepted, the [Invalid] message, or the
+   [Invalid_argument] an unknown output source raises. *)
+let outcome validate_result g =
+  match validate_result g with
+  | Ok () -> "ok"
+  | Error m -> "invalid: " ^ m
+  | exception Invalid_argument m -> "invalid_argument: " ^ m
+
+(* One node of every arity class over two inputs, then every single-node
+   or single-port corruption of it: each answer — the message, byte for
+   byte, or acceptance — must be the pre-rewrite validator's
+   ([Hls_oracle.Transform_oracle.validate]). *)
+let test_validate_messages_match_oracle () =
+  let b = B.create ~name:"every_kind" in
+  let x = B.input b "x" ~width:4 in
+  let y = B.input b "y" ~width:4 ~signed:Signed in
+  let s = B.add_cin b ~width:5 x y (Operand.reslice x ~hi:0 ~lo:0) in
+  let bit = Operand.reslice s ~hi:4 ~lo:4 in
+  let gt = B.node b Gate ~width:4 [ x; bit ] in
+  let mx = B.node b Mux ~width:4 [ bit; gt; y ] in
+  let lt = B.lt b mx y in
+  let cc = B.node b Concat ~width:5 [ mx; lt ] in
+  let r = B.node b Reduce_or ~width:1 [ cc ] in
+  let w = B.node b Wire ~width:2 [ Operand.reslice cc ~hi:1 ~lo:0 ] in
+  let m = B.sub b ~width:4 w (Operand.of_const (Bv.of_int ~width:3 5)) in
+  B.output b "o" m;
+  B.output b "r" r;
+  let g = B.finish b in
+  let n_nodes = Graph.node_count g in
+  let operand_edits (o : operand) =
+    [ { o with lo = -1 }; { o with hi = o.lo - 1 }; { o with hi = o.hi + 9 };
+      { o with src = Node (-1) }; { o with src = Node n_nodes };
+      { o with src = Node 7 }; { o with src = Input "nope" };
+      { o with src = Const (Bv.of_int ~width:2 1) } ]
+  in
+  let node_edits (n : node) =
+    [ { n with width = 0 }; { n with width = 1 }; { n with width = 9 };
+      { n with id = n.id + 1 }; { n with operands = [] };
+      { n with operands = n.operands @ [ x ] };
+      { n with operands = List.tl (n.operands @ [ x ]) };
+      { n with origin = Some { orig_op = "o"; orig_lo = 3; orig_hi = 1 } };
+      { n with origin = Some { orig_op = "o"; orig_lo = -1; orig_hi = 1 } } ]
+    @ List.map
+        (fun kind -> { n with kind })
+        [ Add; Sub; Mul; Neg; Lt; Le; Gt; Ge; Eq; Neq; Max; Min; Not; And;
+          Or; Xor; Gate; Mux; Concat; Reduce_or; Wire ]
+    @ List.concat
+        (List.mapi
+           (fun i o ->
+             List.map
+               (fun o' ->
+                 { n with
+                   operands = List.mapi (fun j p -> if i = j then o' else p)
+                       n.operands })
+               (operand_edits o))
+           n.operands)
+  in
+  let with_node i n' =
+    let nodes = Array.copy g.Graph.nodes in
+    nodes.(i) <- n';
+    { g with Graph.nodes; cached_index = Atomic.make None }
+  in
+  let port_edits =
+    let p = List.hd g.Graph.inputs and (name, o) = List.hd g.Graph.outputs in
+    List.map
+      (fun inputs -> { g with Graph.inputs })
+      [ { p with port_width = 0 } :: List.tl g.inputs; p :: g.inputs ]
+    @ List.map
+        (fun outputs -> { g with Graph.outputs })
+        [ (name, o) :: g.outputs; [ (name, { o with lo = -1 }) ];
+          [ (name, { o with hi = o.hi + 9 }) ];
+          [ (name, { o with src = Input "nope" }) ];
+          [ (name, { o with src = Node n_nodes }) ];
+          [ (name, { o with src = Input "x"; hi = 3; lo = 0 }) ] ]
+  in
+  let graphs =
+    (g :: port_edits)
+    @ List.concat_map
+        (fun i -> List.map (with_node i) (node_edits (Graph.node g i)))
+        (List.init n_nodes Fun.id)
+  in
+  let invalid = ref 0 in
+  List.iteri
+    (fun k g ->
+      let want = outcome Hls_oracle.Transform_oracle.validate_result g in
+      if want <> "ok" then incr invalid;
+      Alcotest.(check string)
+        (Printf.sprintf "graph %d" k)
+        want
+        (outcome Graph.validate_result g))
+    graphs;
+  Alcotest.(check bool) "most corruptions rejected" true
+    (!invalid > List.length graphs / 2)
+
 let suite =
   [
     Alcotest.test_case "builder basic" `Quick test_builder_basic;
@@ -160,4 +256,6 @@ let suite =
     Alcotest.test_case "kind predicates" `Quick test_kind_predicates;
     Alcotest.test_case "motivational shapes" `Quick test_motivational_shapes;
     Alcotest.test_case "total add bits" `Quick test_total_add_bits;
+    Alcotest.test_case "validate messages == oracle" `Quick
+      test_validate_messages_match_oracle;
   ]

@@ -402,6 +402,152 @@ let test_apply_like_matches_fresh () =
   Alcotest.(check bool) "some graphs shared" true (!shared > 0);
   Alcotest.(check bool) "some graphs rebuilt" true (!rebuilt > 0)
 
+(* --- the one-pass transform against the pre-rewrite oracle --- *)
+
+module Bitnet = Hls_timing.Bitnet
+module Transform_oracle = Hls_oracle.Transform_oracle
+
+let nets_equal (a : Bitnet.t) (b : Bitnet.t) =
+  a.bit_base = b.bit_base && a.cost = b.cost
+  && a.costly_prefix = b.costly_prefix && a.dep_off = b.dep_off
+  && a.deps = b.deps && a.flat_deps = b.flat_deps
+  && a.node_level = b.node_level && a.level_off = b.level_off
+  && a.level_nodes = b.level_nodes && a.rdep_off = b.rdep_off
+  && a.rdeps = b.rdeps
+
+(* A transform answers exactly what the pre-rewrite build answers for its
+   source and plan (graph digest, windows, window sources), and carries
+   the net of its own graph, equal array for array to [Bitnet.build]. *)
+let one_pass_mismatch (tr : Transform.t) =
+  let o = Transform_oracle.build tr.source tr.plan in
+  if Graph.digest tr.graph <> Graph.digest o.graph then Some "graph digest"
+  else if tr.windows <> o.windows then Some "windows"
+  else if tr.window_srcs <> o.window_srcs then Some "window sources"
+  else if tr.net.graph != tr.graph then Some "net of another graph"
+  else if not (nets_equal tr.net (Bitnet.build tr.graph)) then Some "net"
+  else None
+
+let check_one_pass tag tr =
+  match one_pass_mismatch tr with
+  | None -> ()
+  | Some what -> Alcotest.failf "%s: %s differs from the oracle" tag what
+
+(* Every catalog workload, λ 2–22, both policies, fresh; the [`Full]
+   walk also re-plans each latency against the previous one ([~like]),
+   where a shared graph must come with the shared net.  Then 50 designs
+   of the cold benchmark's shape (the standard recipe, λ 3–4) through
+   the whole flow; designs the flow rejects are skipped, not counted. *)
+let test_one_pass_matches_oracle () =
+  let module Catalog = Hls_workloads.Catalog in
+  List.iter
+    (fun e ->
+      let kernel = Extract.run (Catalog.graph e) in
+      let net = Bitnet.build kernel in
+      let arrival = Hls_timing.Arrival.of_net net in
+      List.iter
+        (fun policy ->
+          let prev = ref None in
+          for latency = 2 to 22 do
+            match Mobility.compute ~policy ~net ~arrival kernel ~latency with
+            | exception Invalid_argument _ -> prev := None
+            | plan ->
+                let tag =
+                  Printf.sprintf "%s λ%d %s" e.Catalog.name latency
+                    (Hls_dse.Space.policy_name policy)
+                in
+                check_one_pass tag (Transform.apply kernel plan);
+                if policy = `Full then begin
+                  let tr = Transform.apply ?like:!prev kernel plan in
+                  check_one_pass (tag ^ " ~like") tr;
+                  Option.iter
+                    (fun (like : Transform.t) ->
+                      if tr.graph == like.graph && tr.net != like.net then
+                        Alcotest.failf "%s: shared graph, fresh net" tag)
+                    !prev;
+                  prev := Some tr
+                end
+          done)
+        [ `Full; `Coalesced ])
+    (Catalog.all ());
+  let module P = Hls_core.Pipeline in
+  let profile =
+    { Hls_fuzz.Gen.default_profile with
+      n_inputs = 5; n_stmts = 14; n_outputs = 3; depth = 3; max_width = 16 }
+  in
+  let cfg =
+    P.make_config ~transform:(Hls_xform.Recipe.of_string_exn "standard") ()
+  in
+  let prng = Hls_util.Prng.create ~seed:23 in
+  let checked = ref 0 and drawn = ref 0 in
+  while !checked < 50 do
+    incr drawn;
+    if !drawn > 500 then
+      Alcotest.failf "only %d of %d generated designs ran" !checked !drawn;
+    let src = Hls_fuzz.Gen.source prng profile in
+    let latency = 3 + Hls_util.Prng.int prng 2 in
+    match Hls_speclang.Elaborate.from_string_result src with
+    | Error _ -> ()
+    | Ok g -> (
+        match P.run_graph cfg g ~latency with
+        | Error _ -> ()
+        | Ok r ->
+            check_one_pass
+              (Printf.sprintf "design %d" !drawn)
+              r.P.transformed;
+            incr checked)
+  done
+
+(* The flat plan against the per-query reference
+   ([Hls_oracle.Timing_oracle.mobility], the list-based fragment runs):
+   the same plan — or both infeasible — on every catalog workload,
+   λ 2–22, both policies. *)
+let test_mobility_matches_oracle () =
+  let module Catalog = Hls_workloads.Catalog in
+  let plan_of f = match f () with p -> Ok p | exception Invalid_argument _ -> Error () in
+  let same (a : Mobility.plan) (b : Mobility.plan) =
+    a.latency = b.latency && a.n_bits = b.n_bits && a.critical = b.critical
+    && a.per_node = b.per_node
+  in
+  List.iter
+    (fun e ->
+      let kernel = Extract.run (Catalog.graph e) in
+      List.iter
+        (fun policy ->
+          for latency = 2 to 22 do
+            match
+              ( plan_of (fun () -> Mobility.compute ~policy kernel ~latency),
+                plan_of (fun () ->
+                    Hls_oracle.Timing_oracle.mobility ~policy kernel ~latency) )
+            with
+            | Ok p, Ok r when same p r -> ()
+            | Error (), Error () -> ()
+            | _ ->
+                Alcotest.failf "%s λ%d %s: plan differs from the oracle"
+                  e.Catalog.name latency
+                  (Hls_dse.Space.policy_name policy)
+          done)
+        [ `Full; `Coalesced ])
+    (Catalog.all ())
+
+(* Random behavioural DAGs (subtractions, multiplications and
+   comparisons, so sign-extending slices and carry ins occur) through
+   kernel extraction, at a random latency and policy. *)
+let prop_one_pass_matches_oracle =
+  QCheck.Test.make ~name:"one-pass == oracle, random kernels" ~count:60
+    QCheck.(triple (int_range 0 10_000) (int_range 1 8) bool)
+    (fun (seed, latency, coalesced) ->
+      let profile =
+        { Hls_workloads.Random_dfg.default_profile with
+          ops = 12 + (seed mod 20); mul_ratio = 8; cmp_ratio = 7 }
+      in
+      let kernel =
+        Extract.run (Hls_workloads.Random_dfg.generate ~profile ~seed ())
+      in
+      let policy = if coalesced then `Coalesced else `Full in
+      match Mobility.compute ~policy kernel ~latency with
+      | exception Invalid_argument _ -> true
+      | plan -> one_pass_mismatch (Transform.apply kernel plan) = None)
+
 let suite =
   [
     Alcotest.test_case "fig3 fragments (paper)" `Quick test_fig3_fragments;
@@ -432,6 +578,10 @@ let suite =
       test_paper_pseudocode_rejects;
     Alcotest.test_case "apply ~like = fresh apply" `Slow
       test_apply_like_matches_fresh;
+    Alcotest.test_case "one-pass == oracle" `Slow
+      test_one_pass_matches_oracle;
+    Alcotest.test_case "mobility == oracle" `Slow
+      test_mobility_matches_oracle;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -440,4 +590,5 @@ let suite =
         prop_transform_preserves_semantics;
         prop_transform_preserves_critical;
         prop_lowered_behavioural_graphs_fragment;
+        prop_one_pass_matches_oracle;
       ]

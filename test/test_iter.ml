@@ -251,7 +251,7 @@ let test_extraction_invariants () =
           | _ -> ())
         (Frag_sched.graph s)
 
-(* --- one net per round: sharing it changes no schedule --- *)
+(* --- one net per fragmented graph, built with it --- *)
 
 let rec first_feasible kernel latency =
   if latency > 64 then None
@@ -260,57 +260,47 @@ let rec first_feasible kernel latency =
     | tr -> Some tr
     | exception Invalid_argument _ -> first_feasible kernel (latency + 1)
 
-(* As the iteration driver uses it: one prebuilt net handed to a pinned
-   attempt and then to an unpinned one, each answering exactly what the
-   same call building its own net answers (placement or Infeasible
-   message). *)
-let prop_schedule_shared_net =
-  QCheck.Test.make ~name:"schedule ~net == schedule building its net"
-    ~count:40
-    QCheck.(quad (int_range 0 10_000) (int_range 0 3) (int_range 0 12)
-              (int_range 0 1_000))
-    (fun (seed, slack, cap, pin_seed) ->
+(* The net a transform carries is the net of its own graph — the one the
+   scheduler and every re-planning round read — and equals a separate
+   [Bitnet.build] of that graph, array for array, on random kernels at
+   their tightest latency and with slack. *)
+let prop_transform_net =
+  QCheck.Test.make ~name:"transform net == Bitnet.build" ~count:40
+    QCheck.(pair (int_range 0 10_000) (int_range 0 3))
+    (fun (seed, slack) ->
       match first_feasible (kernel_of_seed seed) 1 with
       | None -> true
       | Some tr0 ->
-          let latency = tr0.Hls_fragment.Transform.plan.Hls_fragment.Mobility.latency + slack in
+          let latency =
+            tr0.Hls_fragment.Transform.plan.Hls_fragment.Mobility.latency
+            + slack
+          in
           let tr = Hls_fragment.Transform.run (kernel_of_seed seed) ~latency in
-          let chain_cap = if cap = 0 then None else Some cap in
-          let pin id =
-            let h = Hashtbl.hash (pin_seed, id) in
-            if h mod 3 = 0 then None else Some (1 + (h mod (latency + 1)))
-          in
-          let run ?net ?pin () =
-            match Frag_sched.schedule ?chain_cap ?pin ?net tr with
-            | s ->
-                Ok
-                  ( s.Frag_sched.cycle_of,
-                    s.Frag_sched.bit_cycle,
-                    s.Frag_sched.bit_slot )
-            | exception Frag_sched.Infeasible m -> Error m
-          in
-          let net = Bitnet.build tr.Hls_fragment.Transform.graph in
-          let pinned = run ~net ~pin () in
-          let unpinned = run ~net () in
-          pinned = run ~pin () && unpinned = run ())
+          tr.net.Bitnet.graph == tr.graph
+          && nets_identical tr.net (Bitnet.build tr.graph))
 
-(* A net is only ever read as the net of the graph being scheduled: one
-   built from another graph — even a structurally identical rebuild — is
-   refused rather than silently misread. *)
-let test_schedule_rejects_foreign_net () =
+(* As the iteration driver re-plans: a fresh transform, the same plan
+   applied again and a re-plan at another latency each carry the net of
+   their own graph, equal to [Bitnet.build] of it; a re-plan handing back
+   the incumbent's graph hands back its net too. *)
+let test_transform_carries_net () =
   let g = Option.get (Hls_workloads.Catalog.find_graph "fir8") in
   let kernel = (P.prepare g).P.p_kernel in
   let module Transform = Hls_fragment.Transform in
   let tr = Transform.run kernel ~latency:8 in
   let rebuilt = Transform.apply kernel tr.Transform.plan in
-  let other = Transform.run kernel ~latency:4 in
+  let other = Transform.run ~like:tr kernel ~latency:4 in
   List.iter
-    (fun (what, (donor : Transform.t)) ->
-      match Frag_sched.schedule ~net:(Bitnet.build donor.graph) tr with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "net of %s accepted" what)
-    [ ("another latency's graph", other); ("a rebuilt graph", rebuilt) ];
-  ignore (Frag_sched.schedule ~net:(Bitnet.build tr.graph) tr)
+    (fun (what, (t : Transform.t)) ->
+      Alcotest.(check bool) (what ^ ": net of its graph") true
+        (t.net.Bitnet.graph == t.graph);
+      Alcotest.(check bool) (what ^ ": net == Bitnet.build") true
+        (nets_identical t.net (Bitnet.build t.graph)))
+    [ ("fresh", tr); ("a rebuilt graph", rebuilt);
+      ("another latency's graph", other) ];
+  let again = Transform.run ~like:tr kernel ~latency:8 in
+  Alcotest.(check bool) "shared graph, shared net" true
+    (again.graph == tr.graph && again.net == tr.net)
 
 (* An armed iterate names the insides of each round: one iter.extract
    and one iter.witness per round, one iter.replan per round that got
@@ -356,13 +346,13 @@ let suite =
     Alcotest.test_case "extraction invariants" `Quick
       test_extraction_invariants;
     Alcotest.test_case "round spans" `Quick test_round_spans;
-    Alcotest.test_case "schedule rejects a foreign net" `Quick
-      test_schedule_rejects_foreign_net;
+    Alcotest.test_case "transform carries its own net" `Quick
+      test_transform_carries_net;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_rebuild_dirty_identity;
         prop_update_of_net_identity;
         prop_iterate_random_monotone;
-        prop_schedule_shared_net;
+        prop_transform_net;
       ]

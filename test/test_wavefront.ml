@@ -13,6 +13,7 @@ module Bitnet = Hls_timing.Bitnet
 module Arrival = Hls_timing.Arrival
 module Deadline = Hls_timing.Deadline
 module Ws = Hls_bitvec.Wordset
+module Timing_oracle = Hls_oracle.Timing_oracle
 
 let kernel_of_seed ?(lanes = 1) ?(ops = 24) seed =
   let profile =
@@ -29,13 +30,21 @@ let for_all_bits g f =
   done;
   !ok
 
-let arrivals_equal g a b =
-  for_all_bits g (fun ~id ~bit ->
-      Arrival.slot a ~id ~bit = Arrival.slot b ~id ~bit)
-
 let deadlines_equal g a b =
   for_all_bits g (fun ~id ~bit ->
       Deadline.slot a ~id ~bit = Deadline.slot b ~id ~bit)
+
+(* The flat kernels against the per-query references kept in
+   [Hls_oracle.Timing_oracle]. *)
+let arrival_matches_reference g a =
+  let r = Timing_oracle.arrival g in
+  for_all_bits g (fun ~id ~bit ->
+      Arrival.slot a ~id ~bit = Timing_oracle.slot r ~id ~bit)
+
+let deadline_matches_reference ?caps g d ~total_slots =
+  let r = Timing_oracle.deadline ?caps g ~total_slots in
+  for_all_bits g (fun ~id ~bit ->
+      Deadline.slot d ~id ~bit = Timing_oracle.slot r ~id ~bit)
 
 (* A deterministic non-uniform cap, to exercise the ?caps init path. *)
 let caps_of_seed seed total = fun id bit -> total - ((id + bit + seed) mod 7)
@@ -51,7 +60,7 @@ let prop_arrival_identity =
     (fun seed ->
       let g = kernel_of_seed seed in
       let net = Bitnet.build g in
-      arrivals_equal g (Arrival.of_net net) (Arrival.compute_reference g))
+      arrival_matches_reference g (Arrival.of_net net))
 
 let prop_deadline_identity =
   QCheck.Test.make ~name:"deadline wavefront == reference (with caps)"
@@ -62,15 +71,15 @@ let prop_deadline_identity =
       let net = Bitnet.build g in
       let total = total_of net in
       let plain =
-        deadlines_equal g
+        deadline_matches_reference g
           (Deadline.of_net net ~total_slots:total)
-          (Deadline.compute_reference g ~total_slots:total)
+          ~total_slots:total
       in
       let caps = caps_of_seed seed total in
       let capped =
-        deadlines_equal g
+        deadline_matches_reference ~caps g
           (Deadline.of_net ~caps net ~total_slots:total)
-          (Deadline.compute_reference ~caps g ~total_slots:total)
+          ~total_slots:total
       in
       plain && capped)
 
@@ -112,7 +121,7 @@ let test_single_level () =
   Alcotest.(check int) "single level" 1 (Bitnet.n_levels net);
   Alcotest.(check int) "one region per add" n (Bitnet.n_regions net);
   Alcotest.(check bool) "identity on a single level" true
-    (arrivals_equal g (Arrival.of_net net) (Arrival.compute_reference g))
+    (arrival_matches_reference g (Arrival.of_net net))
 
 let test_all_const () =
   (* Constant-only operands: no dependencies at all, still one level. *)
@@ -126,11 +135,11 @@ let test_all_const () =
   Alcotest.(check int) "one level" 1 (Bitnet.n_levels net);
   let total = total_of net in
   Alcotest.(check bool) "arrival identity" true
-    (arrivals_equal g (Arrival.of_net net) (Arrival.compute_reference g));
+    (arrival_matches_reference g (Arrival.of_net net));
   Alcotest.(check bool) "deadline identity" true
-    (deadlines_equal g
+    (deadline_matches_reference g
        (Deadline.of_net net ~total_slots:total)
-       (Deadline.compute_reference g ~total_slots:total))
+       ~total_slots:total)
 
 let test_width1_chain () =
   (* A width-1 adder chain: one node per level, the worst case for the
@@ -147,12 +156,12 @@ let test_width1_chain () =
   let net = Bitnet.build g in
   Alcotest.(check int) "one region" 1 (Bitnet.n_regions net);
   Alcotest.(check bool) "arrival identity" true
-    (arrivals_equal g (Arrival.of_net net) (Arrival.compute_reference g));
+    (arrival_matches_reference g (Arrival.of_net net));
   let total = total_of net in
   Alcotest.(check bool) "deadline identity" true
-    (deadlines_equal g
+    (deadline_matches_reference g
        (Deadline.of_net net ~total_slots:total)
-       (Deadline.compute_reference g ~total_slots:total))
+       ~total_slots:total)
 
 let test_registry_regions () =
   (* The multi-lane stress workloads have at least one region per
