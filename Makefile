@@ -100,9 +100,10 @@ iter-smoke:
 # together, against the pre-rewrite rebuild plus a separate net build)
 # and the binder against their references on
 # every registry workload, the equivalence checker against its oracle on
-# every non-stress one, and the Verilog printer against its pre-rewrite
-# oracle on dct8, random240 and one generated design, and fails loudly
-# if any is slower — a
+# every non-stress one, the Verilog printer against its pre-rewrite
+# oracle on dct8, random240 and one generated design, and the graph
+# writer against the Format printer on one generated design, dct8 and
+# random480, and fails loudly if any is slower — a
 # perf regression gate, not just a smoke test.  Then a random480 report
 # (whose equivalence check took 25 s with the per-vector checker) must
 # finish within 10 s.  The full-quota run that regenerates the

@@ -701,7 +701,7 @@ let timing () =
      one elaborated netlist each — dct8 and random240 at λ 14 and the
      first generated design of the cold benchmark's shape (standard
      recipe, λ 4) that the flow accepts. *)
-  let emit_designs =
+  let cold_graph, cold_schedule =
     let rec cold prng =
       let profile =
         { Hls_fuzz.Gen.default_profile with
@@ -719,14 +719,17 @@ let timing () =
                  ~transform:(Hls_xform.Recipe.of_string_exn "standard") ())
               g ~latency:4
           with
-          | Ok r -> r.P.schedule
+          | Ok r -> (g, r.P.schedule)
           | Error _ -> cold prng)
       | _ -> cold prng
     in
+    cold (Hls_util.Prng.create ~seed:1)
+  in
+  let emit_designs =
     [
       ("dct8", (optimized (registry "dct8") ~latency:14).P.schedule);
       ("random240", (optimized (registry "random240") ~latency:14).P.schedule);
-      ("cold", cold (Hls_util.Prng.create ~seed:1));
+      ("cold", cold_schedule);
     ]
   in
   let tests =
@@ -744,6 +747,27 @@ let timing () =
               (Staged.stage (fun () -> ignore (Hls_rtl.Verilog.emit nl)));
           ])
         emit_designs
+  in
+  (* Graph text: the Buffer writer behind [Graph.to_string], [digest] and
+     the recipe engine's change detection against the Format printer it
+     replaced ([Hls_oracle.Graph_oracle]), on the cold design's source
+     (the graph the engine prints after every pass) and the dct8 and
+     random480 sources. *)
+  let tests =
+    tests
+    @ List.concat_map
+        (fun (wname, g) ->
+          let name side = Printf.sprintf "%s/graph_text/%s" wname side in
+          pairs := (wname, "graph_text", name "ref", name "net") :: !pairs;
+          [
+            Test.make ~name:(name "ref")
+              (Staged.stage (fun () ->
+                   ignore (Hls_oracle.Graph_oracle.to_string g)));
+            Test.make ~name:(name "net")
+              (Staged.stage (fun () -> ignore (Hls_dfg.Graph.to_string g)));
+          ])
+        [ ("cold", cold_graph); ("dct8", registry "dct8");
+          ("random480", registry "random480") ]
   in
   (* Telemetry overhead: the same prepared-pipeline sweep with the sink
      disarmed vs armed (metrics mode).  Disarmed it is byte-for-byte the
@@ -998,9 +1022,10 @@ let timing () =
     write_ledger out [ ("equivalence", equivalence_json ~quick equivalence) ];
   if assert_mode then begin
     (* A timing kernel, the one-pass fragmentation, the binder, the
-       Verilog printer or the equivalence checker slower than its
-       retained reference is a regression, not a tradeoff — fail the
-       build loudly.  So is a checker verdict the oracle disagrees with. *)
+       Verilog printer, the graph writer or the equivalence checker slower
+       than its retained reference is a regression, not a tradeoff — fail
+       the build loudly.  So is a checker verdict the oracle disagrees
+       with. *)
     let failed = ref false in
     List.iter
       (fun (w, _, _, same, o, c) ->
@@ -1019,7 +1044,7 @@ let timing () =
       (fun (w, a, _, _, s) ->
         if
           (a = "arrival" || a = "deadline" || a = "bind" || a = "emit"
-         || a = "fragment")
+         || a = "fragment" || a = "graph_text")
           && s < 1.0
         then begin
           failed := true;
@@ -1138,8 +1163,9 @@ let timing () =
     if !failed then exit 1;
     print_endline
       "bench-assert: ok (arrival and deadline kernels, the one-pass \
-       fragmentation, the binder, the Verilog printer and the equivalence \
-       checker at or above their references on every workload)"
+       fragmentation, the binder, the Verilog printer, the graph writer \
+       and the equivalence checker at or above their references on every \
+       workload)"
   end
 
 (* ------------------------------------------------------------------ *)

@@ -27,6 +27,7 @@ open Hls_dfg.Types
 module Graph = Hls_dfg.Graph
 module Frag_sched = Hls_sched.Frag_sched
 module Bitnet = Hls_timing.Bitnet
+module Decimal = Hls_util.Decimal
 
 let op_key (n : node) =
   match n.origin with
@@ -587,27 +588,18 @@ let stored_runs (s : Frag_sched.t) =
       runs := { sr_node; sr_lo; sr_width; sr_from; sr_to } :: !runs);
   !runs
 
-(* Decimal digits of a non-negative int. *)
-let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
-
-let put_int b pos len n =
-  let n = ref n in
-  for i = pos + len - 1 downto pos do
-    Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!n mod 10)));
-    n := !n / 10
-  done
-
 (* ["key[lo+width]"] in one allocation. *)
 let run_label key lo width =
   let kl = String.length key in
-  let dl = digits lo and dw = digits width in
-  let b = Bytes.create (kl + dl + dw + 3) in
+  let b =
+    Bytes.create (kl + Decimal.digits lo + Decimal.digits width + 3)
+  in
   Bytes.blit_string key 0 b 0 kl;
   Bytes.set b kl '[';
-  put_int b (kl + 1) dl lo;
-  Bytes.set b (kl + 1 + dl) '+';
-  put_int b (kl + 2 + dl) dw width;
-  Bytes.set b (kl + 2 + dl + dw) ']';
+  let pos = Decimal.put_int b (kl + 1) lo in
+  Bytes.set b pos '+';
+  let pos = Decimal.put_int b (pos + 1) width in
+  Bytes.set b pos ']';
   Bytes.unsafe_to_string b
 
 (** Left-edge-packed registers over the stored runs. *)

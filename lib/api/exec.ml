@@ -103,7 +103,10 @@ let prepare_memo t g ~transform ~verify =
       Hashtbl.replace t.prepared key (p, ref t.prepared_tick);
       p
 
-let graph_stats g =
+(* [critical] is the source kernel's critical δ when the caller already
+   holds it (a report whose recipe is empty: the prepared kernel is then
+   exactly the source's); otherwise the kernel is extracted here. *)
+let graph_stats ?critical g =
   {
     Response.gs_name = Graph.name g;
     gs_inputs = List.length g.Graph.inputs;
@@ -111,7 +114,10 @@ let graph_stats g =
     gs_nodes = Graph.node_count g;
     gs_ops = Graph.behavioural_op_count g;
     gs_critical =
-      Hls_timing.Critical_path.critical_delta (Hls_kernel.Extract.run g);
+      (match critical with
+      | Some c -> c
+      | None ->
+          Hls_timing.Critical_path.critical_delta (Hls_kernel.Extract.run g));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -208,6 +214,7 @@ let stage t req =
                     ("prepared_entries", Hashtbl.length t.prepared);
                     ("prepared_hits", t.prepared_hits);
                     ("prepared_evictions", t.prepared_evictions);
+                    ("trace_dropped", Hls_telemetry.dropped_events ());
                   ];
               }))
   | Request.Workloads { tag } ->
@@ -303,7 +310,7 @@ let stage t req =
               Response.Parsed
                 {
                   stats = graph_stats g;
-                  pretty = Format.asprintf "%a" Graph.pp g;
+                  pretty = Graph.to_string g;
                 })
       | Request.Optimize { latency; config; vhdl; _ } ->
           with_config config (fun cfg p ->
@@ -344,6 +351,11 @@ let stage t req =
                                     "the period target is unreachable")))
                   in
                   let conv = P.conventional ~lib:cfg.P.lib g ~latency in
+                  let critical =
+                    if cfg.P.transform.Hls_xform.Recipe.steps = [] then
+                      Some (Hls_timing.Arrival.critical_delta p.P.p_arrival)
+                    else None
+                  in
                   let r = run_or_raise cfg p ~latency in
                   let equivalence =
                     match P.check_optimized_equivalence g r with
@@ -352,7 +364,7 @@ let stage t req =
                   in
                   Response.Reported
                     {
-                      r_stats = graph_stats g;
+                      r_stats = graph_stats ?critical g;
                       r_latency = latency;
                       r_target = target;
                       r_conventional = Dse.Cache.metrics_of_report conv;
@@ -523,9 +535,7 @@ let stage t req =
                           x_rejected = o.Hls_xform.Engine.rejected;
                           x_log =
                             List.map entry o.Hls_xform.Engine.log;
-                          x_pretty =
-                            Format.asprintf "%a" Graph.pp
-                              o.Hls_xform.Engine.graph;
+                          x_pretty = Graph.to_string o.Hls_xform.Engine.graph;
                         })))
       | Request.Simulate { latency; seed; config; vcd; _ } ->
           with_config config (fun cfg p ->

@@ -93,7 +93,18 @@ let to_string t =
   String.init t.width (fun i ->
       if t.bits.(t.width - 1 - i) then '1' else '0')
 
-let pp ppf t = Format.fprintf ppf "%db'%s" t.width (to_string t)
+let add_to_buffer buf t =
+  Hls_util.Decimal.add_int buf t.width;
+  Buffer.add_string buf "b'";
+  for i = t.width - 1 downto 0 do
+    Buffer.add_char buf (if Array.unsafe_get t.bits i then '1' else '0')
+  done
+
+let pp ppf t =
+  let buf = Buffer.create (t.width + 8) in
+  add_to_buffer buf t;
+  Format.pp_print_string ppf (Buffer.contents buf)
+
 let equal a b = a.width = b.width && a.bits = b.bits
 
 let check_same_width name a b =

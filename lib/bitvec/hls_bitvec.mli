@@ -59,6 +59,11 @@ val to_signed_int : t -> int
 (** Binary rendering, MSB first. *)
 val to_string : t -> string
 
+(** [add_to_buffer buf t] appends [t] as [<width>b'<bits>], bits MSB
+    first (e.g. [4b'1010]): the form graphs print constants in. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
+(** {!add_to_buffer}'s text. *)
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 

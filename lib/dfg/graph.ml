@@ -1,6 +1,7 @@
 (** The dataflow graph: nodes in topological order plus port bindings. *)
 
 open Types
+module Decimal = Hls_util.Decimal
 
 type index = {
   uses : (node * operand) list array;
@@ -113,16 +114,6 @@ exception Invalid of string
 
 let invalid fmt = Format.kasprintf (fun s -> raise (Invalid s)) fmt
 
-(* Width of an operand source, with input ports looked up in [ports]
-   (name -> width, built once per validation); a name missing there
-   falls through to {!source_width} and its error. *)
-let indexed_width t ports = function
-  | Input n as src -> (
-      match Hashtbl.find ports n with
-      | w -> w
-      | exception Not_found -> source_width t src)
-  | src -> source_width t src
-
 (* The per-node checks below allocate nothing on a valid graph: no
    closure per node or operand, no option per port lookup; only a failing
    check formats its message. *)
@@ -227,7 +218,19 @@ let validate t =
       Hashtbl.add out_seen name ();
       if o.lo < 0 || o.hi < o.lo then
         invalid "output %s has a bad bit range" name;
-      let sw = indexed_width t ports o.src in
+      let sw =
+        match o.src with
+        | Node id ->
+            if id < 0 || id >= Array.length t.nodes then
+              invalid "output %s reads undefined node %d" name id;
+            t.nodes.(id).width
+        | Input n -> (
+            match Hashtbl.find ports n with
+            | w -> w
+            | exception Not_found ->
+                invalid "output %s reads undefined input %s" name n)
+        | Const bv -> Hls_bitvec.width bv
+      in
       if o.hi >= sw then
         invalid "output %s exceeds source width %d" name sw)
     t.outputs
@@ -235,29 +238,90 @@ let validate t =
 let validate_result t =
   match validate t with () -> Ok () | exception Invalid m -> Error m
 
-let pp_node t ppf (n : node) =
-  ignore t;
-  Format.fprintf ppf "n%d%s: %s/%d %s <- %a" n.id
-    (if n.label = "" then "" else Printf.sprintf "(%s)" n.label)
-    (kind_to_string n.kind) n.width
-    (match n.signedness with Unsigned -> "u" | Signed -> "s")
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       Operand.pp)
-    n.operands
+(* ---- Printed form ---- *)
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>graph %s@ inputs: %a@ " t.name
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (fun ppf p -> Format.fprintf ppf "%s/%d" p.port_name p.port_width))
-    t.inputs;
-  Array.iter (fun n -> Format.fprintf ppf "%a@ " (pp_node t) n) t.nodes;
-  Format.fprintf ppf "outputs: %a@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (fun ppf (name, o) -> Format.fprintf ppf "%s <- %a" name Operand.pp o))
-    t.outputs
+(* The printed form is written straight into one [Buffer], decimal
+   digits included ({!Hls_util.Decimal.add_int}): no format
+   interpretation and no intermediate string per node or operand.  One
+   writer serves {!to_string}, {!pp}, {!digest} and the recipe engine's
+   change detection, which prints the graph after every pass. *)
+
+let add_port buf p =
+  Buffer.add_string buf p.port_name;
+  Buffer.add_char buf '/';
+  Decimal.add_int buf p.port_width
+
+let rec add_ports buf = function
+  | [] -> ()
+  | [ p ] -> add_port buf p
+  | p :: tl ->
+      add_port buf p;
+      Buffer.add_string buf ", ";
+      add_ports buf tl
+
+let rec add_operands buf = function
+  | [] -> ()
+  | [ o ] -> Operand.add_to_buffer buf o
+  | o :: tl ->
+      Operand.add_to_buffer buf o;
+      Buffer.add_string buf ", ";
+      add_operands buf tl
+
+let add_node buf (n : node) =
+  Buffer.add_char buf 'n';
+  Decimal.add_int buf n.id;
+  if n.label <> "" then begin
+    Buffer.add_char buf '(';
+    Buffer.add_string buf n.label;
+    Buffer.add_char buf ')'
+  end;
+  Buffer.add_string buf ": ";
+  Buffer.add_string buf (kind_to_string n.kind);
+  Buffer.add_char buf '/';
+  Decimal.add_int buf n.width;
+  Buffer.add_string buf
+    (match n.signedness with Unsigned -> " u <- " | Signed -> " s <- ");
+  add_operands buf n.operands;
+  Buffer.add_char buf '\n'
+
+let add_output buf (name, o) =
+  Buffer.add_string buf name;
+  Buffer.add_string buf " <- ";
+  Operand.add_to_buffer buf o
+
+let rec add_outputs buf = function
+  | [] -> ()
+  | [ out ] -> add_output buf out
+  | out :: tl ->
+      add_output buf out;
+      Buffer.add_string buf ", ";
+      add_outputs buf tl
+
+let add_to_buffer buf t =
+  Buffer.add_string buf "graph ";
+  Buffer.add_string buf t.name;
+  Buffer.add_string buf "\ninputs: ";
+  add_ports buf t.inputs;
+  Buffer.add_char buf '\n';
+  Array.iter (add_node buf) t.nodes;
+  Buffer.add_string buf "outputs: ";
+  add_outputs buf t.outputs
+
+(* Catalog and generated designs print at 40-70 bytes per node, ports
+   included (dct8 55, random480 68, the cold pool about 42): a typical
+   graph fits, a port-heavy one regrows the buffer once. *)
+let text_buffer t = Buffer.create (256 + (56 * Array.length t.nodes))
+
+let to_string t =
+  let buf = text_buffer t in
+  add_to_buffer buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let digest t =
-  Digest.to_hex (Digest.string (t.name ^ "\n" ^ Format.asprintf "%a" pp t))
+  let buf = text_buffer t in
+  Buffer.add_string buf t.name;
+  Buffer.add_char buf '\n';
+  add_to_buffer buf t;
+  Digest.to_hex (Digest.string (Buffer.contents buf))

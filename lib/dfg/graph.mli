@@ -73,9 +73,19 @@ exception Invalid of string
 val validate : t -> unit
 
 val validate_result : t -> (unit, string) result
-val pp_node : t -> Format.formatter -> node -> unit
+
+(** {1 Printed form}
+
+    One line per item: [graph <name>], then [inputs: a/8, b/8], one line
+    per node ([n3(label): add/9 u <- a[7:0], n2[8:0]s]), and
+    [outputs: o <- n3[8:0]] without a trailing newline.  Operands and
+    constants print as {!Operand.add_to_buffer} writes them. *)
+
+val to_string : t -> string
+
+(** {!to_string}'s text. *)
 val pp : Format.formatter -> t -> unit
 
-(** Hex MD5 of the graph's name and printed form: any edit to the graph
-    changes it. *)
+(** Hex MD5 of the graph's name, a newline, and its printed form: any
+    edit to the graph changes it. *)
 val digest : t -> string

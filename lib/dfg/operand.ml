@@ -1,6 +1,7 @@
 (** Helpers over {!Types.operand} values. *)
 
 open Types
+module Decimal = Hls_util.Decimal
 
 (** Width of the selected bit range. *)
 let width (o : operand) = o.hi - o.lo + 1
@@ -41,14 +42,26 @@ let equal (a : operand) (b : operand) =
   | Const x, Const y -> Hls_bitvec.equal x y
   | (Input _ | Node _ | Const _), _ -> false
 
-let pp_source ppf = function
-  | Input s -> Format.fprintf ppf "%s" s
-  | Node id -> Format.fprintf ppf "n%d" id
-  | Const bv -> Hls_bitvec.pp ppf bv
+(** Appends [o] as [<source>[hi:lo]], with an [s] suffix when it
+    sign-extends: an input by name, a node as [n<id>], a constant through
+    {!Hls_bitvec.add_to_buffer}. *)
+let add_to_buffer buf (o : operand) =
+  (match o.src with
+  | Input s -> Buffer.add_string buf s
+  | Node id ->
+      Buffer.add_char buf 'n';
+      Decimal.add_int buf id
+  | Const bv -> Hls_bitvec.add_to_buffer buf bv);
+  Buffer.add_char buf '[';
+  Decimal.add_int buf o.hi;
+  Buffer.add_char buf ':';
+  Decimal.add_int buf o.lo;
+  Buffer.add_string buf (match o.ext with Zext -> "]" | Sext -> "]s")
 
-let pp ppf (o : operand) =
-  Format.fprintf ppf "%a[%d:%d]%s" pp_source o.src o.hi o.lo
-    (match o.ext with Zext -> "" | Sext -> "s")
+let pp ppf o =
+  let buf = Buffer.create 32 in
+  add_to_buffer buf o;
+  Format.pp_print_string ppf (Buffer.contents buf)
 
 (** Integer value of a constant operand (its selected bits), interpreted
     per [signedness]; [None] for non-constant sources. *)

@@ -31,7 +31,14 @@ val one : operand
 val zero_bit : operand
 
 val equal : operand -> operand -> bool
-val pp_source : Format.formatter -> source -> unit
+
+(** [add_to_buffer buf o] appends [o] as a graph prints it:
+    [<source>[hi:lo]], [s] appended when it sign-extends; the source is an
+    input's name, [n<id>] for a node, or a constant as
+    {!Hls_bitvec.add_to_buffer} writes it. *)
+val add_to_buffer : Buffer.t -> operand -> unit
+
+(** {!add_to_buffer}'s text. *)
 val pp : Format.formatter -> operand -> unit
 
 (** Integer value of a constant operand (its selected bits), interpreted

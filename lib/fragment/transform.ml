@@ -83,12 +83,6 @@ let add_copy st ctx (n : node) ~src ~window =
     ~origin:(Some { orig_op = op_name; orig_lo = 0; orig_hi = n.width - 1 })
     (Rewrite.map_operands ctx n.operands)
 
-(* Decimal digits of [n >= 0] into [buf] from [pos]; the position after. *)
-let rec put_int buf pos n =
-  let pos = if n >= 10 then put_int buf pos (n / 10) else pos in
-  Bytes.unsafe_set buf pos (Char.unsafe_chr (48 + (n mod 10)));
-  pos + 1
-
 (* A [Wire] materializing [slice] at fragment width [fw]. *)
 let wire st ctx ~fw slice =
   whole ~width:fw
@@ -149,9 +143,9 @@ let build_fragments st ctx (n : node) a b cin frags =
         let y = frag_operand st ctx b ~lo:f.f_lo ~hi:f.f_hi ~fw in
         let buf = st.label in
         Bytes.unsafe_set buf plen '[';
-        let pos = put_int buf (plen + 1) f.f_hi in
+        let pos = Hls_util.Decimal.put_int buf (plen + 1) f.f_hi in
         Bytes.unsafe_set buf pos ':';
-        let pos = put_int buf (pos + 1) f.f_lo in
+        let pos = Hls_util.Decimal.put_int buf (pos + 1) f.f_lo in
         Bytes.unsafe_set buf pos ']';
         let id =
           mk st ctx ~src:(Frag { src = n.id; index })

@@ -22,6 +22,7 @@ open Hls_dfg.Types
 module B = Hls_dfg.Builder
 module Operand = Hls_dfg.Operand
 module Bv = Hls_bitvec
+module Decimal = Hls_util.Decimal
 
 type ctx = Hls_dfg.Rewrite.ctx = {
   b : B.t;
@@ -66,7 +67,7 @@ let array_multiply ctx ?(label = "mul") a b =
   let row i =
     let bit_i = Operand.reslice b ~hi:i ~lo:i in
     B.node ctx.b Gate ~width:wa
-      ~label:(Printf.sprintf "%s.pp%d" label i)
+      ~label:(Decimal.suffixed label ".pp" i)
       [ a; bit_i ]
   in
   if wb = 1 then
@@ -89,7 +90,7 @@ let array_multiply ctx ?(label = "mul") a b =
       in
       running :=
         B.node ctx.b Add ~width:(wa + 1)
-          ~label:(Printf.sprintf "%s.s%d" label i)
+          ~label:(Decimal.suffixed label ".s" i)
           [ upper; r ]
     done;
     let pieces = List.rev (!running :: !low_bits) in
@@ -110,7 +111,7 @@ let csd_multiply ctx ?(label = "cmul") ~signedness ~width var c =
       let o = { var with ext } in
       if pos = 0 then o
       else
-        { (shifted ctx ~label:(Printf.sprintf "%s.t%d" label pos) o pos)
+        { (shifted ctx ~label:(Decimal.suffixed label ".t" pos) o pos)
           with ext }
     in
     match Hls_util.Csd.digits c with
@@ -126,11 +127,11 @@ let csd_multiply ctx ?(label = "cmul") ~signedness ~width var c =
               let t = term pos in
               let next =
                 if neg then
-                  lower_sub ctx ~label:(Printf.sprintf "%s.s%d" label k)
+                  lower_sub ctx ~label:(Decimal.suffixed label ".s" k)
                     ~width acc t
                 else
                   B.node ctx.b Add ~width
-                    ~label:(Printf.sprintf "%s.s%d" label k)
+                    ~label:(Decimal.suffixed label ".s" k)
                     [ acc; t ]
               in
               (next, k + 1))

@@ -10,15 +10,15 @@
     toolchain.
 
     Both printers write straight into one [Buffer]: strings and
-    {!Rtl_text.add_int}'s digits, no format interpretation per line and
-    no intermediate string per net reference. *)
+    {!Hls_util.Decimal.add_int}'s digits, no format interpretation per
+    line and no intermediate string per net reference. *)
 
 module N = Netlist
 
 let emit ?(name = "design") (nl : N.t) =
   let buf = Rtl_text.create nl in
   let s = Buffer.add_string buf and c = Buffer.add_char buf in
-  let d = Rtl_text.add_int buf in
+  let d = Hls_util.Decimal.add_int buf in
   let w k =
     s "n[";
     d k;
@@ -167,7 +167,7 @@ let testbench ?(name = "design") (nl : N.t) ~cycles
        ((string * Hls_bitvec.t) list * (string * Hls_bitvec.t) list) list) =
   let buf = Buffer.create 4096 in
   let s = Buffer.add_string buf in
-  let d = Rtl_text.add_int buf in
+  let d = Hls_util.Decimal.add_int buf in
   let literal bv =
     d (Hls_bitvec.width bv);
     s "'b";

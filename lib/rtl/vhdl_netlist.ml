@@ -9,7 +9,7 @@ module N = Netlist
 let emit ?(name = "design") (nl : N.t) =
   let buf = Rtl_text.create nl in
   let s = Buffer.add_string buf and c = Buffer.add_char buf in
-  let d = Rtl_text.add_int buf in
+  let d = Hls_util.Decimal.add_int buf in
   let w k =
     s "n(";
     d k;

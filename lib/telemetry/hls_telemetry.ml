@@ -25,6 +25,15 @@ type ev = {
 
 let mu = Mutex.create ()
 let events : ev list ref = ref []  (* newest first *)
+
+(* The trace buffer keeps the first [max_events] events since start or
+   the last reset and counts the rest in [dropped]: a traced long-running
+   process (the request server) would otherwise grow it with every
+   request until it exports.  About 90 bytes per event, so the full
+   buffer holds about 24 MB. *)
+let max_events = 262_144
+let n_events = ref 0
+let dropped = ref 0
 let counters : (string, int) Hashtbl.t = Hashtbl.create 32
 let gauges : (string, float * float) Hashtbl.t = Hashtbl.create 32
 let spans : (string, int * float) Hashtbl.t = Hashtbl.create 32
@@ -39,6 +48,8 @@ let disarm () = mode := inert
 let reset () =
   Mutex.lock mu;
   events := [];
+  n_events := 0;
+  dropped := 0;
   Hashtbl.reset counters;
   Hashtbl.reset gauges;
   Hashtbl.reset spans;
@@ -54,10 +65,13 @@ let tid () = (Domain.self () :> int)
 let now () = Unix.gettimeofday ()
 let us_of t = (t -. !epoch) *. 1e6
 
-(* Callers hold [mu].  The buffer is unbounded: a traced long-running
-   process (the request server) keeps every raw event until it exports,
-   so its trace memory grows with the requests it serves. *)
-let push_locked e = events := e :: !events
+(* Callers hold [mu]. *)
+let push_locked e =
+  if !n_events < max_events then begin
+    events := e :: !events;
+    incr n_events
+  end
+  else incr dropped
 
 let set_gauge_locked name v =
   let _, mx = Option.value (Hashtbl.find_opt gauges name) ~default:(v, v) in
@@ -210,6 +224,12 @@ let gauge_find name =
 
 let gauge_last name = Option.map fst (gauge_find name)
 let gauge_bindings () = sorted_bindings gauges
+
+let dropped_events () =
+  Mutex.lock mu;
+  let n = !dropped in
+  Mutex.unlock mu;
+  n
 
 let recorded_events () =
   Mutex.lock mu;

@@ -33,9 +33,10 @@ type value = Int of int | Float of float | Str of string | Bool of bool
 
 (** [arm ?trace ?metrics ()] turns the sink on (defaults: metrics
     only).  Arming is idempotent and does not clear previously recorded
-    data; use {!reset} for that.  The raw trace-event buffer is
-    unbounded: a traced long-running process (the request server) grows
-    it until it exports. *)
+    data; use {!reset} for that.  The raw trace-event buffer holds at
+    most {!max_events} events: later ones are counted by
+    {!dropped_events} and not kept, so a traced long-running process
+    (the request server) cannot grow it without bound. *)
 val arm : ?trace:bool -> ?metrics:bool -> unit -> unit
 
 (** Turn the sink fully off.  Recorded data is kept (a run typically
@@ -87,6 +88,14 @@ val gauge_last : string -> float option
 
 (** All gauges as (name, (last, max)), sorted by name. *)
 val gauge_bindings : unit -> (string * (float * float)) list
+
+(** Capacity of the trace-event buffer (a constant). *)
+val max_events : int
+
+(** Trace events not kept because the buffer was full, since the last
+    {!reset}.  [hlsopt serve] reports it as the [trace_dropped] gauge of
+    its [stats] answer. *)
+val dropped_events : unit -> int
 
 (** Recorded trace events (all kinds), oldest first: (name, track id).
     For tests; the JSON export is the real consumer surface. *)

@@ -134,6 +134,50 @@ module Pretty = struct
     Buffer.contents buf
 end
 
+module Decimal = struct
+  (** Decimal integers written straight into a [Buffer] or [Bytes], the
+      bytes [string_of_int] would produce, without building an
+      intermediate string: the text printers (graphs, RTL) and the label
+      builders (kernel extraction, fragmentation, binding) write one per
+      node or net. *)
+
+  (* Digits of [n <= 0]: negated remainders, so [min_int] needs no
+     special case. *)
+  let rec add_neg buf n =
+    if n <= -10 then add_neg buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+  (** [add_int buf n] appends [n] in decimal, as [string_of_int n]
+      would. *)
+  let add_int buf n =
+    if n < 0 then Buffer.add_char buf '-';
+    add_neg buf (if n < 0 then n else -n)
+
+  (** Number of decimal digits of [n >= 0]. *)
+  let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+  (** [put_int b pos n] writes the [digits n] digits of [n >= 0] into [b]
+      from [pos]; the position after them. *)
+  let put_int b pos n =
+    let stop = pos + digits n in
+    let n = ref n in
+    for i = stop - 1 downto pos do
+      Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!n mod 10)));
+      n := !n / 10
+    done;
+    stop
+
+  (** [suffixed s sep n] is [s ^ sep ^ string_of_int n] for [n >= 0], in
+      one allocation. *)
+  let suffixed s sep n =
+    let sl = String.length s and pl = String.length sep in
+    let b = Bytes.create (sl + pl + digits n) in
+    Bytes.unsafe_blit_string s 0 b 0 sl;
+    Bytes.unsafe_blit_string sep 0 b sl pl;
+    ignore (put_int b (sl + pl) n);
+    Bytes.unsafe_to_string b
+end
+
 (** Deterministic splittable PRNG used by workload generators so that
     benchmark DFGs are reproducible run to run. *)
 module Prng = struct

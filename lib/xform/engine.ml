@@ -7,10 +7,10 @@
    recipe back.  Every application runs under a telemetry span with
    plan-size counters.
 
-   Change detection is by digest of the printed graph (the same bytes
-   the sweep cache keys on): a pass that rebuilds an identical graph is
-   recorded as not fired, costs no verification, and terminates
-   repeat(...) fixpoints. *)
+   Change detection compares the printed graph ({!Graph.to_string}, the
+   text the sweep cache's digest is taken over): a pass that rebuilds an
+   identical graph is recorded as not fired, costs no verification, and
+   terminates repeat(...) fixpoints. *)
 
 module Graph = Hls_dfg.Graph
 module Failure = Hls_util.Failure
@@ -46,13 +46,11 @@ let () =
              pass verdict)
     | _ -> None)
 
-let digest g = Digest.to_hex (Digest.string (Format.asprintf "%a@." Graph.pp g))
-
 let render_verdict v = Format.asprintf "%a" Hls_check.pp_verdict v
 
 type state = {
   s_graph : Graph.t;
-  s_digest : string;
+  s_text : string;  (** [s_graph]'s printed form *)
   s_log : entry list;  (** reversed *)
   s_checks : int;
   s_rejected : int;
@@ -64,8 +62,8 @@ let apply_pass ~policy ~samples ~seed st (p : Pass.t) =
   span p.Pass.name (fun () ->
       Hls_telemetry.count "xform.passes";
       let r = p.Pass.rewrite st.s_graph in
-      let d' = digest r.Pass.graph in
-      if String.equal d' st.s_digest then
+      let text = Graph.to_string r.Pass.graph in
+      if String.equal text st.s_text then
         (* Nothing changed (possibly an identical rebuild): no plan, no
            verification, and repeat() fixpoints see no progress. *)
         let plan =
@@ -129,7 +127,7 @@ let apply_pass ~policy ~samples ~seed st (p : Pass.t) =
         | (Some (Hls_check.Proved | Hls_check.Passed _) | None) as v ->
             {
               s_graph = r.Pass.graph;
-              s_digest = d';
+              s_text = text;
               s_checks = checks;
               s_rejected = st.s_rejected;
               s_log =
@@ -157,7 +155,7 @@ let rec apply_steps ~policy ~samples ~seed st steps =
             if round >= max_rounds then st
             else
               let st' = apply_steps ~policy ~samples ~seed st body in
-              if String.equal st'.s_digest st.s_digest then st'
+              if String.equal st'.s_text st.s_text then st'
               else go st' (round + 1)
           in
           go st 0)
@@ -169,7 +167,7 @@ let apply ?(policy = Verify.Off) ?(samples = 40) ?(seed = 9)
       let st0 =
         {
           s_graph = g0;
-          s_digest = digest g0;
+          s_text = Graph.to_string g0;
           s_log = [];
           s_checks = 0;
           s_rejected = 0;
@@ -181,7 +179,7 @@ let apply ?(policy = Verify.Off) ?(samples = 40) ?(seed = 9)
       let st =
         if
           policy = Verify.Sampled
-          && not (String.equal st.s_digest st0.s_digest)
+          && not (String.equal st.s_text st0.s_text)
         then begin
           Hls_telemetry.count "xform.checks";
           let v = Hls_check.equivalent ~samples ~seed g0 st.s_graph in
@@ -209,7 +207,7 @@ let apply ?(policy = Verify.Off) ?(samples = 40) ?(seed = 9)
               Hls_telemetry.count "xform.rejected";
               {
                 s_graph = g0;
-                s_digest = st0.s_digest;
+                s_text = st0.s_text;
                 s_checks = st.s_checks + 1;
                 s_rejected = st.s_rejected + 1;
                 s_log =

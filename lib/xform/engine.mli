@@ -29,9 +29,6 @@ type outcome = {
 (** Carried inside the [Internal] failure of a rejected application. *)
 exception Rejected of { pass : string; verdict : string }
 
-(** MD5 of the graph's printed form (the sweep cache's digest bytes). *)
-val digest : Hls_dfg.Graph.t -> string
-
 (** [apply ?policy ?samples ?seed recipe g].  [samples] (default 40) and
     [seed] (default 9) parameterize each {!Hls_check.equivalent} call;
     checks are exhaustive when the input space fits the checker's budget.

@@ -935,6 +935,34 @@ let test_exec_memo_bounded () =
   check_int "entries at the cap" Exec.prepared_cap (gauge "prepared_entries");
   check_int "evictions" 16 (gauge "prepared_evictions")
 
+(* With an empty recipe the prepared kernel is the source's own, so a
+   report's [gs_critical] is read from the prepared arrival instead of a
+   second extraction: on every catalog workload it is the extracted
+   kernel's critical δ, and the report carries it. *)
+let test_report_critical_from_prepared () =
+  let module Catalog = Hls_workloads.Catalog in
+  let exec = Exec.create () in
+  Fun.protect ~finally:(fun () -> Exec.close exec) @@ fun () ->
+  List.iter
+    (fun (e : Catalog.entry) ->
+      let g = Catalog.graph e in
+      let want =
+        Hls_timing.Critical_path.critical_delta (Hls_kernel.Extract.run g)
+      in
+      let p = Hls_core.Pipeline.prepare g in
+      check_int (e.name ^ " prepared arrival") want
+        (Hls_timing.Arrival.critical_delta p.Hls_core.Pipeline.p_arrival);
+      match
+        run_payload exec
+          (Req.Report
+             { spec = Req.Builtin e.name; latency = e.default_latency;
+               config = Req.default_config; target_ns = None })
+      with
+      | Resp.Reported r ->
+          check_int (e.name ^ " report") want r.r_stats.gs_critical
+      | _ -> Alcotest.fail "report answered another payload")
+    (Catalog.all ())
+
 let test_exec_batch () =
   let exec = Exec.create () in
   Fun.protect ~finally:(fun () -> Exec.close exec) @@ fun () ->
@@ -1454,4 +1482,6 @@ let suite =
       test_codec_lane_coverage;
     Alcotest.test_case "exec prepared memo stays bounded" `Quick
       test_exec_memo_bounded;
+    Alcotest.test_case "report critical from the prepared arrival" `Quick
+      test_report_critical_from_prepared;
   ]

@@ -148,7 +148,8 @@ let test_total_add_bits () =
 (* --- validation messages against the pre-rewrite validator --- *)
 
 (* What validating [g] answers: accepted, the [Invalid] message, or the
-   [Invalid_argument] an unknown output source raises. *)
+   [Invalid_argument] the pre-rewrite validator let escape for an unknown
+   output source. *)
 let outcome validate_result g =
   match validate_result g with
   | Ok () -> "ok"
@@ -158,7 +159,9 @@ let outcome validate_result g =
 (* One node of every arity class over two inputs, then every single-node
    or single-port corruption of it: each answer — the message, byte for
    byte, or acceptance — must be the pre-rewrite validator's
-   ([Hls_oracle.Transform_oracle.validate]). *)
+   ([Hls_oracle.Transform_oracle.validate]), except for the two outputs
+   reading an unknown input or node: the oracle raises
+   [Invalid_argument] there, [Graph.validate] reports [Invalid]. *)
 let test_validate_messages_match_oracle () =
   let b = B.create ~name:"every_kind" in
   let x = B.input b "x" ~width:4 in
@@ -228,11 +231,25 @@ let test_validate_messages_match_oracle () =
         (fun i -> List.map (with_node i) (node_edits (Graph.node g i)))
         (List.init n_nodes Fun.id)
   in
+  let unknown_sources =
+    [ (6, "invalid: output o reads undefined input nope");
+      (7, Printf.sprintf "invalid: output o reads undefined node %d" n_nodes) ]
+  in
   let invalid = ref 0 in
   List.iteri
     (fun k g ->
       let want = outcome Hls_oracle.Transform_oracle.validate_result g in
       if want <> "ok" then incr invalid;
+      let want =
+        match List.assoc_opt k unknown_sources with
+        | None -> want
+        | Some fixed ->
+            Alcotest.(check bool)
+              (Printf.sprintf "graph %d: the oracle raised" k)
+              true
+              (String.starts_with ~prefix:"invalid_argument: " want);
+            fixed
+      in
       Alcotest.(check string)
         (Printf.sprintf "graph %d" k)
         want
@@ -240,6 +257,187 @@ let test_validate_messages_match_oracle () =
     graphs;
   Alcotest.(check bool) "most corruptions rejected" true
     (!invalid > List.length graphs / 2)
+
+(* --- the graph writer against the pre-rewrite Format printer --- *)
+
+module Graph_oracle = Hls_oracle.Graph_oracle
+module Engine = Hls_xform.Engine
+
+(* Every printed form of [g] — [to_string], [pp] and [digest] — is the
+   Format oracle's, byte for byte. *)
+let check_writer tag g =
+  let want = Graph_oracle.to_string g in
+  if Graph.to_string g <> want then
+    Alcotest.failf "%s: printed form differs from the Format oracle" tag;
+  if Format.asprintf "%a" Graph.pp g <> want then
+    Alcotest.failf "%s: Graph.pp differs from the Format oracle" tag;
+  if Graph.digest g <> Graph_oracle.digest g then
+    Alcotest.failf "%s: digest differs from the Format oracle's" tag
+
+(* Every catalog workload, its kernel, and its fragmented graph at
+   λ 2–22 under both policies (infeasible points skipped). *)
+let test_writer_catalog () =
+  let module Catalog = Hls_workloads.Catalog in
+  let module Mobility = Hls_fragment.Mobility in
+  let checked = ref 0 in
+  let check tag g =
+    check_writer tag g;
+    incr checked
+  in
+  List.iter
+    (fun e ->
+      let name = e.Catalog.name in
+      let g = Catalog.graph e in
+      check name g;
+      let kernel = Hls_kernel.Extract.run g in
+      check (name ^ " kernel") kernel;
+      List.iter
+        (fun policy ->
+          for latency = 2 to 22 do
+            match Mobility.compute ~policy kernel ~latency with
+            | exception Invalid_argument _ -> ()
+            | plan ->
+                check
+                  (Printf.sprintf "%s λ%d %s" name latency
+                     (Hls_dse.Space.policy_name policy))
+                  (Hls_fragment.Transform.apply kernel plan).graph
+          done)
+        [ `Full; `Coalesced ])
+    (Catalog.all ());
+  Alcotest.(check bool) "most fragmented points printed" true
+    (!checked > 18 * 21)
+
+(* 200 designs of the cold benchmark's shape (20–80 operations, more
+   than 16 input bits), drawn once and shared by the writer and engine
+   cases. *)
+let cold_designs =
+  lazy
+    (let profile =
+       { Hls_fuzz.Gen.default_profile with
+         n_inputs = 5; n_stmts = 14; n_outputs = 3; depth = 3;
+         max_width = 16 }
+     in
+     let prng = Hls_util.Prng.create ~seed:27 in
+     let rec draw acc n =
+       if n = 0 then List.rev acc
+       else
+         match
+           Hls_speclang.Elaborate.from_string_result
+             (Hls_fuzz.Gen.source prng profile)
+         with
+         | Ok g
+           when let ops = Graph.behavioural_op_count g in
+                ops >= 20 && ops <= 80 && Hls_check.input_bits g > 16 ->
+             draw (g :: acc) (n - 1)
+         | Ok _ | Error _ -> draw acc n
+     in
+     draw [] 200)
+
+let cold_recipes =
+  List.map Hls_xform.Recipe.of_string_exn [ "standard"; "aggressive" ]
+
+(* Each design, what [standard] and [aggressive] make of it, and those
+   graphs' kernels. *)
+let test_writer_generated () =
+  List.iteri
+    (fun i g ->
+      let tag = Printf.sprintf "design %d" i in
+      check_writer tag g;
+      List.iter
+        (fun (r : Hls_xform.Recipe.t) ->
+          let o = Engine.apply r g in
+          check_writer (tag ^ " " ^ r.spec) o.graph;
+          check_writer
+            (tag ^ " " ^ r.spec ^ " kernel")
+            (Hls_kernel.Extract.run o.graph))
+        cold_recipes)
+    (Lazy.force cold_designs)
+
+(* The engine decides "fired" by comparing printed forms: on every
+   design and both recipes, verified pass by pass as the cold benchmark
+   runs them, it answers the pre-rewrite engine's log, check count,
+   rejection count and graph. *)
+let test_engine_matches_oracle () =
+  let fired = ref 0 and idle = ref 0 in
+  List.iteri
+    (fun i g ->
+      List.iter
+        (fun (r : Hls_xform.Recipe.t) ->
+          let policy = Hls_xform.Verify.Every_pass in
+          let o = Engine.apply ~policy r g in
+          let w = Graph_oracle.engine_apply ~policy r g in
+          let tag = Printf.sprintf "design %d %s" i r.spec in
+          if o.log <> w.log then Alcotest.failf "%s: log differs" tag;
+          if o.checks <> w.checks then
+            Alcotest.failf "%s: %d checks, the oracle ran %d" tag o.checks
+              w.checks;
+          if o.rejected <> w.rejected then
+            Alcotest.failf "%s: %d rejected, the oracle %d" tag o.rejected
+              w.rejected;
+          if Graph.to_string o.graph <> Graph.to_string w.graph then
+            Alcotest.failf "%s: graph differs" tag;
+          List.iter
+            (fun (e : Engine.entry) ->
+              if e.e_fired then incr fired else incr idle)
+            o.log)
+        cold_recipes)
+    (Lazy.force cold_designs);
+  Alcotest.(check bool) "passes fired and passes idle" true
+    (!fired > 0 && !idle > 0)
+
+(* Random graphs the builder would never make — unchecked, so printing
+   must not care: 0–8 or 400–463 input ports, sign-extending operands,
+   constants 1–64 bits wide, empty and non-empty labels (and names),
+   negative ranges, any operand count. *)
+let random_graph seed =
+  let module Prng = Hls_util.Prng in
+  let p = Prng.create ~seed in
+  let ident () =
+    String.init (Prng.int p 6) (fun _ -> Char.chr (97 + Prng.int p 26))
+  in
+  let n_inputs = if Prng.bool p then 400 + Prng.int p 64 else Prng.int p 9 in
+  let inputs =
+    List.init n_inputs (fun i ->
+        { port_name = ident () ^ string_of_int i;
+          port_width = Prng.int p 70 - 2;
+          port_signed = (if Prng.bool p then Signed else Unsigned) })
+  in
+  let n_nodes = Prng.int p 40 in
+  let operand () =
+    let src =
+      match Prng.int p 3 with
+      | 0 -> Input (ident ())
+      | 1 -> Node (Prng.int p (n_nodes + 2) - 1)
+      | _ -> Const (Bv.random ~width:(1 + Prng.int p 64) p)
+    in
+    { src; hi = Prng.int p 80 - 3; lo = Prng.int p 70 - 3;
+      ext = (if Prng.bool p then Sext else Zext) }
+  in
+  let kinds =
+    [| Add; Sub; Mul; Neg; Lt; Le; Gt; Ge; Eq; Neq; Max; Min; Not; And; Or;
+       Xor; Gate; Mux; Concat; Reduce_or; Wire |]
+  in
+  let nodes =
+    Array.init n_nodes (fun id ->
+        { id; kind = kinds.(Prng.int p (Array.length kinds));
+          signedness = (if Prng.bool p then Signed else Unsigned);
+          width = Prng.int p 130 - 1;
+          operands = List.init (Prng.int p 5) (fun _ -> operand ());
+          label = (if Prng.bool p then "" else ident () ^ ".s3");
+          origin = None })
+  in
+  { Graph.name = ident ();
+    inputs;
+    outputs = List.init (Prng.int p 6) (fun _ -> (ident (), operand ()));
+    nodes;
+    cached_index = Atomic.make None }
+
+let prop_writer_random =
+  QCheck.Test.make ~name:"graph writer == Format oracle, random graphs"
+    ~count:300 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let g = random_graph seed in
+      Graph.to_string g = Graph_oracle.to_string g
+      && Graph.digest g = Graph_oracle.digest g)
 
 let suite =
   [
@@ -258,4 +456,11 @@ let suite =
     Alcotest.test_case "total add bits" `Quick test_total_add_bits;
     Alcotest.test_case "validate messages == oracle" `Quick
       test_validate_messages_match_oracle;
+    Alcotest.test_case "graph writer == Format oracle" `Slow
+      test_writer_catalog;
+    Alcotest.test_case "graph writer == Format oracle, cold designs" `Slow
+      test_writer_generated;
+    Alcotest.test_case "engine apply == oracle engine, cold designs" `Slow
+      test_engine_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_writer_random;
   ]

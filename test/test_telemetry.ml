@@ -211,6 +211,36 @@ let test_explore_wall_and_order () =
     [ "kernel"; "bitnet"; "arrival"; "mobility"; "fragment"; "schedule";
       "bind" ]
 
+(* The trace buffer keeps the first [max_events] events and counts the
+   rest; the executor's [stats] answer reports the count, and a reset
+   clears it. *)
+let test_trace_buffer_capped () =
+  Tm.arm ~trace:true ~metrics:false ();
+  let extra = 7 in
+  for _ = 1 to Tm.max_events + extra do
+    Tm.event "e"
+  done;
+  Alcotest.(check int) "buffer holds the cap" Tm.max_events
+    (List.length (Tm.recorded_events ()));
+  Alcotest.(check int) "overflow counted" extra (Tm.dropped_events ());
+  (* Disarmed, so answering [stats] records (and drops) nothing more. *)
+  Tm.disarm ();
+  let exec = Hls_api.Exec.create () in
+  (match
+     Fun.protect
+       ~finally:(fun () -> Hls_api.Exec.close exec)
+       (fun () -> Hls_api.Exec.run exec Hls_api.Request.Stats)
+   with
+  | Ok (Hls_api.Response.Stats { st_gauges; _ }) ->
+      Alcotest.(check (option int)) "stats gauge" (Some extra)
+        (List.assoc_opt "trace_dropped" st_gauges)
+  | _ -> Alcotest.fail "stats answered another payload");
+  Tm.reset ();
+  Alcotest.(check int) "reset clears the count" 0 (Tm.dropped_events ());
+  Tm.arm ~trace:true ~metrics:false ();
+  Tm.event "e";
+  Alcotest.(check int) "records again" 1 (List.length (Tm.recorded_events ()))
+
 let suite =
   [
     Alcotest.test_case "disabled sink is a no-op" `Quick
@@ -223,4 +253,6 @@ let suite =
       (isolated test_pool_counters_under_faults);
     Alcotest.test_case "explore wall times and row order" `Quick
       (isolated test_explore_wall_and_order);
+    Alcotest.test_case "trace buffer capped" `Quick
+      (isolated test_trace_buffer_capped);
   ]

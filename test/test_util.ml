@@ -74,6 +74,29 @@ let test_pct () =
   Alcotest.(check (float 1e-9)) "halved" 50.0 (Pretty.pct ~from:10. ~to_:5.);
   Alcotest.(check (float 1e-9)) "zero base" 0.0 (Pretty.pct ~from:0. ~to_:5.)
 
+(* The decimal writers answer [string_of_int]'s bytes, at the edges of
+   the int range and at every digit-count boundary. *)
+let test_decimal () =
+  let module D = Hls_util.Decimal in
+  let edges =
+    [ 0; 1; 9; 10; 99; 100; 12345; max_int; -1; -9; -10; -12345; min_int ]
+    @ List.init 18 (fun k -> int_of_float (10. ** float_of_int (k + 1)) - 1)
+  in
+  List.iter
+    (fun n ->
+      let buf = Buffer.create 4 in
+      D.add_int buf n;
+      Alcotest.(check string) "add_int" (string_of_int n) (Buffer.contents buf);
+      if n >= 0 then begin
+        let b = Bytes.make (D.digits n + 2) '_' in
+        Alcotest.(check int) "put_int end" (1 + D.digits n) (D.put_int b 1 n);
+        Alcotest.(check string) "put_int" ("_" ^ string_of_int n ^ "_")
+          (Bytes.to_string b);
+        Alcotest.(check string) "suffixed" ("op.s" ^ string_of_int n)
+          (D.suffixed "op" ".s" n)
+      end)
+    edges
+
 let suite =
   [
     Alcotest.test_case "ceil_div" `Quick test_ceil_div;
@@ -87,4 +110,5 @@ let suite =
     Alcotest.test_case "prng bounds" `Quick test_prng_bounds;
     Alcotest.test_case "render_table" `Quick test_render_table;
     Alcotest.test_case "pct" `Quick test_pct;
+    Alcotest.test_case "decimal writers" `Quick test_decimal;
   ]

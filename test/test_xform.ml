@@ -214,7 +214,7 @@ let test_gate_rejects_buggy_pass () =
   let o = Engine.apply ~policy:Verify.Every_pass buggy_recipe g in
   check_int "one rejection" 1 o.Engine.rejected;
   check_bool "graph rolled back" true
-    (Engine.digest o.Engine.graph = Engine.digest g);
+    (Graph.digest o.Engine.graph = Graph.digest g);
   (match o.Engine.log with
   | [ e ] ->
       check_bool "entry not accepted" true (not e.Engine.e_accepted);
@@ -227,12 +227,12 @@ let test_gate_rejects_buggy_pass () =
   (* without the gate the bug sails through — the gate is load-bearing *)
   let unchecked = Engine.apply ~policy:Verify.Off buggy_recipe g in
   check_bool "ungated bug lands" true
-    (Engine.digest unchecked.Engine.graph <> Engine.digest g);
+    (Graph.digest unchecked.Engine.graph <> Graph.digest g);
   (* sampled: one end-to-end check, whole-recipe rollback *)
   let sampled = Engine.apply ~policy:Verify.Sampled buggy_recipe g in
   check_int "sampled rejects" 1 sampled.Engine.rejected;
   check_bool "sampled rolls back to the input" true
-    (Engine.digest sampled.Engine.graph = Engine.digest g)
+    (Graph.digest sampled.Engine.graph = Graph.digest g)
 
 (* ------------------------------------------------------------------ *)
 (* Engine mechanics: repeat reaches a fixed point within the round cap,
@@ -244,7 +244,7 @@ let test_repeat_fixpoint () =
   let o = Engine.apply ~policy:Verify.Off r g in
   let again = Engine.apply ~policy:Verify.Off r o.Engine.graph in
   check_bool "fixed point reached" true
-    (Engine.digest o.Engine.graph = Engine.digest again.Engine.graph);
+    (Graph.digest o.Engine.graph = Graph.digest again.Engine.graph);
   let fired =
     List.exists (fun (e : Engine.entry) -> e.Engine.e_fired) again.Engine.log
   in
@@ -258,7 +258,7 @@ let test_noop_costs_no_check () =
   check_int "no check on a no-op" 0 o.Engine.checks;
   check_int "nothing rejected" 0 o.Engine.rejected;
   check_bool "graph untouched" true
-    (Engine.digest o.Engine.graph = Engine.digest g)
+    (Graph.digest o.Engine.graph = Graph.digest g)
 
 let suite =
   [
