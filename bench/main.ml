@@ -506,13 +506,22 @@ let best_ns ?(rounds = 7) f =
 (* [best_ns] of a reference [a] and a candidate [b] for a gate comparing
    the two: the rounds interleave one batch of each, so drift on a shared
    host (another tenant, frequency scaling) lands on both sides, and every
-   batch lasts at least 2 ms, well above timer and scheduler jitter. *)
-let best_ns_ab ?(rounds = 7) a b =
+   batch lasts at least 2 ms, well above timer and scheduler jitter.  A
+   pair with a side under 100 µs per call runs 21 rounds instead of 7:
+   its best-of-7 ratio still swings past a 1.0x gate on a 2-core host. *)
+let best_ns_ab a b =
   let ra = calibrate ~min_s:2e-3 a and rb = calibrate ~min_s:2e-3 b in
   let best_a = ref infinity and best_b = ref infinity in
-  for _ = 1 to rounds do
+  let round () =
     best_a := Float.min !best_a (batch_s a ra);
     best_b := Float.min !best_b (batch_s b rb)
+  in
+  round ();
+  let per_call =
+    Float.min (!best_a /. float_of_int ra) (!best_b /. float_of_int rb)
+  in
+  for _ = 2 to if per_call < 1e-4 then 21 else 7 do
+    round ()
   done;
   (!best_a *. 1e9 /. float_of_int ra, !best_b *. 1e9 /. float_of_int rb)
 
@@ -598,16 +607,16 @@ let timing () =
       ("adpcm", Hls_workloads.Adpcm.decoder (), [ 4; 6; 8; 10; 12 ]);
       ("random120", random_dfg, [ 6; 8; 10; 12; 14 ]);
       (* Multi-lane stress shapes from the registry: several independent
-         regions, the load the wavefront kernels are built for. *)
+         regions, the largest nets the timing kernels sweep. *)
       ("random240", registry "random240", [ 8; 10; 12; 14 ]);
       ("random480", registry "random480", [ 10; 14 ]);
     ]
   in
   (* Each pair times the same computation twice: [ref] through the
-     retained per-query Bitdep implementations, [net] through the packed
+     retained per-query Bitdep implementations, [net] through the flat
      dependency net.  The arrival/deadline rows measure the serving-path
      configuration: the net is built once and shared (exactly how the
-     pipeline holds it), so the [net] side is the amortized wavefront
+     pipeline holds it), so the [net] side is the amortized id-order
      sweep alone.  The mobility and pipeline_sweep rows still price the
      whole flow including net construction. *)
   let pairs = ref [] in
@@ -932,9 +941,8 @@ let timing () =
                      ("latencies", J.List (List.map (fun l -> J.Int l) lats));
                    ])
                workloads) );
-        (* Shape of each workload's dependency net: how many wavefront
-           rounds the kernels take (levels) and how much intra-request
-           parallelism is available (regions). *)
+        (* Shape of each workload's dependency net: its size (bits) and
+           how many independent regions it falls into. *)
         ( "kernels",
           J.List
             (List.map
@@ -944,7 +952,6 @@ let timing () =
                    [
                      ("name", J.String w);
                      ("bits", J.Int (Hls_timing.Bitnet.total_bits net));
-                     ("levels", J.Int (Hls_timing.Bitnet.n_levels net));
                      ("regions", J.Int (Hls_timing.Bitnet.n_regions net));
                    ])
                workloads) );

@@ -503,19 +503,20 @@ let dedicated_fus ?view (s : Frag_sched.t) =
 
 (* Bit-granular storage: last cycle each net bit is read in, looking
    through glue (wiring adds no cycle).  Reads the net's CSR arrays
-   directly; [Input]/[Const] bits are not in the net and never stored. *)
+   directly; [Input]/[Const] bits are not in the net and never stored.
+   A source below the consumer node's [bit_base] is another node's bit;
+   the rest is the consumer's own carry chain, never stored. *)
 let last_use (s : Frag_sched.t) =
   let net = s.Frag_sched.net in
   let g = Frag_sched.graph s in
   let base = net.Bitnet.bit_base and off = net.Bitnet.dep_off in
-  let deps = net.Bitnet.deps and flat = net.Bitnet.flat_deps in
+  let deps = net.Bitnet.deps in
   let lu = Array.make (Bitnet.total_bits net) 0 in
-  let record b cycle =
+  let record id b cycle =
+    let own = base.(id) in
     for k = off.(b) to off.(b + 1) - 1 do
-      if not (Bitnet.dep_is_self deps.(k)) then begin
-        let src = flat.(k) in
-        if cycle > lu.(src) then lu.(src) <- cycle
-      end
+      let src = deps.(k) in
+      if src < own && cycle > lu.(src) then lu.(src) <- cycle
     done
   in
   (* Direct uses by additions, at the addition's cycle. *)
@@ -524,7 +525,7 @@ let last_use (s : Frag_sched.t) =
     if (Graph.node g id).kind = Add then begin
       let cycle = s.Frag_sched.cycle_of.(id) in
       for b = base.(id) to base.(id + 1) - 1 do
-        record b cycle
+        record id b cycle
       done
     end
   done;
@@ -534,7 +535,7 @@ let last_use (s : Frag_sched.t) =
     if (Graph.node g id).kind <> Add then
       for b = base.(id) to base.(id + 1) - 1 do
         let u = lu.(b) in
-        if u > 0 then record b u
+        if u > 0 then record id b u
       done
   done;
   lu

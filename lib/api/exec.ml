@@ -5,8 +5,9 @@
 
    - [stage] runs on the coordinator.  It loads the specification,
      resolves the config, and memoizes the latency-independent pipeline
-     prefix (Pipeline.prepare) per (graph digest, recipe, verify) — the
-     shared mutable state lives here and only here.
+     prefix (Pipeline.prepare) per (graph digest, input signedness,
+     recipe, verify) — the shared mutable state lives here and only
+     here.
    - the returned thunk is the per-request suffix.  [Pure] thunks touch
      nothing shared and are safe to fan out over worker domains; [Serial]
      thunks (explore: owns a worker pool of its own and writes the shared
@@ -23,9 +24,11 @@ module Dse = Hls_dse
 
 type t = {
   cache : Dse.Cache.t;  (** shared by every explore request *)
-  prepared : (string * string * string, P.prepared * int ref) Hashtbl.t;
-      (** latency-independent prefix, keyed (graph digest, canonical
-          recipe spec, verify policy), with the tick of its last use *)
+  prepared :
+    (string * string * string * string, P.prepared * int ref) Hashtbl.t;
+      (** latency-independent prefix, keyed (graph digest, input
+          signedness, canonical recipe spec, verify policy), with the tick
+          of its last use *)
   mutable prepared_tick : int;
   mutable prepared_hits : int;
   mutable prepared_evictions : int;
@@ -68,10 +71,21 @@ let load_spec = function
             (Printf.sprintf "unknown builtin %s (try: %s)" name
                (String.concat ", " (Hls_workloads.Catalog.names ()))))
 
+(* One letter per input port, in order.  [Graph.digest] leaves port
+   signedness out, yet the prepared kernel (and every answer that
+   declares the ports) carries it. *)
+let input_signedness (g : Graph.t) =
+  String.concat ""
+    (List.map
+       (fun (p : Hls_dfg.Types.port) ->
+         match p.port_signed with Signed -> "s" | Unsigned -> "u")
+       g.inputs)
+
 let prepare_memo t g ~transform ~verify =
   let digest = Dse.Cache.graph_digest g in
   let key =
     ( digest,
+      input_signedness g,
       Hls_xform.Recipe.to_string transform,
       Hls_xform.Verify.to_string verify )
   in

@@ -1,5 +1,5 @@
-(* The word-packed (63-bits-per-word) index sets used by the wavefront
-   timing kernels; re-exported so the library's main module stays the
+(* The word-packed (63-bits-per-word) index sets used by the left-edge
+   register allocator; re-exported so the library's main module stays the
    single entry point. *)
 module Wordset = Wordset
 

@@ -9,8 +9,8 @@
     Bit 0 is the least significant bit.  All operations are total over their
     stated widths; width mismatches raise [Invalid_argument]. *)
 
-(** Word-packed (63-bits-per-word) index sets for the wavefront timing
-    kernels — see {!Wordset}. *)
+(** Word-packed (63-bits-per-word) index sets for the left-edge register
+    allocator — see {!Wordset}. *)
 module Wordset : module type of Wordset
 
 type t

@@ -2,11 +2,11 @@
 
    {!Hls_bitvec} proper is the reference-semantics substrate — a bit per
    array cell, optimized for clarity.  This module is the opposite end:
-   dense membership sets over [0, len) packed 63 to a word, built for the
-   wavefront kernels in [lib/timing] where the interesting operations are
-   "find the next (un)settled index" and "sweep the members of a
-   frontier" — both of which skip over full or empty words one load at a
-   time instead of testing bit by bit. *)
+   dense membership sets over [0, len) packed 63 to a word, built for
+   scans whose interesting operation is "find the next (un)set index" —
+   the free-register search of the left-edge allocator in [lib/alloc] —
+   which skips over full or empty words one load at a time instead of
+   testing bit by bit. *)
 
 let bits_per_word = 63
 
@@ -87,7 +87,7 @@ let lowest_bit w =
 (* [next_set t i] / [next_unset t i]: smallest member (resp. non-member)
    index >= [i], or [-1] when none remains.  Both first mask off the bits
    below [i] in the word holding it, then skip whole empty (resp. full)
-   words — the word-at-a-time scan the wavefront kernels rely on.  The
+   words — the word-at-a-time scan the allocator relies on.  The
    triple [(found, words_examined)] accounting lives with the caller:
    examined words = [found / 63 - i / 63 + 1]. *)
 let next_set t i =

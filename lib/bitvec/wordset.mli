@@ -1,9 +1,9 @@
 (** Word-packed index sets: 63 members per OCaml int word.
 
-    Dense membership sets over [0, len), built for the wavefront timing
-    kernels: [next_set] / [next_unset] skip whole empty or full words one
-    load at a time, so sweeping a frontier or finding the next unsettled
-    index costs one word scan instead of a per-bit test.  Mutable and
+    Dense membership sets over [0, len), built for the left-edge register
+    allocator: [next_set] / [next_unset] skip whole empty or full words
+    one load at a time, so finding the next free or unsettled index costs
+    one word scan instead of a per-bit test.  Mutable and
     unsynchronized — confine a set to one domain. *)
 
 type t

@@ -69,11 +69,11 @@ type t = {
           armed *)
   counters : (string * int) list;
       (** telemetry counter deltas accumulated during this run (e.g.
-          [timing.rounds], [cache.hit]), sorted by name; empty when
+          [cache.hit], [timing.rebuild_dirty]), sorted by name; empty when
           the sink was not armed *)
   gauges : (string * (float * float)) list;
       (** telemetry gauges as (name, (last, max)) at the end of the run
-          (e.g. [timing.levels]), sorted by name; empty when the sink
+          (e.g. [pool.workers]), sorted by name; empty when the sink
           was not armed *)
 }
 

@@ -74,11 +74,11 @@ type t = {
           empty when {!Hls_telemetry} was not armed *)
   counters : (string * int) list;
       (** telemetry counter deltas accumulated during this run (e.g.
-          [timing.rounds], [cache.hit]), sorted by name; empty when
+          [cache.hit], [timing.rebuild_dirty]), sorted by name; empty when
           {!Hls_telemetry} was not armed *)
   gauges : (string * (float * float)) list;
       (** telemetry gauges as (name, (last, max)) at the end of the run
-          (e.g. [timing.levels]), sorted by name; empty when
+          (e.g. [pool.workers]), sorted by name; empty when
           {!Hls_telemetry} was not armed *)
 }
 

@@ -55,7 +55,7 @@ let iter_tight (s : Frag_sched.t) b f =
     let want = slot - net.Bitnet.cost.(b) in
     let cycle = s.Frag_sched.bit_cycle.(b) in
     for k = net.Bitnet.dep_off.(b) to net.Bitnet.dep_off.(b + 1) - 1 do
-      let d = net.Bitnet.flat_deps.(k) in
+      let d = net.Bitnet.deps.(k) in
       if s.Frag_sched.bit_cycle.(d) = cycle && s.Frag_sched.bit_slot.(d) = want
       then f d
     done

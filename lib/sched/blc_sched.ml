@@ -31,13 +31,21 @@ exception Infeasible of string
 (* ASAP placement under per-cycle budget [c]: each node lands in the
    earliest cycle where all operand bits are available and its own ripple
    fits.  Runs on a prebuilt net so the [min_budget] binary search pays
-   for the dependency model once, not once per probed budget. *)
+   for the dependency model once, not once per probed budget.  Bit times
+   live in two flat [bit_base]-indexed arrays, so a dependency's cycle and
+   slot are one load each; a candidate cycle writes its node's bits in
+   place (nothing reads them but the node's own carry chain until it is
+   placed).  Returns the per-node cycles and the flat settle slots. *)
 let asap_net (net : Hls_timing.Bitnet.t) ~budget:c =
   let module Bitnet = Hls_timing.Bitnet in
   let graph = net.Bitnet.graph in
-  let n_nodes = Graph.node_count graph in
-  let cycle_of = Array.make n_nodes 1 in
-  let bit_slot = Array.make n_nodes [||] in
+  let bit_base = net.Bitnet.bit_base
+  and dep_off = net.Bitnet.dep_off
+  and deps = net.Bitnet.deps
+  and cost = net.Bitnet.cost in
+  let cycle_of = Array.make (Graph.node_count graph) 1 in
+  let bit_cycle = Array.make (Bitnet.total_bits net) 1 in
+  let bit_slot = Array.make (Bitnet.total_bits net) 0 in
   Graph.iter_nodes
     (fun (n : node) ->
       (* The node's cycle must not precede any producer's cycle. *)
@@ -46,48 +54,38 @@ let asap_net (net : Hls_timing.Bitnet.t) ~budget:c =
           (fun acc (o : operand) ->
             match o.src with
             | Input _ | Const _ -> acc
-            | Node id -> max acc cycle_of.(id))
+            | Node id -> Int.max acc cycle_of.(id))
           1 n.operands
       in
       (* Try cycles from min_cycle on; in a later cycle all producers are
          registered, so two attempts suffice. *)
-      let base = net.Bitnet.bit_base.(n.id) in
       let try_cycle cycle =
-        let slots = Array.make n.width 0 in
         let ok = ref true in
-        for pos = 0 to n.width - 1 do
-          let b = base + pos in
+        for b = bit_base.(n.id) to bit_base.(n.id + 1) - 1 do
           let ready = ref 0 in
-          for k = net.Bitnet.dep_off.(b) to net.Bitnet.dep_off.(b + 1) - 1 do
-            let d = net.Bitnet.deps.(k) in
-            let dc, ds =
-              if Bitnet.dep_is_self d then (cycle, slots.(Bitnet.dep_self_bit d))
-              else
-                let id = Bitnet.dep_node_id d in
-                (cycle_of.(id), bit_slot.(id).(Bitnet.dep_node_bit d))
-            in
+          for k = dep_off.(b) to dep_off.(b + 1) - 1 do
+            let d = deps.(k) in
+            let dc = bit_cycle.(d) in
             if dc > cycle then ok := false
-            else if dc = cycle && ds > !ready then ready := ds
+            else if dc = cycle && bit_slot.(d) > !ready then
+              ready := bit_slot.(d)
           done;
-          slots.(pos) <- !ready + net.Bitnet.cost.(b);
-          if slots.(pos) > c then ok := false
+          bit_cycle.(b) <- cycle;
+          bit_slot.(b) <- !ready + cost.(b);
+          if bit_slot.(b) > c then ok := false
         done;
-        if !ok then Some slots else None
+        !ok
       in
       let rec settle cycle =
-        match try_cycle cycle with
-        | Some slots ->
-            cycle_of.(n.id) <- cycle;
-            bit_slot.(n.id) <- slots
-        | None ->
-            if cycle > min_cycle then
-              (* All producers registered and the op still overflows: the
-                 budget is below the op's own ripple. *)
-              raise
-                (Infeasible
-                   (Printf.sprintf "node %d does not fit a %d-delta cycle"
-                      n.id c))
-            else settle (cycle + 1)
+        if try_cycle cycle then cycle_of.(n.id) <- cycle
+        else if cycle > min_cycle then
+          (* All producers registered and the op still overflows: the
+             budget is below the op's own ripple. *)
+          raise
+            (Infeasible
+               (Printf.sprintf "node %d does not fit a %d-delta cycle" n.id
+                  c))
+        else settle (cycle + 1)
       in
       settle min_cycle)
     graph;
@@ -126,12 +124,17 @@ let schedule ?budget graph ~latency =
     | Some _ -> invalid_arg "Blc_sched.schedule: budget must be >= 1"
     | None -> min_budget_net net ~latency
   in
-  let cycle_of, bit_slot = asap_net net ~budget:c in
+  let cycle_of, flat_slot = asap_net net ~budget:c in
   if latency_of cycle_of > latency then
     raise
       (Infeasible
          (Printf.sprintf "budget %d needs %d cycles, latency is %d" c
             (latency_of cycle_of) latency));
+  let bit_base = net.Hls_timing.Bitnet.bit_base in
+  let bit_slot =
+    Array.init (Graph.node_count graph) (fun id ->
+        Array.sub flat_slot bit_base.(id) (bit_base.(id + 1) - bit_base.(id)))
+  in
   { graph; latency; cycle_delta = c; cycle_of; bit_slot }
 
 (** Longest used chain over all cycles. *)

@@ -19,7 +19,7 @@
 
     The per-candidate-cycle feasibility probe is the innermost loop of the
     whole flow, so it runs on the transformed graph's own
-    {!Hls_timing.Bitnet} (flat packed deps, built with the graph by
+    {!Hls_timing.Bitnet} (flat deps, built with the graph by
     {!Hls_fragment.Transform.apply}); the net is kept in the result for
     the binder's costly-bit and lifetime queries.  Bit times live in two
     flat [int] arrays in the net's layout, and a candidate cycle writes
@@ -88,7 +88,7 @@ let schedule ?(balance = true) ?chain_cap ?pin (tr : Transform.t) =
   let net = tr.Transform.net in
   let bit_base = net.Bitnet.bit_base
   and dep_off = net.Bitnet.dep_off
-  and flat_deps = net.Bitnet.flat_deps
+  and deps = net.Bitnet.deps
   and cost = net.Bitnet.cost in
   let total_bits = Bitnet.total_bits net in
   let cycle_of = Array.make n_nodes 0 in
@@ -125,7 +125,7 @@ let schedule ?(balance = true) ?chain_cap ?pin (tr : Transform.t) =
       let b = base + !pos in
       let ready = ref 0 in
       for k = dep_off.(b) to dep_off.(b + 1) - 1 do
-        let d = flat_deps.(k) in
+        let d = deps.(k) in
         let c = bit_cycle.(d) in
         if c > cycle then ok := false
         else if c = cycle && bit_slot.(d) > !ready then ready := bit_slot.(d)
@@ -147,7 +147,7 @@ let schedule ?(balance = true) ?chain_cap ?pin (tr : Transform.t) =
     for b = bit_base.(n.id) to bit_base.(n.id + 1) - 1 do
       let lc = ref 0 and ls = ref 0 in
       for k = dep_off.(b) to dep_off.(b + 1) - 1 do
-        let d = flat_deps.(k) in
+        let d = deps.(k) in
         let c = bit_cycle.(d) and s = bit_slot.(d) in
         if c > !lc || (c = !lc && s > !ls) then begin
           lc := c;

@@ -11,9 +11,9 @@
     the bit-level ASAP schedule.
 
     Slots live in one flat [bit_base]-indexed array sharing the net's
-    layout, and the kernel advances as a wavefront over the net's
-    topological levels: every node of a level reads only slots settled by
-    earlier levels (or its own carry chain). *)
+    layout, and the kernel sweeps node ids in ascending order: ids are
+    topological, so every node reads only slots of smaller ids (settled
+    already) or of its own carry chain. *)
 
 
 type t = {
@@ -24,55 +24,54 @@ type t = {
 }
 
 (* Settle every bit of node [id], LSB to MSB: cross-node sources are
-   already final (earlier wavefront level), and the only same-node
-   sources are carry bits below [pos]. *)
+   already final (smaller ids), and the only same-node sources are carry
+   bits below [pos]. *)
 let sweep_node (net : Bitnet.t) slots id =
   let dep_off = net.Bitnet.dep_off in
-  let flat_deps = net.Bitnet.flat_deps in
+  let deps = net.Bitnet.deps in
   let cost = net.Bitnet.cost in
   for b = net.Bitnet.bit_base.(id) to net.Bitnet.bit_base.(id + 1) - 1 do
     let ready = ref 0 in
     for k = dep_off.(b) to dep_off.(b + 1) - 1 do
-      let s = slots.(flat_deps.(k)) in
+      let s = slots.(deps.(k)) in
       if s > !ready then ready := s
     done;
     slots.(b) <- !ready + cost.(b)
   done
 
-(** Level-ordered wavefront over a prebuilt net: one flat slot array, one
-    untagged indirection per dependency, no per-bit allocation. *)
+(** Ascending-id sweep over a prebuilt net: one flat slot array, one
+    indirection per dependency, no per-bit allocation. *)
 let of_net (net : Bitnet.t) =
   let slots = Array.make (Bitnet.total_bits net) 0 in
-  let n_levels = Bitnet.n_levels net in
-  for l = 0 to n_levels - 1 do
-    for i = net.Bitnet.level_off.(l) to net.Bitnet.level_off.(l + 1) - 1 do
-      sweep_node net slots net.Bitnet.level_nodes.(i)
-    done
+  for id = 0 to Array.length net.Bitnet.bit_base - 2 do
+    sweep_node net slots id
   done;
-  if n_levels > 0 then Hls_telemetry.count ~n:n_levels "timing.rounds";
   { bit_base = net.Bitnet.bit_base; slots }
 
 (** Incremental re-timing: arrival slots of [net] given [told], the
     arrival of a net with the identical bit layout whose dependency rows
     differ only at the [dirty] nodes (the {!Bitnet.rebuild_dirty}
-    contract).  Nodes are re-swept in wavefront order starting from the
-    dirty set; a node whose slots come out unchanged stops the
+    contract).  Nodes are re-swept in ascending id order from the
+    smallest dirty id; a node whose slots come out unchanged stops the
     propagation, so the work is proportional to the affected cone, not
     the graph.  Bit-identical to [of_net net]. *)
 let update_of_net (net : Bitnet.t) told ~dirty =
   let n_nodes = Array.length net.Bitnet.bit_base - 1 in
   let slots = Array.copy told.slots in
   let affected = Array.make (max n_nodes 1) false in
+  let first = ref n_nodes in
   List.iter
-    (fun id -> if id >= 0 && id < n_nodes then affected.(id) <- true)
+    (fun id ->
+      if id >= 0 && id < n_nodes then begin
+        affected.(id) <- true;
+        first := Int.min !first id
+      end)
     dirty;
   let swept = ref 0 in
-  (* [level_nodes] is every node in wavefront order: a cross-node
-     consumer sits at a strictly higher level than its producer, so
+  (* A cross-node consumer has a strictly larger id than its producer, so
      marking consumers of a changed node always marks nodes not yet
      visited. *)
-  for i = 0 to n_nodes - 1 do
-    let id = net.Bitnet.level_nodes.(i) in
+  for id = !first to n_nodes - 1 do
     if affected.(id) then begin
       incr swept;
       sweep_node net slots id;

@@ -11,18 +11,18 @@
 
 type t
 
-(** Compute arrival slots over a prebuilt {!Bitnet}: a level-ordered
-    wavefront over one flat slot array sharing the net's [bit_base]
-    layout — one untagged indirection per dependency, no per-bit
-    allocation.  Use this when the net is shared with other passes
+(** Compute arrival slots over a prebuilt {!Bitnet}: one ascending-id
+    sweep over a flat slot array sharing the net's [bit_base] layout —
+    one indirection per dependency, no per-bit allocation.  Use this when the net is shared with other passes
     (deadline, mobility, fragment scheduling). *)
 val of_net : Bitnet.t -> t
 
 (** [update_of_net net told ~dirty] — incremental re-timing.  [net] must
     share its flat bit layout with the net [told] was computed on, with
     dependency rows differing only at the [dirty] node ids (exactly what
-    {!Bitnet.rebuild_dirty} produces).  Re-sweeps only the cone reachable
-    from the dirty set, pruning where recomputed slots come out
+    {!Bitnet.rebuild_dirty} produces).  Walks ids ascending from the
+    smallest dirty id and re-sweeps only the cone reachable from the
+    dirty set, pruning where recomputed slots come out
     unchanged; bit-identical to [of_net net]. *)
 val update_of_net :
   Bitnet.t -> t -> dirty:Hls_dfg.Types.node_id list -> t

@@ -11,8 +11,10 @@
     [Bitnet.build] runs the dependency model {e once} per graph and flattens
     it into CSR-style int arrays:
 
-    - every dependency is one packed int — tag bit 0 distinguishes a
-      same-node carry ([Self]) from an operand bit ([Node] source);
+    - every dependency is the flat [bit_base]-indexed slot of its source
+      bit: a same-node carry is [bit_base.(id) + j], an operand bit
+      [bit_base.(src) + i] — below [bit_base.(id)], since operands
+      reference strictly smaller ids;
     - [Input]/[Const] bits are omitted: they are stable at slot 0 and never
       constrain any analysis, so consumers fold over strictly fewer
       entries than the list API returned (results are unchanged — every
@@ -21,8 +23,11 @@
       answers to the "how many adder cells does this bit range occupy?"
       questions the mobility/coalescing/binding passes keep asking.
 
-    The net is immutable after construction and safe to share across
-    domains (parallel design-space sweeps build it once per kernel). *)
+    Node ids are topological, so the timing kernels sweep them in id
+    order (ascending for arrival, descending for deadlines) and need no
+    level structure.  The net is immutable after construction and safe to
+    share across domains (parallel design-space sweeps build it once per
+    kernel). *)
 
 open Hls_dfg.Types
 module Operand = Hls_dfg.Operand
@@ -39,47 +44,20 @@ type t = {
           range queries *)
   dep_off : int array;
       (** length [total_bits + 1]: CSR offsets into [deps] *)
-  deps : int array;  (** packed dependencies (see [dep_is_self] etc.) *)
-  flat_deps : int array;
-      (** [deps] re-encoded for the wavefront kernels: same CSR offsets
-          ([dep_off]), each entry the flat [bit_base]-indexed slot of the
-          source bit — one indirection per dependency load, no tag
-          decode *)
-  node_level : int array;
-      (** per node: topological level (0 = fed only by inputs/constants
-          and its own carry chain; otherwise 1 + max producer level) *)
-  level_off : int array;
-      (** length [n_levels + 1]: CSR offsets into [level_nodes] *)
-  level_nodes : int array;
-      (** node ids grouped by level, ascending id within a level — the
-          wavefront order of the timing kernels *)
+  deps : int array;
+      (** per dependency: the flat [bit_base]-indexed slot of the source
+          bit — one load per dependency *)
   rdep_off : int array;
       (** length [total_bits + 1]: CSR offsets into [rdeps] *)
   rdeps : int array;
-      (** transpose of [flat_deps]: per flat bit, the flat slots of the
-          bits that consume it (including same-node carry consumers) —
-          what lets the deadline pass pull instead of push *)
+      (** transpose of [deps]: per flat bit, the flat slots of the bits
+          that consume it (including same-node carry consumers) — what
+          lets the deadline pass pull instead of push *)
 }
-
-(* Packed encoding: bit 0 tags the kind.
-     Self j           ->  j lsl 1
-     Bit (Node id, i) ->  (((id lsl bit_shift) lor i) lsl 1) lor 1
-   Input/Const bits are not stored at all. *)
-let bit_shift = 20
-let bit_mask = (1 lsl bit_shift) - 1
-let max_width = 1 lsl bit_shift
-
-let dep_is_self d = d land 1 = 0
-let dep_self_bit d = d lsr 1
-let dep_node_id d = d lsr (bit_shift + 1)
-let dep_node_bit d = (d lsr 1) land bit_mask
 
 (* Int-typed [max]: [Stdlib.max] is polymorphic and compares through the
    runtime. *)
 let imax (a : int) b = if a >= b then a else b
-
-let pack_self j = j lsl 1
-let pack_node id i = (((id lsl bit_shift) lor i) lsl 1) lor 1
 
 (* Growable int buffer for the deps array. *)
 type ivec = { mutable a : int array; mutable len : int }
@@ -107,7 +85,7 @@ let release_deps v =
   Domain.DLS.get spare := Some v;
   deps
 
-(* Kernel-form graphs run at under two packed dependencies per bit (at
+(* Kernel-form graphs run at under two dependencies per bit (at
    most two summand bits and a carry on adder bits, one source bit on
    wiring): a fresh buffer this long is rarely regrown. *)
 let deps_estimate total_bits = (3 * total_bits) + 16
@@ -136,50 +114,53 @@ let ivec_blit v src pos len =
 
 (* ---- The dependency model, one node at a time ----
 
-   Top-level functions over the operand list, passed the buffer
-   explicitly: writing a node's rows allocates nothing but buffer growth
+   Top-level functions over the operand list, passed the buffer and the
+   layout explicitly: a node source's bits are written as flat slots
+   [bb.(id) + i], which the writer already knows because ids ascend.
+   Writing a node's rows allocates nothing but buffer growth
    (multipliers aside, whose merged read intervals go through a sorted
    list). *)
 
 (* The source bit feeding computation position [pos] through operand [o]
    (nothing for Input/Const sources or zero padding). *)
-let push_operand_bit deps (o : operand) pos =
+let push_operand_bit deps bb (o : operand) pos =
   match o.src with
   | Node id ->
-      if pos < Operand.width o then ivec_push deps (pack_node id (o.lo + pos))
-      else if o.ext = Sext then ivec_push deps (pack_node id o.hi)
+      if pos < Operand.width o then ivec_push deps (bb.(id) + o.lo + pos)
+      else if o.ext = Sext then ivec_push deps (bb.(id) + o.hi)
   | Input _ | Const _ -> ()
 
 (* [push_operand_bit] through the first [k] operands. *)
-let rec push_operands_bit deps ops k pos =
+let rec push_operands_bit deps bb ops k pos =
   match ops with
   | o :: tl when k > 0 ->
-      push_operand_bit deps o pos;
-      push_operands_bit deps tl (k - 1) pos
+      push_operand_bit deps bb o pos;
+      push_operands_bit deps bb tl (k - 1) pos
   | _ -> ()
 
 (* Every selected bit of an operand, and of every operand. *)
-let push_all_operand_bits deps (o : operand) =
+let push_all_operand_bits deps bb (o : operand) =
   match o.src with
   | Node id ->
       for p = 0 to Operand.width o - 1 do
-        ivec_push deps (pack_node id (o.lo + p))
+        ivec_push deps (bb.(id) + o.lo + p)
       done
   | Input _ | Const _ -> ()
 
-let rec push_all_bits deps = function
+let rec push_all_bits deps bb = function
   | [] -> ()
   | o :: tl ->
-      push_all_operand_bits deps o;
-      push_all_bits deps tl
+      push_all_operand_bits deps bb o;
+      push_all_bits deps bb tl
 
 (* Bit [o.lo] of a one-bit control operand (carry in, gate, select). *)
-let push_low_bit deps (o : operand) =
+let push_low_bit deps bb (o : operand) =
   match o.src with
-  | Node id -> ivec_push deps (pack_node id o.lo)
+  | Node id -> ivec_push deps (bb.(id) + o.lo)
   | Input _ | Const _ -> ()
 
-let push_carry deps pos = if pos > 0 then ivec_push deps (pack_self (pos - 1))
+(* The carry out of the node's own bit [pos - 1]. *)
+let push_carry deps ~base pos = if pos > 0 then ivec_push deps (base + pos - 1)
 
 let rec max_operand_width acc = function
   | [] -> acc
@@ -196,62 +177,65 @@ let rec cover_of acc k = function
   | _ -> acc
 
 (* The Concat operand covering position [pos]. *)
-let rec push_concat_bit deps ops offset pos =
+let rec push_concat_bit deps bb ops offset pos =
   match ops with
   | [] -> ()
   | (o : operand) :: tl ->
       let w = Operand.width o in
       if pos < offset + w then (
         match o.src with
-        | Node id -> ivec_push deps (pack_node id (o.lo + (pos - offset)))
+        | Node id -> ivec_push deps (bb.(id) + o.lo + (pos - offset))
         | Input _ | Const _ -> ())
-      else push_concat_bit deps tl (offset + w) pos
+      else push_concat_bit deps bb tl (offset + w) pos
 
 let rec nth_operand (ops : operand list) i =
   match ops with
   | [] -> invalid_arg "index out of bounds"
   | o :: tl -> if i = 0 then o else nth_operand tl (i - 1)
 
-(* Node-source bit intervals feeding multiplier bit [pos], merged by
+(* Flat slot intervals feeding multiplier bit [pos], merged by
    construction: overlapping reads of one source (e.g. squaring)
-   collapse without the quadratic dedup of the list model. *)
-let push_mul_intervals deps ops pos =
+   collapse without the quadratic dedup of the list model.  Distinct
+   nodes' slots never overlap, so merging on slots alone is exact. *)
+let push_mul_intervals deps bb ops pos =
   let ivs =
     List.fold_left
       (fun ivs (o : operand) ->
-        let k = min (pos + 1) (Operand.width o) in
+        let k = Int.min (pos + 1) (Operand.width o) in
         if k > 0 then
           match o.src with
-          | Node id -> (id, o.lo, o.lo + k - 1) :: ivs
+          | Node id ->
+              let lo = bb.(id) + o.lo in
+              (lo, lo + k - 1) :: ivs
           | Input _ | Const _ -> ivs
         else ivs)
       [] ops
   in
   let rec emit = function
     | [] -> ()
-    | [ (id, lo, hi) ] ->
+    | [ (lo, hi) ] ->
         for b = lo to hi do
-          ivec_push deps (pack_node id b)
+          ivec_push deps b
         done
-    | (id1, lo1, hi1) :: ((id2, lo2, hi2) :: tl as rest) ->
-        if id1 = id2 && lo2 <= hi1 + 1 then
-          emit ((id1, lo1, max hi1 hi2) :: tl)
+    | (lo1, hi1) :: ((lo2, hi2) :: tl as rest) ->
+        if lo2 <= hi1 + 1 then emit ((lo1, imax hi1 hi2) :: tl)
         else begin
           for b = lo1 to hi1 do
-            ivec_push deps (pack_node id1 b)
+            ivec_push deps b
           done;
           emit rest
         end
   in
   emit (List.sort compare ivs)
 
-(* The dependency model of one node: emit the δ cost and packed rows of
+(* The dependency model of one node: emit the δ cost and flat rows of
    every result bit into the shared [deps] buffer, recording
    [cost.(base + pos)] and [dep_off.(base + pos + 1) = deps.len].  A
-   node's rows depend only on its own kind/operands/width — never on the
-   rest of the graph — which is what makes [rebuild_dirty] sound: clean
+   node's rows depend only on its own kind/operands/width and on the
+   layout of the nodes below it — never on the rest of the graph — which
+   is what makes [rebuild_dirty] sound: under an unmoved layout, clean
    nodes' spans can be blitted verbatim from the previous net. *)
-let emit_rows deps cost dep_off ~base kind ~width ops =
+let emit_rows deps cost dep_off bb ~base kind ~width ops =
   let n_ops = List.length ops in
   (* Adders ripple over their first [summands] operands; an [Add]'s
      optional third operand is a carry in, read at bit 0 only. *)
@@ -269,127 +253,70 @@ let emit_rows deps cost dep_off ~base kind ~width ops =
       match kind with
       | Add | Sub | Neg ->
           if pos < cover then begin
-            push_operands_bit deps ops summands pos;
-            push_carry deps pos;
+            push_operands_bit deps bb ops summands pos;
+            push_carry deps ~base pos;
             if pos = 0 && summands < n_ops then
-              push_low_bit deps (nth_operand ops summands);
+              push_low_bit deps bb (nth_operand ops summands);
             1
           end
           else begin
-            push_carry deps pos;
+            push_carry deps ~base pos;
             0
           end
       | Mul ->
-          push_mul_intervals deps ops pos;
-          push_carry deps pos;
+          push_mul_intervals deps bb ops pos;
+          push_carry deps ~base pos;
           1
       | Lt | Le | Gt | Ge | Eq | Neq ->
-          push_all_bits deps ops;
+          push_all_bits deps bb ops;
           max_operand_width 1 ops
       | Max | Min ->
-          push_all_bits deps ops;
-          push_operands_bit deps ops n_ops pos;
+          push_all_bits deps bb ops;
+          push_operands_bit deps bb ops n_ops pos;
           max_operand_width 1 ops
       | Not | Wire ->
-          push_operand_bit deps (nth_operand ops 0) pos;
+          push_operand_bit deps bb (nth_operand ops 0) pos;
           0
       | And | Or | Xor ->
-          push_operands_bit deps ops n_ops pos;
+          push_operands_bit deps bb ops n_ops pos;
           0
       | Gate ->
-          push_operand_bit deps (nth_operand ops 0) pos;
-          push_low_bit deps (nth_operand ops 1);
+          push_operand_bit deps bb (nth_operand ops 0) pos;
+          push_low_bit deps bb (nth_operand ops 1);
           0
       | Mux ->
-          push_low_bit deps (nth_operand ops 0);
-          push_operand_bit deps (nth_operand ops 1) pos;
-          push_operand_bit deps (nth_operand ops 2) pos;
+          push_low_bit deps bb (nth_operand ops 0);
+          push_operand_bit deps bb (nth_operand ops 1) pos;
+          push_operand_bit deps bb (nth_operand ops 2) pos;
           0
       | Concat ->
-          push_concat_bit deps ops 0 pos;
+          push_concat_bit deps bb ops 0 pos;
           0
       | Reduce_or ->
-          push_all_operand_bits deps (nth_operand ops 0);
+          push_all_operand_bits deps bb (nth_operand ops 0);
           0
     in
     cost.(base + pos) <- c;
     dep_off.(base + pos + 1) <- deps.len
   done
 
-let check_width id w =
-  if w >= max_width then
-    invalid_arg
-      (Printf.sprintf "Bitnet.build: node %d width %d exceeds %d" id w
-         max_width)
-
 (* Everything downstream of the dependency rows: cheap O(V + E) int
-   passes deriving the prefix counts, the flat re-encoding, the
-   wavefront levels and the transpose.  Shared by [build] and
-   [rebuild_dirty] so both construction paths are definitionally
-   identical past the rows. *)
+   passes deriving the prefix counts and the transpose.  Shared by
+   [build] and [rebuild_dirty] so both construction paths are
+   definitionally identical past the rows. *)
 let derive graph ~bit_base ~cost ~dep_off ~deps =
-  let n_nodes = Graph.node_count graph in
-  let total_bits = bit_base.(n_nodes) in
+  let total_bits = bit_base.(Graph.node_count graph) in
   let costly_prefix = Array.make (total_bits + 1) 0 in
   for b = 0 to total_bits - 1 do
     costly_prefix.(b + 1) <-
       costly_prefix.(b) + (if cost.(b) > 0 then 1 else 0)
   done;
   let n_deps = Array.length deps in
-  (* Flat re-encoding: the wavefront kernels load a source slot with one
-     array indirection, so the tag decode happens here, once per graph. *)
-  let flat_deps = Array.make n_deps 0 in
-  for id = 0 to n_nodes - 1 do
-    for k = dep_off.(bit_base.(id)) to dep_off.(bit_base.(id + 1)) - 1 do
-      let d = deps.(k) in
-      flat_deps.(k) <-
-        (if dep_is_self d then bit_base.(id) + dep_self_bit d
-         else bit_base.(dep_node_id d) + dep_node_bit d)
-    done
-  done;
-  (* Topological level of each node: carry chains stay within a level, so
-     a level is exactly the set of nodes whose cross-node inputs are all
-     settled once every earlier level is.  Ascending ids are topological
-     (operands reference strictly smaller ids), so one pass suffices. *)
-  let node_level = Array.make (max n_nodes 1) 0 in
-  for id = 0 to n_nodes - 1 do
-    let lvl = ref 0 in
-    for k = dep_off.(bit_base.(id)) to dep_off.(bit_base.(id + 1)) - 1 do
-      let d = deps.(k) in
-      if not (dep_is_self d) then
-        lvl := imax !lvl (node_level.(dep_node_id d) + 1)
-    done;
-    node_level.(id) <- !lvl
-  done;
-  let n_levels =
-    if n_nodes = 0 then 0
-    else begin
-      let top = ref 0 in
-      for id = 0 to n_nodes - 1 do
-        top := imax !top node_level.(id)
-      done;
-      1 + !top
-    end
-  in
-  let level_off = Array.make (n_levels + 1) 0 in
-  for id = 0 to n_nodes - 1 do
-    level_off.(node_level.(id) + 1) <- level_off.(node_level.(id) + 1) + 1
-  done;
-  for l = 0 to n_levels - 1 do
-    level_off.(l + 1) <- level_off.(l + 1) + level_off.(l)
-  done;
-  let level_nodes = Array.make n_nodes 0 in
-  let cursor = Array.copy level_off in
-  for id = 0 to n_nodes - 1 do
-    let l = node_level.(id) in
-    level_nodes.(cursor.(l)) <- id;
-    cursor.(l) <- cursor.(l) + 1
-  done;
   (* Transpose CSR: who consumes each flat bit.  Filling by ascending
      consumer bit keeps every [rdeps] run sorted. *)
   let rdep_off = Array.make (total_bits + 1) 0 in
   for k = 0 to n_deps - 1 do
-    rdep_off.(flat_deps.(k) + 1) <- rdep_off.(flat_deps.(k) + 1) + 1
+    rdep_off.(deps.(k) + 1) <- rdep_off.(deps.(k) + 1) + 1
   done;
   for b = 0 to total_bits - 1 do
     rdep_off.(b + 1) <- rdep_off.(b + 1) + rdep_off.(b)
@@ -400,28 +327,14 @@ let derive graph ~bit_base ~cost ~dep_off ~deps =
   let rdeps = Array.make n_deps 0 in
   for b = total_bits - 1 downto 0 do
     for k = dep_off.(b + 1) - 1 downto dep_off.(b) do
-      let c = flat_deps.(k) + 1 in
+      let c = deps.(k) + 1 in
       rdep_off.(c) <- rdep_off.(c) - 1;
       rdeps.(rdep_off.(c)) <- b
     done
   done;
   Array.blit rdep_off 1 rdep_off 0 total_bits;
   rdep_off.(total_bits) <- n_deps;
-  Hls_telemetry.gauge "timing.levels" (float n_levels);
-  {
-    graph;
-    bit_base;
-    cost;
-    costly_prefix;
-    dep_off;
-    deps;
-    flat_deps;
-    node_level;
-    level_off;
-    level_nodes;
-    rdep_off;
-    rdeps;
-  }
+  { graph; bit_base; cost; costly_prefix; dep_off; deps; rdep_off; rdeps }
 
 (* A net written node by node while its graph is built: the rows [build]
    would emit, into arrays of the final size. *)
@@ -444,9 +357,9 @@ let writer ~nodes ~bits =
 
 let write w kind ~width operands =
   let id = w.w_nodes in
-  check_width id width;
   let base = w.w_base.(id) in
-  emit_rows w.w_deps w.w_cost w.w_dep_off ~base kind ~width operands;
+  emit_rows w.w_deps w.w_cost w.w_dep_off w.w_base ~base kind ~width
+    operands;
   w.w_base.(id + 1) <- base + width;
   w.w_nodes <- id + 1
 
@@ -467,15 +380,11 @@ let finish w graph =
   derive graph ~bit_base:w.w_base ~cost:w.w_cost ~dep_off:w.w_dep_off
     ~deps:(release_deps w.w_deps)
 
-(* Every width is checked before any row is written, as the layout
-   depends on all of them. *)
 let build graph =
   let n_nodes = Graph.node_count graph in
   let bits = ref 0 in
   for id = 0 to n_nodes - 1 do
-    let w = (Graph.node graph id).width in
-    check_width id w;
-    bits := !bits + w
+    bits := !bits + (Graph.node graph id).width
   done;
   let w = writer ~nodes:n_nodes ~bits:!bits in
   for id = 0 to n_nodes - 1 do
@@ -499,7 +408,7 @@ let rebuild_dirty old graph ~dirty =
     else begin
       let bit_base = old.bit_base in
       let total_bits = bit_base.(n_nodes) in
-      let is_dirty = Array.make (max n_nodes 1) false in
+      let is_dirty = Array.make (imax n_nodes 1) false in
       List.iter
         (fun id -> if id >= 0 && id < n_nodes then is_dirty.(id) <- true)
         dirty;
@@ -511,12 +420,13 @@ let rebuild_dirty old graph ~dirty =
         if is_dirty.(id) then begin
           incr dirty_nodes;
           let n = Graph.node graph id in
-          emit_rows deps cost dep_off ~base:bit_base.(id) n.kind
+          emit_rows deps cost dep_off bit_base ~base:bit_base.(id) n.kind
             ~width:n.width n.operands
         end
         else begin
-          (* Clean rows are untouched by an edit elsewhere: blit the old
-             span and rebase its offsets. *)
+          (* Clean rows are untouched by an edit elsewhere (the layout
+             did not move, so neither did their source slots): blit the
+             old span and rebase its offsets. *)
           let lo = old.dep_off.(bit_base.(id)) in
           let hi = old.dep_off.(bit_base.(id + 1)) in
           ivec_blit deps old.deps lo (hi - lo);
@@ -535,8 +445,6 @@ let rebuild_dirty old graph ~dirty =
   end
 
 let total_bits t = t.bit_base.(Array.length t.bit_base - 1)
-let n_levels t = Array.length t.level_off - 1
-
 (* Weakly-connected regions over the node graph, joined by operand [Node]
    sources: a union-find with path halving, counted on demand (only the
    bench's kernel-shape section and the tests ask). *)
@@ -588,12 +496,4 @@ let node_of_slot t slot =
     if t.bit_base.(mid) <= slot then lo := mid else hi := mid
   done;
   !lo
-
-let fold_deps t ~id ~bit ~init ~f =
-  let b = t.bit_base.(id) + bit in
-  let acc = ref init in
-  for k = t.dep_off.(b) to t.dep_off.(b + 1) - 1 do
-    acc := f !acc t.deps.(k)
-  done;
-  !acc
 

@@ -12,15 +12,14 @@
     The latest cycle a bit can be produced in is [ceil(deadline / n_bits)],
     mirroring {!Arrival.asap_cycle}.
 
-    Like {!Arrival}, slots live in one flat [bit_base]-indexed array and
-    the kernel runs as a wavefront over the net's topological levels — in
-    reverse, and {e pulling} through the transpose net ([rdeps]) instead of
-    pushing: when a bit is pulled, every one of its consumers is already
-    final (cross-node consumers sit at strictly higher levels; the only
-    same-node consumer of bit [pos] is the carry into [pos + 1], pulled
-    just before).  Pull order is what makes the per-level early exit of
-    {!of_net_check} possible: a level's slots are final the moment the
-    level is swept. *)
+    Like {!Arrival}, slots live in one flat [bit_base]-indexed array, and
+    the kernel sweeps node ids in descending order, {e pulling} through
+    the transpose net ([rdeps]) instead of pushing: when a bit is pulled,
+    every one of its consumers is already final (cross-node consumers
+    have strictly larger ids; the only same-node consumer of bit [pos] is
+    the carry into [pos + 1], pulled just before).  Pull order is what
+    makes the early exit of {!of_net_check} possible: a node's slots are
+    final the moment the node is swept. *)
 
 
 type t = {
@@ -51,7 +50,7 @@ let init_slots ?caps bit_base ~total_slots =
   slots
 
 (* Settle every bit of node [id], MSB to LSB, by pulling over the
-   transpose net: each consumer's slot is already final (higher level, or
+   transpose net: each consumer's slot is already final (larger id, or
    the carry bit just above), so one min-fold per bit suffices. *)
 let sweep_node_rev (net : Bitnet.t) slots id =
   let rdep_off = net.Bitnet.rdep_off in
@@ -67,59 +66,38 @@ let sweep_node_rev (net : Bitnet.t) slots id =
     slots.(b) <- !dl
   done
 
-(** Reverse level-ordered wavefront over a prebuilt net: flat slot array,
+(** Descending-id sweep over a prebuilt net: flat slot array,
     pull-based, no per-bit allocation. *)
 let of_net ?caps (net : Bitnet.t) ~total_slots =
   let bit_base = net.Bitnet.bit_base in
   let slots = init_slots ?caps bit_base ~total_slots in
-  let n_levels = Bitnet.n_levels net in
-  for l = n_levels - 1 downto 0 do
-    for i = net.Bitnet.level_off.(l) to net.Bitnet.level_off.(l + 1) - 1 do
-      sweep_node_rev net slots net.Bitnet.level_nodes.(i)
-    done
+  for id = Array.length bit_base - 2 downto 0 do
+    sweep_node_rev net slots id
   done;
-  if n_levels > 0 then Hls_telemetry.count ~n:n_levels "timing.rounds";
   { total_slots; bit_base; slots }
 
-exception Violated of int
+exception Violated of int * int
 
-(** Monotone early-exit variant: compute the deadlines level by level and
-    validate each level against [arrival] the moment it becomes final.
-    An infeasible budget violates first at the {e deepest} nodes — exactly
-    the ones the reverse wavefront settles first — so hopeless budgets
-    bail after a fraction of the sweep.  [Ok t] means every bit was
-    checked: the budget is feasible, no separate {!feasible} pass
-    needed. *)
+(** Monotone early-exit variant: compute the deadlines node by node, in
+    descending id order, and validate each node against [arrival] the
+    moment its own sweep makes it final.  An infeasible budget violates
+    first at the {e deepest} nodes — exactly the ones the descending
+    sweep settles first — so hopeless budgets bail after a fraction of
+    the sweep.  [Ok t] means every bit was checked: the budget is
+    feasible, no separate {!feasible} pass needed. *)
 let of_net_check ?caps (net : Bitnet.t) ~total_slots ~arrival =
   let bit_base = net.Bitnet.bit_base in
   let slots = init_slots ?caps bit_base ~total_slots in
   let arr = Arrival.flat_slots arrival in
-  let n_levels = Bitnet.n_levels net in
-  let rounds = ref 0 in
-  let result =
-    try
-      for l = n_levels - 1 downto 0 do
-        incr rounds;
-        for i = net.Bitnet.level_off.(l) to net.Bitnet.level_off.(l + 1) - 1 do
-          sweep_node_rev net slots net.Bitnet.level_nodes.(i)
-        done;
-        for i = net.Bitnet.level_off.(l) to net.Bitnet.level_off.(l + 1) - 1 do
-          let id = net.Bitnet.level_nodes.(i) in
-          for b = bit_base.(id) to bit_base.(id + 1) - 1 do
-            if slots.(b) < arr.(b) then raise (Violated b)
-          done
-        done
-      done;
-      Ok { total_slots; bit_base; slots }
-    with Violated b ->
-      let id = ref 0 in
-      while bit_base.(!id + 1) <= b do
-        incr id
-      done;
-      Error (!id, b - bit_base.(!id))
-  in
-  if !rounds > 0 then Hls_telemetry.count ~n:!rounds "timing.rounds";
-  result
+  try
+    for id = Array.length bit_base - 2 downto 0 do
+      sweep_node_rev net slots id;
+      for b = bit_base.(id) to bit_base.(id + 1) - 1 do
+        if slots.(b) < arr.(b) then raise (Violated (id, b - bit_base.(id)))
+      done
+    done;
+    Ok { total_slots; bit_base; slots }
+  with Violated (id, bit) -> Error (id, bit)
 
 (** [compute graph ~total_slots ?caps] — [caps id bit] optionally tightens
     the initial deadline of individual bits below the global budget (used

@@ -7,21 +7,22 @@
 
 type t
 
-(** Reverse level-ordered wavefront over a prebuilt {!Bitnet} — one flat
-    slot array in the net's [bit_base] layout, pulling through the
-    transpose net, no per-bit allocation.  Use this when the net is
+(** Descending-id sweep over a prebuilt {!Bitnet} — one flat slot array
+    in the net's [bit_base] layout, pulling through the transpose net, no
+    per-bit allocation.  Use this when the net is
     shared with other passes. *)
 val of_net :
   ?caps:(Hls_dfg.Types.node_id -> int -> int) -> Bitnet.t ->
   total_slots:int -> t
 
-(** Monotone early-exit variant: deadlines are computed level by level
-    and each level is validated against [arrival] the moment it is final.
-    [Ok t] means every bit was checked — the budget is feasible and [t]
-    equals [of_net] on the same inputs; [Error (id, bit)] is the first
-    violated bit encountered, reached after sweeping only the levels
-    above it (infeasible budgets violate at the deepest nodes, which the
-    reverse wavefront settles first). *)
+(** Monotone early-exit variant: deadlines are computed node by node in
+    descending id order, and each node is validated against [arrival]
+    right after its own sweep, when its slots are final.  [Ok t] means
+    every bit was checked — the budget is feasible and [t] equals
+    [of_net] on the same inputs; [Error (id, bit)] is the lowest violated
+    bit of the largest violating id, reached after sweeping only the
+    nodes from [id] up (infeasible budgets violate at the deepest nodes,
+    which the descending sweep settles first). *)
 val of_net_check :
   ?caps:(Hls_dfg.Types.node_id -> int -> int) -> Bitnet.t ->
   total_slots:int -> arrival:Arrival.t ->

@@ -50,9 +50,15 @@ let net_model (s : Frag_sched.t) =
     dm_costly_width = (fun (n : node) -> Bitnet.costly_width net ~id:n.id);
     dm_iter_uses =
       (fun ~id ~bit f ->
-        Bitnet.fold_deps net ~id ~bit ~init:() ~f:(fun () d ->
-            if not (Bitnet.dep_is_self d) then
-              f (Bitnet.dep_node_id d) (Bitnet.dep_node_bit d)));
+        let base = net.Bitnet.bit_base.(id) in
+        let b = base + bit in
+        for k = net.Bitnet.dep_off.(b) to net.Bitnet.dep_off.(b + 1) - 1 do
+          let d = net.Bitnet.deps.(k) in
+          if d < base then begin
+            let src = Bitnet.node_of_slot net d in
+            f src (d - net.Bitnet.bit_base.(src))
+          end
+        done);
   }
 
 let reference_model (s : Frag_sched.t) =

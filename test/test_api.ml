@@ -888,6 +888,38 @@ let test_exec_memoization () =
   check_bool "prepared prefix memoized across requests" true
     (Exec.prepared_hits exec >= before + 2)
 
+(* The prepared-prefix memo tells apart two sources that differ only in
+   an input port's signedness (which [Graph.digest] leaves out): each
+   answer from one executor declares its own port. *)
+let test_exec_memo_input_signedness () =
+  let exec = Exec.create () in
+  Fun.protect ~finally:(fun () -> Exec.close exec) @@ fun () ->
+  let optimize decl =
+    let src =
+      Printf.sprintf
+        "module d;\n%s\ninput b : 8;\noutput o : 9;\no = b + 1;\nend\n"
+        decl
+    in
+    match
+      run_payload exec
+        (Req.Optimize
+           {
+             spec = Req.Source src;
+             latency = 2;
+             config = Req.default_config;
+             vhdl = false;
+           })
+    with
+    | Resp.Optimized { text; _ } -> text
+    | _ -> Alcotest.fail "optimize answered another payload"
+  in
+  let signed = optimize "input a : 8 signed;" in
+  let unsigned = optimize "input a : 8;" in
+  check_bool "signed answer declares a signed" true
+    (contains ~affix:"input a : 8 signed;" signed);
+  check_bool "unsigned answer declares a unsigned" true
+    (contains ~affix:"input a : 8;" unsigned)
+
 (* A daemon's prepared-prefix memo stays bounded: cap + 16 distinct
    generated designs through one executor keep at most [prepared_cap]
    entries, evict the rest least recently used first, and every answer
@@ -1482,6 +1514,8 @@ let suite =
       test_codec_lane_coverage;
     Alcotest.test_case "exec prepared memo stays bounded" `Quick
       test_exec_memo_bounded;
+    Alcotest.test_case "exec memo keys input signedness" `Quick
+      test_exec_memo_input_signedness;
     Alcotest.test_case "report critical from the prepared arrival" `Quick
       test_report_critical_from_prepared;
   ]

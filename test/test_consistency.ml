@@ -1,12 +1,11 @@
 (* Cross-model consistency: the independent models of the same design —
-   area summary, controller extraction, stored runs, gate-level netlist —
+   area summary, stored runs, registers, gate-level netlist —
    must agree with each other on the quantities they share. *)
 
 open Hls_dfg.Types
 module Graph = Hls_dfg.Graph
 module Frag_sched = Hls_sched.Frag_sched
 module Bind_frag = Hls_alloc.Bind_frag
-module Control = Hls_rtl.Control
 module Datapath = Hls_alloc.Datapath
 module N = Hls_rtl.Netlist
 
@@ -22,21 +21,6 @@ let fixtures () =
     ("fir2", frag_schedule (Hls_workloads.Benchmarks.fir2 ()) ~latency:3);
     ("iaq", frag_schedule (Hls_workloads.Adpcm.iaq ()) ~latency:3);
   ]
-
-(* The controller's captured bits are exactly the stored runs' bits. *)
-let test_control_vs_stored_runs () =
-  List.iter
-    (fun (name, s) ->
-      let runs = Bind_frag.stored_runs s in
-      let run_bits =
-        Hls_util.List_ext.sum_by (fun r -> r.Bind_frag.sr_width) runs
-      in
-      let ctrl = Control.extract s in
-      Alcotest.(check int)
-        (Printf.sprintf "%s: captured = stored" name)
-        run_bits
-        (Control.total_captured_bits ctrl))
-    (fixtures ())
 
 (* Left-edge registers hold every stored run exactly once, and register
    bits never exceed the raw stored bits. *)
@@ -147,7 +131,6 @@ let test_vhdl_covers_kernel_glue () =
 
 let suite =
   [
-    Alcotest.test_case "control = stored runs" `Quick test_control_vs_stored_runs;
     Alcotest.test_case "registers cover runs" `Quick test_registers_cover_runs;
     Alcotest.test_case "netlist dff accounting" `Quick
       test_netlist_dff_accounting;

@@ -50,19 +50,6 @@ let edit_one g cursor =
           ( { g with Graph.nodes; cached_index = Atomic.make None },
             n.id )
 
-let nets_identical (a : Bitnet.t) (b : Bitnet.t) =
-  a.Bitnet.bit_base = b.Bitnet.bit_base
-  && a.Bitnet.cost = b.Bitnet.cost
-  && a.Bitnet.costly_prefix = b.Bitnet.costly_prefix
-  && a.Bitnet.dep_off = b.Bitnet.dep_off
-  && a.Bitnet.deps = b.Bitnet.deps
-  && a.Bitnet.flat_deps = b.Bitnet.flat_deps
-  && a.Bitnet.node_level = b.Bitnet.node_level
-  && a.Bitnet.level_off = b.Bitnet.level_off
-  && a.Bitnet.level_nodes = b.Bitnet.level_nodes
-  && a.Bitnet.rdep_off = b.Bitnet.rdep_off
-  && a.Bitnet.rdeps = b.Bitnet.rdeps
-
 let prop_rebuild_dirty_identity =
   QCheck.Test.make ~name:"rebuild_dirty == build after single-node edit"
     ~count:60
@@ -76,7 +63,7 @@ let prop_rebuild_dirty_identity =
           let scratch = Bitnet.build g' in
           match Bitnet.rebuild_dirty net g' ~dirty:[ id ] with
           | None -> false (* layout unchanged: must not fall back *)
-          | Some incr -> nets_identical scratch incr))
+          | Some incr -> Test_fragment.nets_equal scratch incr))
 
 let prop_update_of_net_identity =
   QCheck.Test.make ~name:"update_of_net == of_net after single-node edit"
@@ -103,7 +90,7 @@ let test_rebuild_dirty_edges () =
   (match Bitnet.rebuild_dirty net g ~dirty:[] with
   | Some net' ->
       Alcotest.(check bool) "empty dirty set is identity" true
-        (nets_identical net net')
+        (Test_fragment.nets_equal net net')
   | None -> Alcotest.fail "empty dirty set refused");
   let nodes = Array.copy g.Graph.nodes in
   let n = nodes.(0) in
@@ -277,7 +264,7 @@ let prop_transform_net =
           in
           let tr = Hls_fragment.Transform.run (kernel_of_seed seed) ~latency in
           tr.net.Bitnet.graph == tr.graph
-          && nets_identical tr.net (Bitnet.build tr.graph))
+          && Test_fragment.nets_equal tr.net (Bitnet.build tr.graph))
 
 (* As the iteration driver re-plans: a fresh transform, the same plan
    applied again and a re-plan at another latency each carry the net of
@@ -295,7 +282,7 @@ let test_transform_carries_net () =
       Alcotest.(check bool) (what ^ ": net of its graph") true
         (t.net.Bitnet.graph == t.graph);
       Alcotest.(check bool) (what ^ ": net == Bitnet.build") true
-        (nets_identical t.net (Bitnet.build t.graph)))
+        (Test_fragment.nets_equal t.net (Bitnet.build t.graph)))
     [ ("fresh", tr); ("a rebuilt graph", rebuilt);
       ("another latency's graph", other) ];
   let again = Transform.run ~like:tr kernel ~latency:8 in

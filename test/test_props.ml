@@ -121,10 +121,7 @@ let test_pp_smoke () =
   let dp = opt.Hls_core.Pipeline.opt_report.Hls_core.Pipeline.datapath in
   let s = Format.asprintf "%a" Hls_alloc.Datapath.pp dp in
   Alcotest.(check bool) "datapath pp mentions latency" true
-    (contains s "latency 3");
-  let ctrl = Hls_rtl.Control.extract opt.Hls_core.Pipeline.schedule in
-  let s = Format.asprintf "%a" Hls_rtl.Control.pp ctrl in
-  Alcotest.(check bool) "control pp mentions states" true (contains s "state 1")
+    (contains s "latency 3")
 
 (* --- techlib monotonicity --- *)
 

@@ -1,6 +1,5 @@
 module Frag_sched = Hls_sched.Frag_sched
 module Cycle_sim = Hls_rtl.Cycle_sim
-module Control = Hls_rtl.Control
 module Motivational = Hls_workloads.Motivational
 module Benchmarks = Hls_workloads.Benchmarks
 module Bv = Hls_bitvec
@@ -74,24 +73,35 @@ let test_op_cycle_sim () =
       reference
   done
 
+(* The controller of the chain3 schedule, one FSM state per cycle: the
+   additions each state activates, and the stored runs each state's
+   registers capture (a run is captured at the end of the cycle that
+   produces it). *)
 let test_control_extraction () =
   let s = frag_schedule (Motivational.chain3 ()) ~latency:3 in
-  let ctrl = Control.extract s in
-  Alcotest.(check int) "three states" 3 (List.length ctrl.Control.states);
-  (* Every addition appears in exactly one state. *)
-  let total_activations =
-    Hls_util.List_ext.sum_by
-      (fun st -> List.length st.Control.st_activations)
-      ctrl.Control.states
+  let states = Hls_util.List_ext.range 1 (s.Frag_sched.latency + 1) in
+  Alcotest.(check int) "three states" 3 (List.length states);
+  let activations =
+    List.map (fun cycle -> List.length (Frag_sched.adds_in_cycle s cycle)) states
   in
-  Alcotest.(check int) "nine activations" 9 total_activations;
+  Alcotest.(check (list int)) "activations per state" [ 3; 3; 3 ] activations;
+  (* Every addition appears in exactly one state. *)
+  Alcotest.(check int) "nine activations" 9
+    (Hls_util.List_ext.sum_by Fun.id activations);
+  let runs = Hls_alloc.Bind_frag.stored_runs s in
+  let captured cycle =
+    List.filter_map
+      (fun (r : Hls_alloc.Bind_frag.stored_run) ->
+        if r.sr_from = cycle + 1 then Some r.sr_width else None)
+      runs
+  in
   (* chain3 stores 5 bits out of cycle 1 and 5 out of cycle 2 (§2). *)
-  Alcotest.(check int) "captured bits" 10 (Control.total_captured_bits ctrl);
-  let st1 = List.hd ctrl.Control.states in
-  Alcotest.(check int) "cycle-1 captures 5 bits" 5
+  Alcotest.(check int) "captured bits" 10
     (Hls_util.List_ext.sum_by
-       (fun c -> c.Control.cap_width)
-       st1.Control.st_captures)
+       (fun cycle -> Hls_util.List_ext.sum_by Fun.id (captured cycle))
+       states);
+  Alcotest.(check int) "cycle-1 captures 5 bits" 5
+    (Hls_util.List_ext.sum_by Fun.id (captured 1))
 
 (* Property: cycle-accurate simulation matches the behavioural reference on
    random additive DAGs across latencies. *)
