@@ -139,9 +139,8 @@ let pp_payload ppf = function
         (fun (r : R.iter_round) ->
           Format.fprintf ppf
             "round %d: target %d cycles, cap %d delta, region %d node(s) \
-             (%d adds)%s -> %s (latency %d, chain %d delta)@."
+             (%d adds) -> %s (latency %d, chain %d delta)@."
             r.ir_index r.ir_target r.ir_cap r.ir_region r.ir_region_adds
-            (if r.ir_pinned then ", pinned" else "")
             (if r.ir_accepted then "accepted" else "rejected")
             r.ir_latency r.ir_delta)
         it.R.it_rounds;

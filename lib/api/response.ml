@@ -97,7 +97,10 @@ type iter_round = {
   ir_cap : int;  (** chain cap (δ) the re-schedule ran under *)
   ir_region : int;  (** critical-region size, in graph nodes *)
   ir_region_adds : int;
-  ir_pinned : bool;  (** accepted schedule kept the boundary pins *)
+  ir_pinned : bool;
+      (** always [false] (iterate rounds no longer pin fragments); kept
+          only so that existing callers and the wire field ["pinned"]
+          stay compatible *)
   ir_accepted : bool;
   ir_latency : int;  (** incumbent latency after the round *)
   ir_delta : int;  (** incumbent peak chain after the round *)
@@ -108,7 +111,7 @@ type iterated = {
   it_final_latency : int;
   it_initial_delta : int;
   it_final_delta : int;
-  it_saved_pct : float;  (** execution-time saving vs the one-shot *)
+  it_saved_pct : float;  (** latency saving vs the one-shot, percent *)
   it_stop : string;  (** why the loop ended, [Iter.stop_to_string] *)
   it_rounds : iter_round list;
 }

@@ -90,7 +90,10 @@ type iter_round = {
   ir_cap : int;  (** chain cap (δ) the re-schedule ran under *)
   ir_region : int;  (** critical-region size, in graph nodes *)
   ir_region_adds : int;
-  ir_pinned : bool;  (** accepted schedule kept the boundary pins *)
+  ir_pinned : bool;
+      (** always [false] (iterate rounds no longer pin fragments); kept
+          only so that existing callers and the wire field ["pinned"]
+          stay compatible *)
   ir_accepted : bool;
   ir_latency : int;  (** incumbent latency after the round *)
   ir_delta : int;  (** incumbent peak chain after the round *)

@@ -6,12 +6,11 @@
     region that is incompatible with one cycle fewer
     ({!Subgraph.extract}), re-plan and re-schedule at [latency - 1] with
     the same [n_bits] chaining budget and a chain cap at the incumbent's
-    achieved peak — first with every fragment of an *untouched* original
-    operation pinned to its incumbent cycle (small, local rework), then
-    unpinned as a fallback — accept only strict improvements, and repeat
-    until a round budget runs out, the greedy pass fails at the smaller
-    latency, or a relaxation certificate ({!Subgraph.infeasible_witness})
-    proves no schedule can fit fewer cycles.
+    achieved peak, accept only strict improvements, and repeat until a
+    round budget runs out, the re-plan or the greedy pass fails at the
+    smaller latency, or a relaxation certificate
+    ({!Subgraph.infeasible_witness}) proves no schedule can fit fewer
+    cycles.
 
     Acceptance is by construction monotone on both axes: an accepted
     round has one cycle fewer, and its [chain_cap] keeps the achieved
@@ -30,7 +29,8 @@ type round = {
   r_region : int;  (** nodes in the extracted critical region *)
   r_region_adds : int;
   r_pinned : bool;
-      (** the accepting attempt kept clean-op fragments pinned *)
+      (** always [false]: rounds no longer pin fragments.  Kept only so
+          that existing callers that copy it still compile. *)
   r_accepted : bool;
   r_latency : int;  (** best latency after the round *)
   r_delta : int;  (** best achieved chain after the round (δ) *)
@@ -38,7 +38,9 @@ type round = {
 
 type stop =
   | Budget  (** round budget exhausted with the last round accepted *)
-  | Greedy_stuck  (** both attempts infeasible at the smaller latency *)
+  | Greedy_stuck
+      (** the re-plan or its schedule is infeasible at the smaller
+          latency *)
   | Certified
       (** relaxation witness proves one cycle fewer fits no schedule *)
   | Floor  (** latency is already 1 — nothing below it *)
@@ -73,7 +75,7 @@ let improve ?(balance = true) ?(verify = false) ?(max_rounds = 8) ?policy
   let initial_latency = s0.Frag_sched.latency in
   let initial_delta = Frag_sched.used_delta s0 in
   (* Re-plan the source kernel at [target] cycles, same chaining budget;
-     the re-planned graph comes with its net, which both attempts share.
+     the re-planned graph comes with its net, which the schedule reads.
      [net]/[arrival] belong to the source kernel and are latency-
      independent, so one pair serves every round.  At a fixed [n_bits] a
      shorter latency moves every ALAP earlier but usually no cut, so the
@@ -90,10 +92,10 @@ let improve ?(balance = true) ?(verify = false) ?(max_rounds = 8) ?policy
         | Some _ -> None
         | None -> raise e)
   in
-  let attempt ~cap ~pin tr =
+  let attempt ~cap tr =
     match
       T.with_span "iter.schedule" (fun () ->
-          Frag_sched.schedule ~balance ~chain_cap:cap ?pin tr)
+          Frag_sched.schedule ~balance ~chain_cap:cap tr)
     with
     | s ->
         (* The independent from-scratch checker stays in the loop as the
@@ -127,14 +129,14 @@ let improve ?(balance = true) ?(verify = false) ?(max_rounds = 8) ?policy
       T.with_span "iter.extract" (fun () -> Subgraph.extract best ~target)
     in
     T.gauge "iter.region_nodes" (float_of_int (Subgraph.size sg));
-    let record ~pinned ~accepted after =
+    let record ~accepted after =
       {
         r_index = idx;
         r_target = target;
         r_cap = cap;
         r_region = Subgraph.size sg;
         r_region_adds = sg.Subgraph.region_adds;
-        r_pinned = pinned;
+        r_pinned = false;
         r_accepted = accepted;
         r_latency = after.Frag_sched.latency;
         r_delta = Frag_sched.used_delta after;
@@ -142,7 +144,7 @@ let improve ?(balance = true) ?(verify = false) ?(max_rounds = 8) ?policy
     in
     let reject stop =
       T.count "iter.rejected";
-      Error (record ~pinned:false ~accepted:false best, stop)
+      Error (record ~accepted:false best, stop)
     in
     match
       T.with_span "iter.witness" (fun () -> Subgraph.infeasible_witness sg)
@@ -152,16 +154,10 @@ let improve ?(balance = true) ?(verify = false) ?(max_rounds = 8) ?policy
         match T.with_span "iter.replan" (fun () -> replan best target) with
         | None -> reject Greedy_stuck
         | Some tr -> (
-            let pin = Subgraph.pin_for sg tr.Transform.graph in
-            let pinned, result =
-              match attempt ~cap ~pin:(Some pin) tr with
-              | Some s -> (true, Some s)
-              | None -> (false, attempt ~cap ~pin:None tr)
-            in
-            match result with
+            match attempt ~cap tr with
             | Some s' ->
                 T.count "iter.accepted";
-                Ok (s', record ~pinned ~accepted:true s')
+                Ok (s', record ~accepted:true s')
             | None -> reject Greedy_stuck))
   in
   (* Each round's span closes before the next round opens. *)
@@ -181,20 +177,3 @@ let run ?balance ?verify ?max_rounds ?policy ?net ?arrival
     (tr : Transform.t) =
   improve ?balance ?verify ?max_rounds ?policy ?net ?arrival
     (Frag_sched.schedule ?balance tr)
-
-let pp_round ppf r =
-  Format.fprintf ppf
-    "round %d: target %d cycles (cap %d δ), region %d (%d adds) — %s at %d \
-     cycles / %d δ%s"
-    r.r_index r.r_target r.r_cap r.r_region r.r_region_adds
-    (if r.r_accepted then "accepted" else "rejected")
-    r.r_latency r.r_delta
-    (if r.r_accepted && not r.r_pinned then " (unpinned)" else "")
-
-let pp ppf o =
-  Format.fprintf ppf
-    "@[<v>%a@ %d -> %d cycles (%.1f%% saved), chain %d -> %d δ, stop: %s@]"
-    (Format.pp_print_list pp_round)
-    o.o_rounds o.o_initial_latency o.o_final_latency (saved_pct o)
-    o.o_initial_delta o.o_final_delta
-    (stop_to_string o.o_stop)

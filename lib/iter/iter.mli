@@ -1,12 +1,11 @@
 (** Feedback-guided iterative scheduling: extract the critical region
     incompatible with one cycle fewer ({!Subgraph}), re-plan and
     re-schedule at [latency - 1] under the same chaining budget with a
-    chain cap at the incumbent's achieved peak (clean-op fragments
-    pinned first, unpinned fallback), accept only strict improvements,
-    repeat to convergence or a round budget.  Monotone by construction:
-    every accepted round has one cycle fewer and a chain no longer than
-    the incumbent's, so the result is never worse than the one-shot
-    schedule in cycles, clock, or their product. *)
+    chain cap at the incumbent's achieved peak, accept only strict
+    improvements, repeat to convergence or a round budget.  Monotone by
+    construction: every accepted round has one cycle fewer and a chain
+    no longer than the incumbent's, so the result is never worse than
+    the one-shot schedule in cycles, clock, or their product. *)
 
 type round = {
   r_index : int;  (** 1-based *)
@@ -15,7 +14,8 @@ type round = {
   r_region : int;  (** nodes in the extracted critical region *)
   r_region_adds : int;
   r_pinned : bool;
-      (** the accepting attempt kept clean-op fragments pinned *)
+      (** always [false]: rounds no longer pin fragments.  Kept only so
+          that existing callers that copy it still compile. *)
   r_accepted : bool;
   r_latency : int;  (** best latency after the round *)
   r_delta : int;  (** best achieved chain after the round (δ) *)
@@ -23,7 +23,9 @@ type round = {
 
 type stop =
   | Budget  (** round budget exhausted with the last round accepted *)
-  | Greedy_stuck  (** both attempts infeasible at the smaller latency *)
+  | Greedy_stuck
+      (** the re-plan or its schedule is infeasible at the smaller
+          latency *)
   | Certified
       (** relaxation witness proves one cycle fewer fits no schedule *)
   | Floor  (** latency is already 1 — nothing below it *)
@@ -52,10 +54,10 @@ val saved_pct : outcome -> float
     of the re-planning rounds; [net]/[arrival] are the *source kernel's*
     dependency net and arrival analysis (latency-independent, so one
     pair serves every round — a sweep passes its prepared state).  Each
-    round builds its re-planned graph's net once, for both attempts, and
+    round re-plans once and schedules the re-planned graph once, and
     runs as one [iter.round] telemetry span with the children
-    [iter.extract], [iter.witness], [iter.replan] and one
-    [iter.schedule] per attempt. *)
+    [iter.extract], [iter.witness], [iter.replan] and, when the re-plan
+    succeeds, one [iter.schedule]. *)
 val improve :
   ?balance:bool ->
   ?verify:bool ->
@@ -76,6 +78,3 @@ val run :
   ?arrival:Hls_timing.Arrival.t ->
   Hls_fragment.Transform.t ->
   outcome
-
-val pp_round : Format.formatter -> round -> unit
-val pp : Format.formatter -> outcome -> unit

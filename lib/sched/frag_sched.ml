@@ -70,7 +70,7 @@ let infeasible (n : node) w_asap w_alap =
     (Printf.sprintf "fragment %d (%s) has no feasible cycle in [%d,%d]" n.id
        n.label w_asap w_alap)
 
-let schedule ?(balance = true) ?chain_cap ?pin (tr : Transform.t) =
+let schedule ?(balance = true) ?chain_cap (tr : Transform.t) =
   let g = tr.Transform.graph in
   let plan = tr.Transform.plan in
   let latency = plan.Hls_fragment.Mobility.latency in
@@ -163,17 +163,6 @@ let schedule ?(balance = true) ?chain_cap ?pin (tr : Transform.t) =
       match n.kind with
       | Add ->
           let w_asap, w_alap = tr.Transform.windows.(n.id) in
-          (* A pin narrows the candidate range to one cycle (the iteration
-             driver pins fragments outside the region being reworked); a
-             pin outside the window is ignored rather than made fatal. *)
-          let w_asap, w_alap =
-            match pin with
-            | None -> (w_asap, w_alap)
-            | Some f -> (
-                match f n.id with
-                | Some c when c >= w_asap && c <= w_alap -> (c, c)
-                | Some _ | None -> (w_asap, w_alap))
-          in
           (* The usage-lightest feasible cycle, earliest on ties (or the
              earliest feasible one without balancing).  A cycle no lighter
              than the incumbent cannot win, so it is not tried. *)

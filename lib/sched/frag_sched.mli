@@ -48,19 +48,9 @@ val bit_time : t -> Hls_dfg.Types.node_id -> int -> bit_time
     period: no bit may settle later than δ slot [min chain_cap n_bits] of
     its cycle.  This is the iteration driver's lever — asking the greedy
     pass for a schedule whose achieved {!used_delta} beats the previous
-    round.  Raises {!Infeasible} when the cap is below 1.
-
-    [pin] restricts an Add fragment to a single candidate cycle
-    ([pin id = Some c] narrows the window to [c] when [c] lies inside it;
-    [None] leaves the window alone).  The iteration driver pins fragments
-    outside the critical region so re-scheduling only moves the region
-    under rework. *)
+    round.  Raises {!Infeasible} when the cap is below 1. *)
 val schedule :
-  ?balance:bool ->
-  ?chain_cap:int ->
-  ?pin:(Hls_dfg.Types.node_id -> int option) ->
-  Hls_fragment.Transform.t ->
-  t
+  ?balance:bool -> ?chain_cap:int -> Hls_fragment.Transform.t -> t
 
 (** Longest chain actually used in any cycle — the achieved cycle length
     in δ (at most the budget). *)

@@ -2,8 +2,8 @@
    timing layer underneath it: QCheck bit-identity of dirty-region net
    rebuilds and arrival updates against from-scratch, monotone
    non-worsening convergence of the iteration driver on every registry
-   workload, critical-region extraction invariants, and the shared-pool
-   arrival path. *)
+   workload, critical-region extraction invariants, and one net and one
+   schedule per re-planning round. *)
 
 open Hls_dfg.Types
 module Graph = Hls_dfg.Graph
@@ -200,16 +200,6 @@ let test_extraction_invariants () =
         (fun id ->
           Alcotest.(check bool) "members are marked" true (Subgraph.mem sg id))
         sg.Subgraph.nodes;
-      List.iter
-        (fun id ->
-          Alcotest.(check bool) "boundary-in is outside" false
-            (Subgraph.mem sg id))
-        (Subgraph.boundary_in sg);
-      List.iter
-        (fun id ->
-          Alcotest.(check bool) "boundary-out is inside" true
-            (Subgraph.mem sg id))
-        (Subgraph.boundary_out sg);
       (* The witness chain is a real tight chain: settle times ascend by
          exactly the δ cost of each link, within one cycle. *)
       let rec check_chain = function
@@ -227,16 +217,7 @@ let test_extraction_invariants () =
             check_chain tl
         | _ -> ()
       in
-      check_chain sg.Subgraph.witness;
-      (* The pin function never pins a dirty op's fragment. *)
-      let pin = Subgraph.pin_for sg (Frag_sched.graph s) in
-      Graph.iter_nodes
-        (fun (n : node) ->
-          match n.origin with
-          | Some o when List.mem o.orig_op sg.Subgraph.dirty_ops ->
-              Alcotest.(check bool) "dirty op unpinned" true (pin n.id = None)
-          | _ -> ())
-        (Frag_sched.graph s)
+      check_chain sg.Subgraph.witness
 
 (* --- one net per fragmented graph, built with it --- *)
 
@@ -291,36 +272,49 @@ let test_transform_carries_net () =
 
 (* An armed iterate names the insides of each round: one iter.extract
    and one iter.witness per round, one iter.replan per round that got
-   past the witness, and at least one iter.schedule per re-plan. *)
+   past the witness, and exactly one iter.schedule per re-plan (a round
+   schedules once).  random240 is here because its accepted rounds at
+   λ 14 move fragments outside the critical region, where a second,
+   fallback attempt would show. *)
 let test_round_spans () =
   let module Tm = Hls_telemetry in
-  let g = Option.get (Hls_workloads.Catalog.find_graph "fir8") in
-  let p = P.prepare g in
   let calls name =
     match List.assoc_opt name (Tm.span_totals ()) with
     | Some (c, _) -> c
     | None -> 0
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Tm.disarm ();
-      Tm.reset ())
-  @@ fun () ->
-  Tm.reset ();
-  Tm.arm ();
-  match P.run_iterated (P.make_config ~iterate:8 ()) p ~latency:14 with
-  | Error f -> Alcotest.fail (Hls_util.Failure.to_string f)
-  | Ok (_, o) ->
-      let rounds = List.length o.Iter.o_rounds in
-      let certified = if o.Iter.o_stop = Iter.Certified then 1 else 0 in
-      Alcotest.(check bool) "some rounds" true (rounds >= 2);
-      Alcotest.(check int) "iter.round" rounds (calls "iter.round");
-      Alcotest.(check int) "iter.extract" rounds (calls "iter.extract");
-      Alcotest.(check int) "iter.witness" rounds (calls "iter.witness");
-      Alcotest.(check int) "iter.replan" (rounds - certified)
-        (calls "iter.replan");
-      Alcotest.(check bool) "iter.schedule" true
-        (calls "iter.schedule" >= rounds - certified)
+  List.iter
+    (fun name ->
+      let p = P.prepare (Option.get (Hls_workloads.Catalog.find_graph name)) in
+      Fun.protect
+        ~finally:(fun () ->
+          Tm.disarm ();
+          Tm.reset ())
+      @@ fun () ->
+      Tm.reset ();
+      Tm.arm ();
+      match P.run_iterated (P.make_config ~iterate:8 ()) p ~latency:14 with
+      | Error f -> Alcotest.fail (Hls_util.Failure.to_string f)
+      | Ok (_, o) ->
+          let rounds = List.length o.Iter.o_rounds in
+          let certified = if o.Iter.o_stop = Iter.Certified then 1 else 0 in
+          (* A greedy-stuck round may have failed at its re-plan or at its
+             schedule; these workloads stop otherwise, so the count of
+             rounds that reached scheduling is exact. *)
+          Alcotest.(check bool) (name ^ ": not greedy-stuck") true
+            (o.Iter.o_stop <> Iter.Greedy_stuck);
+          Alcotest.(check bool) (name ^ ": some rounds") true (rounds >= 2);
+          Alcotest.(check int) (name ^ ": iter.round") rounds
+            (calls "iter.round");
+          Alcotest.(check int) (name ^ ": iter.extract") rounds
+            (calls "iter.extract");
+          Alcotest.(check int) (name ^ ": iter.witness") rounds
+            (calls "iter.witness");
+          Alcotest.(check int) (name ^ ": iter.replan") (rounds - certified)
+            (calls "iter.replan");
+          Alcotest.(check int) (name ^ ": iter.schedule") (rounds - certified)
+            (calls "iter.schedule"))
+    [ "fir8"; "random240" ]
 
 let suite =
   [
