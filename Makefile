@@ -101,9 +101,11 @@ iter-smoke:
 # and the binder against their references on
 # every registry workload, the equivalence checker against its oracle on
 # every non-stress one, the Verilog printer against its pre-rewrite
-# oracle on dct8, random240 and one generated design, and the graph
+# oracle on dct8, random240 and one generated design, the graph
 # writer against the Format printer on one generated design, dct8 and
-# random480, and fails loudly if any is slower — a
+# random480, and the v1 JSON codec against its pre-rewrite oracle
+# (encoding and decoding a chain3 report, a fir2 schedule and a dct8
+# Verilog emit response), and fails loudly if any is slower — a
 # perf regression gate, not just a smoke test.  Then a random480 report
 # (whose equivalence check took 25 s with the per-vector checker) must
 # finish within 10 s.  The full-quota run that regenerates the

@@ -589,13 +589,14 @@ let equivalence_json ~quick rows =
 
 (* One gated pair of [timing --assert]: [best_ns_ab] of a reference and
    a candidate, printed; a candidate slower than its reference sets
-   [failed] and prints every round of both sides. *)
-let gate_pair failed w analysis ref_fn net_fn =
+   [failed] and prints every round of both sides.  With [~gate:false]
+   the pair is only timed and printed.  Returns both bests. *)
+let gate_pair ?(gate = true) failed w analysis ref_fn net_fn =
   let r, n, rounds_r, rounds_n = best_ns_ab ref_fn net_fn in
   let s = if n > 0. then r /. n else infinity in
-  Printf.printf "bench-assert: %-16s %-8s %8.0f ns -> %8.0f ns (%5.2fx)\n" w
-    analysis r n s;
-  if s < 1.0 then begin
+  Printf.printf "%s: %-16s %-8s %8.0f ns -> %8.0f ns (%5.2fx)\n"
+    (if gate then "bench-assert" else "timing") w analysis r n s;
+  if gate && s < 1.0 then begin
     failed := true;
     Printf.eprintf "bench-assert: %s/%s at %.2fx, slower than its reference\n"
       w analysis s;
@@ -604,7 +605,8 @@ let gate_pair failed w analysis ref_fn net_fn =
         Printf.eprintf "bench-assert:   round %2d  %10.0f ns  %10.0f ns\n"
           (i + 1) r n)
       (List.combine rounds_r rounds_n)
-  end
+  end;
+  (r, n)
 
 (* The registry half of the gate: every registry workload, not just the
    benched ones, at its default latency.  The amortized kernels (prebuilt
@@ -621,7 +623,7 @@ let registry_gate failed =
       let total =
         Hls_timing.Arrival.critical_delta (Hls_timing.Arrival.of_net net)
       in
-      let check = gate_pair failed w in
+      let check a ref_fn net_fn = ignore (gate_pair failed w a ref_fn net_fn) in
       check "arrival"
         (fun () -> ignore (Hls_oracle.Timing_oracle.arrival kernel))
         (fun () -> ignore (Hls_timing.Arrival.of_net net));
@@ -641,6 +643,60 @@ let registry_gate failed =
             (fun () -> ignore (Hls_alloc.Bind_frag.bind r.P.schedule))
       | Error _ -> ())
     (Hls_workloads.Catalog.all ())
+
+(* The v1 wire codec against the one it replaced
+   ([Hls_oracle.Json_oracle]): encoding and decoding three response
+   lines a served flow sends — a chain3 report (λ 3) and a fir2
+   optimized schedule (λ 4), the small requests of the serving mix, and
+   dct8's Verilog at λ 14, a large emit answer.  Each line is priced as
+   [gate_pair] prices a pair; rows are (line, bytes, op, oracle ns,
+   codec ns). *)
+let wire_codec_rows ~gate failed =
+  let module R = Hls_api.Request in
+  let module O = Hls_oracle.Json_oracle in
+  let exec = Hls_api.Exec.create () in
+  let line name req =
+    match Hls_api.Exec.run exec req with
+    | Ok payload ->
+        (name, Hls_api.Response.to_string (Hls_api.Response.ok ~id:"1" payload))
+    | Error e ->
+        failwith (name ^ ": " ^ Hls_api.Response.error_message e)
+  in
+  let config = R.default_config in
+  let lines =
+    [
+      line "chain3/report"
+        (R.Report
+           { spec = R.Builtin "chain3"; latency = 3; config; target_ns = None });
+      line "fir2/schedule"
+        (R.Schedule
+           { spec = R.Builtin "fir2"; latency = 4; flow = R.Optimized; config });
+      line "dct8/emit"
+        (R.Emit
+           { spec = R.Builtin "dct8"; latency = 14; format = R.Verilog; config });
+    ]
+  in
+  Hls_api.Exec.close exec;
+  List.concat_map
+    (fun (name, text) ->
+      let v = Result.get_ok (J.of_string text) in
+      let o = Result.get_ok (O.of_string text) in
+      let time op ref_fn new_fn =
+        let r, n = gate_pair ~gate failed name op ref_fn new_fn in
+        (name, String.length text, op, r, n)
+      in
+      let encode =
+        time "encode"
+          (fun () -> ignore (O.to_string o))
+          (fun () -> ignore (J.to_string v))
+      in
+      let decode =
+        time "decode"
+          (fun () -> ignore (O.of_string text))
+          (fun () -> ignore (J.of_string text))
+      in
+      [ encode; decode ])
+    lines
 
 let timing () =
   let { json; quick; assert_mode; out } = opts () in
@@ -899,9 +955,13 @@ let timing () =
         if
           a = "arrival" || a = "deadline" || a = "bind" || a = "emit"
           || a = "fragment" || a = "graph_text"
-        then gate_pair failed w a ref_fn net_fn)
+        then ignore (gate_pair failed w a ref_fn net_fn))
       (List.rev !pairs)
   end;
+  let wire_codec = wire_codec_rows ~gate:assert_mode failed in
+  (* Timed here too, for the same reason: after Bechamel the checker and
+     its oracle ran in a process whose major GC had stopped. *)
+  let equivalence = equivalence_rows ~quick in
   let raw =
     Benchmark.all cfg instances
       (Test.make_grouped ~name:"timing" ~fmt:"%s %s" tests)
@@ -1060,6 +1120,22 @@ let timing () =
                      ("one_pass_minor_words", J.Float n);
                    ])
                frag_alloc) );
+        (* The wire codec against its oracle, best of interleaved
+           rounds (the gate's own timings). *)
+        ( "wire_codec",
+          J.List
+            (List.map
+               (fun (line, bytes, op, o, n) ->
+                 J.Obj
+                   [
+                     ("line", J.String line);
+                     ("bytes", J.Int bytes);
+                     ("op", J.String op);
+                     ("oracle_ns_per_run", J.Float o);
+                     ("codec_ns_per_run", J.Float n);
+                     ("speedup", J.Float (o /. n));
+                   ])
+               wire_codec) );
         (* Per-recipe deltas on the ADPCM decoder at the sweep's
            tightest latency: what each preset costs (engine alone,
            unverified) and what it buys the finished flow. *)
@@ -1103,14 +1179,14 @@ let timing () =
                 ] );
       ];
   section "Equivalence check: bit-sliced Hls_check vs the per-vector oracle";
-  let equivalence = equivalence_rows ~quick in
   print_equivalence equivalence;
   if json then
     write_ledger out [ ("equivalence", equivalence_json ~quick equivalence) ];
   if assert_mode then begin
     (* A timing kernel, the one-pass fragmentation, the binder, the
-       Verilog printer, the graph writer (all gated into [failed] before
-       Bechamel) or the equivalence checker slower than its retained
+       Verilog printer, the graph writer, the wire codec (all gated into
+       [failed] before Bechamel) or the equivalence checker (timed before
+       Bechamel, judged here) slower than its retained
        reference is a regression, not a tradeoff — fail the build loudly.
        So is a checker verdict the oracle disagrees with. *)
     List.iter
@@ -1188,9 +1264,9 @@ let timing () =
     if !failed then exit 1;
     print_endline
       "bench-assert: ok (arrival and deadline kernels, the one-pass \
-       fragmentation, the binder, the Verilog printer, the graph writer \
-       and the equivalence checker at or above their references on every \
-       workload)"
+       fragmentation, the binder, the Verilog printer, the graph writer, \
+       the wire codec and the equivalence checker at or above their \
+       references on every workload)"
   end
 
 (* ------------------------------------------------------------------ *)

@@ -100,7 +100,12 @@ let list c =
   }
 
 let assoc c =
-  let entry (k, x) = Result.map (fun v -> (k, v)) (decode_in (quote k) c x) in
+  (* The entry's label is quoted only when its value fails. *)
+  let entry (k, x) =
+    match c.dec x with
+    | Ok v -> Ok (k, v)
+    | Error e -> Error (in_field (quote k) e)
+  in
   {
     enc = (fun kvs -> J.Obj (List.map (fun (k, v) -> (k, c.enc v)) kvs));
     dec =

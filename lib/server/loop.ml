@@ -13,19 +13,28 @@ module Faults = Hls_util.Faults
 type conn = {
   fd : Unix.file_descr;
   buf : Buffer.t;
+  mutable scanned : int;
   mutable alive : bool;
   mutable last_read : float;
   name : string;
 }
 
 let conn ~name fd =
-  { fd; buf = Buffer.create 256; alive = true;
+  { fd; buf = Buffer.create 256; scanned = 0; alive = true;
     last_read = Unix.gettimeofday (); name }
+
+(* One 64 KiB buffer per domain: [read] fills it, [frame] scans through
+   it and [write_line] stages its writes in it.  None of the three calls
+   out while it holds the buffer, so one per domain is enough.  It is not
+   process-global: a daemon and a router may run on two domains of one
+   process.  It is reused because a 64 KiB block goes straight to the
+   major heap, and one per read paces the major GC on every request. *)
+let scratch = Domain.DLS.new_key (fun () -> Bytes.create 65536)
 
 let write_line conn s =
   if conn.alive then begin
-    let line = s ^ "\n" in
-    let len = String.length line in
+    let n = String.length s in
+    let len = n + 1 in
     (* An armed truncate-write fault sends a prefix and slams the
        connection: the client sees a half line and a close, exactly what
        a crashing peer produces. *)
@@ -34,10 +43,16 @@ let write_line conn s =
       | Some l -> (min l len, true)
       | None -> (len, false)
     in
+    let chunk = Domain.DLS.get scratch in
+    (* Bytes [off, len) of [s ^ "\n"], staged one window at a time. *)
     let rec go off =
-      if off < len then
-        match Unix.write_substring conn.fd line off (len - off) with
-        | n -> go (off + n)
+      if off < len then begin
+        let k = Int.min (Bytes.length chunk) (len - off) in
+        let from_s = Int.max 0 (Int.min k (n - off)) in
+        Bytes.blit_string s off chunk 0 from_s;
+        if from_s < k then Bytes.unsafe_set chunk from_s '\n';
+        match Unix.write conn.fd chunk 0 k with
+        | w -> go (off + w)
         | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
             conn.alive <- false
         | exception
@@ -47,6 +62,7 @@ let write_line conn s =
                rather than wedge the single-threaded loop. *)
             Hls_telemetry.count (conn.name ^ ".write_timeout");
             conn.alive <- false
+      end
     in
     go 0;
     if truncate && conn.alive then begin
@@ -60,7 +76,7 @@ let respond conn resp = write_line conn (Resp.to_string resp)
 
 let read conn =
   Faults.on_read ();
-  let chunk = Bytes.create 65536 in
+  let chunk = Domain.DLS.get scratch in
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 -> conn.alive <- false
   | n ->
@@ -69,18 +85,38 @@ let read conn =
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> conn.alive <- false
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
 
+(* Only the bytes after [conn.scanned] are searched for newlines, one
+   scratch window at a time, so a long line arriving over many reads is
+   scanned once; each complete line is copied out of the buffer once,
+   and only an unterminated tail behind complete lines is moved. *)
 let frame ~max_line conn =
-  let data = Buffer.contents conn.buf in
-  let n = String.length data in
-  let rec split start acc =
-    match String.index_from_opt data start '\n' with
-    | Some nl -> split (nl + 1) (String.sub data start (nl - start) :: acc)
-    | None -> (start, List.rev acc)
+  let buf = conn.buf in
+  let n = Buffer.length buf in
+  let chunk = Domain.DLS.get scratch in
+  let rec scan pos start acc =
+    if pos >= n then (start, acc)
+    else begin
+      let k = Int.min (Bytes.length chunk) (n - pos) in
+      Buffer.blit buf pos chunk 0 k;
+      let rec lines i start acc =
+        if i >= k then scan (pos + k) start acc
+        else if Bytes.unsafe_get chunk i = '\n' then
+          let nl = pos + i in
+          lines (i + 1) (nl + 1) (Buffer.sub buf start (nl - start) :: acc)
+        else lines (i + 1) start acc
+      in
+      lines 0 start acc
+    end
   in
-  let rest, lines = split 0 [] in
-  Buffer.clear conn.buf;
-  Buffer.add_substring conn.buf data rest (n - rest);
-  (lines, n - rest > max_line)
+  let rest, lines = scan conn.scanned 0 [] in
+  if rest = n then Buffer.clear buf
+  else if rest > 0 then begin
+    let tail = Buffer.sub buf rest (n - rest) in
+    Buffer.clear buf;
+    Buffer.add_string buf tail
+  end;
+  conn.scanned <- n - rest;
+  (List.rev lines, n - rest > max_line)
 
 let close conn = try Unix.close conn.fd with Unix.Unix_error _ -> ()
 

@@ -14,6 +14,9 @@
 type conn = {
   fd : Unix.file_descr;
   buf : Buffer.t;  (** bytes read but not yet framed into lines *)
+  mutable scanned : int;
+      (** leading bytes of [buf] that {!frame} has searched and found
+          no newline in *)
   mutable alive : bool;
   mutable last_read : float;  (** when the last byte arrived *)
   name : string;  (** telemetry prefix of the owner ("server", "router") *)
@@ -32,11 +35,13 @@ val write_line : conn -> string -> unit
 (** [write_line] of an encoded response. *)
 val respond : conn -> Hls_api.Response.t -> unit
 
-(** One read into [conn.buf]; EOF or ECONNRESET marks it dead. *)
+(** One read of up to 64 KiB, through the calling domain's reused
+    buffer, appended to [conn.buf]; EOF or ECONNRESET marks it dead. *)
 val read : conn -> unit
 
 (** [frame ~max_line conn] pops every complete line out of [conn.buf],
-    oldest first, leaving the unterminated tail buffered.  The flag is
+    oldest first, leaving the unterminated tail buffered.  Only bytes
+    after [conn.scanned] are searched.  The flag is
     true when that tail alone is longer than [max_line]: complete lines
     never count against the limit, however many arrive in one read. *)
 val frame : max_line:int -> conn -> string list * bool

@@ -582,6 +582,200 @@ let test_json_roundtrip () =
   | Ok _ -> Alcotest.fail "truncated input should fail"
   | Error _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* The codec against the one it replaced ([Hls_oracle.Json_oracle]):
+   the same bytes for every value, with and without indent, and the same
+   parse result or error text (offset included) for every line.  The one
+   allowed difference: a [\u] escape with '_' among its four digits,
+   which the oracle accepts through [int_of_string]. *)
+
+module Oracle = Hls_oracle.Json_oracle
+
+let rec to_oracle = function
+  | Json.Null -> Oracle.Null
+  | Json.Bool b -> Oracle.Bool b
+  | Json.Int i -> Oracle.Int i
+  | Json.Float f -> Oracle.Float f
+  | Json.String s -> Oracle.String s
+  | Json.List l -> Oracle.List (List.map to_oracle l)
+  | Json.Obj kv -> Oracle.Obj (List.map (fun (k, v) -> (k, to_oracle v)) kv)
+
+(* Both parses of [src], as oracle text or error; [None] where they
+   differ only because the new parser rejected an escape the oracle
+   takes. *)
+let parses src =
+  let shown = function
+    | Ok v -> Ok (Oracle.to_string v)
+    | Error m -> Error m
+  in
+  let fresh = shown (Result.map to_oracle (Json.of_string src)) in
+  let oracle = shown (Oracle.of_string src) in
+  let underscore_escape () =
+    match fresh with
+    | Error m -> (
+        match Scanf.sscanf m "bad \\u escape at offset %d%!" Fun.id with
+        | k ->
+            k + 4 <= String.length src
+            && String.contains (String.sub src k 4) '_'
+        | exception _ -> false)
+    | Ok _ -> false
+  in
+  if fresh <> oracle && underscore_escape () then None
+  else Some (fresh, oracle)
+
+let same_parse src =
+  match parses src with
+  | None -> true
+  | Some (fresh, oracle) ->
+      fresh = oracle
+      || QCheck.Test.fail_reportf "%S: %s vs oracle %s" src
+           (match fresh with Ok t -> t | Error m -> "error " ^ m)
+           (match oracle with Ok t -> t | Error m -> "error " ^ m)
+
+let json_char =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, char_range 'a' 'z');
+        (2, char_range '\000' '\031');
+        (1, oneofl [ '"'; '\\'; '/'; '\127'; ' '; 'u'; '0' ]);
+        (2, char_range '\128' '\255');
+      ])
+
+let json_value =
+  QCheck.Gen.(
+    let str = string_size ~gen:json_char (0 -- 12) in
+    let int =
+      oneof [ small_signed_int; int; oneofl [ min_int; max_int; 0; -1 ] ]
+    in
+    let float =
+      oneof
+        [
+          float;
+          map float_of_int small_signed_int;
+          oneofl
+            [ -0.0; 0.0; Float.nan; Float.infinity; Float.neg_infinity;
+              1e16; -1e22; 5e-324; Float.max_float; 0.1 ];
+        ]
+    in
+    sized_size (0 -- 4)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map (fun f -> Json.Float f) float;
+                 map (fun s -> Json.String s) str;
+               ]
+           in
+           if n = 0 then
+             frequency
+               [ (8, leaf); (1, return (Json.List [])); (1, return (Json.Obj [])) ]
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (2, map (fun l -> Json.List l) (list_size (0 -- 4) (self (n - 1))));
+                 ( 2,
+                   map
+                     (fun kv -> Json.Obj kv)
+                     (list_size (0 -- 4) (pair str (self (n - 1)))) );
+               ]))
+
+(* A printed line with a few bytes replaced, deleted or inserted, or cut
+   short. *)
+let mutated =
+  QCheck.Gen.(
+    let byte =
+      frequency
+        [
+          (4, oneofl
+                [ '"'; '\\'; 'u'; '_'; '{'; '}'; '['; ']'; ','; ':'; '-'; '+';
+                  '.'; 'e'; 'E'; 't'; 'f'; 'n'; 'x'; ' '; '\n'; '9'; 'F' ]);
+          (1, json_char);
+        ]
+    in
+    let edit s =
+      let n = String.length s in
+      if n = 0 then map (String.make 1) byte
+      else
+        int_bound (n - 1) >>= fun i ->
+        byte >>= fun c ->
+        oneofl
+          [
+            String.mapi (fun j d -> if j = i then c else d) s;
+            String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1);
+            String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i);
+            String.sub s 0 i;
+          ]
+    in
+    pair json_value bool >>= fun (v, indent) ->
+    let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+    int_range 1 3 >>= fun k -> edits k (Json.to_string ~indent v))
+
+let prop_json_oracle =
+  QCheck.Test.make ~name:"Dse_json == Json_oracle" ~count:1000
+    (QCheck.make QCheck.Gen.(pair json_value mutated))
+    (fun (v, bad) ->
+      List.for_all
+        (fun indent ->
+          let text = Json.to_string ~indent v in
+          (text = Oracle.to_string ~indent (to_oracle v)
+          || QCheck.Test.fail_reportf "printed %S, oracle %S" text
+               (Oracle.to_string ~indent (to_oracle v)))
+          && same_parse text)
+        [ false; true ]
+      && same_parse bad)
+
+(* Fixed edges of the printer and the parser, against the oracle. *)
+let test_json_edges_oracle () =
+  let values =
+    [
+      Json.Int min_int; Json.Int max_int; Json.Float (-0.0);
+      Json.Float Float.nan; Json.Float Float.infinity;
+      Json.Float Float.neg_infinity; Json.Float 3.0; Json.Float (-1e16);
+      Json.Float 1e300; Json.List [ Json.List []; Json.Obj [] ];
+      Json.Obj [ ("", Json.Obj [ ("\000\031\"\\\n\r\t\b\012", Json.List []) ]) ];
+      Json.String "caf\xc3\xa9 \xff\x7f";
+    ]
+  in
+  List.iter
+    (fun v ->
+      List.iter
+        (fun indent ->
+          Alcotest.(check string) "printed" (Oracle.to_string ~indent (to_oracle v))
+            (Json.to_string ~indent v))
+        [ false; true ])
+    values;
+  List.iter
+    (fun src ->
+      Alcotest.(check bool) (Printf.sprintf "%S parses as the oracle" src) true
+        (match parses src with
+        | Some (fresh, oracle) -> fresh = oracle
+        | None -> false))
+    [
+      ""; " "; "nul"; "nulls"; "tru"; "[1,]"; "[1 2]"; "{\"a\" 1}"; "{\"a\":1,}";
+      "{1:2}"; "\"abc"; "\"ab\\"; "\"\\q\""; "\"\\u12\""; "\"\\u00e9\"";
+      "\"\\u00E9\\u20AC\\u0041\""; "\"\\uZZZZ\""; "\"\\u_123\""; "-"; "--1";
+      "+5"; "007"; "-0"; "1e999"; "-1e999"; "1.5e"; "4611686018427387903";
+      "4611686018427387904"; "-4611686018427387904"; "123456789012345678";
+      "99999999999999999999"; "9999999999999999999"; "-9999999999999999999";
+      "1-2"; "[] x"; "{\"k\":[{}],\"l\":\"\\n\"}";
+    ]
+
+(* [int_of_string] takes '_' between digits, so the old parser read
+   "\u00_1" as U+0001; four hex digits are required now. *)
+let test_json_hex_escape () =
+  Alcotest.(check (result reject string)) "underscore in a \\u escape"
+    (Error "bad \\u escape at offset 3")
+    (Result.map ignore (Json.of_string "\"\\u00_1\""));
+  Alcotest.(check bool) "the oracle took it" true
+    (Oracle.of_string "\"\\u00_1\"" = Ok (Oracle.String "\001"));
+  Alcotest.(check bool) "hex digits of either case" true
+    (Json.of_string "\"\\u00aB\\u00Ff\"" = Ok (Json.String "\xc2\xab\xc3\xbf"))
+
 let suite =
   [
     Alcotest.test_case "space expansion" `Quick test_space_expansion;
@@ -607,4 +801,8 @@ let suite =
     Alcotest.test_case "feedback refines latency" `Quick
       test_feedback_refines_latency;
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+    Alcotest.test_case "json edges == oracle" `Quick test_json_edges_oracle;
+    Alcotest.test_case "json \\u escapes take hex digits only" `Quick
+      test_json_hex_escape;
+    QCheck_alcotest.to_alcotest prop_json_oracle;
   ]
