@@ -8,8 +8,8 @@
      dune exec bench/main.exe -- table2    # one experiment
      dune exec bench/main.exe -- timing --json
                                            # timing-core bench -> BENCH_timing.json
-     dune exec bench/main.exe -- timing --quick
-                                           # tiny-quota smoke run *)
+     dune exec bench/main.exe -- timing --json --assert --out F
+                                           # + speed gate (make bench-smoke) *)
 
 module P = Hls_core.Pipeline
 
@@ -28,6 +28,13 @@ let optimized_of_prepared ?lib ?policy ?balance p ~latency =
   match P.run (P.make_config ?lib ?policy ?balance ()) p ~latency with
   | Ok r -> r
   | Error f -> raise (Hls_util.Failure.Flow_failure f)
+
+(* A catalog workload's graph, by name. *)
+let registry w =
+  match Hls_workloads.Catalog.find_graph w with
+  | Some g -> g
+  | None -> failwith (w ^ " missing from the workload catalog")
+
 module E = Hls_core.Experiments
 module Datapath = Hls_alloc.Datapath
 module Pretty = Hls_util.Pretty
@@ -47,7 +54,7 @@ let gates label (a : Datapath.area) =
 
 module J = Hls_dse.Dse_json
 
-type opts = { json : bool; quick : bool; assert_mode : bool; out : string }
+type opts = { json : bool; assert_mode : bool; out : string }
 
 let opts () =
   let flag f = Array.exists (( = ) f) Sys.argv in
@@ -57,12 +64,7 @@ let opts () =
       if a = "--out" && i + 1 < Array.length Sys.argv then
         out := Sys.argv.(i + 1))
     Sys.argv;
-  {
-    json = flag "--json";
-    quick = flag "--quick";
-    assert_mode = flag "--assert";
-    out = !out;
-  }
+  { json = flag "--json"; assert_mode = flag "--assert"; out = !out }
 
 let read_ledger path =
   if Sys.file_exists path then
@@ -479,60 +481,107 @@ let ablations () =
 let batch_s f reps =
   let t0 = Unix.gettimeofday () in
   for _ = 1 to reps do
-    ignore (Sys.opaque_identity (f ()))
+    f ()
   done;
   Unix.gettimeofday () -. t0
 
 (* After one warm-up call: the smallest power-of-two repetition count
-   whose batch lasts at least [min_s]. *)
-let calibrate ~min_s f =
-  ignore (Sys.opaque_identity (f ()));
+   whose batch lasts at least 2 ms, well above timer and scheduler
+   jitter. *)
+let calibrate f =
+  f ();
   let reps = ref 1 in
-  while batch_s f !reps < min_s do
+  while batch_s f !reps < 2e-3 do
     reps := !reps * 2
   done;
   !reps
 
-(* Best-of-[rounds] wall time of [f] in ns per call, over batches grown
-   until one lasts at least 0.3 ms. *)
-let best_ns ?(rounds = 7) f =
-  let reps = calibrate ~min_s:3e-4 f in
-  let best = ref infinity in
-  for _ = 1 to rounds do
-    best := Float.min !best (batch_s f reps)
-  done;
-  !best *. 1e9 /. float_of_int reps
+(* One side of a timed group: every round's ns per call, in order, and
+   their best, median and interquartile range (quartiles interpolated
+   between the closest ranks). *)
+type spread = { best : float; median : float; iqr : float; rounds : float list }
 
-(* [best_ns] of a reference [a] and a candidate [b] for a gate comparing
-   the two: the rounds interleave one batch of each, so drift on a shared
-   host (another tenant, frequency scaling) lands on both sides, and every
-   batch lasts at least 2 ms, well above timer and scheduler jitter.  A
-   pair with a side under 100 µs per call runs 21 rounds instead of 7:
-   its best-of-7 ratio still swings past a 1.0x gate on a 2-core host.
-   Returns both bests and every round's ns per call, [a] then [b], in
-   order. *)
-let best_ns_ab a b =
-  let ra = calibrate ~min_s:2e-3 a and rb = calibrate ~min_s:2e-3 b in
-  let rounds_a = ref [] and rounds_b = ref [] in
+let spread rounds =
+  let a = Array.of_list rounds in
+  Array.sort Float.compare a;
+  let q p =
+    let x = p *. float_of_int (Array.length a - 1) in
+    let i = int_of_float x in
+    let j = Int.min (i + 1) (Array.length a - 1) in
+    a.(i) +. ((x -. float_of_int i) *. (a.(j) -. a.(i)))
+  in
+  { best = a.(0); median = q 0.5; iqr = q 0.75 -. q 0.25; rounds }
+
+(* The one timer of the timing and iteration benches and of the
+   [--assert] gate.  Each round runs one batch of every thunk, in order,
+   so drift on a shared host (another tenant, frequency scaling) lands on
+   every side.  Nothing forces a collection: the GC runs as it does in
+   production.  A group with a side under 100 µs per call runs 21 rounds
+   instead of 7: its best-of-7 ratio still swings past a 1.0x gate on a
+   2-core host.  Returns each thunk's spread, in order. *)
+let time_group fs =
+  let reps = Array.map calibrate fs in
+  let rounds = Array.map (fun _ -> []) fs in
   let round () =
-    rounds_a := (batch_s a ra *. 1e9 /. float_of_int ra) :: !rounds_a;
-    rounds_b := (batch_s b rb *. 1e9 /. float_of_int rb) :: !rounds_b
+    Array.iteri
+      (fun i f ->
+        rounds.(i) <-
+          (batch_s f reps.(i) *. 1e9 /. float_of_int reps.(i)) :: rounds.(i))
+      fs
   in
   round ();
-  let per_call = Float.min (List.hd !rounds_a) (List.hd !rounds_b) in
-  for _ = 2 to if per_call < 1e5 then 21 else 7 do
+  let fastest =
+    Array.fold_left (fun m r -> Float.min m (List.hd r)) infinity rounds
+  in
+  for _ = 2 to if fastest < 1e5 then 21 else 7 do
     round ()
   done;
-  let best l = List.fold_left Float.min infinity l in
-  (best !rounds_a, best !rounds_b, List.rev !rounds_a, List.rev !rounds_b)
+  Array.map (fun r -> spread (List.rev r)) rounds
+
+(* A side's ledger fields: [best_key] holds the best (the number the
+   gate judges), then the median and the IQR. *)
+let spread_json side best_key s =
+  [
+    (best_key, J.Float s.best);
+    (side ^ "_median_ns", J.Float s.median);
+    (side ^ "_iqr_ns", J.Float s.iqr);
+  ]
+
+let pair_header () =
+  Printf.printf "%-16s %-14s %11s %11s %9s %11s %11s %9s %8s\n" "workload"
+    "analysis" "ref best" "median" "iqr" "new best" "median" "iqr" "speedup"
+
+(* One reference/candidate pair: one [time_group] of both, printed as a
+   table row (ns per call, [note] appended).  With [~gate:failed], a
+   candidate whose best is slower than the reference's sets [failed] and
+   prints every round of both sides on stderr.  Returns both spreads. *)
+let time_pair ?gate ?(note = "") w analysis ref_fn new_fn =
+  let t = time_group [| ref_fn; new_fn |] in
+  let r = t.(0) and n = t.(1) in
+  let s = r.best /. n.best in
+  Printf.printf "%-16s %-14s %11.0f %11.0f %9.0f %11.0f %11.0f %9.0f %7.2fx%s\n"
+    w analysis r.best r.median r.iqr n.best n.median n.iqr s note;
+  (match gate with
+  | Some failed when s < 1.0 ->
+      failed := true;
+      Printf.eprintf "bench-assert: %s/%s at %.2fx, slower than its reference\n"
+        w analysis s;
+      List.iteri
+        (fun i (r, n) ->
+          Printf.eprintf "bench-assert:   round %2d  %10.0f ns  %10.0f ns\n"
+            (i + 1) r n)
+        (List.combine r.rounds n.rounds)
+  | _ -> ());
+  (r, n)
 
 (* The end-to-end equivalence check of every catalog workload's optimized
    flow at its default latency ([Pipeline.check_optimized_equivalence]'s
    call): the bit-sliced [Hls_check] against the per-vector checker it
-   replaced ([Hls_oracle.Check_oracle]), with both verdicts.  The stress
-   workloads are left out: one oracle run takes 4.5 s on random240 and
-   25 s on random480, against well under 1 s on every other workload. *)
-let equivalence_rows ~quick =
+   replaced ([Hls_oracle.Check_oracle]), with both verdicts; a verdict the
+   oracle disagrees with fails the gate.  The stress workloads are left
+   out: one oracle run takes 4.5 s on random240 and 25 s on random480,
+   against well under 1 s on every other workload. *)
+let equivalence_rows ?gate () =
   List.filter_map
     (fun e ->
       let open Hls_workloads.Catalog in
@@ -547,26 +596,30 @@ let equivalence_rows ~quick =
         let oracle () =
           Hls_oracle.Check_oracle.equivalent ~samples:40 ~seed:99 g h
         in
-        let rounds = if quick then 3 else 7 in
-        let c = best_ns ~rounds fresh and o = best_ns ~rounds oracle in
         let v = fresh () in
-        Some (e.name, latency, v, v = oracle (), o, c))
+        let same = v = oracle () in
+        let note =
+          Format.asprintf "  %a%s" Hls_check.pp_verdict v
+            (if same then "" else " (oracle differs)")
+        in
+        let o, c =
+          time_pair ?gate ~note e.name "equivalence"
+            (fun () -> ignore (oracle ()))
+            (fun () -> ignore (fresh ()))
+        in
+        (match gate with
+        | Some failed when not same ->
+            failed := true;
+            Printf.eprintf
+              "bench-assert: %s/equivalence verdict differs from the oracle's\n"
+              e.name
+        | _ -> ());
+        Some (e.name, latency, v, same, o, c))
     (Hls_workloads.Catalog.all ())
 
-let print_equivalence rows =
-  Printf.printf "%-16s %-22s %5s %14s %14s %9s\n" "workload" "verdict" "same"
-    "oracle ns" "checker ns" "speedup";
-  List.iter
-    (fun (w, _, v, same, o, c) ->
-      Printf.printf "%-16s %-22s %5b %14.0f %14.0f %8.2fx\n" w
-        (Format.asprintf "%a" Hls_check.pp_verdict v)
-        same o c (o /. c))
-    rows
-
-let equivalence_json ~quick rows =
+let equivalence_json rows =
   J.Obj
     [
-      ("quick", J.Bool quick);
       ("samples", J.Int 40);
       ("seed", J.Int 99);
       ( "results",
@@ -574,47 +627,30 @@ let equivalence_json ~quick rows =
           (List.map
              (fun (w, latency, v, same, o, c) ->
                J.Obj
-                 [
-                   ("workload", J.String w);
-                   ("latency", J.Int latency);
-                   ( "verdict",
-                     J.String (Format.asprintf "%a" Hls_check.pp_verdict v) );
-                   ("same_verdict", J.Bool same);
-                   ("oracle_ns_per_run", J.Float o);
-                   ("checker_ns_per_run", J.Float c);
-                   ("speedup", J.Float (o /. c));
-                 ])
+                 ([
+                    ("workload", J.String w);
+                    ("latency", J.Int latency);
+                    ( "verdict",
+                      J.String (Format.asprintf "%a" Hls_check.pp_verdict v) );
+                    ("same_verdict", J.Bool same);
+                  ]
+                 @ spread_json "oracle" "oracle_ns_per_run" o
+                 @ spread_json "checker" "checker_ns_per_run" c
+                 @ [ ("speedup", J.Float (o.best /. c.best)) ]))
              rows) );
     ]
 
-(* One gated pair of [timing --assert]: [best_ns_ab] of a reference and
-   a candidate, printed; a candidate slower than its reference sets
-   [failed] and prints every round of both sides.  With [~gate:false]
-   the pair is only timed and printed.  Returns both bests. *)
-let gate_pair ?(gate = true) failed w analysis ref_fn net_fn =
-  let r, n, rounds_r, rounds_n = best_ns_ab ref_fn net_fn in
-  let s = if n > 0. then r /. n else infinity in
-  Printf.printf "%s: %-16s %-8s %8.0f ns -> %8.0f ns (%5.2fx)\n"
-    (if gate then "bench-assert" else "timing") w analysis r n s;
-  if gate && s < 1.0 then begin
-    failed := true;
-    Printf.eprintf "bench-assert: %s/%s at %.2fx, slower than its reference\n"
-      w analysis s;
-    List.iteri
-      (fun i (r, n) ->
-        Printf.eprintf "bench-assert:   round %2d  %10.0f ns  %10.0f ns\n"
-          (i + 1) r n)
-      (List.combine rounds_r rounds_n)
-  end;
-  (r, n)
-
-(* The registry half of the gate: every registry workload, not just the
-   benched ones, at its default latency.  The amortized kernels (prebuilt
-   net, the serving-path configuration) against the per-query
-   references, the one-pass fragmentation against the pre-rewrite
-   rebuild plus its net build, and the flat-array binder against the
-   list-based binder it replaced (both on the net). *)
-let registry_gate failed =
+(* The registry half of the gate: every registry workload at its default
+   latency.  The amortized kernels (prebuilt net, the serving-path
+   configuration) against the per-query references and the one-pass
+   fragmentation against the pre-rewrite rebuild plus its net build; a
+   pair in [benched] is the same computation the timing table already
+   timed and gated, and is skipped.  The flat-array binder is always timed
+   here, as [bind_packer], against the list-based binder it replaced (both
+   on the net, on the default flow's schedule): the table's [bind] rows
+   compare against [Bind_oracle.bind_reference], which also pays for
+   per-query Bitdep evaluation, on another schedule. *)
+let registry_gate failed ~benched =
   List.iter
     (fun e ->
       let w = e.Hls_workloads.Catalog.name in
@@ -623,7 +659,10 @@ let registry_gate failed =
       let total =
         Hls_timing.Arrival.critical_delta (Hls_timing.Arrival.of_net net)
       in
-      let check a ref_fn net_fn = ignore (gate_pair failed w a ref_fn net_fn) in
+      let check a ref_fn net_fn =
+        if not (List.mem (w, a) benched) then
+          ignore (time_pair ~gate:failed w a ref_fn net_fn)
+      in
       check "arrival"
         (fun () -> ignore (Hls_oracle.Timing_oracle.arrival kernel))
         (fun () -> ignore (Hls_timing.Arrival.of_net net));
@@ -638,7 +677,7 @@ let registry_gate failed =
           check "fragment"
             (fun () -> ignore (Hls_oracle.Transform_oracle.build kernel plan))
             (fun () -> ignore (Hls_fragment.Transform.apply kernel plan));
-          check "bind"
+          check "bind_packer"
             (fun () -> ignore (Hls_oracle.Bind_oracle.bind r.P.schedule))
             (fun () -> ignore (Hls_alloc.Bind_frag.bind r.P.schedule))
       | Error _ -> ())
@@ -648,10 +687,9 @@ let registry_gate failed =
    ([Hls_oracle.Json_oracle]): encoding and decoding three response
    lines a served flow sends — a chain3 report (λ 3) and a fir2
    optimized schedule (λ 4), the small requests of the serving mix, and
-   dct8's Verilog at λ 14, a large emit answer.  Each line is priced as
-   [gate_pair] prices a pair; rows are (line, bytes, op, oracle ns,
-   codec ns). *)
-let wire_codec_rows ~gate failed =
+   dct8's Verilog at λ 14, a large emit answer.  Each line is one
+   [time_pair]; rows are (line, bytes, op, oracle, codec). *)
+let wire_codec_rows ?gate () =
   let module R = Hls_api.Request in
   let module O = Hls_oracle.Json_oracle in
   let exec = Hls_api.Exec.create () in
@@ -682,7 +720,7 @@ let wire_codec_rows ~gate failed =
       let v = Result.get_ok (J.of_string text) in
       let o = Result.get_ok (O.of_string text) in
       let time op ref_fn new_fn =
-        let r, n = gate_pair ~gate failed name op ref_fn new_fn in
+        let r, n = time_pair ?gate name op ref_fn new_fn in
         (name, String.length text, op, r, n)
       in
       let encode =
@@ -699,20 +737,14 @@ let wire_codec_rows ~gate failed =
     lines
 
 let timing () =
-  let { json; quick; assert_mode; out } = opts () in
+  let { json; assert_mode; out } = opts () in
   section "Bit-level timing core: per-query reference vs packed Bitnet";
-  let open Bechamel in
   let random_dfg =
     Hls_workloads.Random_dfg.generate
       ~profile:
         { Hls_workloads.Random_dfg.default_profile with
           ops = 120; mul_ratio = 12 }
       ~seed:42 ()
-  in
-  let registry w =
-    match Hls_workloads.Catalog.find_graph w with
-    | Some g -> g
-    | None -> failwith (w ^ " missing from the workload catalog")
   in
   let workloads =
     [
@@ -731,8 +763,7 @@ let timing () =
      pipeline holds it), so the [net] side is the amortized id-order
      sweep alone.  The mobility and pipeline_sweep rows still price the
      whole flow including net construction. *)
-  let pairs = ref [] in
-  let tests =
+  let pairs =
     List.concat_map
       (fun (wname, g, latencies) ->
         let kernel = P.prepare_kernel g in
@@ -742,53 +773,48 @@ let timing () =
         in
         let mid_latency = List.nth latencies (List.length latencies / 2) in
         let tr = Hls_fragment.Transform.run kernel ~latency:mid_latency in
-        let pair analysis ref_fn net_fn =
-          let name side = Printf.sprintf "%s/%s/%s" wname analysis side in
-          pairs :=
-            (wname, analysis, name "ref", name "net", ref_fn, net_fn)
-            :: !pairs;
-          [
-            Test.make ~name:(name "ref") (Staged.stage ref_fn);
-            Test.make ~name:(name "net") (Staged.stage net_fn);
-          ]
+        (* A fresh fragmentation (a memo miss), at the workload's longest
+           latency: the pre-rewrite rebuild and the separate net build it
+           needed, against the one-pass build of both. *)
+        let plan =
+          Hls_fragment.Mobility.compute kernel
+            ~latency:(List.nth latencies (List.length latencies - 1))
         in
-        pair "arrival"
-          (fun () -> ignore (Hls_oracle.Timing_oracle.arrival kernel))
-          (fun () -> ignore (Hls_timing.Arrival.of_net net))
-        @ pair "deadline"
+        let sched = Hls_sched.Frag_sched.schedule tr in
+        [
+          ( wname,
+            "arrival",
+            (fun () -> ignore (Hls_oracle.Timing_oracle.arrival kernel)),
+            fun () -> ignore (Hls_timing.Arrival.of_net net) );
+          ( wname,
+            "deadline",
             (fun () ->
               ignore
-                (Hls_oracle.Timing_oracle.deadline kernel
-                   ~total_slots:total))
-            (fun () ->
-              ignore (Hls_timing.Deadline.of_net net ~total_slots:total))
-        @ pair "mobility"
-            (fun () ->
-              ignore
-                (Hls_oracle.Timing_oracle.mobility kernel
-                   ~latency:mid_latency))
+                (Hls_oracle.Timing_oracle.deadline kernel ~total_slots:total)),
+            fun () -> ignore (Hls_timing.Deadline.of_net net ~total_slots:total)
+          );
+          ( wname,
+            "mobility",
             (fun () ->
               ignore
-                (Hls_fragment.Mobility.compute kernel ~latency:mid_latency))
-        @ (* A fresh fragmentation (a memo miss), at the workload's
-             longest latency: the pre-rewrite rebuild and the separate
-             net build it needed, against the one-pass build of both. *)
-          (let plan =
-             Hls_fragment.Mobility.compute kernel
-               ~latency:(List.nth latencies (List.length latencies - 1))
-           in
-           pair "fragment"
-             (fun () ->
-               ignore (Hls_oracle.Transform_oracle.build kernel plan))
-             (fun () -> ignore (Hls_fragment.Transform.apply kernel plan)))
-        @ pair "frag_sched"
-            (fun () -> ignore (Hls_oracle.Timing_oracle.schedule tr))
-            (fun () -> ignore (Hls_sched.Frag_sched.schedule tr))
-        @ (let sched = Hls_sched.Frag_sched.schedule tr in
-           pair "bind"
-             (fun () -> ignore (Hls_oracle.Bind_oracle.bind_reference sched))
-             (fun () -> ignore (Hls_alloc.Bind_frag.bind sched)))
-        @ pair "pipeline_sweep"
+                (Hls_oracle.Timing_oracle.mobility kernel ~latency:mid_latency)),
+            fun () ->
+              ignore (Hls_fragment.Mobility.compute kernel ~latency:mid_latency)
+          );
+          ( wname,
+            "fragment",
+            (fun () -> ignore (Hls_oracle.Transform_oracle.build kernel plan)),
+            fun () -> ignore (Hls_fragment.Transform.apply kernel plan) );
+          ( wname,
+            "frag_sched",
+            (fun () -> ignore (Hls_oracle.Timing_oracle.schedule tr)),
+            fun () -> ignore (Hls_sched.Frag_sched.schedule tr) );
+          ( wname,
+            "bind",
+            (fun () -> ignore (Hls_oracle.Bind_oracle.bind_reference sched)),
+            fun () -> ignore (Hls_alloc.Bind_frag.bind sched) );
+          ( wname,
+            "pipeline_sweep",
             (fun () ->
               (* Pre-net flow: kernel extraction once, then the per-query
                  reference analyses at every latency of the sweep, ending
@@ -809,13 +835,13 @@ let timing () =
                   ignore (Hls_alloc.Datapath.area lib dp);
                   ignore (Hls_dfg.Graph.behavioural_op_count kernel);
                   ignore (Hls_fragment.Transform.op_count tr))
-                latencies)
-            (fun () ->
+                latencies),
+            fun () ->
               let p = P.prepare g in
               List.iter
-                (fun latency ->
-                  ignore (optimized_of_prepared p ~latency))
-                latencies))
+                (fun latency -> ignore (optimized_of_prepared p ~latency))
+                latencies );
+        ])
       workloads
   in
   (* RTL printing: the buffer-writing Verilog printer against the
@@ -847,151 +873,58 @@ let timing () =
     in
     cold (Hls_util.Prng.create ~seed:1)
   in
-  let emit_designs =
-    [
-      ("dct8", (optimized (registry "dct8") ~latency:14).P.schedule);
-      ("random240", (optimized (registry "random240") ~latency:14).P.schedule);
-      ("cold", cold_schedule);
-    ]
-  in
-  let tests =
-    tests
-    @ List.concat_map
+  let pairs =
+    pairs
+    @ List.map
         (fun (wname, s) ->
           let nl = Hls_rtl.Elaborate_netlist.elaborate s in
-          let name side = Printf.sprintf "%s/emit/%s" wname side in
-          let ref_fn () = ignore (Hls_oracle.Rtl_oracle.Verilog.emit nl) in
-          let net_fn () = ignore (Hls_rtl.Verilog.emit nl) in
-          pairs :=
-            (wname, "emit", name "ref", name "net", ref_fn, net_fn) :: !pairs;
-          [
-            Test.make ~name:(name "ref") (Staged.stage ref_fn);
-            Test.make ~name:(name "net") (Staged.stage net_fn);
-          ])
-        emit_designs
+          ( wname,
+            "emit",
+            (fun () -> ignore (Hls_oracle.Rtl_oracle.Verilog.emit nl)),
+            fun () -> ignore (Hls_rtl.Verilog.emit nl) ))
+        [
+          ("dct8", (optimized (registry "dct8") ~latency:14).P.schedule);
+          ( "random240",
+            (optimized (registry "random240") ~latency:14).P.schedule );
+          ("cold", cold_schedule);
+        ]
   in
   (* Graph text: the Buffer writer behind [Graph.to_string], [digest] and
      the recipe engine's change detection against the Format printer it
      replaced ([Hls_oracle.Graph_oracle]), on the cold design's source
      (the graph the engine prints after every pass) and the dct8 and
      random480 sources. *)
-  let tests =
-    tests
-    @ List.concat_map
+  let pairs =
+    pairs
+    @ List.map
         (fun (wname, g) ->
-          let name side = Printf.sprintf "%s/graph_text/%s" wname side in
-          let ref_fn () = ignore (Hls_oracle.Graph_oracle.to_string g) in
-          let net_fn () = ignore (Hls_dfg.Graph.to_string g) in
-          pairs :=
-            (wname, "graph_text", name "ref", name "net", ref_fn, net_fn)
-            :: !pairs;
-          [
-            Test.make ~name:(name "ref") (Staged.stage ref_fn);
-            Test.make ~name:(name "net") (Staged.stage net_fn);
-          ])
+          ( wname,
+            "graph_text",
+            (fun () -> ignore (Hls_oracle.Graph_oracle.to_string g)),
+            fun () -> ignore (Hls_dfg.Graph.to_string g) ))
         [ ("cold", cold_graph); ("dct8", registry "dct8");
           ("random480", registry "random480") ]
   in
-  (* Telemetry overhead: the same prepared-pipeline sweep with the sink
-     disarmed vs armed (metrics mode).  Disarmed it is byte-for-byte the
-     adpcm/pipeline_sweep/net computation — its delta from that row is
-     measurement noise, which bounds the disabled-mode cost of the
-     instrumentation; the armed row prices actual recording. *)
-  let tel_sweep =
-    let g = Hls_workloads.Adpcm.decoder () in
-    let latencies = [ 4; 6; 8; 10; 12 ] in
-    fun () ->
-      let p = P.prepare g in
-      List.iter (fun latency -> ignore (optimized_of_prepared p ~latency))
-        latencies
+  (* [--assert] fails the run when one of these pairs' candidate is slower
+     than its reference; the mobility, frag_sched and pipeline_sweep rows
+     are only timed. *)
+  let gated a =
+    List.mem a [ "arrival"; "deadline"; "fragment"; "bind"; "emit"; "graph_text" ]
   in
-  let tests =
-    tests
-    @ [
-        Test.make ~name:"adpcm/telemetry/off" (Staged.stage tel_sweep);
-        Test.make ~name:"adpcm/telemetry/on"
-          (Staged.stage (fun () ->
-               Hls_telemetry.arm ~metrics:true ();
-               Fun.protect ~finally:Hls_telemetry.disarm tel_sweep));
-      ]
-  in
-  (* Behavioural transformation recipes on the ADPCM decoder: the cost
-     of running each preset (no verification — that is priced by the
-     checker, not the engine) next to what it buys the flow at the
-     sweep's tightest latency. *)
-  let xform_specs = [ "cleanup"; "standard"; "aggressive" ] in
-  let xform_graph = Hls_workloads.Adpcm.decoder () in
-  let tests =
-    tests
-    @ List.map
-        (fun spec ->
-          let recipe = Hls_xform.Recipe.of_string_exn spec in
-          Test.make ~name:("adpcm/xform/" ^ spec)
-            (Staged.stage (fun () ->
-                 ignore (Hls_xform.Engine.apply recipe xform_graph))))
-        xform_specs
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    if quick then Benchmark.cfg ~limit:25 ~quota:(Time.second 0.02) ()
-    else Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  (* The --assert speed gate runs here, before Bechamel.  Bechamel
-     compacts the heap before every sample, over a thousand forced major
-     collections in one run, and after that many the OCaml 5.1 runtime's
-     incremental major GC does no work for the rest of the process: run
-     after Bechamel, the registry gate grew the heap to about 270M words
-     (2.2 GB resident) with no major cycle finishing, and its
-     allocation-heavy pairs ([fragment] on ar-lattice, fletcher16,
-     random480) fell below 1.0x in about one run in ten.  The benched
-     pairs the gate covers are timed here the same way, not read from
-     Bechamel's quick estimates, which fit a multi-millisecond call from a
-     handful of samples (random240 [fragment] once read 0.72x). *)
   let failed = ref false in
-  if assert_mode then begin
-    registry_gate failed;
-    List.iter
-      (fun (w, a, _, _, ref_fn, net_fn) ->
-        if
-          a = "arrival" || a = "deadline" || a = "bind" || a = "emit"
-          || a = "fragment" || a = "graph_text"
-        then ignore (gate_pair failed w a ref_fn net_fn))
-      (List.rev !pairs)
-  end;
-  let wire_codec = wire_codec_rows ~gate:assert_mode failed in
-  (* Timed here too, for the same reason: after Bechamel the checker and
-     its oracle ran in a process whose major GC had stopped. *)
-  let equivalence = equivalence_rows ~quick in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"timing" ~fmt:"%s %s" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let estimate name =
-    match Hashtbl.find_opt results ("timing " ^ name) with
-    | Some r -> (
-        match Analyze.OLS.estimates r with Some [ est ] -> Some est | _ -> None)
-    | None -> None
-  in
+  let gate = if assert_mode then Some failed else None in
+  pair_header ();
   let rows =
-    List.filter_map
-      (fun (wname, analysis, ref_name, net_name, _, _) ->
-        match (estimate ref_name, estimate net_name) with
-        | Some r, Some n when n > 0. ->
-            Some (wname, analysis, r, n, r /. n)
-        | _ -> None)
-      (List.rev !pairs)
+    List.map
+      (fun (w, a, ref_fn, net_fn) ->
+        let gate = if gated a then gate else None in
+        let r, n = time_pair ?gate w a ref_fn net_fn in
+        (w, a, r, n))
+      pairs
   in
-  Printf.printf "%-12s %-16s %14s %14s %9s\n" "workload" "analysis"
-    "reference ns" "bitnet ns" "speedup";
-  List.iter
-    (fun (w, a, r, n, s) ->
-      Printf.printf "%-12s %-16s %14.1f %14.1f %8.2fx\n" w a r n s)
-    rows;
-  if rows = [] then prerr_endline "timing: no estimates collected";
+  if assert_mode then
+    registry_gate failed ~benched:(List.map (fun (w, a, _, _) -> (w, a)) rows);
+  let wire_codec = wire_codec_rows ?gate () in
   (* What a fresh fragmentation allocates on the stress workloads at
      λ 14: minor-heap words per call of the pre-rewrite rebuild plus its
      separate net build, against the one-pass build of both. *)
@@ -1012,65 +945,91 @@ let timing () =
   in
   List.iter
     (fun (w, o, n) ->
-      Printf.printf "%-12s %-16s %11.0f minor words -> %11.0f (%.2fx less)\n"
-        w "fragment alloc" o n (o /. n))
+      Printf.printf "%-16s %-14s %11.0f minor words -> %11.0f (%.2fx less)\n"
+        w "fragment_alloc" o n (o /. n))
     frag_alloc;
+  (* Behavioural transformation recipes on the ADPCM decoder: the cost
+     of running each preset (no verification — that is priced by the
+     checker, not the engine), one group, next to what it buys the flow
+     at the sweep's tightest latency — where a shallower behaviour
+     actually moves the cycle; with slack the scheduler hides it. *)
   let xform_rows =
     let module X = Hls_xform in
-    (* the adpcm sweep's tightest latency — where a shallower behaviour
-       actually moves the cycle; with slack the scheduler hides it *)
+    let g = Hls_workloads.Adpcm.decoder () in
     let latency = 4 in
-    let baseline = optimized xform_graph ~latency in
-    List.map
-      (fun spec ->
-        let recipe = X.Recipe.of_string_exn spec in
-        let o = X.Engine.apply recipe xform_graph in
-        let r = optimized ~transform:recipe xform_graph ~latency in
+    let baseline = optimized g ~latency in
+    let specs = [ "cleanup"; "standard"; "aggressive" ] in
+    let recipes = List.map X.Recipe.of_string_exn specs in
+    let engine =
+      time_group
+        (Array.of_list
+           (List.map (fun r () -> ignore (X.Engine.apply r g)) recipes))
+    in
+    List.mapi
+      (fun i (spec, recipe) ->
+        let o = X.Engine.apply recipe g in
+        let r = optimized ~transform:recipe g ~latency in
         let cycle = r.P.opt_report.P.cycle_ns in
         let saved =
           P.pct_saved ~original:baseline.P.opt_report.P.cycle_ns
             ~optimized:cycle
         in
         ( spec,
-          estimate ("adpcm/xform/" ^ spec),
-          Hls_dfg.Graph.node_count xform_graph,
+          engine.(i),
+          Hls_dfg.Graph.node_count g,
           Hls_dfg.Graph.node_count o.X.Engine.graph,
-          X.Plan.depth xform_graph,
+          X.Plan.depth g,
           X.Plan.depth o.X.Engine.graph,
           cycle,
           saved ))
-      xform_specs
+      (List.combine specs recipes)
   in
-  Printf.printf "%-12s %-16s %14s %11s %11s %9s %7s\n" "workload" "recipe"
-    "engine ns" "nodes" "depth" "cycle/ns" "saved";
+  Printf.printf "%-16s %-14s %11s %11s %9s %11s %11s %9s %7s\n" "workload"
+    "recipe" "engine best" "median" "iqr" "nodes" "depth" "cycle/ns" "saved";
   List.iter
-    (fun (spec, est, nb, na, db, da, cycle, saved) ->
-      Printf.printf "%-12s %-16s %14s %4d -> %4d %4d -> %4d %9.2f %6.1f%%\n"
-        "adpcm" spec
-        (match est with Some e -> Printf.sprintf "%.1f" e | None -> "-")
-        nb na db da cycle saved)
+    (fun (spec, e, nb, na, db, da, cycle, saved) ->
+      Printf.printf
+        "%-16s %-14s %11.0f %11.0f %9.0f %4d -> %4d %4d -> %4d %9.2f %6.1f%%\n"
+        "adpcm" spec e.best e.median e.iqr nb na db da cycle saved)
     xform_rows;
-  let telemetry =
-    match
-      ( estimate "adpcm/pipeline_sweep/net",
-        estimate "adpcm/telemetry/off",
-        estimate "adpcm/telemetry/on" )
-    with
-    | Some base, Some off, Some on when base > 0. && off > 0. ->
-        let disabled_pct = ((off /. base) -. 1.) *. 100. in
-        let armed_pct = ((on /. off) -. 1.) *. 100. in
-        Printf.printf
-          "%-12s %-16s disabled %11.1f ns (%+.2f%% vs the identical \
-           pipeline_sweep row: noise bound), armed %11.1f ns (%+.1f%%)\n"
-          "adpcm" "telemetry" off disabled_pct on armed_pct;
-        Some (base, off, on, disabled_pct, armed_pct)
-    | _ -> None
+  (* Telemetry overhead: the adpcm pipeline_sweep row's candidate, the
+     same prepared-pipeline sweep with the sink disarmed, and the sweep
+     armed (metrics mode), one group.  The first two share every
+     instruction, so their delta is the timer's noise, which bounds the
+     disabled-mode cost of the instrumentation; the armed side prices
+     actual recording.  The control is timed here, not read from the
+     pipeline_sweep row, so both sides of the bound come from the same
+     rounds: read from another group, the bound also measures whatever
+     the host did between the two groups. *)
+  let tel_sweep () =
+    let p = P.prepare (Hls_workloads.Adpcm.decoder ()) in
+    List.iter
+      (fun latency -> ignore (optimized_of_prepared p ~latency))
+      [ 4; 6; 8; 10; 12 ]
   in
+  let tel =
+    time_group
+      [|
+        tel_sweep;
+        tel_sweep;
+        (fun () ->
+          Hls_telemetry.arm ~metrics:true ();
+          Fun.protect ~finally:Hls_telemetry.disarm tel_sweep);
+      |]
+  in
+  let base = tel.(0) and off = tel.(1) and on = tel.(2) in
+  let disabled_pct = ((off.best /. base.best) -. 1.) *. 100. in
+  let armed_pct = ((on.best /. off.best) -. 1.) *. 100. in
+  Printf.printf
+    "%-16s %-14s control %.0f ns (median %.0f, iqr %.0f), disabled %.0f ns \
+     (median %.0f, iqr %.0f; %+.2f%%: noise bound), armed %.0f ns (median \
+     %.0f, iqr %.0f; %+.1f%%)\n"
+    "adpcm" "telemetry" base.best base.median base.iqr off.best off.median
+    off.iqr disabled_pct on.best on.median on.iqr armed_pct;
   if json then
     write_ledger out
       [
         ("bench", J.String "timing");
-        ("quick", J.Bool quick);
         ( "workloads",
           J.List
             (List.map
@@ -1098,15 +1057,12 @@ let timing () =
         ( "results",
           J.List
             (List.map
-               (fun (w, a, r, n, s) ->
+               (fun (w, a, r, n) ->
                  J.Obj
-                   [
-                     ("workload", J.String w);
-                     ("analysis", J.String a);
-                     ("reference_ns_per_run", J.Float r);
-                     ("bitnet_ns_per_run", J.Float n);
-                     ("speedup", J.Float s);
-                   ])
+                   ([ ("workload", J.String w); ("analysis", J.String a) ]
+                   @ spread_json "reference" "reference_ns_per_run" r
+                   @ spread_json "bitnet" "bitnet_ns_per_run" n
+                   @ [ ("speedup", J.Float (r.best /. n.best)) ]))
                rows) );
         ( "fragment_alloc",
           J.List
@@ -1120,21 +1076,19 @@ let timing () =
                      ("one_pass_minor_words", J.Float n);
                    ])
                frag_alloc) );
-        (* The wire codec against its oracle, best of interleaved
-           rounds (the gate's own timings). *)
         ( "wire_codec",
           J.List
             (List.map
                (fun (line, bytes, op, o, n) ->
                  J.Obj
-                   [
-                     ("line", J.String line);
-                     ("bytes", J.Int bytes);
-                     ("op", J.String op);
-                     ("oracle_ns_per_run", J.Float o);
-                     ("codec_ns_per_run", J.Float n);
-                     ("speedup", J.Float (o /. n));
-                   ])
+                   ([
+                      ("line", J.String line);
+                      ("bytes", J.Int bytes);
+                      ("op", J.String op);
+                    ]
+                   @ spread_json "oracle" "oracle_ns_per_run" o
+                   @ spread_json "codec" "codec_ns_per_run" n
+                   @ [ ("speedup", J.Float (o.best /. n.best)) ]))
                wire_codec) );
         (* Per-recipe deltas on the ADPCM decoder at the sweep's
            tightest latency: what each preset costs (engine alone,
@@ -1142,15 +1096,10 @@ let timing () =
         ( "transforms",
           J.List
             (List.map
-               (fun (spec, est, nb, na, db, da, cycle, saved) ->
+               (fun (spec, e, nb, na, db, da, cycle, saved) ->
                  J.Obj
-                   ([
-                      ("workload", J.String "adpcm");
-                      ("recipe", J.String spec);
-                    ]
-                   @ (match est with
-                     | Some e -> [ ("engine_ns_per_run", J.Float e) ]
-                     | None -> [])
+                   ([ ("workload", J.String "adpcm"); ("recipe", J.String spec) ]
+                   @ spread_json "engine" "engine_ns_per_run" e
                    @ [
                        ("nodes_before", J.Int nb);
                        ("nodes_after", J.Int na);
@@ -1161,48 +1110,31 @@ let timing () =
                      ]))
                xform_rows) );
         (* Disabled-mode overhead is bounded by the delta between two
-           measurements of the same unarmed sweep (pipeline_sweep/net
-           and telemetry/off share every instruction); the armed figure
+           sides of one group running the same unarmed sweep (the
+           pipeline_sweep candidate and telemetry/off); the armed figure
            prices metric recording itself. *)
         ( "telemetry",
-          match telemetry with
-          | None -> J.Null
-          | Some (base, off, on, disabled_pct, armed_pct) ->
-              J.Obj
-                [
-                  ("workload", J.String "adpcm");
-                  ("pipeline_sweep_ns_per_run", J.Float base);
-                  ("disabled_ns_per_run", J.Float off);
-                  ("armed_ns_per_run", J.Float on);
-                  ("disabled_overhead_noise_bound_pct", J.Float disabled_pct);
-                  ("armed_overhead_pct", J.Float armed_pct);
-                ] );
+          J.Obj
+            ([ ("workload", J.String "adpcm") ]
+            @ spread_json "pipeline_sweep" "pipeline_sweep_ns_per_run" base
+            @ spread_json "disabled" "disabled_ns_per_run" off
+            @ spread_json "armed" "armed_ns_per_run" on
+            @ [
+                ("disabled_overhead_noise_bound_pct", J.Float disabled_pct);
+                ("armed_overhead_pct", J.Float armed_pct);
+              ]) );
       ];
   section "Equivalence check: bit-sliced Hls_check vs the per-vector oracle";
-  print_equivalence equivalence;
-  if json then
-    write_ledger out [ ("equivalence", equivalence_json ~quick equivalence) ];
+  pair_header ();
+  let equivalence = equivalence_rows ?gate () in
+  if json then write_ledger out [ ("equivalence", equivalence_json equivalence) ];
   if assert_mode then begin
-    (* A timing kernel, the one-pass fragmentation, the binder, the
-       Verilog printer, the graph writer, the wire codec (all gated into
-       [failed] before Bechamel) or the equivalence checker (timed before
-       Bechamel, judged here) slower than its retained
-       reference is a regression, not a tradeoff — fail the build loudly.
-       So is a checker verdict the oracle disagrees with. *)
-    List.iter
-      (fun (w, _, _, same, o, c) ->
-        if not same then begin
-          failed := true;
-          Printf.eprintf "bench-assert: %s/equivalence verdict differs from \
-                          the oracle's\n" w
-        end;
-        if c > o then begin
-          failed := true;
-          Printf.eprintf "bench-assert: %s/equivalence at %.2fx, slower than \
-                          its oracle\n" w (o /. c)
-        end)
-      equivalence;
-    (* Gate the sections other benches merged into the same JSON file:
+    (* Every gated pair above (timing kernels, the one-pass fragmentation,
+       the binder, the Verilog printer, the graph writer, the wire codec,
+       the equivalence checker) already set [failed] if its candidate was
+       slower than its retained reference — a regression, not a tradeoff —
+       and so did a checker verdict the oracle disagrees with.
+       Gate the sections other benches merged into the same JSON file:
        the iteration bench must not lose cycles against its own
        one-shot, its incremental retime must not be a slowdown, and a
        fuzz section reporting any mismatch is a correctness regression
@@ -1281,11 +1213,6 @@ let iter_bench () =
   let { json; out; _ } = opts () in
   section "Feedback-guided iteration: cycles clawed back, incremental retime";
   let module Iter = Hls_iter.Iter in
-  let registry w =
-    match Hls_workloads.Catalog.find_graph w with
-    | Some g -> g
-    | None -> failwith (w ^ " missing from the workload catalog")
-  in
   (* One-shot vs iterated at a slack latency (one step inside the
      14-cycle clock tier on all three workloads). *)
   let latency = 14 in
@@ -1317,27 +1244,26 @@ let iter_bench () =
   let arrival = Hls_timing.Arrival.of_net net in
   let n = Hls_dfg.Graph.node_count kernel in
   let dirty = [ n / 4; n / 2; (3 * n) / 4 ] in
-  let net_scratch_ns =
-    best_ns (fun () -> Hls_timing.Bitnet.build kernel)
+  pair_header ();
+  let net_scratch, net_incr =
+    time_pair "random240" "retime net"
+      (fun () -> ignore (Hls_timing.Bitnet.build kernel))
+      (fun () ->
+        if Hls_timing.Bitnet.rebuild_dirty net kernel ~dirty = None then
+          failwith "rebuild_dirty refused an unmoved layout")
   in
-  let net_incr_ns =
-    best_ns (fun () ->
-        match Hls_timing.Bitnet.rebuild_dirty net kernel ~dirty with
-        | Some net' -> net'
-        | None -> failwith "rebuild_dirty refused an unmoved layout")
-  in
-  let arr_scratch_ns = best_ns (fun () -> Hls_timing.Arrival.of_net net) in
-  let arr_incr_ns =
-    best_ns (fun () -> Hls_timing.Arrival.update_of_net net arrival ~dirty)
+  let arr_scratch, arr_incr =
+    time_pair "random240" "retime arrival"
+      (fun () -> ignore (Hls_timing.Arrival.of_net net))
+      (fun () -> ignore (Hls_timing.Arrival.update_of_net net arrival ~dirty))
   in
   let retime_speedup =
-    (net_scratch_ns +. arr_scratch_ns) /. (net_incr_ns +. arr_incr_ns)
+    (net_scratch.best +. arr_scratch.best) /. (net_incr.best +. arr_incr.best)
   in
   Printf.printf
-    "random240 retime (%d dirty of %d nodes): net %.0f -> %.0f ns, arrival \
-     %.0f -> %.0f ns, %.2fx end to end\n"
-    (List.length dirty) n net_scratch_ns net_incr_ns arr_scratch_ns
-    arr_incr_ns retime_speedup;
+    "random240 retime (%d dirty of %d nodes): %.2fx end to end (best of \
+     net plus arrival)\n"
+    (List.length dirty) n retime_speedup;
   if json then begin
     let iteration =
       J.Obj
@@ -1360,16 +1286,17 @@ let iter_bench () =
                  rows) );
           ( "incremental_retime",
             J.Obj
-              [
-                ("workload", J.String "random240");
+              ([
+                 ("workload", J.String "random240");
                 ("dirty_nodes", J.Int (List.length dirty));
                 ("total_nodes", J.Int n);
-                ("net_scratch_ns", J.Float net_scratch_ns);
-                ("net_incremental_ns", J.Float net_incr_ns);
-                ("arrival_scratch_ns", J.Float arr_scratch_ns);
-                ("arrival_incremental_ns", J.Float arr_incr_ns);
-                ("speedup", J.Float retime_speedup);
-              ] );
+              ]
+              @ spread_json "net_scratch" "net_scratch_ns" net_scratch
+              @ spread_json "net_incremental" "net_incremental_ns" net_incr
+              @ spread_json "arrival_scratch" "arrival_scratch_ns" arr_scratch
+              @ spread_json "arrival_incremental" "arrival_incremental_ns"
+                  arr_incr
+              @ [ ("speedup", J.Float retime_speedup) ]) );
         ]
     in
     write_ledger out [ ("iteration", iteration) ]
@@ -1450,11 +1377,7 @@ let xform_bench () =
     "nodes" "depth" "cycle/ns" "gates" "checks" "fired";
   List.iter
     (fun wname ->
-      let g =
-        match Hls_workloads.Catalog.find_graph wname with
-        | Some g -> g
-        | None -> failwith (wname ^ " missing from the workload catalog")
-      in
+      let g = registry wname in
       List.iter
         (fun spec ->
           let recipe = X.Recipe.of_string_exn spec in

@@ -195,7 +195,9 @@ let with_fleet ?(probe_timeout_s = 2.0) ?(eject_after = 3) n f =
     try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
   in
   Fun.protect
-    ~finally:(fun () -> List.iter kill pids)
+    ~finally:(fun () ->
+      List.iter kill pids;
+      List.iter (fun s -> try Sys.remove s with Sys_error _ -> ()) socks)
     (fun () ->
       List.iter wait_ready socks;
       let router_sock = tmp "router.sock" in
